@@ -4,8 +4,8 @@ The reference measurements quote per-run sifted rate, QBER, noise per
 APD, visibility and (for the 780 m runs) a lump-sum link loss, but not
 receiver efficiency, analyzer misalignment, or gate width. This module
 solves for those so that the analytic model reproduces the quoted figures
-exactly; the bundled scenario files are generated from these fits (see
-docs/calibration.md for the walk-through with numbers).
+exactly; the bundled scenario files are generated from these fits by
+``tools/make_scenarios.py``.
 
 Conventions:
 

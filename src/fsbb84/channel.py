@@ -17,24 +17,28 @@ Three physical contributions plus a calibration residual:
 In retro-reflected mode the beam traverses the path twice, so geometric
 and atmospheric legs double and the beam-splitter penalty is added.
 
-Transmission is Monte-Carlo per photon: each photon of a pulse survives
-independently with probability ``10^(-total/10)`` times a slow log-normal
-fading factor resampled every ``fading_block_ms`` (mean 1, so fading
-redistributes but does not change average loss).
+Each photon of a pulse survives independently with probability
+``T = 10^(-total/10)`` times a slow log-normal fading factor resampled
+every ``fading_block_ms`` (mean 1, so fading redistributes but does not
+change average loss), clipped at 1. The survivors of a Poisson(mu) pulse
+are then Poisson(mu * T): :func:`transmit_stream` draws them directly as
+the non-vacuum pulses of a source at ``mu * T`` and never touches a pulse
+that delivers nothing. :func:`transmit` thins an already materialized
+train photon by photon.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from . import source
 from .errors import ConfigError
-from .seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, STREAM_FADING, spawn
-from .source import (SHARD_SIZE, STATE_ANGLES_DEG, PulseShard, PulseTrain,
-                     SourceConfig, emit_jitter_ps, iter_shards)
+from .seeds import STREAM_CHANNEL, STREAM_FADING, spawn
+from .source import SHARD_SIZE, STATE_ANGLES_DEG, PulseTrain, SourceConfig, emit_jitter_ps
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -193,137 +197,97 @@ def fading_factor(config: ChannelConfig, block_index: int) -> float:
     return float(np.exp(g.normal(-0.5 * s2, math.sqrt(s2))))
 
 
-def _survivors(counts: np.ndarray, p_survive,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(pulse positions with >=1 survivor, survivor count there).
+def _fading_block(index, period_ps: float, config: ChannelConfig):
+    """Fading block holding each pulse index."""
+    return index * int(period_ps) // int(config.fading_block_ms * 1e9)
 
-    ``p_survive`` is a scalar (no fading) or a per-pulse array.
-    Single-photon pulses (the vast majority at mu ~ 0.1) take a fast
-    Bernoulli path; higher counts use binomial draws.
+
+def _block_survival(first_block: int, last_block: int, transmittance: float,
+                    config: ChannelConfig) -> np.ndarray:
+    """Photon survival probability ``min(T * f_b, 1)`` of each block in range."""
+    factors = [fading_factor(config, b) for b in range(first_block, last_block + 1)]
+    return np.minimum(transmittance * np.array(factors), 1.0)
+
+
+def _arrivals(index: np.ndarray, states: np.ndarray, n_phot: np.ndarray, emit_ps: np.ndarray,
+              config: ChannelConfig, true_clock, rng: np.random.Generator):
+    """(pulse_index, state, arrival_time_ps) per surviving photon.
+
+    One entry per photon of each surviving pulse; ``emit_ps`` is the
+    pulses' emission time in ps (float64). A retro flip acts per pulse.
     """
-    nz = np.nonzero(counts)[0]
-    if nz.size == 0:
-        return nz, np.empty(0, dtype=np.int64)
-    c = counts[nz]
-    scalar_p = np.isscalar(p_survive)
-    p = p_survive if scalar_p else p_survive[nz]
-    out = np.zeros(nz.size, dtype=np.int64)
-    single = c == 1
-    if single.any():
-        u = rng.random(int(single.sum()))
-        out[single] = u < (p if scalar_p else p[single])
-    multi = ~single
-    if multi.any():
-        out[multi] = rng.binomial(c[multi].astype(np.int64), p if scalar_p else p[multi])
-    keep = out > 0
-    return nz[keep], out[keep]
-
-
-def _block_survival_prob(start: int, n: int, period_ps: float, transmittance: float,
-                         config: ChannelConfig):
-    """Per-pulse survival probability including block-constant fading.
-
-    Returns a scalar when fading is off, else a per-pulse array.
-    """
-    if config.fading_sigma == 0.0:
-        return min(transmittance, 1.0)
-    block_ps = int(config.fading_block_ms * 1e9)
-    local = np.arange(n, dtype=np.int64)
-    blocks = ((start + local) * int(period_ps)) // block_ps
-    uniq = np.unique(blocks)
-    factors = np.array([fading_factor(config, int(b)) for b in uniq])
-    return np.clip(transmittance * factors, 0.0, 1.0)[np.searchsorted(uniq, blocks)]
-
-
-def _mc_shard(start: int, states: np.ndarray, counts: np.ndarray, emit_time_of,
-              config: ChannelConfig, transmittance: float, period_ps: float,
-              true_clock):
-    """Monte-Carlo one index range.
-
-    ``emit_time_of(pos)`` maps surviving local pulse positions to emission
-    times in ps (float64). Returns (pulse_index, state, arrival_time_ps)
-    arrays, one entry per surviving photon.
-    """
-    g = spawn(config.rng_seed, STREAM_CHANNEL, start // SHARD_SIZE)
-    p_pulse = _block_survival_prob(start, len(counts), period_ps, transmittance, config)
-    pos, n_phot = _survivors(counts, p_pulse, g)
-    if pos.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.uint8), empty
-
-    kept = states[pos].copy()
+    states = states.copy()
     if config.retro_mode and config.retro_flip_prob > 0.0:
-        flips = g.random(pos.size) < config.retro_flip_prob
-        kept[flips] ^= 1
-
-    t = emit_time_of(pos) + config.delay_ps()
+        states[rng.random(index.size) < config.retro_flip_prob] ^= 1
+    t = emit_ps + config.delay_ps()
     if true_clock is not None:
         t = true_clock.to_receiver(t)
     t = np.rint(t).astype(np.int64)
-
-    return np.repeat(start + pos, n_phot), np.repeat(kept, n_phot), np.repeat(t, n_phot)
+    return np.repeat(index, n_phot), np.repeat(states, n_phot), np.repeat(t, n_phot)
 
 
 def _finalize_arrivals(parts) -> PhotonArrivals:
-    if parts:
-        idx = np.concatenate([p[0] for p in parts])
-        states = np.concatenate([p[1] for p in parts])
-        times = np.concatenate([p[2] for p in parts])
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        states = np.empty(0, dtype=np.uint8)
-        times = np.empty(0, dtype=np.int64)
+    idx = np.concatenate([p[0] for p in parts])
+    states = np.concatenate([p[1] for p in parts])
+    times = np.concatenate([p[2] for p in parts])
     if len(times) > 1 and np.any(np.diff(times) < 0):
         order = np.argsort(times, kind="stable")
         idx, states, times = idx[order], states[order], times[order]
     return PhotonArrivals(pulse_index=idx, state=states, arrival_time_ps=times)
 
 
-def transmit(train: PulseTrain, config: ChannelConfig, true_clock=None) -> PhotonArrivals:
-    """Propagate a materialized pulse train.
+def _transmittance(config: ChannelConfig, source_config: SourceConfig) -> float:
+    return 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
 
-    Keeps the train's own emission times; shards only the survival draws.
-    Output is sorted by arrival time with pulse order preserved on ties.
+
+def transmit(train: PulseTrain, config: ChannelConfig, true_clock=None) -> PhotonArrivals:
+    """Propagate a materialized pulse train, photon by photon.
+
+    Keeps the train's own emission times. Output is sorted by arrival
+    time with pulse order preserved on ties.
     """
-    transmittance = 10.0 ** (-total_link_loss_db(config, train.config.wavelength_nm) / 10.0)
     period = train.config.period_ps
-    parts = []
-    for s0 in range(0, len(train), SHARD_SIZE):
-        s1 = min(s0 + SHARD_SIZE, len(train))
-        states = (2 * train.basis[s0:s1] + train.bit[s0:s1]).astype(np.uint8)
-        emit = train.emit_time_ps[s0:s1]
-        part = _mc_shard(s0, states, train.photon_count[s0:s1],
-                         lambda pos, e=emit: e[pos].astype(np.float64),
-                         config, transmittance, period, true_clock)
-        if len(part[0]):
-            parts.append(part)
-    return _finalize_arrivals(parts)
+    g = spawn(config.rng_seed, STREAM_CHANNEL)
+    pos = np.nonzero(train.photon_count)[0]
+    p = _block_survival(0, _fading_block(len(train) - 1, period, config),
+                        _transmittance(config, train.config), config)
+    n_phot = g.binomial(train.photon_count[pos].astype(np.int64),
+                        p[_fading_block(pos, period, config)])
+    pos, n_phot = pos[n_phot > 0], n_phot[n_phot > 0]
+    return _finalize_arrivals([_arrivals(pos, train.state[pos], n_phot,
+                                         train.emit_time_ps[pos].astype(np.float64),
+                                         config, true_clock, g)])
 
 
 def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses: int,
                     true_clock=None) -> PhotonArrivals:
-    """Sharded source+channel pipeline for large sessions.
+    """Source and channel in one pass, drawing only the pulses that reach Bob.
 
-    Statistically identical to ``transmit(build_pulse_train(...), ...)``
-    but never materializes the train; emission jitter is drawn only for
-    surviving pulses. Basis/bit choices are bit-identical to the
-    materialized path, so Alice can regenerate them lazily.
+    Per shard, the non-vacuum pulses of the source at
+    ``mu * min(T * f_max, 1)`` (``f_max`` the largest fading factor in the
+    shard) are exactly the pulses with at least one surviving photon, with
+    their survivor counts. Under fading each is then thinned binomially to
+    its own block's ``min(T * f_b, 1)``, which is exact because thinning
+    composes. Retro flips and emission jitter are drawn from the shard's
+    generator, for survivors only. States are the source's, so Alice's
+    lookup agrees with every arrival.
     """
-    transmittance = 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
+    transmittance = _transmittance(config, source_config)
     period = source_config.period_ps
-
-    def emit_time_factory(shard: PulseShard):
-        def emit_time_of(pos: np.ndarray) -> np.ndarray:
-            jg = spawn(source_config.rng_seed, STREAM_EMIT_JITTER, shard.start // SHARD_SIZE)
-            jitter = emit_jitter_ps(source_config, jg, pos.size)
-            return (shard.start + pos) * period + jitter
-
-        return emit_time_of
-
     parts = []
-    for shard in iter_shards(source_config, n_pulses):
-        part = _mc_shard(shard.start, shard.states, shard.photon_count,
-                         emit_time_factory(shard), config, transmittance, period, true_clock)
-        if len(part[0]):
-            parts.append(part)
+    for start in range(0, n_pulses, SHARD_SIZE):
+        n = min(SHARD_SIZE, n_pulses - start)
+        b0 = _fading_block(start, period, config)
+        p = _block_survival(b0, _fading_block(start + n - 1, period, config), transmittance, config)
+        p_max = float(p.max())
+        mu = tuple(m * p_max for m in source_config.mu_per_state)
+        shard = source.generate_shard(replace(source_config, mu_per_state=mu),
+                                      start // SHARD_SIZE, n)
+        g, index, states, n_phot = (shard.rng, start + shard.position, shard.states,
+                                    shard.photon_count)
+        if p.min() < p_max:
+            n_phot = g.binomial(n_phot, p[_fading_block(index, period, config) - b0] / p_max)
+            index, states, n_phot = index[n_phot > 0], states[n_phot > 0], n_phot[n_phot > 0]
+        emit = index * period + emit_jitter_ps(source_config, g, index.size)
+        parts.append(_arrivals(index, states, n_phot, emit, config, true_clock, g))
     return _finalize_arrivals(parts)

@@ -82,12 +82,19 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
                      pulse_indices=report.pulse_index[keep])
 
 
+def sample_size(key_length: int, params: SessionParams) -> int:
+    """How many sifted positions Bob discloses for QBER estimation."""
+    if params.benchmark_mode or params.sample_fraction >= 1.0:
+        return key_length
+    return int(np.ceil(params.sample_fraction * key_length))
+
+
 def select_sample(key_length: int, params: SessionParams,
                   rng: np.random.Generator) -> np.ndarray:
     """Bob's disclosed positions (sorted) into the sifted key."""
-    if params.benchmark_mode or params.sample_fraction >= 1.0:
+    n = sample_size(key_length, params)
+    if n == key_length:
         return np.arange(key_length, dtype=np.int64)
-    n = int(np.ceil(params.sample_fraction * key_length))
     return np.sort(rng.choice(key_length, size=n, replace=False)).astype(np.int64)
 
 
@@ -113,12 +120,21 @@ def estimate_qber(alice_key: SiftedKey, bob_key: SiftedKey, params: SessionParam
 
 def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: np.ndarray,
                   params: SessionParams) -> QberReport:
+    """QBER over Bob's disclosed sample, after checking it is one Bob may send.
+
+    The sample must hold exactly :func:`sample_size` distinct in-range
+    positions in increasing order; anything else is a protocol violation.
+    """
+    expected = sample_size(len(alice_key), params)
     if len(positions) != len(disclosed_bits):
         raise ProtocolViolationError("sample indices/bits length mismatch")
-    if len(positions) == 0:
-        raise InconclusiveSessionError("empty QBER sample")
-    if len(positions) and (positions.min() < 0 or positions.max() >= len(alice_key)):
+    if len(positions) != expected:
+        raise ProtocolViolationError(
+            f"sample holds {len(positions)} positions, expected {expected}")
+    if positions.min() < 0 or positions.max() >= len(alice_key):
         raise ProtocolViolationError("sample position out of range")
+    if np.any(np.diff(positions) <= 0):
+        raise ProtocolViolationError("sample positions must be strictly increasing")
     errors = int(np.sum(alice_key.bits[positions] != disclosed_bits))
     qber = errors / len(positions)
     return QberReport(disclosed_count=int(len(positions)), error_count=errors,
@@ -373,7 +389,11 @@ def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
         raise SessionFailedError("expected abort on empty key", phase=phase_box[0])
     sample_idx = _expect(transport.recv_message(), SampleIndices, phase_box[0])
     sample_bits = _expect(transport.recv_message(), SampleBits, phase_box[0])
-    qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)
+    try:
+        qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)
+    except ProtocolViolationError as e:
+        transport.send_message(Abort(reason=str(e)))
+        return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {e}")
     transport.send_message(QberResult(disclosed_count=qber.disclosed_count,
                                       error_count=qber.error_count,
                                       qber=qber.qber, abort=qber.abort))

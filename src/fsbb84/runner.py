@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from .errors import SessionFailedError
 from .protocol.session import ROLE_ALICE, ROLE_BOB, SessionReport, run_session
 from .protocol.transport import loopback_pair
 from .scenario import Scenario
@@ -44,4 +45,6 @@ def run_in_process(scenario: Scenario, timeout_s: float = 600.0,
         t_alice.close()
     if alice_err[0] is not None:
         raise alice_err[0]
+    if th.is_alive():
+        raise SessionFailedError(f"Alice did not finish within {timeout_s} s", phase="join")
     return bob_report, alice_out[0], quantum

@@ -3,6 +3,20 @@
 Every stochastic stage owns an integer seed; independent streams (shards,
 fading blocks, background generation, ...) are derived with stable spawn
 keys so that runs are reproducible and shardable at the same time.
+
+Draws that must be recomputable one at a time are counter-based instead
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
+draw ``i`` of a stream is the SplitMix64 finaliser (Steele, Lea & Flood,
+OOPSLA'14) of ``key + i * 0x9E3779B97F4A7C15``, with ``key`` derived from
+the seed like any other stream. Nothing is stored or replayed, so any
+subset of draws costs time in its own size. The source uses this for the
+per-pulse polarization states, which Alice looks up by pulse index.
+
+Reproducibility contract (version 2): outputs depend on the seeds, the
+stream tags below, the SplitMix64 constants, the source's shard size and
+the order in which each stage draws from its generators. Version 1 drew a
+32-bit integer per pulse for state and photon number; every seeded output
+changed with version 2.
 """
 
 import numpy as np
@@ -16,8 +30,32 @@ STREAM_RECEIVER = 3
 STREAM_BACKGROUND = 4
 STREAM_PROTOCOL = 5
 STREAM_EMIT_JITTER = 6
+STREAM_STATE = 7
+
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def spawn(seed: int, *key: int) -> np.random.Generator:
     """Return a Generator for stream ``key`` derived from ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
+
+
+def counter_key(seed: int, *key: int) -> np.uint64:
+    """64-bit key of the counter-based stream ``key`` derived from ``seed``."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
+    return ss.generate_state(1, dtype=np.uint64)[0]
+
+
+def splitmix64(key: np.uint64, counter) -> np.ndarray:
+    """Draw ``counter`` (any non-negative integers) of the stream ``key``, as uint64."""
+    z = np.array(counter, dtype=np.uint64)
+    z *= _GOLDEN_GAMMA
+    z += key
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z

@@ -1,10 +1,10 @@
 """End-to-end quantum phase: source -> channel -> receiver -> sync.
 
 Bob's side of a session is one deterministic function of the scenario:
-photon arrivals are produced shard by shard, detected, time-tagged, and
-assigned to pulse slots under the recovered clock. Alice's side never
-needs more than her own basis/bit choices, which regenerate lazily from
-the source seed.
+only the pulses that deliver a photon are drawn, and their photons are
+detected, time-tagged, and assigned to pulse slots under the recovered
+clock. Alice's side never needs more than her own basis/bit choices,
+which she hashes from the source seed for the pulses Bob reports.
 """
 
 from __future__ import annotations

@@ -11,11 +11,31 @@ State encoding used throughout the package::
     state = 2 * basis + bit      H=0  V=1  D=2  A=3
     basis: 0 = rectilinear (H/V), 1 = diagonal (D/A)
 
-Pulse trains are generated in fixed-size shards, each with its own RNG
-derived from ``(rng_seed, shard_index)``. This makes generation
-reproducible, restartable at any shard boundary, and cheap to re-derive:
-the basis/bit choices of any pulse can be regenerated later without
-storing the full train (see :class:`LazyPulseTrain`).
+States are counter-based: the state of pulse ``i`` is the top two bits of
+the SplitMix64 hash of ``i`` under a key derived from ``rng_seed`` (see
+:mod:`fsbb84.seeds`). Any pulse's state is one hash away, so Alice looks
+up the states Bob reports without regenerating anything
+(:class:`LazyPulseTrain`).
+
+Photon numbers are drawn only where they are not zero. Each shard of
+``SHARD_SIZE`` pulses has its own generator derived from
+``(rng_seed, shard_index)``, and :func:`generate_shard` draws its
+non-vacuum pulses by exact Poisson thinning:
+
+* candidate positions come from geometric gaps at
+  ``p_max = 1 - exp(-max_s mu_s)``;
+* a candidate of state ``s`` is kept with probability
+  ``(1 - exp(-mu_s)) / p_max``;
+* its photon number comes from a zero-truncated Poisson(mu_s), by
+  inversion.
+
+The cost follows ``mu * n``, not ``n``. Loss thins a Poisson pulse into a
+Poisson pulse, so the channel draws the pulses that reach Bob with the
+same function at ``mu_s * T`` (:func:`fsbb84.channel.transmit_stream`).
+
+Reproducibility: a seed fixes every output for a given ``n_pulses``. The
+states of a seed never depend on ``n_pulses``; the photon numbers of its
+last shard do. This is version 2 of the contract in :mod:`fsbb84.seeds`.
 """
 
 from __future__ import annotations
@@ -26,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .seeds import STREAM_EMIT_JITTER, STREAM_SOURCE, spawn
+from .seeds import (STREAM_EMIT_JITTER, STREAM_SOURCE, STREAM_STATE, counter_key, spawn,
+                    splitmix64)
 
 RECTILINEAR = 0
 DIAGONAL = 1
@@ -40,14 +61,13 @@ STATE_ANGLES_DEG = np.array([0.0, 90.0, 45.0, -45.0])
 # Gaussian FWHM -> sigma.
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# Pulses per generation shard. Part of the reproducibility contract.
-SHARD_SIZE = 1 << 22
+# Largest mean photon number per pulse: the photon-number inversion in
+# generate_shard starts from exp(-mu), which underflows near mu = 745.
+MAX_MU = 100.0
 
-# 30-bit uniform granularity used by the inversion sampler.
-_UBITS = 30
-_USCALE = float(1 << _UBITS)
-# Above this mean the tabulated inversion is not worth it; use rng.poisson.
-_MU_TABLE_LIMIT = 2.0
+# Pulses per generator of the photon-number draw. Part of the
+# reproducibility contract.
+SHARD_SIZE = 1 << 22
 
 
 def polarization_angle(basis: int, bit: int) -> float:
@@ -86,8 +106,8 @@ class SourceConfig:
             raise ConfigError("must be > 0", "source.wavelength_nm")
         if len(self.mu_per_state) != 4:
             raise ConfigError("needs exactly 4 entries (H, V, D, A)", "source.mu_per_state")
-        if any(m < 0 for m in self.mu_per_state):
-            raise ConfigError("entries must be >= 0", "source.mu_per_state")
+        if any(not 0 <= m <= MAX_MU for m in self.mu_per_state):
+            raise ConfigError(f"entries must be in [0, {MAX_MU:g}]", "source.mu_per_state")
         if self.pulse_fwhm_ps < 0:
             raise ConfigError("must be >= 0", "source.pulse_fwhm_ps")
         if self.pulse_fwhm_ps >= self.period_ps:
@@ -158,11 +178,10 @@ class PulseTrain:
 
 
 class LazyPulseTrain:
-    """Pulse-train view that regenerates basis/bit choices on demand.
+    """Pulse-train view that computes basis/bit choices on demand.
 
-    Stores nothing per pulse; lookups re-run the per-shard RNG draw that
-    produced the states. Used by Alice in large sessions where only the
-    pulses Bob reports ever need to be inspected.
+    Stores nothing per pulse; a lookup hashes the requested indices. Used
+    by Alice, who only ever inspects the pulses Bob reports.
     """
 
     def __init__(self, config: SourceConfig, n_pulses: int):
@@ -178,127 +197,78 @@ class LazyPulseTrain:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_pulses):
             raise IndexError("pulse index out of range")
-        basis = np.empty(idx.size, dtype=np.uint8)
-        bit = np.empty(idx.size, dtype=np.uint8)
-        for shard in np.unique(idx // SHARD_SIZE):
-            sel = np.nonzero(idx // SHARD_SIZE == shard)[0]
-            states = _shard_states(self.config, int(shard))
-            local = states[idx[sel] - shard * SHARD_SIZE]
-            basis[sel] = local >> 1
-            bit[sel] = local & 1
-        return basis, bit
+        states = pulse_states(self.config, idx)
+        return states >> 1, states & 1
 
 
 # ---------------------------------------------------------------------------
-# Shard generation internals
+# Generation
 # ---------------------------------------------------------------------------
+
+
+def pulse_states(config: SourceConfig, indices) -> np.ndarray:
+    """State (0..3, uint8) of each pulse index: top two bits of its hash."""
+    z = splitmix64(counter_key(config.rng_seed, STREAM_STATE), indices)
+    return (z >> np.uint64(62)).astype(np.uint8)
 
 
 @dataclass
 class PulseShard:
-    """One generation shard: global index range plus per-pulse draws."""
+    """The pulses of one shard that carry at least one photon."""
 
-    start: int
+    start: int  # global index of the shard's first pulse
+    position: np.ndarray  # int64, increasing positions within the shard
     states: np.ndarray  # uint8, 0..3
-    photon_count: np.ndarray  # uint16
+    photon_count: np.ndarray  # int64, >= 1
     rng: np.random.Generator = field(repr=False)
 
-    def __len__(self) -> int:
-        return len(self.states)
+
+def _success_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Positions of the successes among ``n`` Bernoulli(p) trials."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    # n + 1 gaps always pass n; the usual batch covers it at 6 sigma.
+    batch = min(int(n * p + 6.0 * math.sqrt(n * p)) + 16, n + 1)
+    pos = np.cumsum(rng.geometric(p, size=batch)) - 1
+    while pos[-1] < n:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size=batch))])
+    return pos[: np.searchsorted(pos, n)]
 
 
-def _poisson_thresholds(mu: float) -> np.ndarray:
-    """Cumulative Poisson thresholds scaled to the 30-bit uniform grid.
-
-    count(u) = #{k : u >= thr[k]}; the table is truncated where the tail
-    probability drops below the grid resolution (2^-30).
-    """
-    thr = []
-    pmf = math.exp(-mu)
-    cum = pmf
-    k = 0
-    while cum < 1.0 - 2.0 ** (-_UBITS) and k < 64:
-        thr.append(min(round(cum * _USCALE), (1 << _UBITS) - 1))
+def _zero_truncated_poisson(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Poisson(mu) draw per entry, conditioned on >= 1, by inversion."""
+    u = rng.random(mu.size) * -np.expm1(-mu)  # uniform on [0, P(N >= 1))
+    pmf = mu * np.exp(-mu)
+    cdf = pmf.copy()
+    count = np.ones(mu.size, dtype=np.int64)
+    todo = np.nonzero(u >= cdf)[0]
+    k = 1
+    while todo.size:  # ends at the latest where the pmf underflows
         k += 1
-        pmf *= mu / k
-        cum += pmf
-    if not thr:  # mu == 0: count always 0
-        thr.append((1 << _UBITS) - 1 + 1)
-    return np.asarray(thr, dtype=np.int64)
-
-
-def _sample_counts(states: np.ndarray, uniforms: np.ndarray, config: SourceConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Photon counts per pulse via tabulated Poisson inversion.
-
-    Uses one 30-bit uniform per pulse. Exact to the grid resolution for
-    mu <= 2; larger means fall back to the generator's Poisson sampler.
-    Only the (rare) pulses clearing the zero-photon threshold see any
-    extra work.
-    """
-    mus = config.mu_per_state
-    counts = np.zeros(len(states), dtype=np.uint16)
-    if any(mu > _MU_TABLE_LIMIT for mu in mus):
-        for s in range(4):
-            mask = states == s
-            if mus[s] > 0.0 and mask.any():
-                counts[mask] = rng.poisson(mus[s], size=int(mask.sum())).astype(np.uint16)
-        return counts
-
-    tables = [_poisson_thresholds(mu) for mu in mus]
-    kmax = max(len(t) for t in tables)
-    # Pad to a rectangular table; the sentinel 2^30 is never reached.
-    thr = np.full((kmax, 4), 1 << _UBITS, dtype=np.int64)
-    for s, t in enumerate(tables):
-        thr[: len(t), s] = t
-    uniform_mu = len(set(mus)) == 1
-
-    u = uniforms.astype(np.int64)
-    ge = u >= (thr[0, 0] if uniform_mu else thr[0][states])
-    idx = np.nonzero(ge)[0]
-    if idx.size == 0:
-        return counts
-    su = u[idx]
-    ss = None if uniform_mu else states[idx]
-    c = np.ones(idx.size, dtype=np.uint16)
-    for k in range(1, kmax):
-        above = su >= (thr[k, 0] if uniform_mu else thr[k][ss])
-        if not above.any():
-            break
-        c += above
-    counts[idx] = c
-    return counts
-
-
-def _shard_rng(config: SourceConfig, shard_index: int) -> np.random.Generator:
-    return spawn(config.rng_seed, STREAM_SOURCE, shard_index)
-
-
-def _shard_raw(config: SourceConfig, shard_index: int, n: int):
-    """(states, 30-bit uniforms, generator) for one shard; first draws."""
-    g = _shard_rng(config, shard_index)
-    u = g.integers(0, 1 << 32, size=n, dtype=np.uint32)
-    states = (u & 3).astype(np.uint8)
-    return states, (u >> 2), g
-
-
-def _shard_states(config: SourceConfig, shard_index: int) -> np.ndarray:
-    states, _, _ = _shard_raw(config, shard_index, SHARD_SIZE)
-    return states
+        pmf[todo] *= mu[todo] / k
+        cdf[todo] += pmf[todo]
+        count[todo] = k
+        todo = todo[(u[todo] >= cdf[todo]) & (pmf[todo] > 0.0)]
+    return count
 
 
 def generate_shard(config: SourceConfig, shard_index: int, n: int) -> PulseShard:
-    """Generate states and photon counts for shard ``shard_index``.
+    """The non-vacuum pulses among the ``n`` pulses of shard ``shard_index``.
 
-    ``n`` may be smaller than SHARD_SIZE only for the final shard. Emission
-    jitter is not drawn here; consumers pull it from the returned generator
-    (for all pulses or only for channel survivors) via
-    :func:`emit_jitter_ps`.
+    ``n`` may be smaller than SHARD_SIZE only for the final shard. The
+    returned generator has drawn nothing else; consumers continue from it
+    (emission jitter, channel draws).
     """
-    states, uv, g = _shard_raw(config, shard_index, SHARD_SIZE)
-    states, uv = states[:n], uv[:n]
-    counts = _sample_counts(states, uv, config, g)
-    return PulseShard(start=shard_index * SHARD_SIZE, states=states, photon_count=counts, rng=g)
+    g = spawn(config.rng_seed, STREAM_SOURCE, shard_index)
+    start = shard_index * SHARD_SIZE
+    mu = np.asarray(config.mu_per_state, dtype=np.float64)
+    p_max = -math.expm1(-mu.max())
+    pos = _success_positions(n, p_max, g)
+    states = pulse_states(config, start + pos)
+    keep = g.random(pos.size) * p_max < -np.expm1(-mu)[states]
+    pos, states = pos[keep], states[keep]
+    return PulseShard(start=start, position=pos, states=states,
+                      photon_count=_zero_truncated_poisson(mu[states], g), rng=g)
 
 
 def emit_jitter_ps(config: SourceConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -308,44 +278,33 @@ def emit_jitter_ps(config: SourceConfig, rng: np.random.Generator, n: int) -> np
     return rng.normal(0.0, config.emit_sigma_ps, size=n)
 
 
-def shard_count(n_pulses: int) -> int:
-    return (n_pulses + SHARD_SIZE - 1) // SHARD_SIZE
-
-
-def iter_shards(config: SourceConfig, n_pulses: int):
-    """Yield consecutive PulseShards covering ``n_pulses``."""
-    for i in range(shard_count(n_pulses)):
-        n = min(SHARD_SIZE, n_pulses - i * SHARD_SIZE)
-        yield generate_shard(config, i, n)
-
-
 def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
     """Materialize a full pulse train.
 
-    Deterministic in config.rng_seed: the same seed yields a bit-identical
-    train regardless of how many pulses other runs requested.
+    States are the same hash that :class:`LazyPulseTrain` computes and
+    photon numbers come from :func:`generate_shard`. Emission jitter has
+    its own stream per shard, so emission times do not depend on mu. A
+    session (:func:`fsbb84.channel.transmit_stream`) shares these states
+    but draws its own photon numbers and jitter.
     """
     if n_pulses <= 0:
         raise ConfigError("must be > 0 (empty train)", "n_pulses")
-    period = config.period_ps
-    bases, bits, counts, emits = [], [], [], []
-    for shard in iter_shards(config, n_pulses):
-        n = len(shard)
-        # Dedicated jitter stream so that emission times are independent of
-        # how counts were consumed.
-        jg = spawn(config.rng_seed, STREAM_EMIT_JITTER, shard.start // SHARD_SIZE)
-        jitter = emit_jitter_ps(config, jg, n)
-        idx = shard.start + np.arange(n, dtype=np.int64)
-        emits.append(np.rint(idx * period + jitter).astype(np.int64))
-        bases.append((shard.states >> 1).astype(np.uint8))
-        bits.append((shard.states & 1).astype(np.uint8))
-        counts.append(shard.photon_count)
+    index = np.arange(n_pulses, dtype=np.int64)
+    states = pulse_states(config, index)
+    counts = np.zeros(n_pulses, dtype=np.uint16)
+    jitter = np.empty(n_pulses)
+    for start in range(0, n_pulses, SHARD_SIZE):
+        n = min(SHARD_SIZE, n_pulses - start)
+        shard = generate_shard(config, start // SHARD_SIZE, n)
+        counts[start + shard.position] = shard.photon_count
+        jg = spawn(config.rng_seed, STREAM_EMIT_JITTER, start // SHARD_SIZE)
+        jitter[start:start + n] = emit_jitter_ps(config, jg, n)
     return PulseTrain(
         config=config,
-        basis=np.concatenate(bases),
-        bit=np.concatenate(bits),
-        photon_count=np.concatenate(counts),
-        emit_time_ps=np.concatenate(emits),
+        basis=states >> 1,
+        bit=states & 1,
+        photon_count=counts,
+        emit_time_ps=np.rint(index * config.period_ps + jitter).astype(np.int64),
     )
 
 

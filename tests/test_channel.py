@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fsbb84.channel import (ChannelConfig, atmospheric_loss_db, fading_factor,
                             geometric_loss_db, loss_breakdown, total_link_loss_db,
@@ -222,15 +223,50 @@ def test_transmit_applies_delay_and_clock():
 
 
 def test_transmit_stream_states_match_train():
-    # the sharded pipeline and the materialized path agree on which pulses
-    # fire and what they carry (photon survival draws are shared streams)
+    # the thinned pipeline draws its own photon numbers, so it fires on other
+    # pulses than transmit(train); every arrival still carries the train's
+    # state, and both survivor totals are Poisson(n * mu * T) draws
     src = SourceConfig(rng_seed=11)
     cfg = _lossless(extra_loss_db=10.0, rng_seed=12)
     train = build_pulse_train(src, 300_000)
     a = transmit(train, cfg)
     b = transmit_stream(src, cfg, 300_000)
-    assert np.array_equal(a.pulse_index, b.pulse_index)
-    assert np.array_equal(a.state, b.state)
+    assert np.array_equal(b.state, train.state[b.pulse_index])
+    # two independent Poisson counts: 4 sigma of their difference (~6e-5)
+    assert abs(len(a) - len(b)) <= 4 * math.sqrt(len(a) + len(b))
+
+
+def _zero_truncated_pmf(m, k):
+    # independent oracle: Poisson(m) pmf at k >= 1, conditioned on >= 1
+    return math.exp(-m) * m**k / math.factorial(k) / (1.0 - math.exp(-m))
+
+
+def test_transmit_stream_survivor_counts_chi_square_per_state():
+    # survivors of a Poisson(mu_s) pulse at T = 0.5 are Poisson(mu_s * T)
+    src = SourceConfig(mu_per_state=(1.0, 0.5, 2.0, 1.0), rng_seed=41)
+    arr = transmit_stream(src, _lossless(extra_loss_db=10 * math.log10(2.0), rng_seed=42),
+                          1_000_000)
+    index, n_phot = np.unique(arr.pulse_index, return_counts=True)
+    state = arr.state[np.searchsorted(arr.pulse_index, index)]
+    for s, mu in enumerate(src.mu_per_state):
+        hist = np.bincount(n_phot[state == s], minlength=4)
+        obs = np.array([hist[1], hist[2], hist[3:].sum()])
+        probs = [_zero_truncated_pmf(0.5 * mu, k) for k in (1, 2)]
+        probs.append(1.0 - sum(probs))
+        # non-vacuum survivor pulses of this state: 250k * (1 - e^-mu T) expected
+        expected_pulses = 250_000 * (1.0 - math.exp(-0.5 * mu))
+        assert abs(obs.sum() - expected_pulses) < 4 * math.sqrt(expected_pulses)
+        _, p_value = stats.chisquare(obs, np.asarray(probs) * obs.sum())
+        assert p_value > 1e-3, f"state {s}: p={p_value}"
+
+
+def test_transmit_stream_weak_state_survivor_fraction():
+    # one weak emitter: V survivors are mu_V / sum(mu) of all survivors
+    src = SourceConfig(mu_per_state=(0.1, 0.01, 0.1, 0.1), rng_seed=43)
+    arr = transmit_stream(src, _lossless(extra_loss_db=3.0, rng_seed=44), 10_000_000)
+    expected = 0.01 / 0.31
+    sigma = math.sqrt(expected * (1 - expected) / len(arr))
+    assert abs((arr.state == 1).mean() - expected) < 4 * sigma
 
 
 def test_retro_flip_probability():
@@ -272,6 +308,24 @@ def test_fading_block_variance_matches_lognormal():
     binom_var = (1 - t_mean) / (t_mean * per_block)
     expected = math.sqrt(sigma_f**2 + binom_var)
     assert abs(rel_std - expected) / expected < 0.15
+
+
+def test_transmit_stream_fading_block_variance_matches_lognormal():
+    # the thinned path scatters per-block survivors like the log-normal factor
+    sigma_f = 0.3
+    src = SourceConfig(mu_per_state=(1.0, 1.0, 1.0, 1.0), rng_seed=45)
+    n = 4_000_000
+    cfg = _lossless(extra_loss_db=3.0, fading_sigma=sigma_f, fading_block_ms=0.1,
+                    rng_seed=46)
+    arr = transmit_stream(src, cfg, n)
+    t_mean = 10 ** (-0.3)
+    per_block = 10_000  # pulses per 0.1 ms block at 100 MHz, mu = 1
+    survived = np.bincount(arr.pulse_index // per_block, minlength=n // per_block)
+    rates = survived / per_block
+    assert abs(rates.mean() - t_mean) / t_mean < 0.05
+    # Poisson(mu * n * T) noise per block adds in quadrature
+    expected = math.sqrt(sigma_f**2 + 1.0 / (t_mean * per_block))
+    assert abs(rates.std() / rates.mean() - expected) / expected < 0.15
 
 
 def test_fading_factor_mean_one():

@@ -15,7 +15,8 @@ from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask,
                              alice_match, bob_detection_report, bob_sift,
                              decode_frame, encode_frame, estimate_qber,
                              loopback_pair, run_session)
-from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, select_sample
+from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, _count_errors, select_sample
+from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.source import LazyPulseTrain, SourceConfig, build_pulse_train
 
 
@@ -289,6 +290,53 @@ def test_qber_empty_key_inconclusive():
     a, b = _keys([], [])
     with pytest.raises(InconclusiveSessionError):
         estimate_qber(a, b, SessionParams(), np.random.default_rng(8))
+
+
+def test_qber_sample_must_be_unique_increasing_and_full_size():
+    # ten disclosures of position 0 on a 5-bit key once gave QBER 0 and a
+    # remaining key of -5 bits
+    a, _ = _keys([1, 0, 1, 1, 0], [1, 0, 1, 1, 0])
+    bench = SessionParams(benchmark_mode=True)
+    with pytest.raises(ProtocolViolationError):
+        _count_errors(a, np.zeros(10, dtype=np.int64), np.ones(10, dtype=np.uint8), bench)
+    with pytest.raises(ProtocolViolationError):  # right size, duplicated
+        _count_errors(a, np.array([0, 1, 1, 2, 3]), np.ones(5, dtype=np.uint8), bench)
+    with pytest.raises(ProtocolViolationError):  # unique but short
+        _count_errors(a, np.array([0, 1, 2, 3]), np.ones(4, dtype=np.uint8), bench)
+    sampled = SessionParams(sample_fraction=0.5, benchmark_mode=False)  # ceil(2.5) = 3
+    with pytest.raises(ProtocolViolationError):
+        _count_errors(a, np.array([0, 2]), np.ones(2, dtype=np.uint8), sampled)
+    with pytest.raises(ProtocolViolationError):
+        _count_errors(a, np.array([3, 1, 4]), np.ones(3, dtype=np.uint8), sampled)
+    rep = _count_errors(a, np.array([0, 2, 3]), np.ones(3, dtype=np.uint8), sampled)
+    assert rep.disclosed_count == 3 and rep.error_count == 0
+
+
+@pytest.mark.parametrize("positions", ["duplicated", "short"])
+def test_alice_aborts_on_malformed_sample(fast_scenario, positions):
+    # a hand-driven Bob discloses a sample Alice must refuse
+    sc = fast_scenario
+    qp = simulate_quantum_phase(sc)
+    t_alice, t_bob = loopback_pair(10.0)
+    out = {}
+    th = threading.Thread(target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, sc)))
+    th.start()
+    t_bob.send_message(Hello(session_id=sc.protocol.session_id, role=1,
+                             scenario_hash=sc.hash_bytes()))
+    assert isinstance(t_bob.recv_message(), Hello)
+    assert isinstance(t_bob.recv_message(), SessionParamsMsg)
+    t_bob.send_message(bob_detection_report(qp.classified_index, qp.classified_detector))
+    key_length = int(t_bob.recv_message().mask.sum())
+    n = key_length if positions == "duplicated" else key_length - 1
+    pos = np.zeros(n, dtype=np.int64) if positions == "duplicated" else np.arange(n)
+    t_bob.send_message(SampleIndices(positions=pos))
+    t_bob.send_message(SampleBits(bits=np.zeros(n, dtype=np.uint8)))
+    assert isinstance(t_bob.recv_message(), Abort)
+    th.join(10.0)
+    t_bob.close()
+    t_alice.close()
+    assert out["alice"].abort
+    assert out["alice"].abort_reason.startswith("protocol-violation")
 
 
 def test_select_sample_sizes():

@@ -1,9 +1,14 @@
 """Scenario loading, validation errors, hashing, and table fixtures."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsbb84
 from fsbb84.errors import ConfigError
 from fsbb84.scenario import (BUNDLED_NAMES, bundled_scenario,
                              bundled_scenario_text, load_scenario,
@@ -141,3 +146,14 @@ def test_n_pulses_derivation():
     sc = bundled_scenario("table2_beam_expanders")
     assert sc.n_pulses == 10 * 100_000_000
     assert sc.simulated_duration_s == 10.0
+
+
+def test_bundled_scenarios_match_calibration_fits():
+    # the committed scenario files are what tools/make_scenarios.py writes
+    src = Path(fsbb84.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "tools/make_scenarios.py", "--check"],
+                          cwd=src.parent, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("ok: ") == len(BUNDLED_NAMES)

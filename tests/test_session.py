@@ -15,6 +15,7 @@ from fsbb84.protocol.framing import decode_frame, encode_frame
 from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)
+from fsbb84 import runner
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
 
@@ -194,3 +195,20 @@ def test_frame_stream_reassembly():
     assert got[0] == msgs[0] and got[1] == msgs[1]
     a.close()
     t.close()
+
+
+def test_run_in_process_raises_when_alice_outlives_timeout(fast_scenario, monkeypatch):
+    release = threading.Event()
+
+    def fake_run_session(role, transport, scenario, quantum=None):
+        if role == ROLE_ALICE:
+            release.wait(10.0)
+        return role
+
+    monkeypatch.setattr(runner, "run_session", fake_run_session)
+    try:
+        with pytest.raises(SessionFailedError) as err:
+            run_in_process(fast_scenario, timeout_s=0.2, quantum="precomputed")
+        assert err.value.phase == "join"
+    finally:
+        release.set()

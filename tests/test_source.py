@@ -77,6 +77,13 @@ def test_config_validation():
     assert SourceConfig().period_ps == 10_000.0
 
 
+def test_bright_mu_rejected():
+    # photon numbers are drawn by inversion from exp(-mu), exact only well below underflow
+    with pytest.raises(ConfigError):
+        SourceConfig(mu_per_state=(0.1, 0.1, 0.1, 800.0))
+    SourceConfig(mu_per_state=(100.0, 0.1, 0.1, 0.1))
+
+
 def test_empty_train_rejected():
     with pytest.raises(ConfigError):
         build_pulse_train(SourceConfig(), 0)
@@ -174,6 +181,18 @@ def test_lazy_train_matches_materialized():
     b2, k2 = lazy.states_at(idx)
     assert np.array_equal(b1, b2)
     assert np.array_equal(k1, k2)
+
+
+def test_lazy_train_matches_at_shard_boundary_and_last_pulse():
+    cfg = SourceConfig(rng_seed=37)
+    n = SHARD_SIZE + 3
+    train = build_pulse_train(cfg, n)
+    lazy = LazyPulseTrain(cfg, n)
+    idx = np.array([0, SHARD_SIZE - 2, SHARD_SIZE - 1, SHARD_SIZE, SHARD_SIZE + 1, n - 1])
+    for a, b in zip(train.states_at(idx), lazy.states_at(idx)):
+        assert np.array_equal(a, b)
+    with pytest.raises(IndexError):
+        lazy.states_at(np.array([n]))
 
 
 def test_lazy_train_range_checked():
