@@ -9,7 +9,8 @@ Frame layout (all integers little-endian)::
     payload length bytes
     crc32   u32      IEEE CRC-32 over header + payload
 
-Index lists travel as u64 arrays; bit sequences are packed LSB-first.
+Index lists travel as u64 arrays below 2^63; bit sequences are packed
+LSB-first with zero padding bits.
 Decoding never panics on hostile input: anything malformed raises
 :class:`CorruptFrameError`, a short buffer raises :class:`NeedMoreBytes`.
 """
@@ -52,13 +53,19 @@ def _unpack_bits(buf: bytes, n: int) -> np.ndarray:
     need = (n + 7) // 8
     if len(buf) != need:
         raise CorruptFrameError(f"bit payload length {len(buf)} != {need}")
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n, bitorder="little")
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    if n % 8 and raw[-1] >> (n % 8):
+        raise CorruptFrameError("non-zero padding bits")
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def _u64_array(buf: bytes) -> np.ndarray:
     if len(buf) % 8:
         raise CorruptFrameError("u64 array payload not a multiple of 8")
-    return np.frombuffer(buf, dtype="<u8").astype(np.int64)
+    idx = np.frombuffer(buf, dtype="<i8").astype(np.int64)
+    if (idx < 0).any():
+        raise CorruptFrameError("u64 index >= 2^63")
+    return idx
 
 
 def _take(buf: bytes, offset: int, n: int) -> tuple[bytes, int]:

@@ -21,7 +21,9 @@ abort state; only transport death or malformed flow raise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -86,7 +88,8 @@ def sample_size(key_length: int, params: SessionParams) -> int:
     """How many sifted positions Bob discloses for QBER estimation."""
     if params.benchmark_mode or params.sample_fraction >= 1.0:
         return key_length
-    return int(np.ceil(params.sample_fraction * key_length))
+    # exact decimal ceiling: in floats 0.07 * 100 = 7.000000000000001
+    return math.ceil(Fraction(str(params.sample_fraction)) * key_length)
 
 
 def select_sample(key_length: int, params: SessionParams,

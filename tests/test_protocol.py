@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsbb84.errors import (CorruptFrameError, InconclusiveSessionError,
                            NeedMoreBytes, ProtocolViolationError)
@@ -15,9 +19,13 @@ from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask,
                              alice_match, bob_detection_report, bob_sift,
                              decode_frame, encode_frame, estimate_qber,
                              loopback_pair, run_session)
-from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, _count_errors, select_sample
+from fsbb84.protocol.session import (ROLE_ALICE, ROLE_BOB, _count_errors, sample_size,
+                                     select_sample)
+from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.source import LazyPulseTrain, SourceConfig, build_pulse_train
+
+from conftest import make_fast_scenario
 
 
 def _random_message(rng):
@@ -133,6 +141,64 @@ def test_multiple_frames_in_buffer():
     m1, off = decode_frame(buf)
     m2, off = decode_frame(buf, off)
     assert m1 == a and m2 == b and off == len(buf)
+
+
+def _frame(mtype, payload: bytes) -> bytes:
+    """A CRC-valid frame around an arbitrary payload."""
+    header = struct.pack("<4sBBI", b"QKD1", 1, int(mtype), len(payload))
+    return header + payload + struct.pack("<I", zlib.crc32(header + payload))
+
+
+def _assert_rejected(cls, payload: bytes):
+    with pytest.raises(CorruptFrameError):
+        cls.unpack(payload)
+    with pytest.raises(CorruptFrameError):
+        decode_frame(_frame(cls.TYPE, payload))
+
+
+def test_decoders_reject_non_canonical_encodings():
+    # an index >= 2^63 would wrap negative as int64
+    _assert_rejected(SampleIndices, struct.pack("<QQ", 1, 1 << 63))
+    _assert_rejected(DetectionReport, struct.pack("<QQB", 1, 1 << 63, 0))
+    # 3 bits in one byte: bits 3..7 are padding and must be zero
+    _assert_rejected(MatchMask, struct.pack("<QB", 3, 0b0000_1000))
+    _assert_rejected(SampleBits, struct.pack("<QB", 3, 0b1000_0101))
+    _assert_rejected(DetectionReport, struct.pack("<QQB", 1, 5, 0b10))
+    assert list(MatchMask.unpack(struct.pack("<QB", 3, 0b101)).mask) == [1, 0, 1]
+    assert list(SampleIndices.unpack(struct.pack("<QQ", 1, (1 << 63) - 1)).positions) == [2**63 - 1]
+
+
+_INDICES = st.lists(st.integers(0, 2**63 - 1), max_size=40, unique=True).map(sorted)
+_BITS = st.lists(st.integers(0, 1), max_size=70)
+
+
+@st.composite
+def _sequence_messages(draw):
+    """Messages whose payloads carry u64 indices or packed bits."""
+    cls = draw(st.sampled_from([DetectionReport, MatchMask, SampleIndices, SampleBits]))
+    if cls is DetectionReport:
+        idx = draw(_INDICES)
+        basis = draw(st.lists(st.integers(0, 1), min_size=len(idx), max_size=len(idx)))
+        return DetectionReport(pulse_index=np.array(idx, dtype=np.int64), basis=basis)
+    if cls is SampleIndices:
+        return SampleIndices(positions=np.array(draw(_INDICES), dtype=np.int64))
+    return cls(draw(_BITS))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(msg=_sequence_messages(), data=st.data())
+def test_sequence_decoders_accept_only_canonical_payloads(msg, data):
+    cls, payload, n = type(msg), msg.pack(), len(msg)
+    assert cls.unpack(payload) == msg
+    assert decode_frame(encode_frame(msg)) == (msg, len(encode_frame(msg)))
+    if cls in (DetectionReport, SampleIndices) and n:
+        bad = bytearray(payload)
+        bad[8 + 8 * data.draw(st.integers(0, n - 1)) + 7] |= 0x80  # top bit of one index
+        _assert_rejected(cls, bytes(bad))
+    if cls is not SampleIndices and n % 8:
+        bad = bytearray(payload)
+        bad[-1] |= 1 << data.draw(st.integers(n % 8, 7))  # one padding bit
+        _assert_rejected(cls, bytes(bad))
 
 
 # --- sifting operations ----------------------------------------------------------
@@ -347,3 +413,18 @@ def test_select_sample_sizes():
     assert len(pos) == 100
     assert len(np.unique(pos)) == 100
     assert np.all(np.diff(pos) > 0)
+
+
+def test_sample_size_is_exact_decimal_ceiling():
+    # in floating point 0.07 * 100 = 7.000000000000001, whose ceiling is 8
+    params = SessionParams(sample_fraction=0.07, benchmark_mode=False)
+    assert sample_size(100, params) == 7
+    assert all(sample_size(n, params) == -(-7 * n // 100) for n in range(1, 5_000))
+
+
+def test_sampled_session_parties_agree_on_sample_size():
+    bob, alice, _ = run_in_process(make_fast_scenario(sample_fraction=0.07))
+    assert bob.completed and alice.completed and not bob.abort
+    assert bob.qber == alice.qber
+    assert bob.qber.disclosed_count == -(-7 * bob.sifted_key_length // 100)
+    assert bob.remaining_key_length == alice.remaining_key_length

@@ -12,8 +12,9 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import bundled_scenario
 from fsbb84.simulate import simulate_quantum_phase
-from fsbb84.sync import (ClockModel, GateConfig, TrueClock, assign_and_gate,
-                         fold_histogram, recover_clock)
+from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, GateConfig, TrueClock,
+                         _acquire_drift, assign_and_gate, fold_histogram,
+                         recover_clock)
 
 PERIOD = 10_000.0
 
@@ -122,8 +123,9 @@ def test_recover_centres_gate_at_low_signal_to_background():
 
 
 def test_recover_refined_stream_passes_significance_guard():
-    # The drift ladder stops 0.02 ppm off here; folded at that drift the
-    # peak is under 3x the median, while the refined mapping shows it.
+    # Folded at a drift 0.02 ppm off (one step of a coarse drift grid) this
+    # stream's peak is under 3x the median; the FFT acquisition stops
+    # 0.009 ppm off (4.6x), and the guard judges the refined mapping.
     sc = bundled_scenario("table2_collimators", seed=500015)
     sc = dataclasses.replace(sc, duration_s=0.1)
     qp = simulate_quantum_phase(sc)
@@ -142,6 +144,12 @@ def test_recover_needs_enough_tags():
         recover_clock(np.arange(999) * 10_000, PERIOD)
 
 
+@pytest.mark.parametrize("guard_ppm", [0.0, -1.0, 1e6])
+def test_recover_rejects_empty_or_unbounded_guard(guard_ppm):
+    with pytest.raises(ValueError):
+        recover_clock(np.arange(2_000) * 10_000, PERIOD, guard_ppm=guard_ppm)
+
+
 def test_recover_beacon_assisted_skips_search():
     tags = _synthetic_stream(5_000_000, 1e-3, -777.0, -20.0, 1_000.0, 171.0, seed=4)
     clock = recover_clock(tags.time_ps, PERIOD, known_drift_ppm=-20.0,
@@ -156,6 +164,57 @@ def test_recover_negative_drift():
     clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=55_555.0)
     assert abs(clock.drift_ppm + 20.0) < 0.5
     assert abs(clock.offset_ps - 55_555.0) < 50.0
+
+
+def _coherence(tau, period_ps, drifts):
+    """Reference acquisition: |mean phasor| of tau folded at P(1+d), per d."""
+    scores = np.empty(len(drifts))
+    step = max(1, int(4e6 // len(tau)))  # keeps the outer product small
+    for i in range(0, len(drifts), step):
+        d = drifts[i:i + step]
+        ph = 2.0 * np.pi * (tau[None, :] / (period_ps * (1.0 + d[:, None])))
+        scores[i:i + step] = np.abs(np.exp(1j * ph).mean(axis=1))
+    return scores
+
+
+@pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", [
+    (1_000_000, 1e-2, 37.3, 1_500.0, 11),  # dense
+    (10_000_000, 3.2e-4, -20.0, 6_000.0, 12),  # 780 m link SNR
+    (10_000_000, 3.17e-5, -5.0, 10_000.0, 13),  # ~300 signal under ~1000 background
+])
+def test_fft_acquisition_matches_brute_force_coherence(n_pulses, p_click, drift_ppm,
+                                                       bg_cps, seed):
+    tags = _synthetic_stream(n_pulses, p_click, 2_468.0, drift_ppm, bg_cps, 171.0,
+                             seed=seed)
+    t = tags.time_ps.astype(np.float64)
+    tau = t - t[0]
+    # the grid of the finest resolution acquisition needs: a quarter period
+    # of slip across the stream per step
+    step = PERIOD / (4.0 * tau[-1])
+    k = int(DRIFT_GUARD_PPM * 1e-6 / step)
+    grid = np.arange(-k, k + 1) * step
+    ref = grid[np.argmax(_coherence(tau, PERIOD, grid))]
+    assert abs(ref - drift_ppm * 1e-6) <= step
+    assert abs(_acquire_drift(tau, PERIOD, DRIFT_GUARD_PPM) - ref) <= step
+
+
+@pytest.mark.parametrize("drift_ppm", [95.0, -95.0])
+def test_acquire_drift_near_guard_on_long_stream(drift_ppm):
+    # 1 s of stream: mapping the tone frequency f to drift linearly (d = fP)
+    # instead of by d = fP / (1 - fP) is d^2 = 0.009 ppm, ~3.6 steps, off.
+    n_pulses = 100_000_000
+    rng = np.random.default_rng(14)
+    clicked = np.cumsum(rng.geometric(3.2e-4, size=40_000)) - 1
+    clicked = clicked[clicked < n_pulses]
+    t_sig = (1.0 + drift_ppm * 1e-6) * (clicked * PERIOD + rng.normal(0.0, 171.0, clicked.size))
+    t_bg = rng.random(6_000) * n_pulses * PERIOD
+    t = np.sort(np.rint(np.concatenate([t_sig, t_bg])))
+    tau = t - t[0]
+    step = PERIOD / (4.0 * tau[-1])
+    assert abs(_acquire_drift(tau, PERIOD, DRIFT_GUARD_PPM) - drift_ppm * 1e-6) <= step
+    clock = recover_clock(t.astype(np.int64), PERIOD, coarse_reference_ps=0.0)
+    assert abs(clock.drift_ppm - drift_ppm) < 0.5
+    assert abs(clock.offset_ps) < 50.0
 
 
 # --- assign_and_gate ---------------------------------------------------------------
