@@ -11,8 +11,12 @@ Detection chain for every arriving photon:
 
 Background (solar + dark) counts are injected as four independent Poisson
 processes, one per APD, at a common configured rate. Each detector then
-applies non-paralyzable dead-time suppression in time order, and the four
-streams merge into one non-decreasing tag stream.
+applies non-paralyzable dead time: a tag at least one dead time after the
+previous tag on its detector opens a cluster and is kept (a head); inside
+a cluster the kept tags are the chain ``i -> nxt[i]``, the first tag at
+least one dead time after ``t[i]``, followed from the head. The chains of
+all clusters advance together, one array step per round. The four streams
+then merge into one non-decreasing tag stream.
 
 Detector indices follow the state encoding: H=0, V=1, D=2, A=3, so
 ``basis = detector >> 1`` and ``bit = detector & 1``.
@@ -36,6 +40,11 @@ DETECTOR_NAMES = "HVDA"
 
 RANDOM_BIT = "random_bit"
 DISCARD = "discard"
+
+# For a 4-bit detector mask: its number of set bits, and its k-th set bit.
+_SET_BITS = [[d for d in range(4) if m >> d & 1] for m in range(16)]
+_N_SET = np.array([len(b) for b in _SET_BITS], dtype=np.int64)
+_NTH_SET = np.array([b + [0] * (4 - len(b)) for b in _SET_BITS], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -92,20 +101,9 @@ class TimeTags:
         return {DETECTOR_NAMES[d]: int(np.sum(self.detector == d)) for d in range(4)}
 
 
-def project(angle_deg: float, analyzer_basis: int, misalignment_deg: float,
-            rng: np.random.Generator) -> int:
-    """Project one photon onto the analyzer; returns the clicking detector.
-
-    Probability of the basis' first detector (H or D) is cos^2 of the
-    angle between the photon polarization and that analyzer axis.
-    """
-    axis = 45.0 * analyzer_basis + misalignment_deg
-    p_first = math.cos(math.radians(angle_deg - axis)) ** 2
-    return 2 * analyzer_basis + int(rng.random() >= p_first)
-
-
 def _projection_table(misalignment_deg: float) -> np.ndarray:
-    """p(first detector) indexed [state, basis]."""
+    """p(first detector) indexed [state, basis]: cos^2 of the angle between
+    the photon polarization and the basis' first analyzer axis (H or D)."""
     table = np.empty((4, 2))
     for s in range(4):
         for b in range(2):
@@ -115,19 +113,24 @@ def _projection_table(misalignment_deg: float) -> np.ndarray:
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
-    """Boolean keep-mask for a sorted per-detector time array."""
+    """Boolean keep-mask of non-paralyzable dead time on sorted times.
+
+    Heads and ``nxt`` chains as in the module docstring. Each round steps
+    every cluster's chain by one kept tag, so the rounds number the
+    longest kept chain of one cluster.
+    """
     n = len(times)
-    keep = np.ones(n, dtype=bool)
     if dead_ps <= 0 or n < 2:
-        return keep
-    last = -np.inf
-    t = times  # local alias; plain loop, rates keep n small
-    for i in range(n):
-        if t[i] - last >= dead_ps or last == -np.inf:
-            last = t[i]
-        else:
-            keep[i] = False
-    return keep
+        return np.ones(n, dtype=bool)
+    keep = np.empty(n + 1, dtype=bool)  # keep[n]: a chain that runs off the end stops
+    keep[0] = keep[n] = True
+    np.greater_equal(np.diff(times), dead_ps, out=keep[1:n])
+    front = np.flatnonzero(keep[:n - 1] & ~keep[1:n])  # heads of clusters of >= 2
+    while front.size:
+        front = np.searchsorted(times, times[front] + dead_ps)
+        front = front[~keep[front]]  # a chain that reaches the next head stops
+        keep[front] = True
+    return keep[:n]
 
 
 def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s: float,
@@ -169,33 +172,32 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
         window_ps = (0, int(round(session_duration_s * 1e12)))
     w0, w1 = int(window_ps[0]), int(window_ps[1])
     bg = spawn(config.rng_seed, STREAM_BACKGROUND)
-    bg_per_det = []
+    t_all, det_all = [sig_times], [detectors]
     for d in range(4):
         n_bg = bg.poisson(config.background_rate_cps_per_apd * session_duration_s)
         t = bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64)
-        bg_per_det.append((np.rint(t / res) * res).astype(np.int64))
+        t_all.append((np.rint(t / res) * res).astype(np.int64))
+        det_all.append(np.full(n_bg, d, dtype=np.uint8))
+    t_all, det_all = np.concatenate(t_all), np.concatenate(det_all)
+    tr_all = np.concatenate([sig_truth, np.full(len(t_all) - m, -1, dtype=np.int64)])
 
-    # Per-detector merge + dead time, then global merge
+    # One stable (time, detector) order, and the same order grouped by
+    # detector for dead time; signal precedes background at equal times.
+    # Detector d's times are shifted by d spans there, so no dead-time
+    # chain crosses into the next detector.
     dead_ps = int(round(config.dead_time_ns * 1000.0))
-    out_det, out_t, out_truth = [], [], []
-    for d in range(4):
-        sel = detectors == d
-        t_all = np.concatenate([sig_times[sel], bg_per_det[d]])
-        tr_all = np.concatenate([sig_truth[sel],
-                                 np.full(len(bg_per_det[d]), -1, dtype=np.int64)])
-        order = np.argsort(t_all, kind="stable")
-        t_all, tr_all = t_all[order], tr_all[order]
-        keep = _dead_time_filter(t_all, dead_ps)
-        out_t.append(t_all[keep])
-        out_truth.append(tr_all[keep])
-        out_det.append(np.full(int(keep.sum()), d, dtype=np.uint8))
-
-    det = np.concatenate(out_det)
-    t = np.concatenate(out_t)
-    tr = np.concatenate(out_truth)
-    order = np.argsort(t, kind="stable")
-    return TimeTags(detector=det[order], time_ps=t[order],
-                    truth_pulse_index=tr[order] if with_truth else None)
+    t_min, t_max = (int(t_all.min()), int(t_all.max())) if len(t_all) else (0, 0)
+    span = t_max - t_min + dead_ps + 1
+    if 4 * span >= 2**63:
+        raise ContractViolationError("tag times span too wide for one int64 key")
+    by_time = np.argsort((t_all - t_min) * 4 + det_all, kind="stable")
+    by_det = by_time[np.argsort(det_all[by_time], kind="stable")]
+    key = (t_all[by_det] - t_min) + det_all[by_det] * np.int64(span)
+    keep = np.zeros(len(t_all), dtype=bool)
+    keep[by_det[_dead_time_filter(key, dead_ps)]] = True
+    order = by_time[keep[by_time]]
+    return TimeTags(detector=det_all[order], time_ps=t_all[order],
+                    truth_pulse_index=tr_all[order] if with_truth else None)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
@@ -216,30 +218,21 @@ def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
     order = np.argsort(pulse_index, kind="stable")
     idx = np.asarray(pulse_index, dtype=np.int64)[order]
     det = np.asarray(detector, dtype=np.uint8)[order]
-    uniq, starts, counts = np.unique(idx, return_index=True, return_counts=True)
+    first = np.empty(len(idx), dtype=bool)
+    first[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    multi = np.diff(starts, append=len(idx)) > 1
+    n_multi = int(np.count_nonzero(multi))
 
-    singles = counts == 1
-    out_idx = [uniq[singles]]
-    out_det = [det[starts[singles]]]
-    n_multi = int(np.sum(~singles))
-    n_discarded = 0
-
-    if n_multi:
-        if policy == DISCARD:
-            n_discarded = n_multi
-        else:
-            m_idx, m_det = [], []
-            for s, c, u in zip(starts[~singles], counts[~singles], uniq[~singles]):
-                choices = np.unique(det[s:s + c])
-                m_idx.append(u)
-                m_det.append(choices[rng.integers(0, len(choices))])
-            out_idx.append(np.asarray(m_idx, dtype=np.int64))
-            out_det.append(np.asarray(m_det, dtype=np.uint8))
-
-    idx_out = np.concatenate(out_idx)
-    det_out = np.concatenate(out_det)
-    order = np.argsort(idx_out, kind="stable")
-    return idx_out[order], det_out[order], n_multi, n_discarded
+    if policy == DISCARD:
+        return idx[starts[~multi]], det[starts[~multi]], n_multi, n_multi
+    # The distinct clicking detectors of each multi-click pulse as a 4-bit
+    # mask; one draw per such pulse, in pulse order, picks a set bit.
+    mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), det), starts)[multi]
+    out = det[starts]
+    out[multi] = _NTH_SET[mask, rng.integers(0, _N_SET[mask])]
+    return idx[starts], out, n_multi, 0
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tupl
     edges = np.linspace(u[0], u[-1] + 1e-9, block_count + 1)
     block = np.minimum(np.searchsorted(edges, u, side="right") - 1, block_count - 1)
     two_pi = 2.0 * np.pi
-    ph = two_pi * (u / P)
+    cyc = u / P
+    ph = two_pi * (cyc - np.floor(cyc))  # whole periods dropped: cos/sin of huge arguments is slow
     nb = np.bincount(block, minlength=block_count)
     z = (np.bincount(block, weights=np.cos(ph), minlength=block_count)
          + 1j * np.bincount(block, weights=np.sin(ph), minlength=block_count))

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsbb84.channel import PhotonArrivals
 from fsbb84.errors import ConfigError, ContractViolationError
 from fsbb84.receiver import (DET_A, DET_D, DET_H, DET_V, DISCARD, RANDOM_BIT,
-                             ReceiverConfig, TimeTags, classify_clicks, detect,
-                             dump_tags, load_tags, project)
-from fsbb84.source import DIAGONAL, RECTILINEAR
+                             ReceiverConfig, TimeTags, _dead_time_filter,
+                             classify_clicks, detect, dump_tags, load_tags)
+from fsbb84.seeds import STREAM_RECEIVER, spawn
+from fsbb84.source import STATE_ANGLES_DEG
 
 
 def _arrivals(states, times, indices=None):
@@ -31,29 +34,108 @@ def _quiet(**kw):
     return ReceiverConfig(**base)
 
 
+# --- scalar references ------------------------------------------------------------
+
+def project(angle_deg: float, analyzer_basis: int, misalignment_deg: float,
+            rng: np.random.Generator) -> int:
+    """Reference: project one photon onto the analyzer; returns the detector.
+
+    Probability of the basis' first detector (H or D) is cos^2 of the
+    angle between the photon polarization and that analyzer axis.
+    """
+    axis = 45.0 * analyzer_basis + misalignment_deg
+    p_first = math.cos(math.radians(angle_deg - axis)) ** 2
+    return 2 * analyzer_basis + int(rng.random() >= p_first)
+
+
+def dead_time_filter_loop(times: np.ndarray, dead_ps: int) -> np.ndarray:
+    """Reference: keep-mask of non-paralyzable dead time, one tag at a time."""
+    n = len(times)
+    keep = np.ones(n, dtype=bool)
+    if dead_ps <= 0 or n < 2:
+        return keep
+    last = -np.inf
+    t = times
+    for i in range(n):
+        if t[i] - last >= dead_ps or last == -np.inf:
+            last = t[i]
+        else:
+            keep[i] = False
+    return keep
+
+
+def classify_clicks_loop(pulse_index, detector, policy, rng):
+    """Reference: classify_clicks with one scalar draw per multi-click pulse."""
+    if len(pulse_index) == 0:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0)
+    order = np.argsort(pulse_index, kind="stable")
+    idx = np.asarray(pulse_index, dtype=np.int64)[order]
+    det = np.asarray(detector, dtype=np.uint8)[order]
+    uniq, starts, counts = np.unique(idx, return_index=True, return_counts=True)
+    singles = counts == 1
+    out_idx, out_det = [uniq[singles]], [det[starts[singles]]]
+    n_multi = int(np.sum(~singles))
+    n_discarded = 0
+    if n_multi:
+        if policy == DISCARD:
+            n_discarded = n_multi
+        else:
+            m_idx, m_det = [], []
+            for s, c, u in zip(starts[~singles], counts[~singles], uniq[~singles]):
+                choices = np.unique(det[s:s + c])
+                m_idx.append(u)
+                m_det.append(choices[rng.integers(0, len(choices))])
+            out_idx.append(np.asarray(m_idx, dtype=np.int64))
+            out_det.append(np.asarray(m_det, dtype=np.uint8))
+    idx_out, det_out = np.concatenate(out_idx), np.concatenate(out_det)
+    order = np.argsort(idx_out, kind="stable")
+    return idx_out[order], det_out[order], n_multi, n_discarded
+
+
 # --- projection --------------------------------------------------------------
 
+def _projected(states, misalignment_deg, seed):
+    """(basis, detector) per photon from detect's vectorised projection.
+
+    Every photon tags (unit efficiency, no noise, jitter or dead time), and
+    the scalar reference, replaying the same basis choices and uniforms,
+    must pick the same detector for each.
+    """
+    n = len(states)
+    arr = _arrivals(states, np.arange(n, dtype=np.int64) * 100_000)
+    tags = detect(arr, _quiet(misalignment_deg=misalignment_deg, rng_seed=seed), n * 1e-7)
+    g = spawn(seed, STREAM_RECEIVER)
+    bases = g.integers(0, 2, size=n, dtype=np.uint8)
+    ref = [project(STATE_ANGLES_DEG[s], int(b), misalignment_deg, g)
+           for s, b in zip(states, bases)]
+    assert np.array_equal(tags.detector, ref)
+    return bases, tags.detector
+
+
 def test_project_matched_basis_deterministic():
-    rng = np.random.default_rng(0)
-    assert all(project(0.0, RECTILINEAR, 0.0, rng) == DET_H for _ in range(50))
-    assert all(project(90.0, RECTILINEAR, 0.0, rng) == DET_V for _ in range(50))
-    assert all(project(45.0, DIAGONAL, 0.0, rng) == DET_D for _ in range(50))
-    assert all(project(-45.0, DIAGONAL, 0.0, rng) == DET_A for _ in range(50))
+    states = np.repeat(np.array([DET_H, DET_V, DET_D, DET_A], dtype=np.uint8), 100)
+    bases, det = _projected(states, 0.0, seed=0)
+    matched = bases == states >> 1
+    for s in (DET_H, DET_V, DET_D, DET_A):
+        assert np.sum(matched & (states == s)) >= 30
+    assert np.array_equal(det[matched], states[matched])
 
 
 def test_project_conjugate_basis_splits_evenly():
-    rng = np.random.default_rng(1)
-    n = 100_000
-    hits = sum(project(0.0, DIAGONAL, 0.0, rng) == DET_D for _ in range(n))
+    bases, det = _projected(np.full(200_000, DET_H, dtype=np.uint8), 0.0, seed=1)
+    diag = det[bases == 1]
+    n = len(diag)
+    hits = np.sum(diag == DET_D)
     sigma = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) < 3 * sigma
 
 
 def test_project_misalignment_error_rate():
     # 5.6 deg misalignment: wrong detector with probability sin^2(5.6 deg)
-    rng = np.random.default_rng(2)
-    n = 200_000
-    wrong = sum(project(0.0, RECTILINEAR, 5.6, rng) == DET_V for _ in range(n))
+    bases, det = _projected(np.full(400_000, DET_H, dtype=np.uint8), 5.6, seed=2)
+    rect = det[bases == 0]
+    n = len(rect)
+    wrong = np.sum(rect == DET_V)
     e_pol = math.sin(math.radians(5.6)) ** 2  # ~0.95%
     sigma = math.sqrt(e_pol * (1 - e_pol) / n)
     assert abs(wrong / n - e_pol) < 4 * sigma
@@ -156,6 +238,16 @@ def test_dead_time_suppresses_close_tags():
     assert len(tags2) == 2
 
 
+def test_dead_time_is_per_detector():
+    # a V tag 10 ns before an H tag under 50 ns dead time: both survive,
+    # since each APD has its own dead time
+    arr = _arrivals([DET_V, DET_H], [0, 10_000])
+    seed = next(s for s in range(100)
+                if list(detect(arr, _quiet(rng_seed=s), 1e-6).detector) == [DET_V, DET_H])
+    tags = detect(arr, _quiet(dead_time_ns=50.0, rng_seed=seed), 1e-6)
+    assert list(tags.detector) == [DET_V, DET_H]
+
+
 def test_dead_time_enforced_on_noisy_stream():
     cfg = _quiet(background_rate_cps_per_apd=200_000.0, dead_time_ns=50.0,
                  rng_seed=11)
@@ -164,6 +256,58 @@ def test_dead_time_enforced_on_noisy_stream():
         t = tags.time_ps[tags.detector == d]
         if len(t) > 1:
             assert np.diff(t).min() >= 50_000
+
+
+_GAPS = st.lists(st.one_of(st.integers(0, 120), st.integers(0, 10**9)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(start=st.integers(-10**12, 10**12), gaps=_GAPS, dead_ps=st.integers(0, 100))
+@example(start=0, gaps=[], dead_ps=50)
+@example(start=-7, gaps=[3], dead_ps=50)
+@example(start=-500, gaps=[0, 0, 5, 0, 49, 1, 50], dead_ps=0)
+@example(start=-500, gaps=[0, 0, 5, 0, 49, 1, 50], dead_ps=50)
+def test_dead_time_filter_matches_reference_loop(start, gaps, dead_ps):
+    # sorted int64 times with ties, negative times and dense clusters
+    times = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
+    assert np.array_equal(_dead_time_filter(times, dead_ps),
+                          dead_time_filter_loop(times, dead_ps))
+
+
+def test_dead_time_saturated_stream_keeps_every_fifth():
+    # a tag every 10 ns under 50 ns dead time is one cluster: every 5th survives
+    times = np.arange(20_000, dtype=np.int64) * 10_000
+    keep = _dead_time_filter(times, 50_000)
+    assert np.array_equal(np.flatnonzero(keep), np.arange(0, 20_000, 5))
+    assert np.array_equal(keep, dead_time_filter_loop(times, 50_000))
+
+
+def test_detect_dead_time_matches_reference_per_detector():
+    # Dead time only removes tags, and draws nothing: the stream with it
+    # equals the stream without it, filtered per detector by the reference
+    # loop. A 1 ns tag resolution makes ties within and across detectors.
+    n = 20_000
+    times = np.sort(np.random.default_rng(14).integers(0, 2 * 10**9, n))
+    arr = _arrivals(np.random.default_rng(15).integers(0, 4, n), times)
+    kw = dict(background_rate_cps_per_apd=2e6, jitter_fwhm_ps=350.0,
+              tag_resolution_ps=1_000, misalignment_deg=3.0, rng_seed=16)
+    free = detect(arr, _quiet(**kw), 2e-3, with_truth=True)
+    keep = np.zeros(len(free), dtype=bool)
+    for d in range(4):
+        sel = np.flatnonzero(free.detector == d)
+        keep[sel] = dead_time_filter_loop(free.time_ps[sel], 50_000)
+    tags = detect(arr, _quiet(dead_time_ns=50.0, **kw), 2e-3, with_truth=True)
+    assert 0 < keep.sum() < len(free)
+    assert np.array_equal(tags.time_ps, free.time_ps[keep])
+    assert np.array_equal(tags.detector, free.detector[keep])
+    assert np.array_equal(tags.truth_pulse_index, free.truth_pulse_index[keep])
+
+
+def test_detect_rejects_times_too_wide_for_one_key():
+    # dead time runs on times shifted by detector spans in one int64 key
+    arr = _arrivals([DET_H, DET_H], [0, 2**62])
+    with pytest.raises(ContractViolationError):
+        detect(arr, _quiet(dead_time_ns=50.0), 1e-6)
 
 
 def test_merged_stream_sorted():
@@ -248,6 +392,46 @@ def test_classify_output_sorted_by_pulse():
         np.array([9, 3, 7, 7, 1]), np.array([0, 1, 2, 3, 2], dtype=np.uint8),
         RANDOM_BIT, rng)
     assert list(idx) == sorted(idx)
+
+
+def test_array_bounded_draws_equal_scalar_draws():
+    # classify_clicks draws every multi-click pulse's pick in one call with
+    # an array of bounds: the values and the generator's end state must
+    # equal one scalar call per pulse, in order (bound 1 draws nothing).
+    highs = np.random.default_rng(0).integers(1, 5, size=1_000)
+    g_arr, g_one = np.random.default_rng(7), np.random.default_rng(7)
+    assert np.array_equal(g_arr.integers(0, highs),
+                          [g_one.integers(0, int(h)) for h in highs])
+    assert g_arr.bit_generator.state == g_one.bit_generator.state
+
+
+def _click_stream(seed, n_pulses=400):
+    """Shuffled tags of pulses with 1-6 tags from 1-4 distinct detectors."""
+    rng = np.random.default_rng(seed)
+    pulses = rng.choice(10**9, n_pulses, replace=False)
+    mult = rng.integers(1, 7, n_pulses)
+    det = np.concatenate([rng.choice(rng.choice(4, rng.integers(1, 5), replace=False), m)
+                          for m in mult]).astype(np.uint8)
+    perm = rng.permutation(len(det))
+    return np.repeat(pulses, mult)[perm], det[perm]
+
+
+@pytest.mark.parametrize("policy", [RANDOM_BIT, DISCARD])
+def test_classify_matches_reference_loop(policy):
+    streams = [_click_stream(seed) for seed in range(10)]
+    streams.append((np.array([5, 3, 9]), np.array([DET_A, DET_H, DET_D], dtype=np.uint8)))
+    for idx, det in streams:
+        g_new, g_ref = np.random.default_rng(99), np.random.default_rng(99)
+        out = classify_clicks(idx, det, policy, g_new)
+        ref = classify_clicks_loop(idx, det, policy, g_ref)
+        for a, b in zip(out[:2], ref[:2]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert out[2:] == ref[2:]
+        assert g_new.bit_generator.state == g_ref.bit_generator.state
+    # seed 0 alone holds repeats of one detector and 2, 3 and 4 distinct ones
+    idx, det = streams[0]
+    pulses, counts = np.unique(idx, return_counts=True)
+    assert {len(np.unique(det[idx == u])) for u in pulses[counts > 1]} == {1, 2, 3, 4}
 
 
 # --- dump/replay ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, GateConfig, TrueClock,
                          recover_clock)
 
 PERIOD = 10_000.0
+_CLICK_CHUNK = 1 << 20  # pulses per block of click uniforms in _synthetic_stream
 
 
 def _tags(times, detectors=None, truth=None):
@@ -30,9 +31,16 @@ def _tags(times, detectors=None, truth=None):
 
 def _synthetic_stream(n_pulses, p_click, offset, drift_ppm, bg_rate_cps,
                       sigma_ps, seed, period=PERIOD):
-    """Ground-truth tag stream: clicked pulses + uniform background."""
+    """Ground-truth tag stream: clicked pulses + uniform background.
+
+    The click uniforms are drawn in chunks; successive draws give the same
+    values, and leave the generator in the same state, as one draw of
+    ``n_pulses``, so the stream equals the single-draw one.
+    """
     rng = np.random.default_rng(seed)
-    clicked = np.nonzero(rng.random(n_pulses) < p_click)[0]
+    clicked = np.concatenate([
+        np.flatnonzero(rng.random(min(_CLICK_CHUNK, n_pulses - s)) < p_click) + s
+        for s in range(0, n_pulses, _CLICK_CHUNK)])
     t_src = clicked * period + rng.normal(0.0, sigma_ps, size=clicked.size)
     rate = 1.0 + drift_ppm * 1e-6
     t_sig = offset + rate * t_src
