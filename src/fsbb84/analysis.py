@@ -1,8 +1,9 @@
 """Closed-form link-budget predictions for cross-validating the Monte Carlo.
 
 For a scenario with per-state mean photon numbers ``mu_s``, end-to-end
-transmittance ``eta`` (channel loss plus lumped receiver efficiency) and a
-temporal gate of width ``g``:
+transmittance ``eta`` (channel loss plus lumped receiver efficiency, which
+the Monte Carlo applies together in the Poisson thinning of
+:func:`fsbb84.channel.transmit_stream`) and a temporal gate of width ``g``:
 
 * in-gate signal click probability per pulse::
 
@@ -23,7 +24,9 @@ temporal gate of width ``g``:
       R_d = rep_rate * mean_s(1 - exp(-mu_s * eta * q_sd)) + rate
 
   where ``q_sd`` is the share of state-s photons sent to APD d (a 50/50
-  basis choice, then Malus' law on the misaligned analyzer). The live
+  basis choice, then Malus' law on the misaligned analyzer): the
+  receiver's :func:`~fsbb84.receiver.analyzer_table`, the table with
+  which that thinning picks each photon's APD. The live
   fraction ``L`` is the mean of the ``L_d`` weighted by each APD's in-gate
   clicks. It scales signal and background alike, so to first order QBER
   keeps its form; ``p_sig`` and ``p_bg`` above are the clicks before it;
@@ -62,13 +65,16 @@ bundled scenarios and 0.9921 at the busiest randomized one):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
+
+import numpy as np
 
 from .channel import loss_breakdown
 from .errors import ComparisonRefusedError
+from .receiver import analyzer_table
 from .scenario import Scenario
-from .source import FWHM_TO_SIGMA, STATE_ANGLES_DEG
+from .source import FWHM_TO_SIGMA
 
 
 def gate_acceptance(gate_width_ps: float, pulse_fwhm_ps: float, jitter_fwhm_ps: float) -> float:
@@ -93,32 +99,17 @@ class PredictedMetrics:
     live_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "p_signal_click_per_pulse": self.p_signal_click_per_pulse,
-            "p_background_per_pulse": self.p_background_per_pulse,
-            "qber_background_part": self.qber_background_part,
-            "qber_misalignment_part": self.qber_misalignment_part,
-            "qber_total": self.qber_total,
-            "sifted_rate_bps": self.sifted_rate_bps,
-            "total_loss_db": self.total_loss_db,
-            "scenario_hash": self.scenario_hash,
-            "live_fraction": self.live_fraction,
-        }
+        return asdict(self)
 
 
 def _detector_click_probabilities(mu_per_state, eta: float, misalignment_deg: float) -> list[float]:
     """Per-pulse probability of at least one photon at each APD (H, V, D, A).
 
-    A state-s photon picks either basis with probability 1/2, then the
-    detector of that basis by Malus' law on the misaligned analyzer, so
-    detector d sees a Poisson photon number of mean ``mu_s eta q_sd``.
+    Detector d sees a Poisson photon number of mean ``mu_s eta q_sd`` from
+    a state-s pulse, ``q`` being the receiver's analyzer table.
     """
-    out = []
-    for d in range(4):
-        axis = 45.0 * (d >> 1) + 90.0 * (d & 1) + misalignment_deg
-        out.append(sum(1.0 - math.exp(-mu * eta * 0.5 * math.cos(math.radians(angle - axis)) ** 2)
-                       for mu, angle in zip(mu_per_state, STATE_ANGLES_DEG)) / 4.0)
-    return out
+    mu = np.asarray(mu_per_state, dtype=np.float64)[:, None]
+    return (-np.expm1(-mu * eta * analyzer_table(misalignment_deg))).mean(axis=0).tolist()
 
 
 def predict(scenario: Scenario) -> PredictedMetrics:
@@ -170,14 +161,7 @@ class MetricDeviation:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,15 @@ and atmospheric legs double and the beam-splitter penalty is added.
 Each photon of a pulse survives independently with probability
 ``T = 10^(-total/10)`` times a slow log-normal fading factor resampled
 every ``fading_block_ms`` (mean 1, so fading redistributes but does not
-change average loss), clipped at 1. The survivors of a Poisson(mu) pulse
-are then Poisson(mu * T): :func:`transmit_stream` draws them directly as
-the non-vacuum pulses of a source at ``mu * T`` and never touches a pulse
-that delivers nothing. :func:`transmit` thins an already materialized
-train photon by photon.
+change average loss), clipped at 1. Bob's lumped receiver efficiency
+``eta`` and his passive analyzer act here too, because thinning composes
+and so does Poisson splitting: the photons of a Poisson(mu) pulse that
+reach a live APD are Poisson(mu * min(T * f_b, 1) * eta), and each of
+them picks APD ``d`` with probability ``q[s, d]`` (the receiver's
+analyzer table, ``s`` the state after any retro flip).
+:func:`transmit_stream` draws exactly those photons, as the non-vacuum
+pulses of a source at that folded mean, and never touches a pulse that
+delivers nothing to an APD.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import numpy as np
 
 from . import source
 from .errors import ConfigError
-from .seeds import STREAM_CHANNEL, STREAM_FADING, spawn
-from .source import SHARD_SIZE, STATE_ANGLES_DEG, PulseTrain, SourceConfig, emit_jitter_ps
+from .seeds import STREAM_FADING, spawn
+from .source import SHARD_SIZE, SourceConfig, emit_jitter_ps
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -170,22 +174,20 @@ def total_link_loss_db(config: ChannelConfig, wavelength_nm: float) -> float:
 
 @dataclass
 class PhotonArrivals:
-    """Photons reaching Bob's bench, on Bob's (pre-tagger) clock.
+    """Photons reaching Bob's APDs, on Bob's (pre-tagger) clock.
 
-    ``pulse_index`` keeps the originating pulse for ground-truth checks;
-    ``state`` is the polarization state after any retro flip.
+    ``detector`` is the APD each photon reaches (H=0, V=1, D=2, A=3).
+    ``pulse_index`` and ``state`` (the polarization state after any retro
+    flip) are simulation-only provenance for ground-truth checks.
     """
 
     pulse_index: np.ndarray  # int64
     state: np.ndarray  # uint8
+    detector: np.ndarray  # uint8
     arrival_time_ps: np.ndarray  # int64
 
     def __len__(self) -> int:
         return len(self.pulse_index)
-
-    @property
-    def polarization_angle_deg(self) -> np.ndarray:
-        return STATE_ANGLES_DEG[self.state]
 
 
 def fading_factor(config: ChannelConfig, block_index: int) -> float:
@@ -210,11 +212,15 @@ def _block_survival(first_block: int, last_block: int, transmittance: float,
 
 
 def _arrivals(index: np.ndarray, states: np.ndarray, n_phot: np.ndarray, emit_ps: np.ndarray,
-              config: ChannelConfig, true_clock, rng: np.random.Generator):
-    """(pulse_index, state, arrival_time_ps) per surviving photon.
+              config: ChannelConfig, true_clock, analyzer_cdf: np.ndarray,
+              rng: np.random.Generator):
+    """(pulse_index, state, detector, arrival_time_ps) per photon at an APD.
 
-    One entry per photon of each surviving pulse; ``emit_ps`` is the
-    pulses' emission time in ps (float64). A retro flip acts per pulse.
+    One entry per photon of each pulse; ``emit_ps`` is the pulses' emission
+    time in ps (float64). A retro flip acts per pulse. Each photon then
+    picks its APD with one uniform ``u``: the APD is the number of entries
+    of its state's cumulative analyzer row that are <= ``u``, with
+    ``analyzer_cdf[d, s]`` = P(APD <= d | state s) for d = 0, 1, 2.
     """
     states = states.copy()
     if config.retro_mode and config.retro_flip_prob > 0.0:
@@ -223,56 +229,43 @@ def _arrivals(index: np.ndarray, states: np.ndarray, n_phot: np.ndarray, emit_ps
     if true_clock is not None:
         t = true_clock.to_receiver(t)
     t = np.rint(t).astype(np.int64)
-    return np.repeat(index, n_phot), np.repeat(states, n_phot), np.repeat(t, n_phot)
+    states = np.repeat(states, n_phot)
+    u = rng.random(states.size)
+    k = states.astype(np.intp)
+    detector = np.zeros(u.size, dtype=np.uint8)
+    for column in analyzer_cdf:
+        detector += u >= column.take(k)
+    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
 
 
 def _finalize_arrivals(parts) -> PhotonArrivals:
-    idx = np.concatenate([p[0] for p in parts])
-    states = np.concatenate([p[1] for p in parts])
-    times = np.concatenate([p[2] for p in parts])
-    if len(times) > 1 and np.any(np.diff(times) < 0):
+    idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
+    if len(times) > 1 and np.any(times[1:] < times[:-1]):
         order = np.argsort(times, kind="stable")
-        idx, states, times = idx[order], states[order], times[order]
-    return PhotonArrivals(pulse_index=idx, state=states, arrival_time_ps=times)
-
-
-def _transmittance(config: ChannelConfig, source_config: SourceConfig) -> float:
-    return 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
-
-
-def transmit(train: PulseTrain, config: ChannelConfig, true_clock=None) -> PhotonArrivals:
-    """Propagate a materialized pulse train, photon by photon.
-
-    Keeps the train's own emission times. Output is sorted by arrival
-    time with pulse order preserved on ties.
-    """
-    period = train.config.period_ps
-    g = spawn(config.rng_seed, STREAM_CHANNEL)
-    pos = np.nonzero(train.photon_count)[0]
-    p = _block_survival(0, _fading_block(len(train) - 1, period, config),
-                        _transmittance(config, train.config), config)
-    n_phot = g.binomial(train.photon_count[pos].astype(np.int64),
-                        p[_fading_block(pos, period, config)])
-    pos, n_phot = pos[n_phot > 0], n_phot[n_phot > 0]
-    return _finalize_arrivals([_arrivals(pos, train.state[pos], n_phot,
-                                         train.emit_time_ps[pos].astype(np.float64),
-                                         config, true_clock, g)])
+        idx, states, detector, times = idx[order], states[order], detector[order], times[order]
+    return PhotonArrivals(pulse_index=idx, state=states, detector=detector,
+                          arrival_time_ps=times)
 
 
 def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses: int,
+                    efficiency: float, analyzer: np.ndarray,
                     true_clock=None) -> PhotonArrivals:
-    """Source and channel in one pass, drawing only the pulses that reach Bob.
+    """Source, channel and Bob's analyzer in one pass: the photons at his APDs.
 
-    Per shard, the non-vacuum pulses of the source at
-    ``mu * min(T * f_max, 1)`` (``f_max`` the largest fading factor in the
-    shard) are exactly the pulses with at least one surviving photon, with
-    their survivor counts. Under fading each is then thinned binomially to
-    its own block's ``min(T * f_b, 1)``, which is exact because thinning
-    composes. Retro flips and emission jitter are drawn from the shard's
-    generator, for survivors only. States are the source's, so Alice's
-    lookup agrees with every arrival.
+    ``efficiency`` is the receiver's lumped efficiency ``eta`` and
+    ``analyzer`` its 4x4 table ``q[s, d]`` (rows sum to 1). Per shard, the
+    non-vacuum pulses of the source at ``mu * min(T * f_max, 1) * eta``
+    (``f_max`` the largest fading factor in the shard) are exactly the
+    pulses with at least one photon at an APD, with their photon counts.
+    Under fading each is then thinned binomially to its own block's
+    ``min(T * f_b, 1)``, which is exact because thinning composes. Emission
+    jitter, retro flips and APD picks are drawn from the shard's generator,
+    in that order, for these pulses only. States are the source's, so
+    Alice's lookup agrees with every arrival. Output is sorted by arrival
+    time with pulse order preserved on ties.
     """
-    transmittance = _transmittance(config, source_config)
+    transmittance = 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
+    analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()
     period = source_config.period_ps
     parts = []
     for start in range(0, n_pulses, SHARD_SIZE):
@@ -280,7 +273,7 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
         b0 = _fading_block(start, period, config)
         p = _block_survival(b0, _fading_block(start + n - 1, period, config), transmittance, config)
         p_max = float(p.max())
-        mu = tuple(m * p_max for m in source_config.mu_per_state)
+        mu = tuple(m * p_max * efficiency for m in source_config.mu_per_state)
         shard = source.generate_shard(replace(source_config, mu_per_state=mu),
                                       start // SHARD_SIZE, n)
         g, index, states, n_phot = (shard.rng, start + shard.position, shard.states,
@@ -289,5 +282,6 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
             n_phot = g.binomial(n_phot, p[_fading_block(index, period, config) - b0] / p_max)
             index, states, n_phot = index[n_phot > 0], states[n_phot > 0], n_phot[n_phot > 0]
         emit = index * period + emit_jitter_ps(source_config, g, index.size)
-        parts.append(_arrivals(index, states, n_phot, emit, config, true_clock, g))
+        parts.append(_arrivals(index, states, n_phot, emit, config, true_clock,
+                               analyzer_cdf, g))
     return _finalize_arrivals(parts)

@@ -63,11 +63,3 @@ class QberReport:
     error_count: int
     qber: float
     abort: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "disclosed_count": self.disclosed_count,
-            "error_count": self.error_count,
-            "qber": self.qber,
-            "abort": self.abort,
-        }

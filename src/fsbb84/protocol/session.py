@@ -14,7 +14,10 @@ sifted key is disclosed, which reproduces the reference measurements'
 bookkeeping (sifted rate counts all basis-matched bits).
 
 A handshake mismatch (session id or scenario hash) ends the session in an
-abort state; only transport death or malformed flow raise
+abort state, and so does a peer message that breaks session semantics: a
+malformed report or sample for Alice, a QBER_RESULT that does not follow
+from Bob's sample for Bob, a DONE for another session for either
+(``protocol-violation``). Only transport death or malformed flow raise
 :class:`SessionFailedError`.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -139,9 +142,26 @@ def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: n
     if np.any(np.diff(positions) <= 0):
         raise ProtocolViolationError("sample positions must be strictly increasing")
     errors = int(np.sum(alice_key.bits[positions] != disclosed_bits))
-    qber = errors / len(positions)
-    return QberReport(disclosed_count=int(len(positions)), error_count=errors,
-                      qber=qber, abort=qber > params.qber_abort_threshold)
+    return _qber_report(int(len(positions)), errors, params)
+
+
+def _qber_report(disclosed: int, errors: int, params: SessionParams) -> QberReport:
+    """The QBER report of ``errors`` among ``disclosed`` bits, and its abort rule."""
+    qber = errors / disclosed
+    return QberReport(disclosed_count=disclosed, error_count=errors, qber=qber,
+                      abort=qber > params.qber_abort_threshold)
+
+
+def _check_qber_result(result: QberResult, disclosed: int,
+                       params: SessionParams) -> QberReport:
+    """Alice's QBER_RESULT, if it is what her counting rule gives on Bob's sample."""
+    got = QberReport(disclosed_count=result.disclosed_count, error_count=result.error_count,
+                     qber=result.qber, abort=result.abort)
+    if not (0 <= got.error_count <= disclosed
+            and got == _qber_report(disclosed, got.error_count, params)):
+        raise ProtocolViolationError(f"QBER_RESULT {got} does not follow from "
+                                     f"{disclosed} disclosed bits")
+    return got
 
 
 @dataclass
@@ -165,48 +185,10 @@ class SessionReport:
     loss_accounting: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_name": self.scenario_name,
-            "scenario_hash": self.scenario_hash,
-            "session_id": self.session_id,
-            "role": self.role,
-            "completed": self.completed,
-            "abort": self.abort,
-            "abort_reason": self.abort_reason,
-            "n_pulses": self.n_pulses,
-            "duration_s": self.duration_s,
-            "sifted_key_length": self.sifted_key_length,
-            "sifted_key_rate_bps": self.sifted_key_rate_bps,
-            "remaining_key_length": self.remaining_key_length,
-            "qber": self.qber.to_dict(),
-            "counts": self.counts,
-            "loss_accounting": self.loss_accounting,
-        }
+        return asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_dict(d: dict) -> "SessionReport":
-        q = d["qber"]
-        return SessionReport(
-            scenario_name=d["scenario_name"],
-            scenario_hash=d["scenario_hash"],
-            session_id=d["session_id"],
-            role=d["role"],
-            completed=d["completed"],
-            abort=d["abort"],
-            abort_reason=d["abort_reason"],
-            n_pulses=d["n_pulses"],
-            duration_s=d["duration_s"],
-            sifted_key_length=d["sifted_key_length"],
-            sifted_key_rate_bps=d["sifted_key_rate_bps"],
-            remaining_key_length=d["remaining_key_length"],
-            qber=QberReport(disclosed_count=q["disclosed_count"], error_count=q["error_count"],
-                            qber=q["qber"], abort=q["abort"]),
-            counts=d["counts"],
-            loss_accounting=d["loss_accounting"],
-        )
 
 
 def _loss_accounting(scenario: Scenario) -> dict:
@@ -360,12 +342,19 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
     transport.send_message(SampleBits(bits=key.bits[positions]))
 
     result = _expect(transport.recv_message(), QberResult, phase_box[0])
-    qber = QberReport(disclosed_count=result.disclosed_count, error_count=result.error_count,
-                      qber=result.qber, abort=result.abort)
+    try:
+        qber = _check_qber_result(result, len(positions), scenario.protocol)
+    except ProtocolViolationError as e:
+        transport.send_message(Abort(reason=str(e)))
+        return _abort_report(scenario, ROLE_BOB, f"protocol-violation: {e}")
 
     phase_box[0] = "done"
     transport.send_message(Done(session_id=scenario.protocol.session_id))
-    _expect(transport.recv_message(), Done, phase_box[0])
+    done = _expect(transport.recv_message(), Done, phase_box[0])
+    if done.session_id != scenario.protocol.session_id:
+        # Alice's DONE is her last message: nothing more goes on the wire.
+        return _abort_report(scenario, ROLE_BOB,
+                             f"protocol-violation: DONE for session {done.session_id}")
 
     remaining = len(key) - len(positions)
     return _finish_report(scenario, ROLE_BOB, qber, len(key), remaining, quantum.counts())
@@ -402,7 +391,11 @@ def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
                                       qber=qber.qber, abort=qber.abort))
 
     phase_box[0] = "done"
-    _expect(transport.recv_message(), Done, phase_box[0])
+    done = _expect(transport.recv_message(), Done, phase_box[0])
+    if done.session_id != scenario.protocol.session_id:
+        reason = f"DONE for session {done.session_id}"
+        transport.send_message(Abort(reason=reason))
+        return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {reason}")
     transport.send_message(Done(session_id=scenario.protocol.session_id))
 
     remaining = len(key) - qber.disclosed_count

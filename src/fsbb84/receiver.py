@@ -1,13 +1,14 @@
 """Bob's analyzer bench: passive basis choice, four APDs, time tagging.
 
-Detection chain for every arriving photon:
-
-1. lumped receiver efficiency (spectral filter, fiber coupling, APD
-   quantum efficiency) as one Bernoulli trial;
-2. passive 50/50 basis choice;
-3. polarization projection onto the chosen analyzer axis pair with a
-   residual misalignment rotation, Malus-law probabilities;
-4. Gaussian timing jitter and quantization to the tagger resolution.
+The optical part of the bench acts in the channel's Poisson thinning
+(:func:`fsbb84.channel.transmit_stream`): the lumped receiver efficiency
+(spectral filter, fiber coupling, APD quantum efficiency) scales the
+photon mean, and each photon that reaches the APDs picks one from
+:func:`analyzer_table`, a 50/50 passive basis choice followed by Malus'
+law on the misaligned analyzer. :func:`predict <fsbb84.analysis.predict>`
+uses the same table. :func:`detect` starts from those photons, each
+already at its APD, and applies Gaussian timing jitter and quantization to
+the tagger resolution.
 
 Background (solar + dark) counts are injected as four independent Poisson
 processes, one per APD, at a common configured rate. Each detector then
@@ -24,7 +25,6 @@ Detector indices follow the state encoding: H=0, V=1, D=2, A=3, so
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,15 +101,16 @@ class TimeTags:
         return {DETECTOR_NAMES[d]: int(np.sum(self.detector == d)) for d in range(4)}
 
 
-def _projection_table(misalignment_deg: float) -> np.ndarray:
-    """p(first detector) indexed [state, basis]: cos^2 of the angle between
-    the photon polarization and the basis' first analyzer axis (H or D)."""
-    table = np.empty((4, 2))
-    for s in range(4):
-        for b in range(2):
-            axis = 45.0 * b + misalignment_deg
-            table[s, b] = math.cos(math.radians(STATE_ANGLES_DEG[s] - axis)) ** 2
-    return table
+def analyzer_table(misalignment_deg: float) -> np.ndarray:
+    """q[s, d]: probability that a state-s photon at the bench reaches APD d.
+
+    Either basis with probability 1/2, then cos^2 of the angle between the
+    photon polarization and the APD's analyzer axis, rotated by the
+    residual misalignment. Each row sums to 1.
+    """
+    d = np.arange(4)
+    axis = 45.0 * (d >> 1) + 90.0 * (d & 1) + misalignment_deg
+    return 0.5 * np.cos(np.radians(STATE_ANGLES_DEG[:, None] - axis)) ** 2
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -136,35 +137,26 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
 def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s: float,
            window_ps: Optional[tuple[int, int]] = None,
            with_truth: bool = False) -> TimeTags:
-    """Turn photon arrivals into the merged, dead-time-filtered tag stream.
+    """Turn photons at the APDs into the merged, dead-time-filtered tag stream.
 
     ``window_ps`` bounds the background injection (defaults to
     [0, duration)); pass the session's receiver-clock window so background
     covers the same span as the signal.
     """
     t_arr = arrivals.arrival_time_ps
-    if len(t_arr) > 1 and np.any(np.diff(t_arr) < 0):
+    if len(t_arr) > 1 and np.any(t_arr[1:] < t_arr[:-1]):
         raise ContractViolationError("arrivals must be sorted by time")
 
     g = spawn(config.rng_seed, STREAM_RECEIVER)
     res = int(config.tag_resolution_ps)
-
-    # Efficiency thinning
-    n = len(arrivals)
-    passed = g.random(n) < config.efficiency if config.efficiency < 1.0 else np.ones(n, bool)
-    states = arrivals.state[passed]
-    sig_times = t_arr[passed].astype(np.float64)
-    sig_truth = arrivals.pulse_index[passed]
-
-    # Passive basis choice + Malus projection
-    m = len(states)
-    bases = g.integers(0, 2, size=m, dtype=np.uint8)
-    p_first = _projection_table(config.misalignment_deg)[states, bases]
-    detectors = (2 * bases + (g.random(m) >= p_first)).astype(np.uint8)
+    m = len(arrivals)
+    detectors = arrivals.detector
+    sig_truth = arrivals.pulse_index
 
     # Timing jitter, then tagger quantization
+    sig_times = t_arr.astype(np.float64)
     if config.jitter_sigma_ps > 0.0 and m:
-        sig_times = sig_times + g.normal(0.0, config.jitter_sigma_ps, size=m)
+        sig_times += g.normal(0.0, config.jitter_sigma_ps, size=m)
     sig_times = (np.rint(sig_times / res) * res).astype(np.int64)
 
     # Background: one Poisson process per APD over the observation window

@@ -12,11 +12,18 @@ the seed like any other stream. Nothing is stored or replayed, so any
 subset of draws costs time in its own size. The source uses this for the
 per-pulse polarization states, which Alice looks up by pulse index.
 
-Reproducibility contract (version 2): outputs depend on the seeds, the
+Reproducibility contract (version 3): outputs depend on the seeds, the
 stream tags below, the SplitMix64 constants, the source's shard size and
-the order in which each stage draws from its generators. Version 1 drew a
-32-bit integer per pulse for state and photon number; every seeded output
-changed with version 2.
+the order in which each stage draws from its generators. Within a shard
+of :func:`fsbb84.channel.transmit_stream`, the shard generator draws the
+non-vacuum pulses (see :func:`fsbb84.source.generate_shard`), then any
+fading thinning, then emission jitter per pulse, then the retro flip per
+pulse, then the APD pick, one uniform per photon. ``STREAM_RECEIVER``
+draws only detector jitter, one normal per photon. Version 1 drew a
+32-bit integer per pulse for state and photon number; version 2 drew
+photons at the receiver aperture and left the receiver efficiency, basis
+choice and Malus projection to ``STREAM_RECEIVER``. Every seeded output
+changed with each version.
 """
 
 import numpy as np

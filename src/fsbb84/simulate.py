@@ -1,10 +1,10 @@
 """End-to-end quantum phase: source -> channel -> receiver -> sync.
 
 Bob's side of a session is one deterministic function of the scenario:
-only the pulses that deliver a photon are drawn, and their photons are
-detected, time-tagged, and assigned to pulse slots under the recovered
-clock. Alice's side never needs more than her own basis/bit choices,
-which she hashes from the source seed for the pulses Bob reports.
+only the pulses that deliver a photon to one of his APDs are drawn, and
+those photons are time-tagged and assigned to pulse slots under the
+recovered clock. Alice's side never needs more than her own basis/bit
+choices, which she hashes from the source seed for the pulses Bob reports.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ class QuantumPhase:
     n_multi_discarded: int
 
     def counts(self) -> dict:
+        """Deterministic stage counts.
+
+        ``arrivals`` counts photons at the APD inputs, after the receiver
+        efficiency: the channel draws no others (a replayed tag stream
+        reports its tag count there).
+        """
         return {
             "arrivals": self.n_arrivals,
             "tags_total": len(self.tags),
@@ -68,13 +74,14 @@ def receiver_window_ps(scenario: Scenario) -> tuple[int, int]:
 def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
                            replay_tags: Optional[TimeTags] = None) -> QuantumPhase:
     """Run Bob's bench for one session (or replay a recorded tag stream)."""
-    src = scenario.source
+    src, rx = scenario.source, scenario.receiver
     n_pulses = scenario.n_pulses
 
     if replay_tags is None:
-        arrivals = channel.transmit_stream(src, scenario.channel, n_pulses,
+        arrivals = channel.transmit_stream(src, scenario.channel, n_pulses, rx.efficiency,
+                                           receiver.analyzer_table(rx.misalignment_deg),
                                            true_clock=scenario.sync.true_clock)
-        tags = receiver.detect(arrivals, scenario.receiver,
+        tags = receiver.detect(arrivals, rx,
                                session_duration_s=scenario.simulated_duration_s,
                                window_ps=receiver_window_ps(scenario),
                                with_truth=with_truth)
@@ -93,10 +100,10 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
 
     # Bob only ever reports slots inside the agreed train.
     in_range = assignments.pulse_index < n_pulses
-    rng = spawn(scenario.receiver.rng_seed, STREAM_PROTOCOL)
+    rng = spawn(rx.rng_seed, STREAM_PROTOCOL)
     idx, det, n_multi, n_discarded = receiver.classify_clicks(
         assignments.pulse_index[in_range], assignments.detector[in_range],
-        scenario.receiver.double_click_policy, rng)
+        rx.double_click_policy, rng)
 
     return QuantumPhase(
         tags=tags,

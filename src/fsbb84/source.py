@@ -30,12 +30,12 @@ non-vacuum pulses by exact Poisson thinning:
   inversion.
 
 The cost follows ``mu * n``, not ``n``. Loss thins a Poisson pulse into a
-Poisson pulse, so the channel draws the pulses that reach Bob with the
-same function at ``mu_s * T`` (:func:`fsbb84.channel.transmit_stream`).
+Poisson pulse, so the channel draws the pulses that reach Bob's APDs with
+the same function at ``mu_s * T * eta`` (:func:`fsbb84.channel.transmit_stream`).
 
 Reproducibility: a seed fixes every output for a given ``n_pulses``. The
 states of a seed never depend on ``n_pulses``; the photon numbers of its
-last shard do. This is version 2 of the contract in :mod:`fsbb84.seeds`.
+last shard do. This is version 3 of the contract in :mod:`fsbb84.seeds`.
 """
 
 from __future__ import annotations

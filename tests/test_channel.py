@@ -8,10 +8,13 @@ from scipy import stats
 
 from fsbb84.channel import (ChannelConfig, atmospheric_loss_db, fading_factor,
                             geometric_loss_db, loss_breakdown, total_link_loss_db,
-                            transmit, transmit_stream)
+                            transmit_stream)
 from fsbb84.errors import ConfigError
-from fsbb84.source import SourceConfig, build_pulse_train
+from fsbb84.receiver import analyzer_table
+from fsbb84.source import (SHARD_SIZE, SourceConfig, build_pulse_train, generate_shard,
+                           pulse_states)
 from fsbb84.sync import TrueClock
+from reference_chain import analyze, transmit
 
 
 # --- independent oracles (recomputed here, not imported) --------------------
@@ -184,28 +187,35 @@ def _lossless(**kw):
     return ChannelConfig(**base)
 
 
+def _stream(src, cfg, n, efficiency=1.0, misalignment_deg=0.0, **kw):
+    return transmit_stream(src, cfg, n, efficiency, analyzer_table(misalignment_deg), **kw)
+
+
 def test_transmit_lossless_everything_arrives():
+    # no loss and a unit efficiency: the photons at the APDs are exactly the
+    # source's photons, pulse for pulse (the same shard draws)
     src = SourceConfig(rng_seed=3)
-    train = build_pulse_train(src, 100_000)
-    arr = transmit(train, _lossless(rng_seed=4))
-    assert len(arr) == train.photon_count.sum()
+    n = SHARD_SIZE + 100_000
+    arr = _stream(src, _lossless(rng_seed=4), n)
+    shards = [generate_shard(src, k, min(SHARD_SIZE, n - k * SHARD_SIZE)) for k in range(2)]
+    index = np.concatenate([sh.start + sh.position for sh in shards])
+    counts = np.concatenate([sh.photon_count for sh in shards])
+    assert np.array_equal(arr.pulse_index, np.repeat(index, counts))
+    assert np.array_equal(arr.state, pulse_states(src, arr.pulse_index))
 
 
 def test_transmit_13db_survivor_fraction():
+    # photons at the APDs from 13 dB of link loss: Poisson(n * mu * T)
     src = SourceConfig(mu_per_state=(1.0, 1.0, 1.0, 1.0), rng_seed=5)
     n = 10_000_000
-    train = build_pulse_train(src, n)
-    arr = transmit(train, _lossless(extra_loss_db=13.0, rng_seed=6))
-    emitted = int(train.photon_count.sum())
+    arr = _stream(src, _lossless(extra_loss_db=13.0, rng_seed=6), n)
     p = 10 ** (-1.3)
-    sigma = math.sqrt(p * (1 - p) / emitted)
-    assert abs(len(arr) / emitted - p) < 3 * sigma
+    assert abs(len(arr) - n * p) < 3 * math.sqrt(n * p)
 
 
 def test_transmit_sorted_and_index_ordered():
     src = SourceConfig(rng_seed=7)
-    train = build_pulse_train(src, 200_000)
-    arr = transmit(train, _lossless(extra_loss_db=3.0, rng_seed=8))
+    arr = _stream(src, _lossless(extra_loss_db=3.0, rng_seed=8), 200_000)
     assert np.all(np.diff(arr.arrival_time_ps) >= 0)
     same_time = np.diff(arr.arrival_time_ps) == 0
     assert np.all(np.diff(arr.pulse_index)[same_time] >= 0)
@@ -213,27 +223,81 @@ def test_transmit_sorted_and_index_ordered():
 
 def test_transmit_applies_delay_and_clock():
     src = SourceConfig(rng_seed=9, pulse_fwhm_ps=0.0)
-    train = build_pulse_train(src, 1_000)
     clk = TrueClock(offset_ps=5_000.0, drift_ppm=20.0)
-    arr = transmit(train, _lossless(propagation_delay_ps=1_000_000, rng_seed=10),
-                   true_clock=clk)
+    arr = _stream(src, _lossless(propagation_delay_ps=1_000_000, rng_seed=10), 1_000,
+                  true_clock=clk)
+    assert len(arr) > 50
     expected = np.rint(5_000.0 + (1.0 + 20e-6)
-                       * (train.emit_time_ps[arr.pulse_index] + 1_000_000.0))
+                       * (arr.pulse_index * src.period_ps + 1_000_000.0))
     assert np.array_equal(arr.arrival_time_ps, expected.astype(np.int64))
 
 
 def test_transmit_stream_states_match_train():
-    # the thinned pipeline draws its own photon numbers, so it fires on other
-    # pulses than transmit(train); every arrival still carries the train's
-    # state, and both survivor totals are Poisson(n * mu * T) draws
+    # the folded path draws its own photon numbers, so it fires on other
+    # pulses than the photon-by-photon reference; every arrival still
+    # carries the train's state, and both totals are Poisson(n * mu * T * eta)
     src = SourceConfig(rng_seed=11)
-    cfg = _lossless(extra_loss_db=10.0, rng_seed=12)
+    cfg = _lossless(extra_loss_db=6.0, rng_seed=12)
     train = build_pulse_train(src, 300_000)
-    a = transmit(train, cfg)
-    b = transmit_stream(src, cfg, 300_000)
+    a = analyze(transmit(train, cfg), 0.5, 0.0, seed=13)
+    b = _stream(src, cfg, 300_000, efficiency=0.5)
     assert np.array_equal(b.state, train.state[b.pulse_index])
-    # two independent Poisson counts: 4 sigma of their difference (~6e-5)
+    # two independent Poisson counts: 4 sigma of their difference
     assert abs(len(a) - len(b)) <= 4 * math.sqrt(len(a) + len(b))
+
+
+def test_apd_counts_chi_square_against_analyzer_table():
+    # Per-(state, APD) photon counts against q[s', d], s' the state after
+    # the retro flip (probability 0.3). Given the photons of each state the
+    # counts are multinomial; one chi-square over the nonzero cells of all
+    # four states per misalignment, false-alarm rate 1e-3 each (2e-3 for
+    # the test). Cells of zero probability must stay empty.
+    src = SourceConfig(mu_per_state=(1.0, 1.0, 1.0, 1.0), rng_seed=47)
+    cfg = _lossless(retro_mode=True, splitter_penalty_db=0.0, retro_flip_prob=0.3,
+                    rng_seed=48)
+    for m in (0.0, 6.0):
+        arr = _stream(src, cfg, 400_000, misalignment_deg=m)
+        q = analyzer_table(m)
+        obs = np.bincount(4 * arr.state.astype(np.int64) + arr.detector,
+                          minlength=16).reshape(4, 4)
+        exp = q * obs.sum(axis=1, keepdims=True)
+        live = q > 1e-12
+        assert np.all(obs[~live] == 0)
+        chi2 = float(np.sum((obs[live] - exp[live]) ** 2 / exp[live]))
+        dof = int(live.sum()) - 4
+        p_value = stats.chi2.sf(chi2, dof)
+        assert p_value > 1e-3, f"misalignment {m}: chi2={chi2:.1f}, dof={dof}"
+    # the flips happened: about 30% of photons carry a state other than the one sent
+    sent = pulse_states(src, arr.pulse_index)
+    assert 0.25 < np.mean(arr.state != sent) < 0.35
+
+
+def _per_pulse_apd_histogram(arr, n_pulses):
+    """(4, 3): pulses with 0, 1 and >= 2 photons at each APD."""
+    out = np.empty((4, 3), dtype=np.int64)
+    for d in range(4):
+        _, per_pulse = np.unique(arr.pulse_index[arr.detector == d], return_counts=True)
+        ones, many = int(np.sum(per_pulse == 1)), int(np.sum(per_pulse >= 2))
+        out[d] = (n_pulses - ones - many, ones, many)
+    return out
+
+
+def test_folded_path_matches_reference_chain_per_pulse():
+    # Two-sample test of the per-pulse photon histogram at each APD (0, 1,
+    # >= 2; the >= 2 bin is what dead time sees) between the folded path
+    # and the photon-by-photon reference. One chi-square contingency test
+    # per APD at 2.5e-4, so 1e-3 for the test.
+    src = SourceConfig(mu_per_state=(4.0, 4.0, 4.0, 4.0), rng_seed=49)
+    cfg = _lossless(extra_loss_db=3.0, retro_mode=True, splitter_penalty_db=0.0,
+                    retro_flip_prob=0.3, rng_seed=50)
+    n, eta, m = 200_000, 10 ** (-0.3), 6.0
+    ref = analyze(transmit(build_pulse_train(src, n), cfg), eta, m, seed=51)
+    new = _stream(src, cfg, n, efficiency=eta, misalignment_deg=m)
+    h_ref, h_new = _per_pulse_apd_histogram(ref, n), _per_pulse_apd_histogram(new, n)
+    assert np.all(h_new[:, 2] > 5_000)
+    for d in range(4):
+        _, p_value, _, _ = stats.chi2_contingency(np.stack([h_ref[d], h_new[d]]))
+        assert p_value > 2.5e-4, f"APD {d}: {h_ref[d]} vs {h_new[d]}"
 
 
 def _zero_truncated_pmf(m, k):
@@ -244,8 +308,7 @@ def _zero_truncated_pmf(m, k):
 def test_transmit_stream_survivor_counts_chi_square_per_state():
     # survivors of a Poisson(mu_s) pulse at T = 0.5 are Poisson(mu_s * T)
     src = SourceConfig(mu_per_state=(1.0, 0.5, 2.0, 1.0), rng_seed=41)
-    arr = transmit_stream(src, _lossless(extra_loss_db=10 * math.log10(2.0), rng_seed=42),
-                          1_000_000)
+    arr = _stream(src, _lossless(extra_loss_db=10 * math.log10(2.0), rng_seed=42), 1_000_000)
     index, n_phot = np.unique(arr.pulse_index, return_counts=True)
     state = arr.state[np.searchsorted(arr.pulse_index, index)]
     for s, mu in enumerate(src.mu_per_state):
@@ -263,7 +326,7 @@ def test_transmit_stream_survivor_counts_chi_square_per_state():
 def test_transmit_stream_weak_state_survivor_fraction():
     # one weak emitter: V survivors are mu_V / sum(mu) of all survivors
     src = SourceConfig(mu_per_state=(0.1, 0.01, 0.1, 0.1), rng_seed=43)
-    arr = transmit_stream(src, _lossless(extra_loss_db=3.0, rng_seed=44), 10_000_000)
+    arr = _stream(src, _lossless(extra_loss_db=3.0, rng_seed=44), 10_000_000)
     expected = 0.01 / 0.31
     sigma = math.sqrt(expected * (1 - expected) / len(arr))
     assert abs((arr.state == 1).mean() - expected) < 4 * sigma
@@ -271,44 +334,36 @@ def test_transmit_stream_weak_state_survivor_fraction():
 
 def test_retro_flip_probability():
     src = SourceConfig(rng_seed=13)
-    train = build_pulse_train(src, 400_000)
     cfg = _lossless(retro_mode=True, splitter_penalty_db=0.0,
                     retro_flip_prob=0.25, rng_seed=14)
-    arr = transmit(train, cfg)
-    sent = (2 * train.basis + train.bit)[arr.pulse_index]
-    flipped = (arr.state != sent)
-    # flips toggle the orthogonal state within the basis
+    arr = _stream(src, cfg, 400_000)
+    pulses, first = np.unique(arr.pulse_index, return_index=True)
+    sent = pulse_states(src, arr.pulse_index)
+    flipped = arr.state != sent
+    # flips toggle the orthogonal state within the basis, once per pulse
     assert np.all((arr.state[flipped] ^ 1) == sent[flipped])
-    p = flipped.mean()
-    sigma = math.sqrt(0.25 * 0.75 / len(arr))
+    assert np.array_equal(flipped, np.repeat(flipped[first], np.diff(first, append=len(arr))))
+    p = flipped[first].mean()
+    sigma = math.sqrt(0.25 * 0.75 / len(pulses))
     assert abs(p - 0.25) < 4 * sigma
 
 
 def test_fading_block_variance_matches_lognormal():
-    # per-block survivor rates should scatter like the log-normal factor
+    # with the receiver efficiency folded into the thinning, per-block
+    # photon rates still scatter like the log-normal factor
     sigma_f = 0.3
-    src = SourceConfig(mu_per_state=(1.0, 1.0, 1.0, 1.0), rng_seed=15)
-    n = 2_000_000
-    train = build_pulse_train(src, n)
+    src = SourceConfig(mu_per_state=(4.0, 4.0, 4.0, 4.0), rng_seed=15)
+    n = 4_000_000
     cfg = _lossless(extra_loss_db=3.0, fading_sigma=sigma_f, fading_block_ms=0.1,
                     rng_seed=16)
-    arr = transmit(train, cfg)
-    t_mean = 10 ** (-0.3)
-    # The channel puts each pulse in the block of its nominal slot time;
-    # jittered emission times could fall before 0 or across a block edge.
-    pulses_per_block = int(0.1 * 1e9) // int(src.period_ps)  # 200 full blocks
-    blocks_emitted = np.bincount(np.arange(n) // pulses_per_block, weights=train.photon_count)
-    blocks_survived = np.bincount(arr.pulse_index // pulses_per_block,
-                                  minlength=len(blocks_emitted))
-    rates = blocks_survived / blocks_emitted
-    # mean transmittance stays t_mean; relative std approaches sigma_f
+    arr = _stream(src, cfg, n, efficiency=0.25)
+    t_mean = 10 ** (-0.3) * 0.25 * 4.0  # photons at the APDs per pulse
+    per_block = 10_000  # pulses per 0.1 ms block at 100 MHz
+    rates = np.bincount(arr.pulse_index // per_block, minlength=n // per_block) / per_block
     assert abs(rates.mean() - t_mean) / t_mean < 0.05
-    rel_std = rates.std() / rates.mean()
-    # binomial noise per block adds in quadrature
-    per_block = blocks_emitted.mean()
-    binom_var = (1 - t_mean) / (t_mean * per_block)
-    expected = math.sqrt(sigma_f**2 + binom_var)
-    assert abs(rel_std - expected) / expected < 0.15
+    # Poisson(n * mu * T * eta) noise per block adds in quadrature
+    expected = math.sqrt(sigma_f**2 + 1.0 / (t_mean * per_block))
+    assert abs(rates.std() / rates.mean() - expected) / expected < 0.15
 
 
 def test_transmit_stream_fading_block_variance_matches_lognormal():
@@ -318,7 +373,7 @@ def test_transmit_stream_fading_block_variance_matches_lognormal():
     n = 4_000_000
     cfg = _lossless(extra_loss_db=3.0, fading_sigma=sigma_f, fading_block_ms=0.1,
                     rng_seed=46)
-    arr = transmit_stream(src, cfg, n)
+    arr = _stream(src, cfg, n)
     t_mean = 10 ** (-0.3)
     per_block = 10_000  # pulses per 0.1 ms block at 100 MHz, mu = 1
     survived = np.bincount(arr.pulse_index // per_block, minlength=n // per_block)
@@ -339,8 +394,7 @@ def test_fading_factor_mean_one():
 def test_transmit_deterministic():
     src = SourceConfig(rng_seed=19)
     cfg = _lossless(extra_loss_db=7.0, rng_seed=20)
-    train = build_pulse_train(src, 100_000)
-    a = transmit(train, cfg)
-    b = transmit(train, cfg)
-    assert np.array_equal(a.arrival_time_ps, b.arrival_time_ps)
-    assert np.array_equal(a.pulse_index, b.pulse_index)
+    a = _stream(src, cfg, 100_000, efficiency=0.5, misalignment_deg=3.0)
+    b = _stream(src, cfg, 100_000, efficiency=0.5, misalignment_deg=3.0)
+    for field in ("pulse_index", "state", "detector", "arrival_time_ps"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))

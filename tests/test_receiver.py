@@ -1,4 +1,4 @@
-"""Receiver module: projection, detection chain, dead time, classification."""
+"""Receiver module: analyzer table, detection chain, dead time, classification."""
 
 import math
 
@@ -7,21 +7,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsbb84.channel import PhotonArrivals
+from fsbb84.channel import ChannelConfig, PhotonArrivals, transmit_stream
 from fsbb84.errors import ConfigError, ContractViolationError
 from fsbb84.receiver import (DET_A, DET_D, DET_H, DET_V, DISCARD, RANDOM_BIT,
-                             ReceiverConfig, TimeTags, _dead_time_filter,
+                             ReceiverConfig, TimeTags, _dead_time_filter, analyzer_table,
                              classify_clicks, detect, dump_tags, load_tags)
-from fsbb84.seeds import STREAM_RECEIVER, spawn
-from fsbb84.source import STATE_ANGLES_DEG
+from fsbb84.source import STATE_ANGLES_DEG, SourceConfig
+from reference_chain import malus_first
 
 
-def _arrivals(states, times, indices=None):
-    n = len(states)
+def _arrivals(detectors, times, indices=None):
+    """Photons at the given APDs; each state is its APD's own."""
+    n = len(detectors)
     return PhotonArrivals(
         pulse_index=np.asarray(indices if indices is not None else np.arange(n),
                                dtype=np.int64),
-        state=np.asarray(states, dtype=np.uint8),
+        state=np.asarray(detectors, dtype=np.uint8),
+        detector=np.asarray(detectors, dtype=np.uint8),
         arrival_time_ps=np.asarray(times, dtype=np.int64),
     )
 
@@ -34,19 +36,23 @@ def _quiet(**kw):
     return ReceiverConfig(**base)
 
 
+_LOSSLESS = ChannelConfig(distance_m=0.0, tx_beam_diameter_e2_cm=3.48,
+                          rx_aperture_diameter_e2_cm=500.0, visibility_km=1e6,
+                          propagation_delay_ps=0, rng_seed=2)
+
+
+def _bench(n_pulses, cfg, mu=(1.0, 0.0, 0.0, 0.0), seed=0):
+    """Photons at the APDs from a lossless link through ``cfg``'s bench."""
+    return transmit_stream(SourceConfig(mu_per_state=mu, rng_seed=seed), _LOSSLESS, n_pulses,
+                           cfg.efficiency, analyzer_table(cfg.misalignment_deg))
+
+
+def _tags(n_pulses, cfg, mu=(1.0, 0.0, 0.0, 0.0), seed=0):
+    """The folded path end to end: the bench's photons, detected."""
+    return detect(_bench(n_pulses, cfg, mu, seed), cfg, n_pulses * 1e-8)
+
+
 # --- scalar references ------------------------------------------------------------
-
-def project(angle_deg: float, analyzer_basis: int, misalignment_deg: float,
-            rng: np.random.Generator) -> int:
-    """Reference: project one photon onto the analyzer; returns the detector.
-
-    Probability of the basis' first detector (H or D) is cos^2 of the
-    angle between the photon polarization and that analyzer axis.
-    """
-    axis = 45.0 * analyzer_basis + misalignment_deg
-    p_first = math.cos(math.radians(angle_deg - axis)) ** 2
-    return 2 * analyzer_basis + int(rng.random() >= p_first)
-
 
 def dead_time_filter_loop(times: np.ndarray, dead_ps: int) -> np.ndarray:
     """Reference: keep-mask of non-paralyzable dead time, one tag at a time."""
@@ -92,38 +98,32 @@ def classify_clicks_loop(pulse_index, detector, policy, rng):
     return idx_out[order], det_out[order], n_multi, n_discarded
 
 
-# --- projection --------------------------------------------------------------
+# --- analyzer table -------------------------------------------------------------
 
-def _projected(states, misalignment_deg, seed):
-    """(basis, detector) per photon from detect's vectorised projection.
-
-    Every photon tags (unit efficiency, no noise, jitter or dead time), and
-    the scalar reference, replaying the same basis choices and uniforms,
-    must pick the same detector for each.
-    """
-    n = len(states)
-    arr = _arrivals(states, np.arange(n, dtype=np.int64) * 100_000)
-    tags = detect(arr, _quiet(misalignment_deg=misalignment_deg, rng_seed=seed), n * 1e-7)
-    g = spawn(seed, STREAM_RECEIVER)
-    bases = g.integers(0, 2, size=n, dtype=np.uint8)
-    ref = [project(STATE_ANGLES_DEG[s], int(b), misalignment_deg, g)
-           for s, b in zip(states, bases)]
-    assert np.array_equal(tags.detector, ref)
-    return bases, tags.detector
+@pytest.mark.parametrize("m", [0.0, 3.0, 7.0])
+def test_analyzer_table_matches_malus(m):
+    q = analyzer_table(m)
+    assert np.allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    for s in range(4):
+        for b in range(2):
+            p_first = malus_first(STATE_ANGLES_DEG[s], b, m)
+            assert q[s, 2 * b] == pytest.approx(0.5 * p_first, abs=1e-15)
+            assert q[s, 2 * b + 1] == pytest.approx(0.5 * (1.0 - p_first), abs=1e-15)
 
 
 def test_project_matched_basis_deterministic():
-    states = np.repeat(np.array([DET_H, DET_V, DET_D, DET_A], dtype=np.uint8), 100)
-    bases, det = _projected(states, 0.0, seed=0)
-    matched = bases == states >> 1
+    # at zero misalignment a photon that reaches its own basis' APDs lands
+    # on its state's APD
+    arr = _bench(4_000, _quiet(), mu=(1.0, 1.0, 1.0, 1.0), seed=0)
+    matched = arr.detector >> 1 == arr.state >> 1
     for s in (DET_H, DET_V, DET_D, DET_A):
-        assert np.sum(matched & (states == s)) >= 30
-    assert np.array_equal(det[matched], states[matched])
+        assert np.sum(matched & (arr.state == s)) >= 30
+    assert np.array_equal(arr.detector[matched], arr.state[matched])
 
 
 def test_project_conjugate_basis_splits_evenly():
-    bases, det = _projected(np.full(200_000, DET_H, dtype=np.uint8), 0.0, seed=1)
-    diag = det[bases == 1]
+    arr = _bench(200_000, _quiet(), seed=1)
+    diag = arr.detector[arr.detector >> 1 == 1]
     n = len(diag)
     hits = np.sum(diag == DET_D)
     sigma = math.sqrt(0.25 / n)
@@ -132,8 +132,8 @@ def test_project_conjugate_basis_splits_evenly():
 
 def test_project_misalignment_error_rate():
     # 5.6 deg misalignment: wrong detector with probability sin^2(5.6 deg)
-    bases, det = _projected(np.full(400_000, DET_H, dtype=np.uint8), 5.6, seed=2)
-    rect = det[bases == 0]
+    arr = _bench(400_000, _quiet(misalignment_deg=5.6), seed=2)
+    rect = arr.detector[arr.detector >> 1 == 0]
     n = len(rect)
     wrong = np.sum(rect == DET_V)
     e_pol = math.sin(math.radians(5.6)) ** 2  # ~0.95%
@@ -156,15 +156,12 @@ def test_background_only_rate():
 
 
 def test_ideal_chain_tags_equal_arrivals():
-    # unit efficiency, no jitter/noise/misalignment: every arrival tags;
-    # matched-basis photons land deterministically on the right detector
-    states = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 2_500)
+    # no jitter, noise or dead time: every photon tags, on its own APD
+    dets = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 2_500)
     times = np.arange(10_000, dtype=np.int64) * 10_000
-    tags = detect(_arrivals(states, times), _quiet(rng_seed=4), 1e-4)
-    assert len(tags) == 10_000
+    tags = detect(_arrivals(dets, times), _quiet(rng_seed=4), 1e-4)
     assert np.array_equal(tags.time_ps, times)
-    matched = (tags.detector >> 1) == (states >> 1)
-    assert np.array_equal(tags.detector[matched], states[matched])
+    assert np.array_equal(tags.detector, dets)
 
 
 def test_unsorted_arrivals_rejected():
@@ -174,19 +171,16 @@ def test_unsorted_arrivals_rejected():
 
 
 def test_efficiency_thinning():
+    # 10 dB of receiver efficiency: a tenth of the source's n * mu photons tag
     n = 1_000_000
-    arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 1_000)
-    cfg = _quiet(efficiency_db=10.0, rng_seed=5)
-    tags = detect(arr, cfg, n * 1e-9)
+    tags = _tags(n, _quiet(efficiency_db=10.0), mu=(1.0, 1.0, 1.0, 1.0), seed=5)
     p = 0.1
-    sigma = math.sqrt(p * (1 - p) / n)
-    assert abs(len(tags) / n - p) < 3 * sigma
+    assert abs(len(tags) - n * p) < 3 * math.sqrt(n * p)
 
 
 def test_passive_basis_choice_balanced():
-    n = 1_000_000
-    arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 1_000)
-    tags = detect(arr, _quiet(rng_seed=6), n * 1e-9)
+    tags = _tags(1_000_000, _quiet(), seed=6)
+    n = len(tags)
     rect = np.sum(tags.detector <= DET_V)
     sigma = math.sqrt(0.25 / n)
     assert abs(rect / n - 0.5) < 3 * sigma
@@ -194,9 +188,7 @@ def test_passive_basis_choice_balanced():
 
 def test_misalignment_matched_error_fraction():
     m = 7.0
-    n = 1_000_000
-    arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 1_000)
-    tags = detect(arr, _quiet(misalignment_deg=m, rng_seed=7), n * 1e-9)
+    tags = _tags(1_000_000, _quiet(misalignment_deg=m), seed=7)
     rect = tags.detector <= DET_V
     err = np.sum(tags.detector[rect] == DET_V) / rect.sum()
     e_pol = math.sin(math.radians(m)) ** 2
@@ -223,28 +215,19 @@ def test_tag_quantization():
 
 
 def test_dead_time_suppresses_close_tags():
-    # two same-detector arrivals 10 ns apart with 50 ns dead time: one tag.
-    # The passive basis choice is random, so pick a seed where both photons
-    # verifiably hit the same detector when dead time is off.
-    arr = _arrivals([0, 0], [0, 10_000])
-    seed = next(s for s in range(100)
-                if len(set(detect(arr, _quiet(rng_seed=s), 1e-6).detector)) == 1)
-    cfg = _quiet(dead_time_ns=50.0, rng_seed=seed)
-    tags = detect(arr, cfg, 1e-6)
-    assert len(tags) == 1
+    # two arrivals 10 ns apart at one APD with 50 ns dead time: one tag
+    arr = _arrivals([DET_H, DET_H], [0, 10_000])
+    cfg = _quiet(dead_time_ns=50.0)
+    assert len(detect(arr, cfg, 1e-6)) == 1
     # exactly at the dead-time boundary the second tag survives (gap >= dead)
-    arr2 = _arrivals([0, 0], [0, 50_000])
-    tags2 = detect(arr2, cfg, 1e-6)
-    assert len(tags2) == 2
+    assert len(detect(_arrivals([DET_H, DET_H], [0, 50_000]), cfg, 1e-6)) == 2
 
 
 def test_dead_time_is_per_detector():
     # a V tag 10 ns before an H tag under 50 ns dead time: both survive,
     # since each APD has its own dead time
     arr = _arrivals([DET_V, DET_H], [0, 10_000])
-    seed = next(s for s in range(100)
-                if list(detect(arr, _quiet(rng_seed=s), 1e-6).detector) == [DET_V, DET_H])
-    tags = detect(arr, _quiet(dead_time_ns=50.0, rng_seed=seed), 1e-6)
+    tags = detect(arr, _quiet(dead_time_ns=50.0), 1e-6)
     assert list(tags.detector) == [DET_V, DET_H]
 
 
@@ -290,7 +273,7 @@ def test_detect_dead_time_matches_reference_per_detector():
     times = np.sort(np.random.default_rng(14).integers(0, 2 * 10**9, n))
     arr = _arrivals(np.random.default_rng(15).integers(0, 4, n), times)
     kw = dict(background_rate_cps_per_apd=2e6, jitter_fwhm_ps=350.0,
-              tag_resolution_ps=1_000, misalignment_deg=3.0, rng_seed=16)
+              tag_resolution_ps=1_000, rng_seed=16)
     free = detect(arr, _quiet(**kw), 2e-3, with_truth=True)
     keep = np.zeros(len(free), dtype=bool)
     for d in range(4):

@@ -9,9 +9,11 @@ import pytest
 
 from conftest import make_fast_scenario
 from fsbb84.errors import SessionFailedError
-from fsbb84.protocol import (DetectionReport, Hello, MsgType, SampleBits,
+from fsbb84.protocol import (DetectionReport, Done, Hello, MsgType, SampleBits,
                              SampleIndices, run_session)
+from fsbb84.protocol import session
 from fsbb84.protocol.framing import decode_frame, encode_frame
+from fsbb84.protocol.params import QberReport
 from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)
@@ -100,6 +102,56 @@ def test_qber_abort_recorded_as_completed_session():
     assert bob.abort and alice.abort
     assert bob.abort_reason == "qber-above-threshold"
     assert bob.qber.qber > 0.10
+
+
+_TRUE_COUNT_ERRORS = session._count_errors
+
+
+@pytest.mark.parametrize("forge", [
+    # the case Bob used to record as given: the parties then disagreed on
+    # remaining_key_length and nothing noticed
+    lambda rep: QberReport(disclosed_count=7, error_count=10**6, qber=-0.5, abort=False),
+    lambda rep: dataclasses.replace(rep, disclosed_count=rep.disclosed_count + 1),
+    lambda rep: dataclasses.replace(rep, error_count=rep.disclosed_count + 1),
+    lambda rep: dataclasses.replace(rep, qber=rep.qber + 0.01),
+    lambda rep: dataclasses.replace(rep, abort=not rep.abort),
+], ids=["forged-counts", "disclosed", "errors", "qber", "abort"])
+def test_bob_rejects_inconsistent_qber_result(fast_scenario, monkeypatch, forge):
+    monkeypatch.setattr(session, "_count_errors",
+                        lambda *args: forge(_TRUE_COUNT_ERRORS(*args)))
+    bob, alice, _ = run_in_process(fast_scenario)
+    assert bob.abort and bob.abort_reason.startswith("protocol-violation: QBER_RESULT")
+    assert alice.abort and alice.abort_reason.startswith("peer-abort: QBER_RESULT")
+    assert bob.remaining_key_length == alice.remaining_key_length == 0
+
+
+class _ForeignDone(StreamTransport):
+    """Sends every DONE with the session id of another session."""
+
+    def send_message(self, message):
+        if isinstance(message, Done):
+            message = Done(session_id=message.session_id + 1)
+        super().send_message(message)
+
+
+@pytest.mark.parametrize("forger", [ROLE_ALICE, ROLE_BOB])
+def test_done_for_another_session_is_a_protocol_violation(fast_scenario, forger):
+    a_sock, b_sock = socket.socketpair()
+    t_alice = (_ForeignDone if forger == ROLE_ALICE else StreamTransport)(a_sock, 10.0)
+    t_bob = (_ForeignDone if forger == ROLE_BOB else StreamTransport)(b_sock, 10.0)
+    out = {}
+    th = threading.Thread(
+        target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, fast_scenario)))
+    th.start()
+    bob = run_session(ROLE_BOB, t_bob, fast_scenario)
+    th.join(10.0)
+    t_alice.close()
+    t_bob.close()
+    alice = out["alice"]
+    checker, forged = (bob, alice) if forger == ROLE_ALICE else (alice, bob)
+    assert checker.abort and checker.abort_reason == "protocol-violation: DONE for session 2"
+    if forger == ROLE_BOB:  # Alice checks first and tells Bob
+        assert forged.abort and forged.abort_reason.startswith("peer-abort: DONE")
 
 
 def test_bob_messages_never_leak_bits(fast_scenario):
