@@ -27,10 +27,10 @@ QBER is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import gate_acceptance
-from .channel import atmospheric_loss_db, geometric_loss_db, ChannelConfig
+from .channel import ChannelConfig, loss_breakdown
 from .errors import ConfigError
 
 
@@ -94,12 +94,7 @@ def fit_run(sifted_rate_bps: float, qber: float, rep_rate_hz: float,
 def residual_extra_loss_db(total_channel_db: float, config: ChannelConfig,
                            wavelength_nm: float) -> float:
     """Channel loss left over after the modeled physical contributions."""
-    legs = 2.0 if config.retro_mode else 1.0
-    modeled = legs * (geometric_loss_db(config, wavelength_nm)
-                      + atmospheric_loss_db(config.visibility_km, wavelength_nm,
-                                            config.distance_m))
-    if config.retro_mode:
-        modeled += config.splitter_penalty_db
+    modeled = loss_breakdown(replace(config, extra_loss_db=0.0), wavelength_nm).total_db
     extra = total_channel_db - modeled
     if extra < 0:
         raise ConfigError(f"modeled losses ({modeled:.2f} dB) already exceed the "

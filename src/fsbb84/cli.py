@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import analysis, receiver, source, sync
+from . import analysis, receiver, sync
 from .errors import ConfigError, InconclusiveSessionError, SessionFailedError
 from .protocol.session import ROLE_ALICE, ROLE_BOB, run_session
 from .protocol.transport import connect, listen_accept
@@ -76,8 +77,9 @@ def _write(doc: dict, out: Path, stem: str, fmt: str) -> None:
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario, args.seed)
     if args.duration is not None:
-        import dataclasses
-
+        if scenario.protocol.n_pulses is not None:
+            raise ConfigError("fixes the pulse count, so --duration would be ignored",
+                              "protocol.n_pulses")
         scenario = dataclasses.replace(scenario, duration_s=args.duration)
     out = _out_dir(args.out)
 
@@ -92,9 +94,6 @@ def _cmd_run(args) -> int:
 
     if args.dump_tags:
         receiver.dump_tags(quantum.tags, args.dump_tags)
-    if args.dump_train:
-        train = source.build_pulse_train(scenario.source, scenario.n_pulses)
-        source.dump_pulse_train(train, args.dump_train)
     if args.dump_histogram:
         hist = sync.fold_histogram(quantum.tags.time_ps, scenario.source.period_ps, 256)
         sync.export_histogram_csv(hist, scenario.source.period_ps, args.dump_histogram)
@@ -168,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or .)")
     run_p.add_argument("--duration", type=float, default=None,
-                       help="override scenario duration_s")
+                       help="override scenario duration_s (rejected if protocol.n_pulses is set)")
     run_p.add_argument("--dump-tags", default=None, help="write the binary time-tag stream here")
-    run_p.add_argument("--dump-train", default=None, help="write the binary pulse-train dump here")
     run_p.add_argument("--dump-histogram", default=None, help="write the folded histogram CSV here")
     run_p.set_defaults(func=_cmd_run)
 

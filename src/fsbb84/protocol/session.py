@@ -33,7 +33,8 @@ import numpy as np
 
 from ..errors import (InconclusiveSessionError, ProtocolViolationError,
                       SessionFailedError)
-from ..simulate import QuantumPhase, alice_train, simulate_quantum_phase
+from ..simulate import QuantumPhase, simulate_quantum_phase
+from ..source import SourceConfig, pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices, SessionParamsMsg)
 from .params import QberReport, SessionParams, SiftedKey
@@ -61,8 +62,14 @@ def bob_detection_report(pulse_index: np.ndarray, detector: np.ndarray) -> Detec
     return DetectionReport(pulse_index=idx, basis=(det >> 1).astype(np.uint8))
 
 
-def alice_match(train, report: DetectionReport, n_pulses: int) -> tuple[MatchMask, SiftedKey]:
-    """Alice's basis reconciliation: mask plus her sifted key."""
+def alice_match(source_config: SourceConfig, report: DetectionReport,
+                n_pulses: int) -> tuple[MatchMask, SiftedKey]:
+    """Alice's basis reconciliation: mask plus her sifted key.
+
+    Her basis and bit at each reported pulse are hashed from the source
+    seed (:func:`fsbb84.source.pulse_states`) once the indices are known to
+    lie in ``[0, n_pulses)``.
+    """
     idx = report.pulse_index
     if len(idx):
         if idx.min() < 0 or idx.max() >= n_pulses:
@@ -70,7 +77,8 @@ def alice_match(train, report: DetectionReport, n_pulses: int) -> tuple[MatchMas
                 f"report index out of range (n_pulses={n_pulses})")
         if len(idx) > 1 and np.any(np.diff(idx) <= 0):
             raise ProtocolViolationError("report indices must be strictly increasing")
-    basis, bits = train.states_at(idx)
+    states = pulse_states(source_config, idx)
+    basis, bits = states >> 1, states & 1
     keep = basis == report.basis
     return (MatchMask(mask=keep.astype(np.uint8)),
             SiftedKey(bits=bits[keep], pulse_indices=idx[keep]))
@@ -102,26 +110,6 @@ def select_sample(key_length: int, params: SessionParams,
     if n == key_length:
         return np.arange(key_length, dtype=np.int64)
     return np.sort(rng.choice(key_length, size=n, replace=False)).astype(np.int64)
-
-
-def estimate_qber(alice_key: SiftedKey, bob_key: SiftedKey, params: SessionParams,
-                  rng: np.random.Generator) -> tuple[QberReport, SiftedKey, SiftedKey]:
-    """Reference single-process QBER estimation (both halves in one call).
-
-    Returns the report plus both parties' remaining keys (disclosed
-    positions removed; empty in benchmark mode).
-    """
-    if len(alice_key) != len(bob_key):
-        raise ProtocolViolationError("sifted keys have different lengths")
-    if len(alice_key) == 0:
-        raise InconclusiveSessionError("no sifted bits to estimate QBER from")
-    positions = select_sample(len(bob_key), params, rng)
-    report = _count_errors(alice_key, positions, bob_key.bits[positions], params)
-    keep = np.ones(len(alice_key), dtype=bool)
-    keep[positions] = False
-    rem_a = SiftedKey(bits=alice_key.bits[keep], pulse_indices=alice_key.pulse_indices[keep])
-    rem_b = SiftedKey(bits=bob_key.bits[keep], pulse_indices=bob_key.pulse_indices[keep])
-    return report, rem_a, rem_b
 
 
 def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: np.ndarray,
@@ -361,13 +349,10 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
 
 
 def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
-    phase_box[0] = "quantum"
-    train = alice_train(scenario)
-
     phase_box[0] = "report"
     report = _expect(transport.recv_message(), DetectionReport, phase_box[0])
     try:
-        mask, key = alice_match(train, report, scenario.n_pulses)
+        mask, key = alice_match(scenario.source, report, scenario.n_pulses)
     except ProtocolViolationError as e:
         transport.send_message(Abort(reason=str(e)))
         return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {e}")

@@ -199,11 +199,10 @@ def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
     Groups gate-accepted tags by assigned pulse. Pulses with one tag pass
     through; multi-click pulses are either dropped (``discard``) or
     resolved to a uniformly chosen detector among the distinct clicking
-    detectors (``random_bit``). Returns
-    (pulse_index, detector, n_multi, n_discarded), sorted by pulse index.
+    detectors (``random_bit``); :class:`ReceiverConfig` validates the
+    policy. Returns (pulse_index, detector, n_multi, n_discarded), sorted by
+    pulse index.
     """
-    if policy not in (RANDOM_BIT, DISCARD):
-        raise ConfigError(f"unknown policy {policy!r}", "double_click_policy")
     if len(pulse_index) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0)
 

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .protocol.params import SessionParams
 from .receiver import ReceiverConfig
 from .source import SourceConfig
-from .sync import GateConfig, TrueClock
+from .sync import TrueClock
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class SyncSettings:
             raise ConfigError("must be > 0", "sync.gate_width_ps")
         if self.block_count < 1:
             raise ConfigError("must be >= 1", "sync.block_count")
-
-    @property
-    def gate(self) -> GateConfig:
-        return GateConfig(gate_width_ps=self.gate_width_ps)
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,8 @@ class Scenario:
             raise ConfigError("must be > 0", "duration_s")
         if self.sync.gate_width_ps >= self.source.period_ps:
             raise ConfigError("gate must be narrower than the pulse period", "sync.gate_width_ps")
+        if self.n_pulses <= 0:
+            raise ConfigError("must cover at least one pulse period", "duration_s")
 
     @property
     def n_pulses(self) -> int:
@@ -75,23 +73,7 @@ class Scenario:
         return self.n_pulses / self.source.rep_rate_hz
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "metadata": self.metadata,
-            "duration_s": self.duration_s,
-            "source": asdict(self.source),
-            "channel": asdict(self.channel),
-            "receiver": asdict(self.receiver),
-            "sync": {
-                "gate_width_ps": self.sync.gate_width_ps,
-                "block_count": self.sync.block_count,
-                "beacon_assisted": self.sync.beacon_assisted,
-                "true_clock": asdict(self.sync.true_clock),
-            },
-            "protocol": asdict(self.protocol),
-        }
-        d["source"]["mu_per_state"] = list(self.source.mu_per_state)
-        return d
+        return asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

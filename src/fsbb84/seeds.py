@@ -19,11 +19,14 @@ of :func:`fsbb84.channel.transmit_stream`, the shard generator draws the
 non-vacuum pulses (see :func:`fsbb84.source.generate_shard`), then any
 fading thinning, then emission jitter per pulse, then the retro flip per
 pulse, then the APD pick, one uniform per photon. ``STREAM_RECEIVER``
-draws only detector jitter, one normal per photon. Version 1 drew a
-32-bit integer per pulse for state and photon number; version 2 drew
-photons at the receiver aperture and left the receiver efficiency, basis
-choice and Malus projection to ``STREAM_RECEIVER``. Every seeded output
-changed with each version.
+draws only detector jitter, one normal per photon. No library stage draws
+from ``STREAM_CHANNEL`` or ``STREAM_EMIT_JITTER``: they are the streams of
+the tests' photon-by-photon reference chain (its link thinning, and the
+emission jitter of the pulse train it materializes) and keep their tags so
+that its draws stay fixed. Version 1 drew a 32-bit integer per pulse for
+state and photon number; version 2 drew photons at the receiver aperture
+and left the receiver efficiency, basis choice and Malus projection to
+``STREAM_RECEIVER``. Every seeded output changed with each version.
 """
 
 import numpy as np

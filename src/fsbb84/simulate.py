@@ -17,7 +17,6 @@ import numpy as np
 from . import channel, receiver, sync
 from .receiver import TimeTags
 from .seeds import STREAM_PROTOCOL, spawn
-from .source import LazyPulseTrain
 from .sync import Assignments, ClockModel
 
 if TYPE_CHECKING:
@@ -58,8 +57,7 @@ class QuantumPhase:
 
 def expected_offset_ps(scenario: Scenario) -> float:
     """Coarse absolute-timing reference the sync beacon provides."""
-    clk = scenario.sync.true_clock
-    return clk.offset_ps + clk.rate * scenario.channel.delay_ps()
+    return float(scenario.sync.true_clock.to_receiver(scenario.channel.delay_ps()))
 
 
 def receiver_window_ps(scenario: Scenario) -> tuple[int, int]:
@@ -96,7 +94,7 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
                                known_drift_ppm=known_drift,
                                coarse_reference_ps=expected_offset_ps(scenario))
 
-    assignments = sync.assign_and_gate(tags, clock, scenario.sync.gate)
+    assignments = sync.assign_and_gate(tags, clock, scenario.sync.gate_width_ps)
 
     # Bob only ever reports slots inside the agreed train.
     in_range = assignments.pulse_index < n_pulses
@@ -116,6 +114,3 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
         n_multi_discarded=n_discarded,
     )
 
-
-def alice_train(scenario: Scenario) -> LazyPulseTrain:
-    return LazyPulseTrain(scenario.source, scenario.n_pulses)

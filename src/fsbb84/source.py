@@ -1,10 +1,10 @@
 """Alice's pulsed polarization source.
 
-Generates the transmitter pulse train: one pulse per period of the
-repetition clock, each carrying a uniformly random basis/bit choice, the
-matching polarization angle, and a Poisson-distributed photon number whose
+One pulse per period of the repetition clock, each carrying a uniformly
+random basis/bit choice and a Poisson-distributed photon number whose
 mean may differ per polarization state (a weak emitter for one state is a
-real failure mode of multi-laser sources).
+real failure mode of multi-laser sources). Nothing here stores a value
+per pulse.
 
 State encoding used throughout the package::
 
@@ -13,9 +13,9 @@ State encoding used throughout the package::
 
 States are counter-based: the state of pulse ``i`` is the top two bits of
 the SplitMix64 hash of ``i`` under a key derived from ``rng_seed`` (see
-:mod:`fsbb84.seeds`). Any pulse's state is one hash away, so Alice looks
-up the states Bob reports without regenerating anything
-(:class:`LazyPulseTrain`).
+:mod:`fsbb84.seeds`). Any pulse's state is one hash away
+(:func:`pulse_states`), so Alice looks up the states Bob reports without
+regenerating anything.
 
 Photon numbers are drawn only where they are not zero. Each shard of
 ``SHARD_SIZE`` pulses has its own generator derived from
@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .seeds import (STREAM_EMIT_JITTER, STREAM_SOURCE, STREAM_STATE, counter_key, spawn,
-                    splitmix64)
+from .seeds import STREAM_SOURCE, STREAM_STATE, counter_key, spawn, splitmix64
 
 RECTILINEAR = 0
 DIAGONAL = 1
@@ -68,20 +67,6 @@ MAX_MU = 100.0
 # Pulses per generator of the photon-number draw. Part of the
 # reproducibility contract.
 SHARD_SIZE = 1 << 22
-
-
-def polarization_angle(basis: int, bit: int) -> float:
-    """Polarizer angle in degrees for a basis/bit choice."""
-    if basis not in (RECTILINEAR, DIAGONAL) or bit not in (0, 1):
-        raise ValueError(f"invalid basis/bit: {basis}/{bit}")
-    return float(STATE_ANGLES_DEG[2 * basis + bit])
-
-
-def sample_photon_count(mu: float, rng: np.random.Generator) -> int:
-    """Draw one Poisson photon number with mean ``mu``."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    return int(rng.poisson(mu))
 
 
 @dataclass(frozen=True)
@@ -120,85 +105,6 @@ class SourceConfig:
     @property
     def emit_sigma_ps(self) -> float:
         return self.pulse_fwhm_ps / FWHM_TO_SIGMA
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """One emitted pulse (Alice-side ground truth)."""
-
-    index: int
-    basis: int
-    bit: int
-    photon_count: int
-    emit_time_ps: int
-
-    @property
-    def state(self) -> int:
-        return 2 * self.basis + self.bit
-
-    @property
-    def angle_deg(self) -> float:
-        return float(STATE_ANGLES_DEG[self.state])
-
-
-@dataclass
-class PulseTrain:
-    """Materialized pulse train (struct of arrays, index = 0..n-1)."""
-
-    config: SourceConfig
-    basis: np.ndarray
-    bit: np.ndarray
-    photon_count: np.ndarray
-    emit_time_ps: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.basis)
-
-    @property
-    def n_pulses(self) -> int:
-        return len(self.basis)
-
-    @property
-    def state(self) -> np.ndarray:
-        return (2 * self.basis + self.bit).astype(np.uint8)
-
-    def record(self, i: int) -> PulseRecord:
-        return PulseRecord(
-            index=i,
-            basis=int(self.basis[i]),
-            bit=int(self.bit[i]),
-            photon_count=int(self.photon_count[i]),
-            emit_time_ps=int(self.emit_time_ps[i]),
-        )
-
-    def states_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, bit) arrays for the given pulse indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.basis[idx], self.bit[idx]
-
-
-class LazyPulseTrain:
-    """Pulse-train view that computes basis/bit choices on demand.
-
-    Stores nothing per pulse; a lookup hashes the requested indices. Used
-    by Alice, who only ever inspects the pulses Bob reports.
-    """
-
-    def __init__(self, config: SourceConfig, n_pulses: int):
-        if n_pulses <= 0:
-            raise ConfigError("must be > 0", "n_pulses")
-        self.config = config
-        self.n_pulses = n_pulses
-
-    def __len__(self) -> int:
-        return self.n_pulses
-
-    def states_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_pulses):
-            raise IndexError("pulse index out of range")
-        states = pulse_states(self.config, idx)
-        return states >> 1, states & 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,70 +182,3 @@ def emit_jitter_ps(config: SourceConfig, rng: np.random.Generator, n: int) -> np
     if config.pulse_fwhm_ps == 0.0 or n == 0:
         return np.zeros(n)
     return rng.normal(0.0, config.emit_sigma_ps, size=n)
-
-
-def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
-    """Materialize a full pulse train.
-
-    States are the same hash that :class:`LazyPulseTrain` computes and
-    photon numbers come from :func:`generate_shard`. Emission jitter has
-    its own stream per shard, so emission times do not depend on mu. A
-    session (:func:`fsbb84.channel.transmit_stream`) shares these states
-    but draws its own photon numbers and jitter.
-    """
-    if n_pulses <= 0:
-        raise ConfigError("must be > 0 (empty train)", "n_pulses")
-    index = np.arange(n_pulses, dtype=np.int64)
-    states = pulse_states(config, index)
-    counts = np.zeros(n_pulses, dtype=np.uint16)
-    jitter = np.empty(n_pulses)
-    for start in range(0, n_pulses, SHARD_SIZE):
-        n = min(SHARD_SIZE, n_pulses - start)
-        shard = generate_shard(config, start // SHARD_SIZE, n)
-        counts[start + shard.position] = shard.photon_count
-        jg = spawn(config.rng_seed, STREAM_EMIT_JITTER, start // SHARD_SIZE)
-        jitter[start:start + n] = emit_jitter_ps(config, jg, n)
-    return PulseTrain(
-        config=config,
-        basis=states >> 1,
-        bit=states & 1,
-        photon_count=counts,
-        emit_time_ps=np.rint(index * config.period_ps + jitter).astype(np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Binary dump (index u64, basis u8, bit u8, count u8, emit_time_ps i64; LE)
-# ---------------------------------------------------------------------------
-
-_DUMP_DTYPE = np.dtype([
-    ("index", "<u8"),
-    ("basis", "u1"),
-    ("bit", "u1"),
-    ("count", "u1"),
-    ("emit_time_ps", "<i8"),
-])
-
-
-def dump_pulse_train(train: PulseTrain, path) -> None:
-    """Write the replay/debug record stream for a train."""
-    rec = np.empty(len(train), dtype=_DUMP_DTYPE)
-    rec["index"] = np.arange(len(train), dtype=np.uint64)
-    rec["basis"] = train.basis
-    rec["bit"] = train.bit
-    rec["count"] = np.minimum(train.photon_count, 255).astype(np.uint8)
-    rec["emit_time_ps"] = train.emit_time_ps
-    with open(path, "wb") as f:
-        f.write(rec.tobytes())
-
-
-def load_pulse_train(path, config: SourceConfig) -> PulseTrain:
-    with open(path, "rb") as f:
-        rec = np.frombuffer(f.read(), dtype=_DUMP_DTYPE)
-    return PulseTrain(
-        config=config,
-        basis=rec["basis"].copy(),
-        bit=rec["bit"].copy(),
-        photon_count=rec["count"].astype(np.uint16),
-        emit_time_ps=rec["emit_time_ps"].copy(),
-    )

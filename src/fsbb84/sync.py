@@ -46,6 +46,8 @@ import numpy as np
 from .errors import ConfigError, SyncFailureError
 
 MIN_TAGS = 1000
+# Largest |drift| a simulated clock may have (TrueClock) and the band the
+# FFT acquisition searches.
 DRIFT_GUARD_PPM = 100.0
 
 
@@ -67,20 +69,6 @@ class TrueClock:
     def to_receiver(self, t_source_ps):
         """Map transmitter-side times onto the receiver clock."""
         return self.offset_ps + self.rate * np.asarray(t_source_ps, dtype=np.float64)
-
-    def to_source(self, t_receiver_ps):
-        return (np.asarray(t_receiver_ps, dtype=np.float64) - self.offset_ps) / self.rate
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Temporal acceptance window centered on the recovered pulse grid."""
-
-    gate_width_ps: float = 500.0
-
-    def __post_init__(self):
-        if self.gate_width_ps <= 0:
-            raise ConfigError("must be > 0", "sync.gate_width_ps")
 
 
 @dataclass(frozen=True)
@@ -127,10 +115,10 @@ def export_histogram_csv(counts: np.ndarray, period_ps: float, path) -> None:
             f.write(f"{i * period_ps / n:.3f},{int(c)}\n")
 
 
-def _acquire_drift(tau: np.ndarray, period_ps: float, guard_ppm: float) -> float:
+def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
     """Drift (absolute) of the strongest grid tone within the guard (step 1)."""
     P = period_ps
-    g = guard_ppm * 1e-6
+    g = DRIFT_GUARD_PPM * 1e-6
     # |f| peaks at d = -g; its quarter period keeps the guard within bins
     # |k| <= m/4 and attenuates the band edge by sinc(1/4) = 0.9 at most.
     dt = P * (1.0 - g) / (4.0 * g)
@@ -243,8 +231,7 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
 
 def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: int = 20,
                   known_drift_ppm: Optional[float] = None,
-                  coarse_reference_ps: Optional[float] = None,
-                  guard_ppm: float = DRIFT_GUARD_PPM) -> ClockModel:
+                  coarse_reference_ps: Optional[float] = None) -> ClockModel:
     """Estimate offset and drift from a tag stream.
 
     ``known_drift_ppm`` skips acquisition (beacon-assisted mode); like an
@@ -258,14 +245,12 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: i
         raise SyncFailureError(f"need >= {MIN_TAGS} tags for clock recovery, got {n}")
     if block_count < 1:
         raise ValueError("block_count must be >= 1")
-    if not 0.0 < guard_ppm < 1e6:
-        raise ValueError("guard_ppm must be in (0, 1e6)")
     P = float(nominal_period_ps)
     t0 = t[0]
     tau = t - t0
 
     if known_drift_ppm is None:
-        d0 = _acquire_drift(tau, P, guard_ppm)
+        d0 = _acquire_drift(tau, P)
     else:
         d0 = known_drift_ppm * 1e-6
 
@@ -306,16 +291,14 @@ class Assignments:
         return len(self.pulse_index)
 
 
-def assign_and_gate(tags, clock: ClockModel, gate: GateConfig) -> Assignments:
+def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignments:
     """Map tags to nearest pulse slots and keep those inside the gate.
 
     Ties exactly between two slots go to the lower index. Tags mapping to
-    negative slots are rejected.
+    negative slots are rejected. Scenarios keep the gate strictly inside one
+    period (:class:`fsbb84.scenario.Scenario` checks it); a full-period gate
+    accepts every tag.
     """
-    # scenarios keep gates strictly inside one period; the full-period gate
-    # is allowed here as the accept-everything diagnostic setting
-    if gate.gate_width_ps > clock.period_ps:
-        raise ConfigError("gate cannot exceed the pulse period", "sync.gate_width_ps")
     ta = clock.to_source(tags.time_ps)
     P = clock.period_ps
     k = np.floor(ta / P).astype(np.int64)
@@ -323,7 +306,7 @@ def assign_and_gate(tags, clock: ClockModel, gate: GateConfig) -> Assignments:
     upper = r > P / 2.0  # strictly above half: next slot is closer
     k = k + upper
     r = r - P * upper
-    inside = (np.abs(r) <= gate.gate_width_ps / 2.0) & (k >= 0)
+    inside = (np.abs(r) <= gate_width_ps / 2.0) & (k >= 0)
     truth = tags.truth_pulse_index
     return Assignments(
         pulse_index=k[inside],

@@ -3,6 +3,8 @@
 This is the model that :func:`fsbb84.channel.transmit_stream` folds into
 one Poisson thinning, kept as an independent reference:
 
+* :func:`build_pulse_train` materializes every pulse of a source: its
+  state, its photon number and its emission time;
 * :func:`transmit` thins a materialized pulse train photon by photon
   through the link (binomial survival per fading block), flips the state
   of a retro pulse, and applies the propagation delay and Bob's clock;
@@ -10,18 +12,66 @@ one Poisson thinning, kept as an independent reference:
   receiver efficiency as one Bernoulli trial, a passive 50/50 basis choice
   and a Malus-law projection onto the misaligned analyzer.
 
-Both draw from their own generators, so they share no random numbers with
-the library.
+:func:`transmit` and :func:`analyze` draw from their own generators, so
+they share no random numbers with the library.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from fsbb84.channel import PhotonArrivals, fading_factor, total_link_loss_db
-from fsbb84.seeds import STREAM_CHANNEL, spawn
-from fsbb84.source import STATE_ANGLES_DEG
+from fsbb84.errors import ConfigError
+from fsbb84.seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, spawn
+from fsbb84.source import (SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig, emit_jitter_ps,
+                           generate_shard, pulse_states)
+
+
+@dataclass
+class PulseTrain:
+    """Materialized pulse train (struct of arrays, index = 0..n-1)."""
+
+    config: SourceConfig
+    basis: np.ndarray
+    bit: np.ndarray
+    photon_count: np.ndarray
+    emit_time_ps: np.ndarray
+
+    @property
+    def state(self) -> np.ndarray:
+        return (2 * self.basis + self.bit).astype(np.uint8)
+
+
+def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
+    """Materialize a full pulse train.
+
+    States are the hash that :func:`fsbb84.source.pulse_states` computes
+    and photon numbers come from :func:`fsbb84.source.generate_shard`.
+    Emission jitter has its own stream per shard, so emission times do not
+    depend on mu. A session (:func:`fsbb84.channel.transmit_stream`) shares
+    these states but draws its own photon numbers and jitter.
+    """
+    if n_pulses <= 0:
+        raise ConfigError("must be > 0 (empty train)", "n_pulses")
+    index = np.arange(n_pulses, dtype=np.int64)
+    states = pulse_states(config, index)
+    counts = np.zeros(n_pulses, dtype=np.uint16)
+    jitter = np.empty(n_pulses)
+    for start in range(0, n_pulses, SHARD_SIZE):
+        n = min(SHARD_SIZE, n_pulses - start)
+        shard = generate_shard(config, start // SHARD_SIZE, n)
+        counts[start + shard.position] = shard.photon_count
+        jg = spawn(config.rng_seed, STREAM_EMIT_JITTER, start // SHARD_SIZE)
+        jitter[start:start + n] = emit_jitter_ps(config, jg, n)
+    return PulseTrain(
+        config=config,
+        basis=states >> 1,
+        bit=states & 1,
+        photon_count=counts,
+        emit_time_ps=np.rint(index * config.period_ps + jitter).astype(np.int64),
+    )
 
 
 class ApertureArrivals(NamedTuple):

@@ -11,10 +11,9 @@ from fsbb84.channel import (ChannelConfig, atmospheric_loss_db, fading_factor,
                             transmit_stream)
 from fsbb84.errors import ConfigError
 from fsbb84.receiver import analyzer_table
-from fsbb84.source import (SHARD_SIZE, SourceConfig, build_pulse_train, generate_shard,
-                           pulse_states)
+from fsbb84.source import SHARD_SIZE, SourceConfig, generate_shard, pulse_states
 from fsbb84.sync import TrueClock
-from reference_chain import analyze, transmit
+from reference_chain import analyze, build_pulse_train, transmit
 
 
 # --- independent oracles (recomputed here, not imported) --------------------

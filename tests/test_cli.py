@@ -11,7 +11,6 @@ import pytest
 from conftest import make_fast_scenario
 from fsbb84.cli import main, read_report_csv
 from fsbb84.receiver import load_tags
-from fsbb84.source import SourceConfig, load_pulse_train
 
 
 @pytest.fixture
@@ -72,20 +71,32 @@ def test_run_csv_roundtrip(tmp_path, scenario_file):
 def test_run_dumps(tmp_path, scenario_file):
     out = tmp_path / "out"
     tags_p = tmp_path / "tags.bin"
-    train_p = tmp_path / "train.bin"
     hist_p = tmp_path / "hist.csv"
     rc = main(["run", "--scenario", str(scenario_file), "--out", str(out),
-               "--dump-tags", str(tags_p), "--dump-train", str(train_p),
-               "--dump-histogram", str(hist_p)])
+               "--dump-tags", str(tags_p), "--dump-histogram", str(hist_p)])
     assert rc == 0
     tags = load_tags(tags_p)
     assert len(tags) > 0
-    sc = make_fast_scenario(duration_s=0.002)
-    train = load_pulse_train(train_p, sc.source)
-    assert len(train) == sc.n_pulses
     lines = hist_p.read_text().splitlines()
     assert lines[0] == "bin_start_ps,count"
     assert len(lines) == 257
+
+
+def test_run_duration_override(tmp_path, scenario_file, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--duration", "0.001",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "session_report.json").read_text())["n_pulses"] == 100_000
+    # a scenario that fixes its pulse count would ignore --duration
+    doc = json.loads(scenario_file.read_text())
+    doc["protocol"]["n_pulses"] = 200_000
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(fixed), "--duration", "0.001",
+               "--out", str(tmp_path / "o2")])
+    assert rc == 2
+    assert "protocol.n_pulses" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 def test_malformed_scenario_exit_2(tmp_path, capsys):

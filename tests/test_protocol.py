@@ -17,13 +17,14 @@ from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask,
                              MsgType, QberResult, SampleBits, SampleIndices,
                              SessionParams, SessionParamsMsg, SiftedKey,
                              alice_match, bob_detection_report, bob_sift,
-                             decode_frame, encode_frame, estimate_qber,
-                             loopback_pair, run_session)
+                             decode_frame, encode_frame, loopback_pair, run_session)
 from fsbb84.protocol.session import (ROLE_ALICE, ROLE_BOB, _count_errors, sample_size,
                                      select_sample)
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
-from fsbb84.source import LazyPulseTrain, SourceConfig, build_pulse_train
+from fsbb84.channel import ChannelConfig, transmit_stream
+from fsbb84.receiver import analyzer_table
+from fsbb84.source import SHARD_SIZE, SourceConfig, pulse_states
 
 from conftest import make_fast_scenario
 
@@ -214,36 +215,66 @@ def test_detection_report_rejects_duplicates():
         bob_detection_report(np.array([3, 3]), np.array([0, 1], dtype=np.uint8))
 
 
+def _basis_bit(cfg, n):
+    """Alice's basis and bit for pulses 0..n-1."""
+    states = pulse_states(cfg, np.arange(n, dtype=np.int64))
+    return states >> 1, states & 1
+
+
 def test_alice_match_all_or_none():
-    train = build_pulse_train(SourceConfig(rng_seed=5), 1_000)
+    cfg = SourceConfig(rng_seed=5)
+    basis, bit = _basis_bit(cfg, 1_000)
     idx = np.arange(0, 1_000, 7, dtype=np.int64)
-    rep = DetectionReport(pulse_index=idx, basis=train.basis[idx])
-    mask, key = alice_match(train, rep, 1_000)
+    rep = DetectionReport(pulse_index=idx, basis=basis[idx])
+    mask, key = alice_match(cfg, rep, 1_000)
     assert mask.mask.all()
-    assert np.array_equal(key.bits, train.bit[idx])
-    rep2 = DetectionReport(pulse_index=idx, basis=1 - train.basis[idx])
-    mask2, key2 = alice_match(train, rep2, 1_000)
+    assert np.array_equal(key.bits, bit[idx])
+    rep2 = DetectionReport(pulse_index=idx, basis=1 - basis[idx])
+    mask2, key2 = alice_match(cfg, rep2, 1_000)
     assert not mask2.mask.any()
     assert len(key2) == 0
 
 
 def test_alice_match_uniform_bases_keep_half():
     n = 400_000
-    train = build_pulse_train(SourceConfig(rng_seed=6), n)
     idx = np.arange(n, dtype=np.int64)
     rng = np.random.default_rng(7)
     rep = DetectionReport(pulse_index=idx, basis=rng.integers(0, 2, n, dtype=np.uint8))
-    mask, _ = alice_match(train, rep, n)
+    mask, _ = alice_match(SourceConfig(rng_seed=6), rep, n)
     frac = mask.mask.mean()
     assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_alice_match_out_of_range_aborts():
-    train = LazyPulseTrain(SourceConfig(rng_seed=8), 100)
     rep = DetectionReport(pulse_index=np.array([50, 100]),
                           basis=np.array([0, 0], dtype=np.uint8))
     with pytest.raises(ProtocolViolationError):
-        alice_match(train, rep, 100)
+        alice_match(SourceConfig(rng_seed=8), rep, 100)
+
+
+def test_alice_match_agrees_with_stream_states_across_shard_boundary():
+    # Alice hashes her states; the channel stamps each arrival with the
+    # state the source sent (no retro flip here). A report of every pulse
+    # that delivered a photon, in random bases, must sift to those states,
+    # on both sides of the first shard boundary and up to the last pulse.
+    src = SourceConfig(rng_seed=31)
+    link = ChannelConfig(distance_m=0.0, tx_beam_diameter_e2_cm=1.0,
+                         rx_aperture_diameter_e2_cm=1e4, visibility_km=1e9, rng_seed=32)
+    n = SHARD_SIZE + 1234
+    arr = transmit_stream(src, link, n, 1.0, analyzer_table(0.0))
+    idx, first = np.unique(arr.pulse_index, return_index=True)
+    state = arr.state[first]
+    assert np.any((idx >= SHARD_SIZE - 100) & (idx < SHARD_SIZE))
+    assert np.any((idx >= SHARD_SIZE) & (idx < SHARD_SIZE + 100))
+    if idx[-1] != n - 1:  # the last pulse is in range whether or not it fired
+        idx, state = np.append(idx, n - 1), np.append(state, pulse_states(src, [n - 1]))
+    basis = np.random.default_rng(33).integers(0, 2, idx.size, dtype=np.uint8)
+    mask, key = alice_match(src, DetectionReport(pulse_index=idx, basis=basis), n)
+    keep = basis == state >> 1
+    assert 0.49 < keep.mean() < 0.51
+    assert np.array_equal(mask.mask.astype(bool), keep)
+    assert np.array_equal(key.bits, state[keep] & 1)
+    assert np.array_equal(key.pulse_indices, idx[keep])
 
 
 def test_bob_sift_bit_convention():
@@ -263,14 +294,15 @@ def test_bob_sift_mask_length_mismatch():
 
 def test_noiseless_end_to_end_keys_identical():
     n = 200_000
-    train = build_pulse_train(SourceConfig(rng_seed=9), n)
+    cfg = SourceConfig(rng_seed=9)
+    basis, bit = _basis_bit(cfg, n)
     # Bob measures every pulse in a random basis with ideal detectors
     rng = np.random.default_rng(10)
     bob_basis = rng.integers(0, 2, n, dtype=np.uint8)
-    detectors = (2 * bob_basis + np.where(bob_basis == train.basis, train.bit,
+    detectors = (2 * bob_basis + np.where(bob_basis == basis, bit,
                                           rng.integers(0, 2, n))).astype(np.uint8)
     rep = bob_detection_report(np.arange(n), detectors)
-    mask, alice_key = alice_match(train, rep, n)
+    mask, alice_key = alice_match(cfg, rep, n)
     bob_key = bob_sift(rep, detectors, mask)
     assert np.array_equal(alice_key.bits, bob_key.bits)
     assert np.array_equal(alice_key.pulse_indices, bob_key.pulse_indices)
@@ -278,11 +310,11 @@ def test_noiseless_end_to_end_keys_identical():
 
 def test_single_flip_detected():
     n = 10_000
-    train = build_pulse_train(SourceConfig(rng_seed=11), n)
-    detectors = (2 * train.basis + train.bit).astype(np.uint8)
+    cfg = SourceConfig(rng_seed=11)
+    detectors = pulse_states(cfg, np.arange(n))
     detectors[1234] ^= 1  # flip one outcome within its basis
     rep = bob_detection_report(np.arange(n), detectors)
-    mask, alice_key = alice_match(train, rep, n)
+    mask, alice_key = alice_match(cfg, rep, n)
     bob_key = bob_sift(rep, detectors, mask)
     mism = np.nonzero(alice_key.bits != bob_key.bits)[0]
     assert len(mism) == 1
@@ -290,6 +322,22 @@ def test_single_flip_detected():
 
 
 # --- QBER estimation ----------------------------------------------------------------
+
+def estimate_qber(alice_key, bob_key, params, rng):
+    """Both halves of the QBER exchange in one call.
+
+    Bob's sample (:func:`select_sample`) counted by Alice's rule
+    (:func:`_count_errors`), as a session runs them. Returns the report
+    plus both keys with the disclosed positions removed.
+    """
+    positions = select_sample(len(bob_key), params, rng)
+    report = _count_errors(alice_key, positions, bob_key.bits[positions], params)
+    keep = np.ones(len(alice_key), dtype=bool)
+    keep[positions] = False
+    rem_a = SiftedKey(bits=alice_key.bits[keep], pulse_indices=alice_key.pulse_indices[keep])
+    rem_b = SiftedKey(bits=bob_key.bits[keep], pulse_indices=bob_key.pulse_indices[keep])
+    return report, rem_a, rem_b
+
 
 def _keys(bits_a, bits_b):
     idx = np.arange(len(bits_a), dtype=np.int64)
@@ -353,9 +401,13 @@ def test_qber_sampled_mode_removes_disclosed():
 
 
 def test_qber_empty_key_inconclusive():
-    a, b = _keys([], [])
+    # Bob reports no pulse, so neither party has a sifted bit to estimate from
+    sc = make_fast_scenario()
+    qp = simulate_quantum_phase(sc)
+    empty = dataclasses.replace(qp, classified_index=qp.classified_index[:0],
+                                classified_detector=qp.classified_detector[:0])
     with pytest.raises(InconclusiveSessionError):
-        estimate_qber(a, b, SessionParams(), np.random.default_rng(8))
+        run_in_process(sc, timeout_s=30.0, quantum=empty)
 
 
 def test_qber_sample_must_be_unique_increasing_and_full_size():

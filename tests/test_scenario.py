@@ -91,6 +91,13 @@ def test_load_from_file_and_hash_stability(tmp_path):
     assert len(a.hash_bytes()) == 32
 
 
+def test_bundled_scenario_hash_pinned():
+    # Peers of different versions agree in the handshake only if the
+    # canonical serialization, and so this hash, stays the same.
+    assert bundled_scenario("table2_beam_expanders").hash_hex() == (
+        "54387601005f3f3c81c997e333092cd95c15d198126fbcbb49eaae6dc784600f")
+
+
 def test_seed_override_changes_hash_deterministically(tmp_path):
     sc = bundled_scenario("table2_beam_expanders")
     s1 = sc.with_seed(7)

@@ -6,16 +6,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import make_fast_scenario
+from fsbb84.channel import ChannelConfig, transmit_stream
 from fsbb84.errors import ConfigError
-from fsbb84.source import (DIAGONAL, RECTILINEAR, SHARD_SIZE, LazyPulseTrain,
-                           SourceConfig, build_pulse_train, dump_pulse_train,
-                           load_pulse_train, polarization_angle,
-                           sample_photon_count)
+from fsbb84.protocol.params import SessionParams
+from fsbb84.receiver import analyzer_table
+from fsbb84.source import (DIAGONAL, RECTILINEAR, SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig,
+                           emit_jitter_ps, generate_shard, pulse_states)
 
 
 def poisson_pmf(mu, k):
     # independent oracle: e^-mu mu^k / k!
     return math.exp(-mu) * mu**k / math.factorial(k)
+
+
+def polarization_angle(basis, bit):
+    """Polarizer angle in degrees for a basis/bit choice (state = 2 * basis + bit)."""
+    return float(STATE_ANGLES_DEG[2 * basis + bit])
+
+
+def _non_vacuum(cfg, n_pulses):
+    """(state, photon count) of every non-vacuum pulse, over all shards."""
+    shards = [generate_shard(cfg, start // SHARD_SIZE, min(SHARD_SIZE, n_pulses - start))
+              for start in range(0, n_pulses, SHARD_SIZE)]
+    return (np.concatenate([sh.states for sh in shards]),
+            np.concatenate([sh.photon_count for sh in shards]))
 
 
 def test_polarization_angle_mapping():
@@ -31,40 +46,12 @@ def test_polarization_orthogonality():
         assert sep % 180.0 == 90.0
 
 
-def test_polarization_angle_rejects_garbage():
-    with pytest.raises(ValueError):
-        polarization_angle(2, 0)
-    with pytest.raises(ValueError):
-        polarization_angle(0, 5)
-
-
-def test_sample_photon_count_zero_mu():
-    rng = np.random.default_rng(1)
-    assert all(sample_photon_count(0.0, rng) == 0 for _ in range(100))
-
-
-def test_sample_photon_count_negative_mu_rejected():
-    with pytest.raises(ValueError):
-        sample_photon_count(-0.1, np.random.default_rng(0))
-
-
-def test_sample_photon_count_pmf_mu_0p1():
-    rng = np.random.default_rng(42)
-    n = 200_000
-    draws = rng.poisson(0.1, size=n)  # sample_photon_count vectorized equivalent
-    counts = np.bincount(draws, minlength=3)
-    for k in (0, 1):
-        p = poisson_pmf(0.1, k)
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[k] / n - p) < 4 * sigma
-
-
-def test_sample_photon_count_mean_converges():
-    rng = np.random.default_rng(7)
-    n = 10_000_000
-    mean = rng.poisson(0.1, size=n).mean()
-    sigma = math.sqrt(0.1 / n)
-    assert abs(mean - 0.1) < 3 * sigma
+def test_zero_mu_state_draws_no_photons():
+    # a dark emitter for one state: that state never carries a photon
+    cfg = SourceConfig(mu_per_state=(0.0, 0.5, 0.5, 0.5), rng_seed=1)
+    shard = generate_shard(cfg, 0, 100_000)
+    assert shard.position.size > 10_000
+    assert not np.any(shard.states == 0)
 
 
 def test_config_validation():
@@ -85,68 +72,82 @@ def test_bright_mu_rejected():
 
 
 def test_empty_train_rejected():
-    with pytest.raises(ConfigError):
-        build_pulse_train(SourceConfig(), 0)
+    # a session of no pulses: too short a duration, or a pulse count of 0
+    with pytest.raises(ConfigError, match="duration_s"):
+        make_fast_scenario(duration_s=1e-9)
+    with pytest.raises(ConfigError, match="protocol.n_pulses"):
+        SessionParams(n_pulses=0)
 
 
 def test_all_mu_zero_yields_no_photons():
     cfg = SourceConfig(mu_per_state=(0.0, 0.0, 0.0, 0.0), rng_seed=3)
-    train = build_pulse_train(cfg, 10_000)
-    assert train.photon_count.sum() == 0
+    shard = generate_shard(cfg, 0, 10_000)
+    assert shard.position.size == 0
+    assert shard.photon_count.sum() == 0
 
 
 def test_emit_time_grid():
-    # 100 MHz -> pulse 5 sits at 50 000 ps plus an intra-pulse offset
-    cfg = SourceConfig(rng_seed=5)
-    train = build_pulse_train(cfg, 10)
-    rec = train.record(5)
-    assert abs(rec.emit_time_ps - 50_000) < 5_000
-    # offsets stay within a small multiple of the 200 ps FWHM
-    offsets = train.emit_time_ps - np.arange(10) * 10_000
+    # 100 MHz -> pulse i leaves at i * 10 000 ps plus an offset within a
+    # small multiple of the 200 ps FWHM; a lossless 0 m link and an ideal
+    # clock show the emission times themselves
+    src = SourceConfig(mu_per_state=(1.0, 1.0, 1.0, 1.0), rng_seed=5)
+    link = ChannelConfig(distance_m=0.0, tx_beam_diameter_e2_cm=1.0,
+                         rx_aperture_diameter_e2_cm=1e4, visibility_km=1e9,
+                         propagation_delay_ps=0, rng_seed=6)
+    arr = transmit_stream(src, link, 10_000, 1.0, analyzer_table(0.0))
+    assert len(arr) > 5_000
+    offsets = arr.arrival_time_ps - arr.pulse_index * 10_000
     assert np.abs(offsets).max() < 1_000
+    assert np.abs(offsets).mean() > 10  # jittered, not on the grid
 
 
 def test_emit_jitter_sigma():
     cfg = SourceConfig(rng_seed=11)
-    n = 200_000
-    train = build_pulse_train(cfg, n)
-    offsets = train.emit_time_ps - np.arange(n, dtype=np.int64) * 10_000
+    offsets = emit_jitter_ps(cfg, np.random.default_rng(11), 200_000)
     expected = 200.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     assert abs(offsets.std() - expected) / expected < 0.02
+    flat = SourceConfig(pulse_fwhm_ps=0.0)
+    assert not emit_jitter_ps(flat, np.random.default_rng(11), 5).any()
 
 
 def test_same_seed_bit_identical():
     cfg = SourceConfig(rng_seed=99)
-    a = build_pulse_train(cfg, 50_000)
-    b = build_pulse_train(cfg, 50_000)
-    assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.bit, b.bit)
+    a, b = generate_shard(cfg, 0, 50_000), generate_shard(cfg, 0, 50_000)
+    assert np.array_equal(a.position, b.position)
+    assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.photon_count, b.photon_count)
-    assert np.array_equal(a.emit_time_ps, b.emit_time_ps)
+    n = a.position.size
+    assert np.array_equal(emit_jitter_ps(cfg, a.rng, n), emit_jitter_ps(cfg, b.rng, n))
+    idx = np.arange(50_000)
+    assert np.array_equal(pulse_states(cfg, idx), pulse_states(cfg, idx))
 
 
 def test_different_seed_differs():
-    a = build_pulse_train(SourceConfig(rng_seed=1), 10_000)
-    b = build_pulse_train(SourceConfig(rng_seed=2), 10_000)
-    assert not np.array_equal(a.basis, b.basis)
+    idx = np.arange(10_000)
+    a, b = SourceConfig(rng_seed=1), SourceConfig(rng_seed=2)
+    assert not np.array_equal(pulse_states(a, idx), pulse_states(b, idx))
+    assert not np.array_equal(generate_shard(a, 0, 10_000).position,
+                              generate_shard(b, 0, 10_000).position)
 
 
 def test_basis_bit_marginals():
     n = 1_000_000
-    train = build_pulse_train(SourceConfig(rng_seed=13), n)
+    states = pulse_states(SourceConfig(rng_seed=13), np.arange(n))
     bound = 4 * math.sqrt(0.25 / n)  # 4 sigma binomial
-    assert abs(train.basis.mean() - 0.5) < bound
-    assert abs(train.bit.mean() - 0.5) < bound
+    assert abs((states >> 1).mean() - 0.5) < bound
+    assert abs((states & 1).mean() - 0.5) < bound
 
 
 def test_photon_count_chi_square_per_state():
     n = 1_000_000
     cfg = SourceConfig(mu_per_state=(0.1, 0.05, 0.2, 0.1), rng_seed=17)
-    train = build_pulse_train(cfg, n)
-    states = train.state
+    states = pulse_states(cfg, np.arange(n))
+    kept_states, kept_counts = _non_vacuum(cfg, n)
     for s, mu in enumerate(cfg.mu_per_state):
-        counts = train.photon_count[states == s]
+        counts = kept_counts[kept_states == s]
         hist = np.bincount(counts, minlength=4)
+        # the vacuum pulses of state s are the ones generate_shard left out
+        hist[0] = np.count_nonzero(states == s) - counts.size
         # merge the tail so expected counts stay > 5
         kmax = 3
         obs = np.concatenate([hist[:kmax], [hist[kmax:].sum()]])
@@ -162,53 +163,10 @@ def test_weak_state_emission_fraction():
     # one weak emitter: V photons should be mu_V / sum(mu) of the total
     cfg = SourceConfig(mu_per_state=(0.1, 0.01, 0.1, 0.1), rng_seed=23)
     n = 10_000_000
-    train = build_pulse_train(cfg, n)
-    v_photons = train.photon_count[train.state == 1].sum()
-    total = train.photon_count.sum()
+    kept_states, kept_counts = _non_vacuum(cfg, n)
+    v_photons = kept_counts[kept_states == 1].sum()
+    total = kept_counts.sum()
     expected = 0.01 / 0.31
     frac = v_photons / total
     sigma = math.sqrt(expected * (1 - expected) / total)
     assert abs(frac - expected) < 3 * sigma
-
-
-def test_lazy_train_matches_materialized():
-    cfg = SourceConfig(rng_seed=31)
-    n = SHARD_SIZE + 1234  # crosses a shard boundary
-    train = build_pulse_train(cfg, n)
-    lazy = LazyPulseTrain(cfg, n)
-    idx = np.random.default_rng(0).integers(0, n, size=5_000)
-    b1, k1 = train.states_at(idx)
-    b2, k2 = lazy.states_at(idx)
-    assert np.array_equal(b1, b2)
-    assert np.array_equal(k1, k2)
-
-
-def test_lazy_train_matches_at_shard_boundary_and_last_pulse():
-    cfg = SourceConfig(rng_seed=37)
-    n = SHARD_SIZE + 3
-    train = build_pulse_train(cfg, n)
-    lazy = LazyPulseTrain(cfg, n)
-    idx = np.array([0, SHARD_SIZE - 2, SHARD_SIZE - 1, SHARD_SIZE, SHARD_SIZE + 1, n - 1])
-    for a, b in zip(train.states_at(idx), lazy.states_at(idx)):
-        assert np.array_equal(a, b)
-    with pytest.raises(IndexError):
-        lazy.states_at(np.array([n]))
-
-
-def test_lazy_train_range_checked():
-    lazy = LazyPulseTrain(SourceConfig(), 100)
-    with pytest.raises(IndexError):
-        lazy.states_at(np.array([100]))
-
-
-def test_dump_roundtrip(tmp_path):
-    cfg = SourceConfig(rng_seed=41)
-    train = build_pulse_train(cfg, 2_000)
-    path = tmp_path / "train.bin"
-    dump_pulse_train(train, path)
-    assert path.stat().st_size == 19 * 2_000
-    back = load_pulse_train(path, cfg)
-    assert np.array_equal(back.basis, train.basis)
-    assert np.array_equal(back.bit, train.bit)
-    assert np.array_equal(back.photon_count, train.photon_count)
-    assert np.array_equal(back.emit_time_ps, train.emit_time_ps)

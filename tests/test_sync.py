@@ -12,9 +12,8 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import bundled_scenario
 from fsbb84.simulate import simulate_quantum_phase
-from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, GateConfig, TrueClock,
-                         _acquire_drift, assign_and_gate, fold_histogram,
-                         recover_clock)
+from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, TrueClock, _acquire_drift,
+                         assign_and_gate, fold_histogram, recover_clock)
 
 PERIOD = 10_000.0
 _CLICK_CHUNK = 1 << 20  # pulses per block of click uniforms in _synthetic_stream
@@ -123,7 +122,7 @@ def test_recover_centres_gate_at_low_signal_to_background():
         tags = _synthetic_stream(10_000_000, 3.17e-5, -9_021.0, -5.0, 10_000.0,
                                  sigma, seed=1_000 + seed)
         clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=-9_021.0)
-        asg = assign_and_gate(tags, clock, GateConfig(gate_width_ps=400.0))
+        asg = assign_and_gate(tags, clock, 400.0)
         sig = tags.truth_pulse_index >= 0
         hit = (asg.truth_pulse_index >= 0) & (asg.pulse_index == asg.truth_pulse_index)
         acc.append(hit.sum() / sig.sum())
@@ -150,12 +149,6 @@ def test_recover_background_only_fails():
 def test_recover_needs_enough_tags():
     with pytest.raises(SyncFailureError):
         recover_clock(np.arange(999) * 10_000, PERIOD)
-
-
-@pytest.mark.parametrize("guard_ppm", [0.0, -1.0, 1e6])
-def test_recover_rejects_empty_or_unbounded_guard(guard_ppm):
-    with pytest.raises(ValueError):
-        recover_clock(np.arange(2_000) * 10_000, PERIOD, guard_ppm=guard_ppm)
 
 
 def test_recover_beacon_assisted_skips_search():
@@ -203,7 +196,7 @@ def test_fft_acquisition_matches_brute_force_coherence(n_pulses, p_click, drift_
     grid = np.arange(-k, k + 1) * step
     ref = grid[np.argmax(_coherence(tau, PERIOD, grid))]
     assert abs(ref - drift_ppm * 1e-6) <= step
-    assert abs(_acquire_drift(tau, PERIOD, DRIFT_GUARD_PPM) - ref) <= step
+    assert abs(_acquire_drift(tau, PERIOD) - ref) <= step
 
 
 @pytest.mark.parametrize("drift_ppm", [95.0, -95.0])
@@ -219,7 +212,7 @@ def test_acquire_drift_near_guard_on_long_stream(drift_ppm):
     t = np.sort(np.rint(np.concatenate([t_sig, t_bg])))
     tau = t - t[0]
     step = PERIOD / (4.0 * tau[-1])
-    assert abs(_acquire_drift(tau, PERIOD, DRIFT_GUARD_PPM) - drift_ppm * 1e-6) <= step
+    assert abs(_acquire_drift(tau, PERIOD) - drift_ppm * 1e-6) <= step
     clock = recover_clock(t.astype(np.int64), PERIOD, coarse_reference_ps=0.0)
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
     assert abs(clock.offset_ps) < 50.0
@@ -235,7 +228,7 @@ def _clock(offset=0.0, drift=0.0):
 def test_gate_full_period_rejects_nothing():
     rng = np.random.default_rng(6)
     times = np.sort(rng.integers(0, 10**9, size=10_000))
-    asg = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=10_000.0))
+    asg = assign_and_gate(_tags(times), _clock(), 10_000.0)
     assert asg.rejected_count == 0
     assert len(asg) == 10_000
 
@@ -245,7 +238,7 @@ def test_gate_background_acceptance_fraction():
     rng = np.random.default_rng(7)
     n = 400_000
     times = np.sort(rng.integers(0, 10**12, size=n))
-    asg = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=500.0))
+    asg = assign_and_gate(_tags(times), _clock(), 500.0)
     frac = len(asg) / n
     sigma = math.sqrt(0.05 * 0.95 / n)
     assert abs(frac - 0.05) < 3 * sigma
@@ -257,8 +250,7 @@ def test_gate_erf_acceptance_of_jittered_signal():
     n = 500_000
     sigma_t = 350.0 / (2 * math.sqrt(2 * math.log(2)))
     times = np.rint(np.arange(n) * 10_000 + rng.normal(0, sigma_t, n)).astype(np.int64)
-    asg = assign_and_gate(_tags(np.sort(times)), _clock(),
-                          GateConfig(gate_width_ps=500.0))
+    asg = assign_and_gate(_tags(np.sort(times)), _clock(), 500.0)
     expected = math.erf(250.0 / (sigma_t * math.sqrt(2)))
     assert abs(expected - 0.9074) < 5e-4  # oracle sanity pin
     frac = len(asg) / n
@@ -269,8 +261,7 @@ def test_gate_erf_acceptance_of_jittered_signal():
 def test_assignment_exact_without_noise():
     idx = np.arange(5_000, dtype=np.int64)
     times = idx * 10_000
-    asg = assign_and_gate(_tags(times, truth=idx), _clock(),
-                          GateConfig(gate_width_ps=500.0))
+    asg = assign_and_gate(_tags(times, truth=idx), _clock(), 500.0)
     assert np.array_equal(asg.pulse_index, idx)
     assert np.array_equal(asg.truth_pulse_index, idx)
     assert asg.rejected_count == 0
@@ -282,7 +273,7 @@ def test_assignment_under_recovered_clock():
     times = np.rint(clk.to_receiver(idx * 10_000.0)).astype(np.int64)
     model = ClockModel(offset_ps=12_345.0, drift_ppm=15.0, residual_rms_ps=0.0,
                        period_ps=PERIOD)
-    asg = assign_and_gate(_tags(times), model, GateConfig(gate_width_ps=500.0))
+    asg = assign_and_gate(_tags(times), model, 500.0)
     assert np.array_equal(asg.pulse_index, idx)
 
 
@@ -290,28 +281,23 @@ def test_tie_breaks_to_lower_index():
     # exactly half a period off the grid: goes to the lower slot (only the
     # full-period gate can accept such a tag at all)
     times = np.array([5_000, 15_000], dtype=np.int64)
-    asg = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=10_000.0))
+    asg = assign_and_gate(_tags(times), _clock(), 10_000.0)
     assert list(asg.pulse_index) == [0, 1]
 
 
 def test_assignment_order_preserving_and_unique_mapping():
     rng = np.random.default_rng(9)
     times = np.sort(rng.integers(0, 10**10, size=50_000))
-    asg = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=2_000.0))
+    asg = assign_and_gate(_tags(times), _clock(), 2_000.0)
     # one output per accepted tag, in input order
     assert np.all(np.diff(asg.pulse_index) >= 0)
-    again = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=2_000.0))
+    again = assign_and_gate(_tags(times), _clock(), 2_000.0)
     assert np.array_equal(asg.pulse_index, again.pulse_index)
-
-
-def test_gate_wider_than_period_rejected():
-    with pytest.raises(ConfigError):
-        assign_and_gate(_tags(np.array([0])), _clock(), GateConfig(gate_width_ps=10_000.1))
 
 
 def test_negative_slots_rejected():
     times = np.array([-20_000, 0, 10_000], dtype=np.int64)
-    asg = assign_and_gate(_tags(times), _clock(), GateConfig(gate_width_ps=500.0))
+    asg = assign_and_gate(_tags(times), _clock(), 500.0)
     assert asg.pulse_index.min() >= 0
     assert asg.rejected_count == 1
 
