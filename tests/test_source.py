@@ -8,11 +8,14 @@ from scipy import stats
 
 from conftest import make_fast_scenario
 from fsbb84.channel import ChannelConfig, transmit_stream
-from fsbb84.errors import ConfigError
+from fsbb84.errors import ConfigError, ProtocolViolationError
+from fsbb84.protocol import DetectionReport
 from fsbb84.protocol.params import SessionParams
+from fsbb84.protocol.session import alice_match
 from fsbb84.receiver import analyzer_table
 from fsbb84.source import (DIAGONAL, RECTILINEAR, SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig,
                            emit_jitter_ps, generate_shard, pulse_states)
+from reference_chain import build_pulse_train
 
 
 def poisson_pmf(mu, k):
@@ -170,3 +173,36 @@ def test_weak_state_emission_fraction():
     frac = v_photons / total
     sigma = math.sqrt(expected * (1 - expected) / total)
     assert abs(frac - expected) < 3 * sigma
+
+
+def _assert_alice_matches_train(cfg, train, idx):
+    """Alice's on-demand states at ``idx`` equal the materialized train's."""
+    n = train.basis.size
+    same = DetectionReport(pulse_index=idx, basis=train.basis[idx].astype(np.uint8))
+    mask, key = alice_match(cfg, same, n)
+    assert mask.mask.all()
+    assert np.array_equal(key.bits, train.bit[idx])
+    assert np.array_equal(key.pulse_indices, idx)
+    other = DetectionReport(pulse_index=idx, basis=(1 - train.basis[idx]).astype(np.uint8))
+    mask, key = alice_match(cfg, other, n)
+    assert not mask.mask.any()
+    assert key.bits.size == 0
+
+
+def test_lazy_train_matches_materialized():
+    cfg = SourceConfig(rng_seed=31)
+    n = SHARD_SIZE + 1234  # crosses a shard boundary
+    train = build_pulse_train(cfg, n)
+    idx = np.unique(np.random.default_rng(0).integers(0, n, size=5_000))
+    _assert_alice_matches_train(cfg, train, idx)
+
+
+def test_lazy_train_matches_at_shard_boundary_and_last_pulse():
+    cfg = SourceConfig(rng_seed=37)
+    n = SHARD_SIZE + 3
+    train = build_pulse_train(cfg, n)
+    idx = np.array([0, SHARD_SIZE - 2, SHARD_SIZE - 1, SHARD_SIZE, SHARD_SIZE + 1, n - 1])
+    _assert_alice_matches_train(cfg, train, idx)
+    with pytest.raises(ProtocolViolationError):
+        alice_match(cfg, DetectionReport(pulse_index=np.array([n]),
+                                         basis=np.zeros(1, dtype=np.uint8)), n)
