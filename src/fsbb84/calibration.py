@@ -45,11 +45,6 @@ class RateQberFit:
     eta_total: float
     total_attenuation_db: float  # channel + receiver
 
-    @property
-    def qber(self) -> float:
-        s, b = self.p_signal_per_pulse, self.p_background_per_pulse
-        return (0.5 * b + self.e_pol * s) / (s + b)
-
 
 def fit_run(sifted_rate_bps: float, qber: float, rep_rate_hz: float,
             mu_per_state: tuple[float, float, float, float],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -188,23 +188,8 @@ def _loss_accounting(scenario: Scenario) -> dict:
 
 
 def _abort_report(scenario: Scenario, role: str, reason: str) -> SessionReport:
-    return SessionReport(
-        scenario_name=scenario.name,
-        scenario_hash=scenario.hash_hex(),
-        session_id=scenario.protocol.session_id,
-        role=role,
-        completed=True,
-        abort=True,
-        abort_reason=reason,
-        n_pulses=scenario.n_pulses,
-        duration_s=scenario.simulated_duration_s,
-        sifted_key_length=0,
-        sifted_key_rate_bps=0.0,
-        remaining_key_length=0,
-        qber=QberReport(disclosed_count=0, error_count=0, qber=0.0, abort=True),
-        counts={},
-        loss_accounting=_loss_accounting(scenario),
-    )
+    nothing = QberReport(disclosed_count=0, error_count=0, qber=0.0, abort=True)
+    return replace(_finish_report(scenario, role, nothing, 0, 0, {}), abort_reason=reason)
 
 
 def _session_params_msg(scenario: Scenario) -> SessionParamsMsg:

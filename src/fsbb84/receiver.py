@@ -242,6 +242,16 @@ def dump_tags(tags: TimeTags, path) -> None:
 
 
 def load_tags(path) -> TimeTags:
+    """Read a tag dump; a ConfigError naming the file unless it is a valid TimeTags."""
     with open(path, "rb") as f:
-        rec = np.frombuffer(f.read(), dtype=_TAG_DTYPE)
-    return TimeTags(detector=rec["detector"].copy(), time_ps=rec["time_ps"].copy())
+        data = f.read()
+    if len(data) % _TAG_DTYPE.itemsize:
+        raise ConfigError(f"{len(data)} bytes is not a whole number of 9-byte records", str(path))
+    rec = np.frombuffer(data, dtype=_TAG_DTYPE)
+    tags = TimeTags(detector=rec["detector"].copy(), time_ps=rec["time_ps"].copy())
+    for bad, what in ((np.flatnonzero(tags.detector > 3), "has a detector outside 0-3"),
+                      (np.flatnonzero(tags.time_ps[1:] < tags.time_ps[:-1]) + 1,
+                       "has time_ps below the record before it")):
+        if bad.size:
+            raise ConfigError(f"record {bad[0]} {what}", str(path))
+    return tags

@@ -48,12 +48,6 @@ import numpy as np
 from .errors import ConfigError
 from .seeds import STREAM_SOURCE, STREAM_STATE, counter_key, spawn, splitmix64
 
-RECTILINEAR = 0
-DIAGONAL = 1
-
-STATE_H, STATE_V, STATE_D, STATE_A = 0, 1, 2, 3
-STATE_NAMES = "HVDA"
-
 # Polarizer orientations per state, degrees.
 STATE_ANGLES_DEG = np.array([0.0, 90.0, 45.0, -45.0])
 

@@ -17,7 +17,8 @@ is recovered from the quantum tags themselves:
    step at which the grid slips a quarter period across the stream.
 2. *Block-phase regression*: the full stream is cut into time blocks, each
    block contributes a circular-mean phase, and a weighted linear fit of
-   phase versus block midtime refines drift and fixes the offset.
+   phase versus block midtime refines drift and fixes the offset. Tags
+   are non-decreasing, so each block is a run of them, summed in one pass.
 3. *Peak refit*: offset and rate are fitted again, by least squares, to
    the wrapped residuals of the tags within a window around the folded
    peak, the window shrinking from P/8 to P/32. Every background tag
@@ -25,6 +26,11 @@ is recovered from the quantum tags themselves:
    signal tags under a thousand background tags) the regression alone
    leaves the offset about one timing sigma off; the refit brings it to
    a small fraction of one.
+
+Each per-tag phase is one fold (:func:`_cycles`): ``t - kP`` in cycles, a
+third of ``np.mod``'s cost. Steps 1 and 2 take its cos and sin in float32
+(<= 2.4e-7 rad, 4e-4 ps of a 10 ns period, per tag) and sum them in float64;
+that only moves where step 3, float64 and free of trigonometry, starts.
 
 A significance guard rejects streams without a real grid signature (peak
 of the histogram folded under the final mapping must exceed 3x its
@@ -79,17 +85,29 @@ class ClockModel:
     drift_ppm: float
     residual_rms_ps: float
     period_ps: float
+    rate = TrueClock.rate
 
     def __post_init__(self):
         if self.residual_rms_ps < 0:
             raise ConfigError("must be >= 0", "clock_model.residual_rms_ps")
 
-    @property
-    def rate(self) -> float:
-        return 1.0 + self.drift_ppm * 1e-6
 
-    def to_source(self, t_receiver_ps) -> np.ndarray:
-        return (np.asarray(t_receiver_ps, dtype=np.float64) - self.offset_ps) / self.rate
+def _cycles(x: np.ndarray, period_ps: float, nearest: bool = False) -> np.ndarray:
+    """(x mod P) / P in [0, 1), or in [-1/2, 1/2] with ``nearest``; exact for whole-ps x."""
+    r = x / period_ps
+    (np.rint if nearest else np.floor)(r, out=r)
+    r *= -period_ps
+    r += x
+    r /= period_ps
+    return r
+
+
+def _bin_counts(cycles: np.ndarray, n_bins: int) -> np.ndarray:
+    """Histogram of phases in [0, 1]; overwrites ``cycles``."""
+    cycles *= n_bins
+    bins = cycles.astype(np.int64)
+    np.minimum(bins, n_bins - 1, out=bins)
+    return np.bincount(bins, minlength=n_bins)
 
 
 def fold_histogram(times_ps: np.ndarray, period_ps: float, n_bins: int) -> np.ndarray:
@@ -98,21 +116,14 @@ def fold_histogram(times_ps: np.ndarray, period_ps: float, n_bins: int) -> np.nd
         raise ValueError("n_bins must be >= 2")
     if period_ps <= 0:
         raise ValueError("period_ps must be > 0")
-    t = np.asarray(times_ps, dtype=np.float64)
-    if t.size == 0:
-        return np.zeros(n_bins, dtype=np.int64)
-    phase = np.mod(t, period_ps)
-    bins = np.minimum((phase / period_ps * n_bins).astype(np.int64), n_bins - 1)
-    return np.bincount(bins, minlength=n_bins).astype(np.int64)
+    return _bin_counts(_cycles(np.asarray(times_ps, dtype=np.float64), period_ps), n_bins)
 
 
 def export_histogram_csv(counts: np.ndarray, period_ps: float, path) -> None:
     """Write the folded histogram as (bin_start_ps, count) CSV rows."""
-    n = len(counts)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("bin_start_ps,count\n")
-        for i, c in enumerate(counts):
-            f.write(f"{i * period_ps / n:.3f},{int(c)}\n")
+    starts = np.arange(len(counts)) * period_ps / len(counts)
+    np.savetxt(path, np.column_stack([starts, counts]), fmt=("%.3f", "%d"), delimiter=",",
+               header="bin_start_ps,count", comments="")
 
 
 def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
@@ -124,7 +135,7 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
     dt = P * (1.0 - g) / (4.0 * g)
     cell = np.rint(tau / dt).astype(np.int64)
     m = 1 << math.ceil(math.log2(2 * (int(cell[-1]) + 1)))
-    ph = (2.0 * np.pi / P) * np.mod(tau, P)
+    ph = _cycles(tau, P).astype(np.float32) * np.float32(2.0 * np.pi)
     mag = np.abs(np.fft.fft(np.bincount(cell, weights=np.cos(ph), minlength=m)
                             + 1j * np.bincount(cell, weights=np.sin(ph), minlength=m)))
     bin_fp = P / (m * dt)  # bin spacing of f, in units of 1/P
@@ -144,15 +155,19 @@ def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tupl
     (mod one period) in the coordinates of ``u``.
     """
     P = period_ps
-    edges = np.linspace(u[0], u[-1] + 1e-9, block_count + 1)
-    block = np.minimum(np.searchsorted(edges, u, side="right") - 1, block_count - 1)
-    two_pi = 2.0 * np.pi
-    cyc = u / P
-    ph = two_pi * (cyc - np.floor(cyc))  # whole periods dropped: cos/sin of huge arguments is slow
-    nb = np.bincount(block, minlength=block_count)
-    z = (np.bincount(block, weights=np.cos(ph), minlength=block_count)
-         + 1j * np.bincount(block, weights=np.sin(ph), minlength=block_count))
-    mids = np.bincount(block, weights=u, minlength=block_count)
+    # Block b is the run of tags between the even edges b and b + 1; the last takes the rest.
+    bounds = np.searchsorted(u, np.linspace(u[0], u[-1] + 1e-9, block_count + 1))
+    bounds[-1] = len(u)
+    nb = np.diff(bounds)
+
+    def block_sums(x):
+        sums = np.zeros(block_count)
+        sums[nb > 0] = np.add.reduceat(x, bounds[:-1][nb > 0], dtype=np.float64)
+        return sums
+
+    ph = _cycles(u, P).astype(np.float32) * np.float32(2.0 * np.pi)
+    z = block_sums(np.cos(ph)) + 1j * block_sums(np.sin(ph))
+    mids = block_sums(u)
     used = nb >= 5
     z[used] /= nb[used]
     mids[used] /= nb[used]
@@ -168,7 +183,7 @@ def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tupl
     # block after it.
     z, nb = z[used], nb[used]
     ref = np.angle(np.dot(z, nb))
-    psi = (np.angle(z * np.exp(-1j * ref)) + ref) / two_pi * P
+    psi = (np.angle(z * np.exp(-1j * ref)) + ref) / (2.0 * np.pi) * P
     if len(psi) == 1:
         return 0.0, float(psi[0])
     m = mids[used]
@@ -203,20 +218,21 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     the narrowing windows keep small.
     """
     P = period_ps
-    ta = (t - offset) / rate
-    res = np.mod(ta + P / 2.0, P) - P / 2.0
-    near = np.nonzero(np.abs(res) <= P / 4.0)[0]
+    ta = t - offset
+    ta /= rate
+    cyc = _cycles(ta, P, nearest=True)
+    near = np.flatnonzero(np.abs(cyc) <= 0.25)
     near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
-    ta, res = ta[near], res[near]
+    ta, res = ta.take(near), cyc.take(near) * P
     # Corrections are far below P/4, so residuals are updated in place
     # rather than re-wrapped; the mapping moves by t_src -= A + B t_src.
     A = B = 0.0
     for half_width in REFIT_HALF_WIDTHS:
         for _ in range(REFIT_PASSES):
-            sel = np.abs(res) <= half_width * P
-            if np.count_nonzero(sel) < 2:
+            sel = np.flatnonzero(np.abs(res) <= half_width * P)
+            if len(sel) < 2:
                 break
-            x, y = ta[sel], res[sel]
+            x, y = ta.take(sel), res.take(sel)
             xm = x.mean()
             dx = x - xm
             var = float(np.dot(dx, dx))
@@ -232,7 +248,7 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
 def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: int = 20,
                   known_drift_ppm: Optional[float] = None,
                   coarse_reference_ps: Optional[float] = None) -> ClockModel:
-    """Estimate offset and drift from a tag stream.
+    """Estimate offset and drift from a non-decreasing tag stream (as in TimeTags).
 
     ``known_drift_ppm`` skips acquisition (beacon-assisted mode); like an
     acquired drift, it must keep the grid within a fraction of a period
@@ -254,20 +270,23 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: i
     else:
         d0 = known_drift_ppm * 1e-6
 
-    u = tau / (1.0 + d0)
+    u = np.divide(tau, 1.0 + d0, out=tau)  # tau is not used again
     slope, a = _block_regression(u, P, block_count)
     rate = (1.0 + d0) * (1.0 + slope)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)
 
     # Significance guard on the final mapping, so a stream whose coarse
     # drift is a fraction of a grid step off is judged after refinement.
-    ta = (t - offset) / rate
-    hist = fold_histogram(ta, P, 64)
+    # One fold: the wrapped residuals give the rms; shifted by P/2, the
+    # folded histogram turned by half its bins, same peak and median.
+    ta = t - offset
+    ta /= rate
+    res = _cycles(ta, P, nearest=True)
+    residual_rms = P * math.sqrt(np.dot(res, res) / n)
+    res += 0.5
+    hist = _bin_counts(res, 64)
     if hist.max() < 3.0 * np.median(hist):
         raise SyncFailureError("no significant pulse-grid peak in folded histogram")
-    # Residuals of the final mapping, wrapped to one period.
-    res = np.mod(ta + P / 2.0, P) - P / 2.0
-    residual_rms = float(np.sqrt(np.mean(res**2)))
 
     if coarse_reference_ps is not None:
         k = round((coarse_reference_ps - offset) / (rate * P))
@@ -283,7 +302,6 @@ class Assignments:
 
     pulse_index: np.ndarray  # int64
     detector: np.ndarray  # uint8
-    residual_ps: np.ndarray  # float64
     rejected_count: int
     truth_pulse_index: Optional[np.ndarray] = None
 
@@ -299,19 +317,21 @@ def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignment
     period (:class:`fsbb84.scenario.Scenario` checks it); a full-period gate
     accepts every tag.
     """
-    ta = clock.to_source(tags.time_ps)
+    r = tags.time_ps.astype(np.float64)  # (t - offset) / rate, in place
+    r -= clock.offset_ps
+    r /= clock.rate
     P = clock.period_ps
-    k = np.floor(ta / P).astype(np.int64)
-    r = ta - k * P
+    k = r / P
+    np.floor(k, out=k)
+    r -= k * P
     upper = r > P / 2.0  # strictly above half: next slot is closer
-    k = k + upper
-    r = r - P * upper
-    inside = (np.abs(r) <= gate_width_ps / 2.0) & (k >= 0)
+    k += upper
+    np.subtract(r, P, out=r, where=upper)
+    keep = np.flatnonzero((np.abs(r, out=r) <= gate_width_ps / 2.0) & (k >= 0))
     truth = tags.truth_pulse_index
     return Assignments(
-        pulse_index=k[inside],
-        detector=tags.detector[inside],
-        residual_ps=r[inside],
-        rejected_count=int(len(k) - int(inside.sum())),
-        truth_pulse_index=truth[inside] if truth is not None else None,
+        pulse_index=k.take(keep).astype(np.int64),
+        detector=tags.detector.take(keep),
+        rejected_count=len(k) - len(keep),
+        truth_pulse_index=truth.take(keep) if truth is not None else None,
     )

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_fast_scenario
 from fsbb84.cli import main, read_report_csv
-from fsbb84.receiver import load_tags
+from fsbb84.receiver import TimeTags, dump_tags, load_tags
 
 
 @pytest.fixture
@@ -219,6 +219,24 @@ def test_party_replay_tags(tmp_path, scenario_file):
     original = json.loads((out / "session_report.json").read_text())
     assert replayed["qber"] == original["qber"]
     assert replayed["sifted_key_length"] == original["sifted_key_length"]
+
+
+def test_party_rejects_unsorted_replay_before_listening(tmp_path, scenario_file, capsys):
+    # a shuffled recording would mis-bin clock recovery's phase blocks; bob
+    # refuses it as a configuration error, without waiting for a peer
+    tags_p, shuffled_p = tmp_path / "tags.bin", tmp_path / "shuffled.bin"
+    main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "rec"),
+          "--dump-tags", str(tags_p)])
+    tags = load_tags(tags_p)
+    order = np.random.default_rng(21).permutation(len(tags))
+    dump_tags(TimeTags(detector=tags.detector[order], time_ps=tags.time_ps[order]), shuffled_p)
+    capsys.readouterr()
+    rc = main(["party", "--role", "bob", "--listen", "127.0.0.1:43929",
+               "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+               "--timeout", "0.3", "--replay-tags", str(shuffled_p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(shuffled_p) in err and "time_ps below" in err
 
 
 def test_entry_point_runs():

@@ -428,3 +428,31 @@ def test_tag_dump_roundtrip(tmp_path):
     back = load_tags(path)
     assert np.array_equal(back.detector, tags.detector)
     assert np.array_equal(back.time_ps, tags.time_ps)
+
+
+def test_load_tags_rejects_partial_record(tmp_path):
+    path = tmp_path / "tags.bin"
+    dump_tags(TimeTags(detector=np.array([0, 1], dtype=np.uint8),
+                       time_ps=np.array([10, 20], dtype=np.int64)), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ConfigError, match="17 bytes") as e:
+        load_tags(path)
+    assert str(path) in str(e.value)
+
+
+def test_load_tags_rejects_unknown_detector(tmp_path):
+    path = tmp_path / "tags.bin"
+    dump_tags(TimeTags(detector=np.array([0, 4, 1], dtype=np.uint8),
+                       time_ps=np.array([10, 20, 30], dtype=np.int64)), path)
+    with pytest.raises(ConfigError, match="record 1 has a detector outside 0-3") as e:
+        load_tags(path)
+    assert str(path) in str(e.value)
+
+
+def test_load_tags_rejects_decreasing_times(tmp_path):
+    path = tmp_path / "tags.bin"
+    dump_tags(TimeTags(detector=np.array([0, 1, 2, 3], dtype=np.uint8),
+                       time_ps=np.array([10, 20, 20, 15], dtype=np.int64)), path)
+    with pytest.raises(ConfigError, match="record 3 has time_ps below") as e:
+        load_tags(path)
+    assert str(path) in str(e.value)

@@ -13,9 +13,11 @@ from fsbb84.protocol import DetectionReport
 from fsbb84.protocol.params import SessionParams
 from fsbb84.protocol.session import alice_match
 from fsbb84.receiver import analyzer_table
-from fsbb84.source import (DIAGONAL, RECTILINEAR, SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig,
-                           emit_jitter_ps, generate_shard, pulse_states)
+from fsbb84.source import (SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig, emit_jitter_ps,
+                           generate_shard, pulse_states)
 from reference_chain import build_pulse_train
+
+RECTILINEAR, DIAGONAL = 0, 1  # basis = state >> 1
 
 
 def poisson_pmf(mu, k):

@@ -10,10 +10,11 @@ from scipy import stats
 from fsbb84.analysis import gate_acceptance
 from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
-from fsbb84.scenario import bundled_scenario
-from fsbb84.simulate import simulate_quantum_phase
+from fsbb84.scenario import BUNDLED_NAMES, bundled_scenario
+from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
 from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, TrueClock, _acquire_drift,
-                         assign_and_gate, fold_histogram, recover_clock)
+                         _block_regression, assign_and_gate, fold_histogram, recover_clock)
+import reference_chain
 
 PERIOD = 10_000.0
 _CLICK_CHUNK = 1 << 20  # pulses per block of click uniforms in _synthetic_stream
@@ -82,6 +83,15 @@ def test_fold_empty_stream():
     hist = fold_histogram(np.array([], dtype=np.int64), PERIOD, 16)
     assert hist.shape == (16,)
     assert hist.sum() == 0
+
+
+@pytest.mark.parametrize("period", [PERIOD, 12_500.0, 3_000.0])
+def test_fold_bin_edges_at_multiples_of_the_period(period):
+    # exact multiples open bin 0; one ps earlier is the end of the last bin
+    k = np.unique(np.random.default_rng(16).integers(1, 10**9, size=5_000))
+    times = (k * int(period)).astype(np.int64)
+    assert fold_histogram(times, period, 20)[0] == len(k)
+    assert fold_histogram(times - 1, period, 20)[-1] == len(k)
 
 
 def test_fold_argument_validation():
@@ -178,11 +188,14 @@ def _coherence(tau, period_ps, drifts):
     return scores
 
 
-@pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", [
+_ACQUISITION_CASES = [
     (1_000_000, 1e-2, 37.3, 1_500.0, 11),  # dense
     (10_000_000, 3.2e-4, -20.0, 6_000.0, 12),  # 780 m link SNR
     (10_000_000, 3.17e-5, -5.0, 10_000.0, 13),  # ~300 signal under ~1000 background
-])
+]
+
+
+@pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", _ACQUISITION_CASES)
 def test_fft_acquisition_matches_brute_force_coherence(n_pulses, p_click, drift_ppm,
                                                        bg_cps, seed):
     tags = _synthetic_stream(n_pulses, p_click, 2_468.0, drift_ppm, bg_cps, 171.0,
@@ -216,6 +229,54 @@ def test_acquire_drift_near_guard_on_long_stream(drift_ppm):
     clock = recover_clock(t.astype(np.int64), PERIOD, coarse_reference_ps=0.0)
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
     assert abs(clock.offset_ps) < 50.0
+
+
+# --- agreement with the reference clock recovery ----------------------------------
+
+def _assert_matches_reference(tags, period, gate_width_ps, block_count=20, **kwargs):
+    """recover_clock against reference_recover_clock: same clock, same gating.
+
+    The float32 phasors move the block regression's intercept by ~2e-4 ps
+    (at most 2.4e-7 rad, 4e-4 ps, per tag); the refit takes the final
+    clock to the same fixed point within ~3e-5 ps.
+    """
+    tau = tags.time_ps - tags.time_ps[0].astype(np.float64)
+    d0 = reference_chain._acquire_drift(tau, period)
+    if kwargs.get("known_drift_ppm") is None:
+        assert abs(_acquire_drift(tau, period) - d0) <= 1e-12
+    u = tau / (1.0 + d0)
+    slope, a = _block_regression(u.copy(), period, block_count)
+    ref_slope, ref_a = reference_chain._block_regression(u, period, block_count)
+    assert abs(slope - ref_slope) <= 1e-14 and abs(a - ref_a) <= 1e-3
+
+    clock = recover_clock(tags.time_ps, period, block_count=block_count, **kwargs)
+    ref = reference_chain.reference_recover_clock(tags.time_ps, period,
+                                                  block_count=block_count, **kwargs)
+    assert abs(clock.drift_ppm - ref.drift_ppm) <= 1e-6
+    assert abs(clock.offset_ps - ref.offset_ps) <= 1e-3
+    assert abs(clock.residual_rms_ps - ref.residual_rms_ps) <= 1e-3
+    got, want = (assign_and_gate(tags, c, gate_width_ps) for c in (clock, ref))
+    assert np.array_equal(got.pulse_index, want.pulse_index)
+    assert np.array_equal(got.detector, want.detector)
+    assert got.rejected_count == want.rejected_count
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_recover_clock_matches_reference_on_bundled_streams(name):
+    sc = bundled_scenario(name, seed=7)
+    sc = dataclasses.replace(sc, protocol=dataclasses.replace(sc.protocol, n_pulses=20_000_000))
+    tags = simulate_quantum_phase(sc).tags
+    known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
+    _assert_matches_reference(tags, sc.source.period_ps, sc.sync.gate_width_ps,
+                              block_count=sc.sync.block_count, known_drift_ppm=known,
+                              coarse_reference_ps=expected_offset_ps(sc))
+
+
+@pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", _ACQUISITION_CASES)
+def test_recover_clock_matches_reference_on_synthetic_streams(n_pulses, p_click, drift_ppm,
+                                                              bg_cps, seed):
+    tags = _synthetic_stream(n_pulses, p_click, 2_468.0, drift_ppm, bg_cps, 171.0, seed=seed)
+    _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
 
 
 # --- assign_and_gate ---------------------------------------------------------------
