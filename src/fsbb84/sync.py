@@ -218,12 +218,12 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     the narrowing windows keep small.
     """
     P = period_ps
-    ta = t - offset
-    ta /= rate
-    cyc = _cycles(ta, P, nearest=True)
-    near = np.flatnonzero(np.abs(cyc) <= 0.25)
+    ta = (t - offset) / rate
+    res = _cycles(ta, P, nearest=True)
+    near = np.flatnonzero(np.abs(res) <= 0.25)
     near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
-    ta, res = ta.take(near), cyc.take(near) * P
+    res = res.take(near) * P
+    ta = ta.take(near)
     # Corrections are far below P/4, so residuals are updated in place
     # rather than re-wrapped; the mapping moves by t_src -= A + B t_src.
     A = B = 0.0
@@ -270,8 +270,8 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: i
     else:
         d0 = known_drift_ppm * 1e-6
 
-    u = np.divide(tau, 1.0 + d0, out=tau)  # tau is not used again
-    slope, a = _block_regression(u, P, block_count)
+    slope, a = _block_regression(np.divide(tau, 1.0 + d0, out=tau), P, block_count)
+    del tau  # divided in place above; the refit and the guard need only t
     rate = (1.0 + d0) * (1.0 + slope)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)
 
