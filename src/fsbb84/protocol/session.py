@@ -188,8 +188,8 @@ def _loss_accounting(scenario: Scenario) -> dict:
 
 
 def _abort_report(scenario: Scenario, role: str, reason: str) -> SessionReport:
-    nothing = QberReport(disclosed_count=0, error_count=0, qber=0.0, abort=True)
-    return replace(_finish_report(scenario, role, nothing, 0, 0, {}), abort_reason=reason)
+    empty = QberReport(disclosed_count=0, error_count=0, qber=0.0, abort=True)
+    return replace(_finish_report(scenario, role, empty, 0, 0, {}), abort_reason=reason)
 
 
 def _session_params_msg(scenario: Scenario) -> SessionParamsMsg:

@@ -241,9 +241,11 @@ def _assert_matches_reference(tags, period, gate_width_ps, block_count=20, **kwa
     clock to the same fixed point within ~3e-5 ps.
     """
     tau = tags.time_ps - tags.time_ps[0].astype(np.float64)
-    d0 = reference_chain._acquire_drift(tau, period)
     if kwargs.get("known_drift_ppm") is None:
+        d0 = reference_chain._acquire_drift(tau, period)
         assert abs(_acquire_drift(tau, period) - d0) <= 1e-12
+    else:
+        d0 = kwargs["known_drift_ppm"] * 1e-6
     u = tau / (1.0 + d0)
     slope, a = _block_regression(u.copy(), period, block_count)
     ref_slope, ref_a = reference_chain._block_regression(u, period, block_count)
