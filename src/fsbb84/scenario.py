@@ -170,7 +170,9 @@ def load_scenario(path, seed: Optional[int] = None) -> Scenario:
     except json.JSONDecodeError as e:
         raise ConfigError(f"not valid JSON: {e}", str(p)) from None
     scenario = scenario_from_dict(doc, name_hint=p.stem)
-    return scenario if seed is None else scenario.with_seed(seed)
+    if seed is not None:
+        scenario = scenario.with_seed(seed)
+    return scenario
 
 
 BUNDLED_NAMES = (
@@ -190,4 +192,6 @@ def bundled_scenario_text(name: str) -> str:
 
 def bundled_scenario(name: str, seed: Optional[int] = None) -> Scenario:
     scenario = scenario_from_dict(json.loads(bundled_scenario_text(name)), name_hint=name)
-    return scenario if seed is None else scenario.with_seed(seed)
+    if seed is not None:
+        scenario = scenario.with_seed(seed)
+    return scenario

@@ -121,9 +121,11 @@ def fold_histogram(times_ps: np.ndarray, period_ps: float, n_bins: int) -> np.nd
 
 def export_histogram_csv(counts: np.ndarray, period_ps: float, path) -> None:
     """Write the folded histogram as (bin_start_ps, count) CSV rows."""
-    starts = np.arange(len(counts)) * period_ps / len(counts)
-    np.savetxt(path, np.column_stack([starts, counts]), fmt=("%.3f", "%d"), delimiter=",",
-               header="bin_start_ps,count", comments="")
+    n = len(counts)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("bin_start_ps,count\n")
+        for i, c in enumerate(counts):
+            f.write(f"{i * period_ps / n:.3f},{int(c)}\n")
 
 
 def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:

@@ -12,8 +12,9 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import BUNDLED_NAMES, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (DRIFT_GUARD_PPM, ClockModel, TrueClock, _acquire_drift,
-                         _block_regression, assign_and_gate, fold_histogram, recover_clock)
+from fsbb84.sync import (DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel, TrueClock,
+                         _acquire_drift, _block_regression, assign_and_gate, fold_histogram,
+                         recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0
@@ -278,6 +279,14 @@ def test_recover_clock_matches_reference_on_bundled_streams(name):
 def test_recover_clock_matches_reference_on_synthetic_streams(n_pulses, p_click, drift_ppm,
                                                               bg_cps, seed):
     tags = _synthetic_stream(n_pulses, p_click, 2_468.0, drift_ppm, bg_cps, 171.0, seed=seed)
+    _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
+
+
+def test_recover_clock_matches_reference_past_refit_stride():
+    # A dense_short_link-sized stream (~2e5 tags): over 2 * REFIT_MAX_TAGS
+    # signal tags lie near the peak, so the refit keeps every third or so.
+    tags = _synthetic_stream(2_000_000, 0.1, 2_468.0, 60.0, 1e6, 171.0, seed=17)
+    assert np.count_nonzero(tags.truth_pulse_index >= 0) > 2 * REFIT_MAX_TAGS
     _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
 
 

@@ -1,16 +1,19 @@
-"""Compare two checkouts on the session benchmark and write a BENCH file.
+"""Compare a parent checkout with this one on the session benchmark; write a BENCH file.
 
-Runs ``perfbench/run.py`` of a parent checkout and of a changed one in
-alternating pairs (the parent first in even pairs, the change first in odd
-ones, workloads interleaved within a pair), one traced run per side and
-workload, and the bundled 10 s ``table2_beam_expanders`` run stage by
-stage in fresh processes. Run from the repository root::
+Runs ``perfbench/run.py`` of the parent and of this repository in
+alternating pairs (the parent first in even pairs, this tree first in odd
+ones, workloads interleaved within a pair); the peak RSS of a fixed number
+of sessions per workload in fresh processes, in the same alternating pairs;
+one traced run per side and workload; and the bundled 10 s
+``table2_beam_expanders`` run stage by stage in fresh processes::
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_8.json
+    python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_8.json
 
-Each side is imported from its own ``src``; the JSON records the machine,
-numpy and pulse counts with the medians and quartiles of every end-to-end
-metric and the count of pairs the change won.
+Pair i runs with ``--seed`` + i; pick seeds no earlier BENCH file used, so
+no run was seen while writing the change. Each side is imported from its
+own ``src``; the JSON records the machine, numpy and pulse counts with the
+medians and quartiles of every end-to-end metric and the count of pairs
+the change won.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SECONDS = 8.0  # --seconds of each perfbench run
+TRACE_SEED = 5
+STAGE_RUNS = 3  # 10 s processes per side
+# perfbench's peak_rss_mb is the high-water mark of a fixed-length run, and a
+# process's RSS creeps up with the sessions it has run, so a faster side reads
+# higher; these runs hold the session count fixed instead.
+FIXED_SESSIONS = 24
 WORKLOADS = ("daylight_780m", "retro_beacon_weak_v", "dense_short_link")
 END_TO_END = ("setup_s", "session_s", "peak_rss_mb")
 TRACED = ("sync.recover_s", "sync.gate_s", "sync.ns_per_tag", "simulate.quantum_s",
@@ -63,18 +75,39 @@ print(json.dumps({"calls": out, "n_pulses": sc.n_pulses,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+# FIXED_SESSIONS sessions of one workload as perfbench runs them, untimed.
+_FIXED_RSS = """
+import gc, resource, sys
+import workloads
+from fsbb84 import analysis, runner
+name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+for i in range(n):
+    gc.collect()
+    sc = workloads.build(name, seed, i)
+    analysis.predict(sc)
+    runner.run_in_process(sc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 
 def _env(root: Path) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
     return env
 
 
-def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True, timeout=900, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _fixed_rss(root: Path, workload: str, seed: int) -> float:
+    proc = subprocess.run([sys.executable, "-c", _FIXED_RSS, workload, str(seed),
+                           str(FIXED_SESSIONS)], env=_env(root), capture_output=True,
+                          text=True, timeout=900, check=True)
+    return float(proc.stdout)
 
 
 def _quartiles(values: list) -> dict:
@@ -105,27 +138,30 @@ def _machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8.0, help="--seconds of each run")
-    ap.add_argument("--seed", type=int, default=301, help="seed of pair 0; pair i uses seed + i")
-    ap.add_argument("--trace-seed", type=int, default=5)
-    ap.add_argument("--stage-runs", type=int, default=3, help="10 s processes per side")
+    ap.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i uses seed + i")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    sys.path.insert(0, str(sides["change"] / "perfbench"))
-    sys.path.insert(0, str(sides["change"] / "src"))
+    sides = {"parent": args.parent.resolve(), "change": REPO}
+    sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, str(REPO / "src"))
     import workloads
 
     runs = {w: {s: [] for s in sides} for w in WORKLOADS}
-    for i in range(args.pairs):
+    rss = {w: {s: [] for s in sides} for w in WORKLOADS}
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in WORKLOADS:
             for side in order:
-                runs[w][side].append(_perfbench(sides[side], w, args.seed + i, args.seconds, 0))
+                runs[w][side].append(_perfbench(sides[side], w, args.seed + i, 0))
                 m = runs[w][side][-1]["metrics"]
                 print(f"pair {i} {w} {side}: session_s {m['session_s']['value']:.4f}", flush=True)
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in WORKLOADS:
+            for side in order:
+                rss[w][side].append(_fixed_rss(sides[side], w, args.seed + i))
+                print(f"pair {i} {w} {side}: {FIXED_SESSIONS}-session peak_rss_mb "
+                      f"{rss[w][side][-1]:.2f}", flush=True)
 
     end_to_end = {}
     for w in WORKLOADS:
@@ -134,16 +170,17 @@ def main(argv=None) -> int:
             rec[k] = _compare(*([r["metrics"][k]["value"] for r in runs[w][s]] for s in sides))
         rec["sessions"] = {f"{s}_{k}": sum(r[k] for r in runs[w][s])
                            for s in sides for k in ("attempted", "failed")}
+        rec[f"peak_rss_mb_{FIXED_SESSIONS}_sessions"] = _compare(*(rss[w][s] for s in sides))
         end_to_end[w] = rec
 
     traced = {s: {} for s in sides}
     for w in WORKLOADS:
         for s, root in sides.items():
-            m = _perfbench(root, w, args.trace_seed, args.seconds, 1)["metrics"]
+            m = _perfbench(root, w, TRACE_SEED, 1)["metrics"]
             traced[s][w] = {k: round(m[k]["value"], 6) for k in TRACED}
 
     stages = {s: [] for s in sides}
-    for i in range(args.stage_runs):
+    for i in range(STAGE_RUNS):
         for s in (sides if i % 2 == 0 else reversed(list(sides))):
             proc = subprocess.run([sys.executable, "-c", _STAGES], env=_env(sides[s]),
                                   capture_output=True, text=True, timeout=900, check=True)
@@ -153,21 +190,25 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "end_to_end": {
             "harness": f"python3 perfbench/run.py --workload W --seed {args.seed}+i "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {SECONDS:g} --trace 0",
             "order": "even pairs ran the parent first, odd pairs the change first; "
                      "workloads interleaved within each pair",
+            "fixed_sessions": f"peak_rss_mb_{FIXED_SESSIONS}_sessions: ru_maxrss of a fresh "
+                              f"process that builds, predicts and runs sessions 0-"
+                              f"{FIXED_SESSIONS - 1} of seed {args.seed}+i, untimed, in the "
+                              "same alternating pairs",
             "workloads": end_to_end,
         },
         "per_layer": {
-            "harness": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                       f"--seconds {args.seconds:g} --trace 1 (one run per side)",
+            "harness": f"python3 perfbench/run.py --workload W --seed {TRACE_SEED} "
+                       f"--seconds {SECONDS:g} --trace 1 (one run per side)",
             **traced,
         },
         "bundled_10s_run": {
             "scenario": "table2_beam_expanders",
             "n_pulses": stages["change"][0]["n_pulses"],
             "measure": "stage wall times of Bob's chain, then run_in_process; two calls per "
-                       f"process, {args.stage_runs} processes per side, alternating",
+                       f"process, {STAGE_RUNS} processes per side, alternating",
             **{s: stages[s] for s in sides},
         },
     }
