@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 = session completed (including QBER aborts, which are an
 outcome, not a failure); 2 = configuration error; 1 = infrastructure
-failure (transport, I/O, inconclusive session).
+failure (transport, I/O, clock recovery, inconclusive session).
 
 The default output directory comes from ``FSBB84_OUT_DIR`` (falling back
 to the working directory).
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, receiver, sync
-from .errors import ConfigError, InconclusiveSessionError, SessionFailedError
+from .errors import ConfigError, InconclusiveSessionError, SessionFailedError, SyncFailureError
 from .protocol.session import ROLE_ALICE, ROLE_BOB, run_session
 from .protocol.transport import connect, listen_accept
 from .runner import run_in_process
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SessionFailedError, InconclusiveSessionError) as e:
+    except (SessionFailedError, InconclusiveSessionError, SyncFailureError) as e:
         print(f"session failed: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -33,7 +33,7 @@ class SessionFailedError(RuntimeError):
     """Infrastructure failure (transport death, bad message flow) mid-session."""
 
     def __init__(self, message: str, phase: str = "unknown"):
-        self.phase = phase
+        self.message, self.phase = message, phase
         super().__init__(f"[phase={phase}] {message}")
 
 

@@ -9,8 +9,24 @@ Frame layout (all integers little-endian)::
     payload length bytes
     crc32   u32      IEEE CRC-32 over header + payload
 
-Index lists travel as u64 arrays below 2^63; bit sequences are packed
-LSB-first with zero padding bits.
+Payload layouts (``u64[n]`` is n indices below 2^63; ``bits[n]`` is n bits
+packed LSB-first into ceil(n/8) bytes with zero padding bits; a flag is a
+u8 that must be 0 or 1)::
+
+    type  message           payload
+    0x01  HELLO             session_id u64, role flag (0 alice, 1 bob), scenario_hash 32 bytes
+    0x02  SESSION_PARAMS    session_id u64, n_pulses u64, qber_abort_threshold f64,
+                            sample_fraction f64, benchmark_mode flag, sample_seed u64
+    0x10  DETECTION_REPORT  n u64, pulse_index u64[n], basis bits[n]
+    0x11  MATCH_MASK        n u64, mask bits[n]
+    0x20  SAMPLE_INDICES    n u64, positions u64[n]
+    0x21  SAMPLE_BITS       n u64, bits bits[n]
+    0x22  QBER_RESULT       disclosed_count u64, error_count u64, qber f64, abort flag
+    0x30  ABORT             reason, UTF-8 to the end of the payload
+    0x31  DONE              session_id u64
+
+Every payload but ABORT's has one exact size, given by its layout and,
+for the array messages, by the count n.
 Decoding never panics on hostile input: anything malformed raises
 :class:`CorruptFrameError`, a short buffer raises :class:`NeedMoreBytes`.
 """
@@ -19,7 +35,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -45,38 +61,101 @@ class MsgType(IntEnum):
     DONE = 0x31
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
+# Array field kinds, named by their annotation: u64 indices below 2^63 held
+# as int64, and LSB-first packed bits held as uint8.
+U64Array = BitArray = np.ndarray
+_ARRAY_DTYPES = {"U64Array": np.int64, "BitArray": np.uint8}
+_MESSAGE_CLASSES: dict = {}
 
 
-def _unpack_bits(buf: bytes, n: int) -> np.ndarray:
-    need = (n + 7) // 8
-    if len(buf) != need:
-        raise CorruptFrameError(f"bit payload length {len(buf)} != {need}")
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    if n % 8 and raw[-1] >> (n % 8):
-        raise CorruptFrameError("non-zero padding bits")
-    return np.unpackbits(raw, count=n, bitorder="little")
+def _message(cls):
+    """Make ``cls`` a frozen dataclass, note its field names (and array dtypes), register it.
+
+    Its ``vars()`` hold exactly its fields, in order, which the codecs read."""
+    arrays = issubclass(cls, _Arrays)
+    cls = dataclass(frozen=True, eq=not arrays)(cls)
+    cls._FIELDS = tuple(f.name for f in fields(cls))
+    if arrays:
+        cls._DTYPES = {f.name: _ARRAY_DTYPES[f.type] for f in fields(cls)}
+    _MESSAGE_CLASSES[cls.TYPE] = cls
+    return cls
 
 
-def _u64_array(buf: bytes) -> np.ndarray:
-    if len(buf) % 8:
-        raise CorruptFrameError("u64 array payload not a multiple of 8")
-    idx = np.frombuffer(buf, dtype="<i8").astype(np.int64)
-    if (idx < 0).any():
-        raise CorruptFrameError("u64 index >= 2^63")
-    return idx
+class _Fixed:
+    """A message of fixed-size fields, packed and unpacked by one struct ``LAYOUT``."""
+
+    FLAGS: dict = {}  # each 0/1 flag field -> the type it decodes as
+
+    def pack(self) -> bytes:
+        return self.LAYOUT.pack(*vars(self).values())
+
+    @classmethod
+    def unpack(cls, buf: bytes):
+        if len(buf) != cls.LAYOUT.size:
+            raise CorruptFrameError(f"bad {cls.TYPE.name} payload size {len(buf)}")
+        values = list(cls.LAYOUT.unpack(buf))
+        for name, kind in cls.FLAGS.items():
+            i = cls._FIELDS.index(name)
+            if values[i] not in (0, 1):
+                raise CorruptFrameError(f"bad {name} flag {values[i]}")
+            values[i] = kind(values[i])
+        return cls(*values)
 
 
-def _take(buf: bytes, offset: int, n: int) -> tuple[bytes, int]:
-    if offset + n > len(buf):
-        raise CorruptFrameError("payload shorter than declared fields")
-    return buf[offset:offset + n], offset + n
+class _Arrays:
+    """A message of equal-length arrays behind one u64 count."""
+
+    def __post_init__(self):
+        fields = vars(self)  # written directly: the message is frozen
+        for name, dtype in self._DTYPES.items():
+            fields[name] = np.asarray(fields[name], dtype=dtype)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._FIELDS[0]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def pack(self) -> bytes:
+        n = len(self)
+        parts = [n.to_bytes(8, "little")]
+        for a, dtype in zip(vars(self).values(), self._DTYPES.values()):
+            if len(a) != n:
+                raise ValueError(f"{type(self).__name__} fields differ in length")
+            if dtype is np.int64:
+                parts.append(a.astype("<u8").tobytes())
+            else:
+                parts.append(np.packbits(a, bitorder="little").tobytes())
+        return b"".join(parts)
+
+    @classmethod
+    def unpack(cls, buf: bytes):
+        n = int.from_bytes(buf[:8], "little")  # a shorter payload fails the size check
+        sizes = [8 * n if dtype is np.int64 else (n + 7) // 8 for dtype in cls._DTYPES.values()]
+        if len(buf) != 8 + sum(sizes):
+            raise CorruptFrameError(f"bad {cls.TYPE.name} payload size {len(buf)} for {n} entries")
+        values, offset = [], 8
+        for dtype, size in zip(cls._DTYPES.values(), sizes):
+            if dtype is np.int64:
+                a = np.frombuffer(buf, "<u8", n, offset).astype(np.int64)
+                if (a < 0).any():
+                    raise CorruptFrameError("u64 index >= 2^63")
+            else:
+                raw = np.frombuffer(buf, np.uint8, size, offset)
+                if n % 8 and raw[-1] >> (n % 8):
+                    raise CorruptFrameError("non-zero padding bits")
+                a = np.unpackbits(raw, count=n, bitorder="little")
+            values.append(a)
+            offset += size
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class Hello:
+@_message
+class Hello(_Fixed):
     TYPE = MsgType.HELLO
+    LAYOUT = struct.Struct("<QB32s")
+    FLAGS = {"role": int}
     session_id: int
     role: int  # 0 = alice, 1 = bob
     scenario_hash: bytes  # 32 bytes, sha-256 of the canonical scenario
@@ -84,21 +163,14 @@ class Hello:
     def pack(self) -> bytes:
         if len(self.scenario_hash) != 32:
             raise ValueError("scenario_hash must be 32 bytes")
-        return struct.pack("<QB", self.session_id, self.role) + self.scenario_hash
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "Hello":
-        if len(buf) != 8 + 1 + 32:
-            raise CorruptFrameError("bad HELLO payload size")
-        sid, role = struct.unpack_from("<QB", buf)
-        if role not in (0, 1):
-            raise CorruptFrameError(f"bad role {role}")
-        return cls(session_id=sid, role=role, scenario_hash=buf[9:])
+        return super().pack()
 
 
-@dataclass(frozen=True)
-class SessionParamsMsg:
+@_message
+class SessionParamsMsg(_Fixed):
     TYPE = MsgType.SESSION_PARAMS
+    LAYOUT = struct.Struct("<QQddBQ")
+    FLAGS = {"benchmark_mode": bool}
     session_id: int
     n_pulses: int
     qber_abort_threshold: float
@@ -106,167 +178,52 @@ class SessionParamsMsg:
     benchmark_mode: bool
     sample_seed: int
 
-    def pack(self) -> bytes:
-        return struct.pack("<QQddBQ", self.session_id, self.n_pulses,
-                           self.qber_abort_threshold, self.sample_fraction,
-                           int(self.benchmark_mode), self.sample_seed)
 
-    @classmethod
-    def unpack(cls, buf: bytes) -> "SessionParamsMsg":
-        try:
-            sid, n, thr, frac, bench, seed = struct.unpack("<QQddBQ", buf)
-        except struct.error as e:
-            raise CorruptFrameError(f"bad SESSION_PARAMS payload: {e}") from None
-        if bench not in (0, 1):
-            raise CorruptFrameError("bad benchmark flag")
-        return cls(session_id=sid, n_pulses=n, qber_abort_threshold=thr,
-                   sample_fraction=frac, benchmark_mode=bool(bench), sample_seed=seed)
-
-
-@dataclass(frozen=True)
-class DetectionReport:
+@_message
+class DetectionReport(_Arrays):
     """Bob's detections: pulse index and measurement basis, never the bit."""
 
     TYPE = MsgType.DETECTION_REPORT
-    pulse_index: np.ndarray  # int64, strictly increasing
-    basis: np.ndarray  # uint8, one bit per entry
-
-    def __post_init__(self):
-        object.__setattr__(self, "pulse_index", np.asarray(self.pulse_index, dtype=np.int64))
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=np.uint8))
-
-    def __len__(self) -> int:
-        return len(self.pulse_index)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DetectionReport)
-                and np.array_equal(self.pulse_index, other.pulse_index)
-                and np.array_equal(self.basis, other.basis))
-
-    def pack(self) -> bytes:
-        n = len(self.pulse_index)
-        return (struct.pack("<Q", n)
-                + self.pulse_index.astype("<u8").tobytes()
-                + _pack_bits(self.basis))
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "DetectionReport":
-        head, off = _take(buf, 0, 8)
-        (n,) = struct.unpack("<Q", head)
-        if n > MAX_PAYLOAD // 8:
-            raise CorruptFrameError("report length field too large")
-        idx_raw, off = _take(buf, off, 8 * n)
-        bits_raw = buf[off:]
-        return cls(pulse_index=_u64_array(idx_raw), basis=_unpack_bits(bits_raw, n))
+    pulse_index: U64Array  # strictly increasing
+    basis: BitArray  # one bit per entry
 
 
-@dataclass(frozen=True)
-class MatchMask:
+@_message
+class MatchMask(_Arrays):
     """Alice's keep/drop decision per report entry (basis match)."""
 
     TYPE = MsgType.MATCH_MASK
-    mask: np.ndarray  # uint8/bool, aligned with the report order
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=np.uint8))
-
-    def __len__(self) -> int:
-        return len(self.mask)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatchMask) and np.array_equal(self.mask, other.mask)
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", len(self.mask)) + _pack_bits(self.mask)
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "MatchMask":
-        head, off = _take(buf, 0, 8)
-        (n,) = struct.unpack("<Q", head)
-        if n > MAX_PAYLOAD * 8:
-            raise CorruptFrameError("mask length field too large")
-        return cls(mask=_unpack_bits(buf[off:], n))
+    mask: BitArray  # aligned with the report order
 
 
-@dataclass(frozen=True)
-class SampleIndices:
+@_message
+class SampleIndices(_Arrays):
     """Positions (into the sifted key) Bob discloses for QBER estimation."""
 
     TYPE = MsgType.SAMPLE_INDICES
-    positions: np.ndarray  # int64, strictly increasing
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SampleIndices) and np.array_equal(self.positions, other.positions)
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", len(self.positions)) + self.positions.astype("<u8").tobytes()
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "SampleIndices":
-        head, off = _take(buf, 0, 8)
-        (n,) = struct.unpack("<Q", head)
-        raw, off = _take(buf, off, 8 * n)
-        if off != len(buf):
-            raise CorruptFrameError("trailing bytes after SAMPLE_INDICES")
-        return cls(positions=_u64_array(raw))
+    positions: U64Array  # strictly increasing
 
 
-@dataclass(frozen=True)
-class SampleBits:
+@_message
+class SampleBits(_Arrays):
     TYPE = MsgType.SAMPLE_BITS
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SampleBits) and np.array_equal(self.bits, other.bits)
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", len(self.bits)) + _pack_bits(self.bits)
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "SampleBits":
-        head, off = _take(buf, 0, 8)
-        (n,) = struct.unpack("<Q", head)
-        if n > MAX_PAYLOAD * 8:
-            raise CorruptFrameError("bits length field too large")
-        return cls(bits=_unpack_bits(buf[off:], n))
+    bits: BitArray
 
 
-@dataclass(frozen=True)
-class QberResult:
+@_message
+class QberResult(_Fixed):
+    """Alice's QBER over Bob's sample, and whether it exceeds the abort threshold."""
+
     TYPE = MsgType.QBER_RESULT
+    LAYOUT = struct.Struct("<QQdB")
+    FLAGS = {"abort": bool}
     disclosed_count: int
     error_count: int
     qber: float
     abort: bool
 
-    def pack(self) -> bytes:
-        return struct.pack("<QQdB", self.disclosed_count, self.error_count,
-                           self.qber, int(self.abort))
 
-    @classmethod
-    def unpack(cls, buf: bytes) -> "QberResult":
-        try:
-            d, e, q, a = struct.unpack("<QQdB", buf)
-        except struct.error as exc:
-            raise CorruptFrameError(f"bad QBER_RESULT payload: {exc}") from None
-        if a not in (0, 1):
-            raise CorruptFrameError("bad abort flag")
-        return cls(disclosed_count=d, error_count=e, qber=q, abort=bool(a))
-
-
-@dataclass(frozen=True)
+@_message
 class Abort:
     TYPE = MsgType.ABORT
     reason: str
@@ -282,31 +239,11 @@ class Abort:
             raise CorruptFrameError(f"bad ABORT payload: {e}") from None
 
 
-@dataclass(frozen=True)
-class Done:
+@_message
+class Done(_Fixed):
     TYPE = MsgType.DONE
+    LAYOUT = struct.Struct("<Q")
     session_id: int
-
-    def pack(self) -> bytes:
-        return struct.pack("<Q", self.session_id)
-
-    @classmethod
-    def unpack(cls, buf: bytes) -> "Done":
-        try:
-            (sid,) = struct.unpack("<Q", buf)
-        except struct.error as e:
-            raise CorruptFrameError(f"bad DONE payload: {e}") from None
-        return cls(session_id=sid)
-
-
-_MESSAGE_CLASSES = {
-    cls.TYPE: cls
-    for cls in (Hello, SessionParamsMsg, DetectionReport, MatchMask,
-                SampleIndices, SampleBits, QberResult, Abort, Done)
-}
-
-Message = (Hello | SessionParamsMsg | DetectionReport | MatchMask
-           | SampleIndices | SampleBits | QberResult | Abort | Done)
 
 
 def encode_frame(message) -> bytes:

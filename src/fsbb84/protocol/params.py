@@ -1,4 +1,4 @@
-"""Session-level protocol parameters and result records."""
+"""Session-level protocol parameters and the sifted key."""
 
 from __future__ import annotations
 
@@ -50,16 +50,13 @@ class SiftedKey:
         self.pulse_indices = np.asarray(self.pulse_indices, dtype=np.int64)
         if len(self.bits) != len(self.pulse_indices):
             raise ValueError("bits and pulse_indices must have equal length")
-        if len(self.pulse_indices) > 1 and np.any(np.diff(self.pulse_indices) <= 0):
+        if not strictly_increasing(self.pulse_indices):
             raise ValueError("pulse_indices must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class QberReport:
-    disclosed_count: int
-    error_count: int
-    qber: float
-    abort: bool
+def strictly_increasing(a: np.ndarray) -> bool:
+    """Whether every entry exceeds the one before it (neighbours compared, no diff array)."""
+    return bool(np.all(a[1:] > a[:-1]))

@@ -13,12 +13,14 @@ and both abort if it exceeds the threshold. In benchmark mode the whole
 sifted key is disclosed, which reproduces the reference measurements'
 bookkeeping (sifted rate counts all basis-matched bits).
 
-A handshake mismatch (session id or scenario hash) ends the session in an
-abort state, and so does a peer message that breaks session semantics: a
-malformed report or sample for Alice, a QBER_RESULT that does not follow
-from Bob's sample for Bob, a DONE for another session for either
-(``protocol-violation``). Only transport death or malformed flow raise
-:class:`SessionFailedError`.
+:func:`run_session` alone sends the ABORT and builds the abort report of
+a handshake mismatch, a peer's ABORT (``peer-abort``), or a peer message
+that breaks session semantics (``protocol-violation``): a bad report or
+sample for Alice, a QBER_RESULT that does not follow from Bob's sample
+for Bob, a DONE for another session for either (Bob sends no ABORT after
+Alice's DONE, her last message). Transport death or malformed flow raise
+:class:`SessionFailedError`. Bob tells Alice with an ABORT, then raises,
+if his clock recovery fails or he sifts no bit.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..errors import (InconclusiveSessionError, ProtocolViolationError,
-                      SessionFailedError)
+                      SessionFailedError, SyncFailureError)
 from ..simulate import QuantumPhase, simulate_quantum_phase
 from ..source import SourceConfig, pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices, SessionParamsMsg)
-from .params import QberReport, SessionParams, SiftedKey
+from .params import SessionParams, SiftedKey, strictly_increasing
 
 if TYPE_CHECKING:
     from ..scenario import Scenario
@@ -57,7 +59,7 @@ def bob_detection_report(pulse_index: np.ndarray, detector: np.ndarray) -> Detec
     det = np.asarray(detector, dtype=np.uint8)
     order = np.argsort(idx, kind="stable")
     idx, det = idx[order], det[order]
-    if len(idx) > 1 and np.any(np.diff(idx) == 0):
+    if not strictly_increasing(idx):
         raise ProtocolViolationError("detection report contains duplicate pulse indices")
     return DetectionReport(pulse_index=idx, basis=(det >> 1).astype(np.uint8))
 
@@ -75,13 +77,13 @@ def alice_match(source_config: SourceConfig, report: DetectionReport,
         if idx.min() < 0 or idx.max() >= n_pulses:
             raise ProtocolViolationError(
                 f"report index out of range (n_pulses={n_pulses})")
-        if len(idx) > 1 and np.any(np.diff(idx) <= 0):
+        if not strictly_increasing(idx):
             raise ProtocolViolationError("report indices must be strictly increasing")
     states = pulse_states(source_config, idx)
-    basis, bits = states >> 1, states & 1
-    keep = basis == report.basis
-    return (MatchMask(mask=keep.astype(np.uint8)),
-            SiftedKey(bits=bits[keep], pulse_indices=idx[keep]))
+    match = (states >> 1) == report.basis
+    keep = np.flatnonzero(match)
+    return (MatchMask(mask=match),
+            SiftedKey(bits=states.take(keep) & 1, pulse_indices=idx.take(keep)))
 
 
 def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) -> SiftedKey:
@@ -89,10 +91,9 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
     if len(mask) != len(report):
         raise ProtocolViolationError(
             f"mask length {len(mask)} != report length {len(report)}")
-    keep = mask.mask.astype(bool)
+    keep = np.flatnonzero(mask.mask)
     det = np.asarray(detectors, dtype=np.uint8)
-    return SiftedKey(bits=(det[keep] & 1).astype(np.uint8),
-                     pulse_indices=report.pulse_index[keep])
+    return SiftedKey(bits=det.take(keep) & 1, pulse_indices=report.pulse_index.take(keep))
 
 
 def sample_size(key_length: int, params: SessionParams) -> int:
@@ -113,7 +114,7 @@ def select_sample(key_length: int, params: SessionParams,
 
 
 def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: np.ndarray,
-                  params: SessionParams) -> QberReport:
+                  params: SessionParams) -> QberResult:
     """QBER over Bob's disclosed sample, after checking it is one Bob may send.
 
     The sample must hold exactly :func:`sample_size` distinct in-range
@@ -127,29 +128,27 @@ def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: n
             f"sample holds {len(positions)} positions, expected {expected}")
     if positions.min() < 0 or positions.max() >= len(alice_key):
         raise ProtocolViolationError("sample position out of range")
-    if np.any(np.diff(positions) <= 0):
+    if not strictly_increasing(positions):
         raise ProtocolViolationError("sample positions must be strictly increasing")
     errors = int(np.sum(alice_key.bits[positions] != disclosed_bits))
     return _qber_report(int(len(positions)), errors, params)
 
 
-def _qber_report(disclosed: int, errors: int, params: SessionParams) -> QberReport:
-    """The QBER report of ``errors`` among ``disclosed`` bits, and its abort rule."""
+def _qber_report(disclosed: int, errors: int, params: SessionParams) -> QberResult:
+    """The QBER record of ``errors`` among ``disclosed`` bits, and its abort rule."""
     qber = errors / disclosed
-    return QberReport(disclosed_count=disclosed, error_count=errors, qber=qber,
+    return QberResult(disclosed_count=disclosed, error_count=errors, qber=qber,
                       abort=qber > params.qber_abort_threshold)
 
 
 def _check_qber_result(result: QberResult, disclosed: int,
-                       params: SessionParams) -> QberReport:
+                       params: SessionParams) -> QberResult:
     """Alice's QBER_RESULT, if it is what her counting rule gives on Bob's sample."""
-    got = QberReport(disclosed_count=result.disclosed_count, error_count=result.error_count,
-                     qber=result.qber, abort=result.abort)
-    if not (0 <= got.error_count <= disclosed
-            and got == _qber_report(disclosed, got.error_count, params)):
-        raise ProtocolViolationError(f"QBER_RESULT {got} does not follow from "
+    if not (0 <= result.error_count <= disclosed
+            and result == _qber_report(disclosed, result.error_count, params)):
+        raise ProtocolViolationError(f"QBER_RESULT {result} does not follow from "
                                      f"{disclosed} disclosed bits")
-    return got
+    return result
 
 
 @dataclass
@@ -168,7 +167,7 @@ class SessionReport:
     sifted_key_length: int
     sifted_key_rate_bps: float
     remaining_key_length: int
-    qber: QberReport
+    qber: QberResult
     counts: dict = field(default_factory=dict)
     loss_accounting: dict = field(default_factory=dict)
 
@@ -188,7 +187,7 @@ def _loss_accounting(scenario: Scenario) -> dict:
 
 
 def _abort_report(scenario: Scenario, role: str, reason: str) -> SessionReport:
-    empty = QberReport(disclosed_count=0, error_count=0, qber=0.0, abort=True)
+    empty = QberResult(disclosed_count=0, error_count=0, qber=0.0, abort=True)
     return replace(_finish_report(scenario, role, empty, 0, 0, {}), abort_reason=reason)
 
 
@@ -204,19 +203,20 @@ def _session_params_msg(scenario: Scenario) -> SessionParamsMsg:
     )
 
 
-def _expect(message, expected_type, phase: str):
-    if isinstance(message, Abort):
-        raise _PeerAborted(message.reason)
-    if not isinstance(message, expected_type):
-        raise SessionFailedError(
-            f"expected {expected_type.__name__}, got {type(message).__name__}", phase=phase)
-    return message
+class _Abort(Exception):
+    """Ends the session in an abort report; ``notice`` is the ABORT text for the peer."""
 
-
-class _PeerAborted(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    def __init__(self, reason: str, notice: Optional[str] = None):
         super().__init__(reason)
+        self.reason, self.notice = reason, notice
+
+
+def _expect(message, expected_type):
+    if isinstance(message, Abort):
+        raise _Abort(f"peer-abort: {message.reason}")
+    if not isinstance(message, expected_type):
+        raise SessionFailedError(f"expected {expected_type.__name__}, got {type(message).__name__}")
+    return message
 
 
 def run_session(role: str, transport, scenario: Scenario,
@@ -231,45 +231,49 @@ def run_session(role: str, transport, scenario: Scenario,
         raise ValueError(f"role must be '{ROLE_ALICE}' or '{ROLE_BOB}'")
     phase_box = ["handshake"]
     try:
-        # --- HELLO exchange -------------------------------------------------
-        transport.send_message(Hello(session_id=scenario.protocol.session_id,
-                                     role=_ROLE_CODE[role],
-                                     scenario_hash=scenario.hash_bytes()))
-        peer = _expect(transport.recv_message(), Hello, phase_box[0])
-        if peer.role == _ROLE_CODE[role]:
-            transport.send_message(Abort(reason="both parties claim the same role"))
-            return _abort_report(scenario, role, "role-conflict")
-        if peer.session_id != scenario.protocol.session_id:
-            transport.send_message(Abort(reason="session id mismatch"))
-            return _abort_report(scenario, role, "session-id-mismatch")
-        if peer.scenario_hash != scenario.hash_bytes():
-            transport.send_message(Abort(reason="scenario hash mismatch"))
-            return _abort_report(scenario, role, "parameter-mismatch")
-
-        # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -------------
-        phase_box[0] = "params"
-        local_params = _session_params_msg(scenario)
-        if role == ROLE_ALICE:
-            transport.send_message(local_params)
-        else:
-            got = _expect(transport.recv_message(), SessionParamsMsg, phase_box[0])
-            if got != local_params:
-                transport.send_message(Abort(reason="session parameter mismatch"))
-                return _abort_report(scenario, role, "parameter-mismatch")
-
-        if role == ROLE_BOB:
-            return _run_bob(transport, scenario, replay_tags, quantum, phase_box)
-        return _run_alice(transport, scenario, phase_box)
-
-    except _PeerAborted as e:
-        return _abort_report(scenario, role, f"peer-abort: {e.reason}")
+        try:
+            return _run_role(role, transport, scenario, replay_tags, quantum, phase_box)
+        except ProtocolViolationError as e:
+            end = _Abort(f"protocol-violation: {e}", str(e))
+        except _Abort as e:
+            end = e
+        except SyncFailureError as e:  # Alice waits for a report Bob cannot make
+            transport.send_message(Abort(reason=f"clock recovery failed: {e}"))
+            raise
+        if end.notice is not None:
+            transport.send_message(Abort(reason=end.notice))
+        return _abort_report(scenario, role, end.reason)
     except SessionFailedError as e:
         if e.phase == "unknown":
-            raise SessionFailedError(str(e), phase=phase_box[0]) from e
+            raise SessionFailedError(e.message, phase=phase_box[0]) from e
         raise
 
 
-def _finish_report(scenario: Scenario, role: str, qber: QberReport, sifted_len: int,
+def _run_role(role: str, transport, scenario: Scenario, replay_tags, quantum,
+              phase_box) -> SessionReport:
+    # --- HELLO exchange -----------------------------------------------------
+    transport.send_message(Hello(session_id=scenario.protocol.session_id,
+                                 role=_ROLE_CODE[role], scenario_hash=scenario.hash_bytes()))
+    peer = _expect(transport.recv_message(), Hello)
+    if peer.role == _ROLE_CODE[role]:
+        raise _Abort("role-conflict", "both parties claim the same role")
+    if peer.session_id != scenario.protocol.session_id:
+        raise _Abort("session-id-mismatch", "session id mismatch")
+    if peer.scenario_hash != scenario.hash_bytes():
+        raise _Abort("parameter-mismatch", "scenario hash mismatch")
+
+    # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -----------------
+    phase_box[0] = "params"
+    local_params = _session_params_msg(scenario)
+    if role == ROLE_ALICE:
+        transport.send_message(local_params)
+        return _run_alice(transport, scenario, phase_box)
+    if _expect(transport.recv_message(), SessionParamsMsg) != local_params:
+        raise _Abort("parameter-mismatch", "session parameter mismatch")
+    return _run_bob(transport, scenario, replay_tags, quantum, phase_box)
+
+
+def _finish_report(scenario: Scenario, role: str, qber: QberResult, sifted_len: int,
                    remaining_len: int, counts: dict) -> SessionReport:
     duration = scenario.simulated_duration_s
     return SessionReport(
@@ -302,7 +306,7 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
     transport.send_message(report)
 
     phase_box[0] = "sift"
-    mask = _expect(transport.recv_message(), MatchMask, phase_box[0])
+    mask = _expect(transport.recv_message(), MatchMask)
     key = bob_sift(report, quantum.classified_detector, mask)
 
     phase_box[0] = "qber"
@@ -314,20 +318,15 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
     transport.send_message(SampleIndices(positions=positions))
     transport.send_message(SampleBits(bits=key.bits[positions]))
 
-    result = _expect(transport.recv_message(), QberResult, phase_box[0])
-    try:
-        qber = _check_qber_result(result, len(positions), scenario.protocol)
-    except ProtocolViolationError as e:
-        transport.send_message(Abort(reason=str(e)))
-        return _abort_report(scenario, ROLE_BOB, f"protocol-violation: {e}")
+    result = _expect(transport.recv_message(), QberResult)
+    qber = _check_qber_result(result, len(positions), scenario.protocol)
 
     phase_box[0] = "done"
     transport.send_message(Done(session_id=scenario.protocol.session_id))
-    done = _expect(transport.recv_message(), Done, phase_box[0])
+    done = _expect(transport.recv_message(), Done)
     if done.session_id != scenario.protocol.session_id:
         # Alice's DONE is her last message: nothing more goes on the wire.
-        return _abort_report(scenario, ROLE_BOB,
-                             f"protocol-violation: DONE for session {done.session_id}")
+        raise _Abort(f"protocol-violation: DONE for session {done.session_id}")
 
     remaining = len(key) - len(positions)
     return _finish_report(scenario, ROLE_BOB, qber, len(key), remaining, quantum.counts())
@@ -335,12 +334,8 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
 
 def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
     phase_box[0] = "report"
-    report = _expect(transport.recv_message(), DetectionReport, phase_box[0])
-    try:
-        mask, key = alice_match(scenario.source, report, scenario.n_pulses)
-    except ProtocolViolationError as e:
-        transport.send_message(Abort(reason=str(e)))
-        return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {e}")
+    report = _expect(transport.recv_message(), DetectionReport)
+    mask, key = alice_match(scenario.source, report, scenario.n_pulses)
     transport.send_message(mask)
 
     phase_box[0] = "qber"
@@ -348,24 +343,16 @@ def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
         msg = transport.recv_message()
         if isinstance(msg, Abort):
             raise InconclusiveSessionError("no sifted bits to estimate QBER from")
-        raise SessionFailedError("expected abort on empty key", phase=phase_box[0])
-    sample_idx = _expect(transport.recv_message(), SampleIndices, phase_box[0])
-    sample_bits = _expect(transport.recv_message(), SampleBits, phase_box[0])
-    try:
-        qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)
-    except ProtocolViolationError as e:
-        transport.send_message(Abort(reason=str(e)))
-        return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {e}")
-    transport.send_message(QberResult(disclosed_count=qber.disclosed_count,
-                                      error_count=qber.error_count,
-                                      qber=qber.qber, abort=qber.abort))
+        raise SessionFailedError("expected abort on empty key")
+    sample_idx = _expect(transport.recv_message(), SampleIndices)
+    sample_bits = _expect(transport.recv_message(), SampleBits)
+    qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)
+    transport.send_message(qber)
 
     phase_box[0] = "done"
-    done = _expect(transport.recv_message(), Done, phase_box[0])
+    done = _expect(transport.recv_message(), Done)
     if done.session_id != scenario.protocol.session_id:
-        reason = f"DONE for session {done.session_id}"
-        transport.send_message(Abort(reason=reason))
-        return _abort_report(scenario, ROLE_ALICE, f"protocol-violation: {reason}")
+        raise ProtocolViolationError(f"DONE for session {done.session_id}")
     transport.send_message(Done(session_id=scenario.protocol.session_id))
 
     remaining = len(key) - qber.disclosed_count

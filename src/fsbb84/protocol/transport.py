@@ -7,6 +7,7 @@ sessions exercise the identical read/write path as TCP sessions.
 from __future__ import annotations
 
 import socket
+import time
 
 from ..errors import NeedMoreBytes, SessionFailedError
 from .framing import decode_frame, encode_frame
@@ -66,18 +67,14 @@ def loopback_pair(timeout_s: float = 30.0) -> tuple[StreamTransport, StreamTrans
 def connect(host: str, port: int, timeout_s: float = 30.0,
             retry_for_s: float = 5.0) -> StreamTransport:
     """Dial a listening party, retrying briefly while it comes up."""
-    import time
-
     deadline = time.monotonic() + retry_for_s
-    last: Exception | None = None
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=timeout_s)
             return StreamTransport(sock, timeout_s)
         except OSError as e:
-            last = e
             if time.monotonic() >= deadline:
-                raise SessionFailedError(f"connect to {host}:{port} failed: {last}",
+                raise SessionFailedError(f"connect to {host}:{port} failed: {e}",
                                          phase="connect") from e
             time.sleep(0.05)
 

@@ -239,6 +239,14 @@ def test_party_rejects_unsorted_replay_before_listening(tmp_path, scenario_file,
     assert "config error" in err and str(shuffled_p) in err and "time_ps below" in err
 
 
+def test_run_reports_clock_recovery_failure(tmp_path, capsys):
+    # 0.02 s of this link gives a few hundred tags, below clock recovery's floor
+    rc = main(["run", "--scenario", "table1_run2_retro", "--duration", "0.02",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "session failed: need >= 1000 tags for clock recovery" in capsys.readouterr().err
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "fsbb84.cli", "--help"],
                           capture_output=True, text=True)

@@ -157,6 +157,47 @@ def _assert_rejected(cls, payload: bytes):
         decode_frame(_frame(cls.TYPE, payload))
 
 
+# One fixed instance of each message type and its frame, byte for byte.
+_GOLDEN = [
+    (Hello(session_id=0x0102030405060708, role=1, scenario_hash=bytes(range(32))),
+     "514b4431010129000000080706050403020101000102030405060708090a0b0c0d0e0f10111213141516"
+     "1718191a1b1c1d1e1f2aecdc12"),
+    (SessionParamsMsg(session_id=7, n_pulses=20_000_000, qber_abort_threshold=0.1,
+                      sample_fraction=0.07, benchmark_mode=True, sample_seed=2**63 + 5),
+     "514b44310102290000000700000000000000002d3101000000009a9999999999b93fec51b81e85ebb13f01"
+     "0500000000000080128d3912"),
+    (DetectionReport(pulse_index=[3, 7, 2**63 - 1], basis=[1, 0, 1]),
+     "514b4431011021000000030000000000000003000000000000000700000000000000ffffffffffffff7f05"
+     "634500f8"),
+    (MatchMask(mask=[1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]),
+     "514b443101110a0000000b000000000000004d07ef4b97f5"),
+    (SampleIndices(positions=[0, 5, 2**40]),
+     "514b443101202000000003000000000000000000000000000000050000000000000000000000000100"
+     "00852e1729"),
+    (SampleBits(bits=[0, 1, 1, 0, 1]), "514b4431012109000000050000000000000016e2b382b5"),
+    (QberResult(disclosed_count=100, error_count=3, qber=0.03, abort=False),
+     "514b443101221900000064000000000000000300000000000000b81e85eb51b89e3f00b5ad0384"),
+    (Abort(reason="QBER_RESULT d\u00e9j\u00e0 vu"),
+     "514b4431013015000000514245525f524553554c542064c3a96ac3a0207675b5a84054"),
+    (Done(session_id=42), "514b44310131080000002a00000000000000c239e252"),
+]
+
+
+@pytest.mark.parametrize("msg, frame", _GOLDEN, ids=[type(m).__name__ for m, _ in _GOLDEN])
+def test_golden_frames_and_exact_payload_sizes(msg, frame):
+    assert encode_frame(msg).hex() == frame
+    assert decode_frame(bytes.fromhex(frame)) == (msg, len(frame) // 2)
+    if not isinstance(msg, Abort):  # every other payload has one exact size
+        _assert_rejected(type(msg), msg.pack()[:-1])
+        _assert_rejected(type(msg), msg.pack() + b"\0")
+
+
+def test_array_fields_of_unequal_length_do_not_encode():
+    # the peer would decode this report's basis as [0, 0, 0]
+    with pytest.raises(ValueError):
+        encode_frame(DetectionReport(pulse_index=[1, 2, 3], basis=[0]))
+
+
 def test_decoders_reject_non_canonical_encodings():
     # an index >= 2^63 would wrap negative as int64
     _assert_rejected(SampleIndices, struct.pack("<QQ", 1, 1 << 63))
@@ -167,6 +208,14 @@ def test_decoders_reject_non_canonical_encodings():
     _assert_rejected(DetectionReport, struct.pack("<QQB", 1, 5, 0b10))
     assert list(MatchMask.unpack(struct.pack("<QB", 3, 0b101)).mask) == [1, 0, 1]
     assert list(SampleIndices.unpack(struct.pack("<QQ", 1, (1 << 63) - 1)).positions) == [2**63 - 1]
+    for cls in (DetectionReport, MatchMask, SampleIndices, SampleBits):
+        _assert_rejected(cls, bytes(7))  # shorter than its count
+    # flags are 0 or 1, and decode as bool where the field is one
+    _assert_rejected(Hello, struct.pack("<QB", 1, 2) + bytes(32))
+    _assert_rejected(SessionParamsMsg, struct.pack("<QQddBQ", 1, 2, 0.1, 1.0, 2, 3))
+    _assert_rejected(QberResult, struct.pack("<QQdB", 4, 1, 0.25, 2))
+    assert SessionParamsMsg.unpack(struct.pack("<QQddBQ", 1, 2, 0.1, 1.0, 1, 3)).benchmark_mode is True
+    assert QberResult.unpack(struct.pack("<QQdB", 4, 1, 0.25, 0)).abort is False
 
 
 _INDICES = st.lists(st.integers(0, 2**63 - 1), max_size=40, unique=True).map(sorted)

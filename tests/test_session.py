@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import make_fast_scenario
-from fsbb84.errors import SessionFailedError
-from fsbb84.protocol import (DetectionReport, Done, Hello, MsgType, SampleBits,
-                             SampleIndices, run_session)
+from fsbb84.errors import SessionFailedError, SyncFailureError
+from fsbb84.protocol import (DetectionReport, Done, Hello, MatchMask, MsgType,
+                             QberResult, SampleBits, SampleIndices, run_session)
 from fsbb84.protocol import session
 from fsbb84.protocol.framing import decode_frame, encode_frame
-from fsbb84.protocol.params import QberReport
 from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)
+from fsbb84.receiver import TimeTags
 from fsbb84 import runner
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
@@ -92,6 +92,26 @@ def test_transport_death_mid_session(fast_scenario):
     with pytest.raises(SessionFailedError) as err:
         run_session(ROLE_BOB, t_bob, fast_scenario)
     assert err.value.phase in ("handshake", "params")
+    assert str(err.value).count("[phase=") == 1  # the phase is named once
+
+
+def test_clock_recovery_failure_is_told_to_alice(fast_scenario):
+    # 500 replayed tags are below clock recovery's floor: Bob cannot report
+    tags = simulate_quantum_phase(fast_scenario).tags
+    short = TimeTags(detector=tags.detector[:500], time_ps=tags.time_ps[:500])
+    t_alice, t_bob = loopback_pair(10.0)
+    out = {}
+    th = threading.Thread(
+        target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, fast_scenario)))
+    th.start()
+    with pytest.raises(SyncFailureError):
+        run_session(ROLE_BOB, t_bob, fast_scenario, replay_tags=short)
+    th.join(10.0)
+    t_alice.close()
+    t_bob.close()
+    alice = out["alice"]
+    assert alice.abort and alice.abort_reason.startswith(
+        "peer-abort: clock recovery failed: need >= 1000 tags")
 
 
 def test_qber_abort_recorded_as_completed_session():
@@ -110,7 +130,7 @@ _TRUE_COUNT_ERRORS = session._count_errors
 @pytest.mark.parametrize("forge", [
     # the case Bob used to record as given: the parties then disagreed on
     # remaining_key_length and nothing noticed
-    lambda rep: QberReport(disclosed_count=7, error_count=10**6, qber=-0.5, abort=False),
+    lambda rep: QberResult(disclosed_count=7, error_count=10**6, qber=-0.5, abort=False),
     lambda rep: dataclasses.replace(rep, disclosed_count=rep.disclosed_count + 1),
     lambda rep: dataclasses.replace(rep, error_count=rep.disclosed_count + 1),
     lambda rep: dataclasses.replace(rep, qber=rep.qber + 0.01),
@@ -152,6 +172,30 @@ def test_done_for_another_session_is_a_protocol_violation(fast_scenario, forger)
     assert checker.abort and checker.abort_reason == "protocol-violation: DONE for session 2"
     if forger == ROLE_BOB:  # Alice checks first and tells Bob
         assert forged.abort and forged.abort_reason.startswith("peer-abort: DONE")
+
+
+class _ShortMask(StreamTransport):
+    """Sends every MATCH_MASK one entry short."""
+
+    def send_message(self, message):
+        if isinstance(message, MatchMask):
+            message = MatchMask(mask=message.mask[:-1])
+        super().send_message(message)
+
+
+def test_short_match_mask_is_a_protocol_violation(fast_scenario):
+    a_sock, b_sock = socket.socketpair()
+    t_alice, t_bob = _ShortMask(a_sock, 10.0), StreamTransport(b_sock, 10.0)
+    out = {}
+    th = threading.Thread(
+        target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, fast_scenario)))
+    th.start()
+    bob = run_session(ROLE_BOB, t_bob, fast_scenario)
+    th.join(10.0)
+    t_alice.close()
+    t_bob.close()
+    assert bob.abort and bob.abort_reason.startswith("protocol-violation: mask length")
+    assert out["alice"].abort and out["alice"].abort_reason.startswith("peer-abort: mask length")
 
 
 def test_bob_messages_never_leak_bits(fast_scenario):
