@@ -61,12 +61,6 @@ def write_report_csv(doc: dict, path: Path) -> None:
             w.writerow([key, json.dumps(doc[key], sort_keys=True)])
 
 
-def read_report_csv(path: Path) -> dict:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    return {key: json.loads(value) for key, value in rows[1:]}
-
-
 def _write(doc: dict, out: Path, stem: str, fmt: str) -> None:
     if fmt == "json":
         write_report_json(doc, out / f"{stem}.json")

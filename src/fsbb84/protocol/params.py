@@ -40,23 +40,10 @@ class SessionParams:
 
 @dataclass
 class SiftedKey:
-    """Bits surviving basis reconciliation, with their pulse indices."""
+    """Bits surviving basis reconciliation, with their pulse indices (from a checked report)."""
 
     bits: np.ndarray  # uint8
     pulse_indices: np.ndarray  # int64, strictly increasing
 
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        self.pulse_indices = np.asarray(self.pulse_indices, dtype=np.int64)
-        if len(self.bits) != len(self.pulse_indices):
-            raise ValueError("bits and pulse_indices must have equal length")
-        if not strictly_increasing(self.pulse_indices):
-            raise ValueError("pulse_indices must be strictly increasing")
-
     def __len__(self) -> int:
         return len(self.bits)
-
-
-def strictly_increasing(a: np.ndarray) -> bool:
-    """Whether every entry exceeds the one before it (neighbours compared, no diff array)."""
-    return bool(np.all(a[1:] > a[:-1]))

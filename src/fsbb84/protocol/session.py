@@ -15,12 +15,12 @@ bookkeeping (sifted rate counts all basis-matched bits).
 
 :func:`run_session` alone sends the ABORT and builds the abort report of
 a handshake mismatch, a peer's ABORT (``peer-abort``), or a peer message
-that breaks session semantics (``protocol-violation``): a bad report or
-sample for Alice, a QBER_RESULT that does not follow from Bob's sample
-for Bob, a DONE for another session for either (Bob sends no ABORT after
-Alice's DONE, her last message). Transport death or malformed flow raise
-:class:`SessionFailedError`. Bob tells Alice with an ABORT, then raises,
-if his clock recovery fails or he sifts no bit.
+that breaks session semantics (``protocol-violation``): an undecodable
+frame or a DONE for another session for either, a bad report or sample
+for Alice, a QBER_RESULT that does not follow from Bob's sample for Bob
+(Bob sends no ABORT after Alice's DONE, her last message). Transport
+death or malformed flow raise :class:`SessionFailedError`. Bob tells Alice
+with an ABORT, then raises, if his clock recovery fails or he sifts no bit.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import (InconclusiveSessionError, ProtocolViolationError,
+from ..errors import (CorruptFrameError, InconclusiveSessionError, ProtocolViolationError,
                       SessionFailedError, SyncFailureError)
 from ..simulate import QuantumPhase, simulate_quantum_phase
 from ..source import SourceConfig, pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices, SessionParamsMsg)
-from .params import SessionParams, SiftedKey, strictly_increasing
+from .params import SessionParams, SiftedKey
 
 if TYPE_CHECKING:
     from ..scenario import Scenario
@@ -49,19 +49,18 @@ ROLE_BOB = "bob"
 _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
 
 
-def bob_detection_report(pulse_index: np.ndarray, detector: np.ndarray) -> DetectionReport:
-    """Build Bob's report: sorted pulse indices plus measurement bases.
+def strictly_increasing(a: np.ndarray) -> bool:
+    """Whether every entry exceeds the one before it (neighbours compared, no diff array)."""
+    return bool(np.all(a[1:] > a[:-1]))
 
-    Input must already be deduplicated (one detector per pulse, see
-    classify_clicks); the bit value (detector & 1) never leaves Bob.
+
+def bob_detection_report(pulse_index: np.ndarray, detector: np.ndarray) -> DetectionReport:
+    """Bob's report of :func:`fsbb84.receiver.classify_clicks`'s output, in its order.
+
+    That output is strictly increasing in pulse index, the report order
+    Alice checks on receipt; the bit (detector & 1) never leaves Bob.
     """
-    idx = np.asarray(pulse_index, dtype=np.int64)
-    det = np.asarray(detector, dtype=np.uint8)
-    order = np.argsort(idx, kind="stable")
-    idx, det = idx[order], det[order]
-    if not strictly_increasing(idx):
-        raise ProtocolViolationError("detection report contains duplicate pulse indices")
-    return DetectionReport(pulse_index=idx, basis=(det >> 1).astype(np.uint8))
+    return DetectionReport(pulse_index=pulse_index, basis=detector >> 1)
 
 
 def alice_match(source_config: SourceConfig, report: DetectionReport,
@@ -92,8 +91,7 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
         raise ProtocolViolationError(
             f"mask length {len(mask)} != report length {len(report)}")
     keep = np.flatnonzero(mask.mask)
-    det = np.asarray(detectors, dtype=np.uint8)
-    return SiftedKey(bits=det.take(keep) & 1, pulse_indices=report.pulse_index.take(keep))
+    return SiftedKey(bits=detectors.take(keep) & 1, pulse_indices=report.pulse_index.take(keep))
 
 
 def sample_size(key_length: int, params: SessionParams) -> int:
@@ -233,7 +231,7 @@ def run_session(role: str, transport, scenario: Scenario,
     try:
         try:
             return _run_role(role, transport, scenario, replay_tags, quantum, phase_box)
-        except ProtocolViolationError as e:
+        except (ProtocolViolationError, CorruptFrameError) as e:
             end = _Abort(f"protocol-violation: {e}", str(e))
         except _Abort as e:
             end = e
@@ -301,7 +299,6 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
         quantum = simulate_quantum_phase(scenario, replay_tags=replay_tags)
 
     phase_box[0] = "report"
-    # classified arrays are already index-sorted, exactly the report order
     report = bob_detection_report(quantum.classified_index, quantum.classified_detector)
     transport.send_message(report)
 

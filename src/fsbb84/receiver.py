@@ -196,34 +196,32 @@ def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
                     rng: np.random.Generator):
     """Resolve per-pulse click multiplicity.
 
-    Groups gate-accepted tags by assigned pulse. Pulses with one tag pass
-    through; multi-click pulses are either dropped (``discard``) or
-    resolved to a uniformly chosen detector among the distinct clicking
-    detectors (``random_bit``); :class:`ReceiverConfig` validates the
-    policy. Returns (pulse_index, detector, n_multi, n_discarded), sorted by
-    pulse index.
+    Groups gate-accepted tags by assigned pulse; ``pulse_index`` must be
+    non-decreasing, as :func:`fsbb84.sync.assign_and_gate` leaves it. Pulses
+    with one tag pass through; multi-click pulses are either dropped
+    (``discard``) or resolved to a uniformly chosen detector among the
+    distinct clicking detectors (``random_bit``); :class:`ReceiverConfig`
+    validates the policy. Returns (pulse_index, detector, n_multi,
+    n_discarded), strictly increasing in pulse index.
     """
     if len(pulse_index) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0)
 
-    order = np.argsort(pulse_index, kind="stable")
-    idx = np.asarray(pulse_index, dtype=np.int64)[order]
-    det = np.asarray(detector, dtype=np.uint8)[order]
-    first = np.empty(len(idx), dtype=bool)
+    first = np.empty(len(pulse_index), dtype=bool)
     first[0] = True
-    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    np.not_equal(pulse_index[1:], pulse_index[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    multi = np.diff(starts, append=len(idx)) > 1
+    multi = np.diff(starts, append=len(pulse_index)) > 1
     n_multi = int(np.count_nonzero(multi))
 
     if policy == DISCARD:
-        return idx[starts[~multi]], det[starts[~multi]], n_multi, n_multi
+        return pulse_index[starts[~multi]], detector[starts[~multi]], n_multi, n_multi
     # The distinct clicking detectors of each multi-click pulse as a 4-bit
     # mask; one draw per such pulse, in pulse order, picks a set bit.
-    mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), det), starts)[multi]
-    out = det[starts]
+    mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), detector), starts)[multi]
+    out = detector[starts]
     out[multi] = _NTH_SET[mask, rng.integers(0, _N_SET[mask])]
-    return idx[starts], out, n_multi, 0
+    return pulse_index[starts], out, n_multi, 0
 
 
 # ---------------------------------------------------------------------------

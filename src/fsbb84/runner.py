@@ -13,8 +13,8 @@ from .simulate import QuantumPhase, simulate_quantum_phase
 
 
 def run_in_process(scenario: Scenario, timeout_s: float = 600.0,
-                   quantum: Optional[QuantumPhase] = None,
-                   with_truth: bool = False) -> tuple[SessionReport, SessionReport, QuantumPhase]:
+                   quantum: Optional[QuantumPhase] = None
+                   ) -> tuple[SessionReport, SessionReport, QuantumPhase]:
     """Run a full session in one process.
 
     The quantum phase is simulated once and shared; the two protocol
@@ -22,7 +22,7 @@ def run_in_process(scenario: Scenario, timeout_s: float = 600.0,
     Returns (bob_report, alice_report, quantum_phase).
     """
     if quantum is None:
-        quantum = simulate_quantum_phase(scenario, with_truth=with_truth)
+        quantum = simulate_quantum_phase(scenario)
     t_alice, t_bob = loopback_pair(timeout_s)
 
     alice_out: list = [None]

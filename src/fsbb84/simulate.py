@@ -96,11 +96,11 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
 
     assignments = sync.assign_and_gate(tags, clock, scenario.sync.gate_width_ps)
 
-    # Bob only ever reports slots inside the agreed train.
-    in_range = assignments.pulse_index < n_pulses
+    # Bob only reports slots inside the agreed train: a prefix, as gating keeps order.
+    n_in = np.searchsorted(assignments.pulse_index, n_pulses)
     rng = spawn(rx.rng_seed, STREAM_PROTOCOL)
     idx, det, n_multi, n_discarded = receiver.classify_clicks(
-        assignments.pulse_index[in_range], assignments.detector[in_range],
+        assignments.pulse_index[:n_in], assignments.detector[:n_in],
         rx.double_click_policy, rng)
 
     return QuantumPhase(

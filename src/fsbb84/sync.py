@@ -300,7 +300,7 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: i
 
 @dataclass
 class Assignments:
-    """Gate-accepted tags mapped to pulse indices (order preserved)."""
+    """Gate-accepted tags mapped to pulse indices, in tag order (so by pulse)."""
 
     pulse_index: np.ndarray  # int64
     detector: np.ndarray  # uint8
@@ -317,7 +317,8 @@ def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignment
     Ties exactly between two slots go to the lower index. Tags mapping to
     negative slots are rejected. Scenarios keep the gate strictly inside one
     period (:class:`fsbb84.scenario.Scenario` checks it); a full-period gate
-    accepts every tag.
+    accepts every tag. Accepted tags keep the stream's order and each float
+    step from time to slot is monotone, so ``pulse_index`` is non-decreasing.
     """
     r = tags.time_ps.astype(np.float64)  # (t - offset) / rate, in place
     r -= clock.offset_ps

@@ -1,5 +1,6 @@
 """CLI: exit codes, report files, determinism, networked party mode."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -9,8 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import make_fast_scenario
-from fsbb84.cli import main, read_report_csv
+from fsbb84.cli import main
 from fsbb84.receiver import TimeTags, dump_tags, load_tags
+
+
+def read_report_csv(path):
+    """A report written by ``--format csv``: JSON-encoded values by key."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    return {key: json.loads(value) for key, value in rows[1:]}
 
 
 @pytest.fixture

@@ -254,14 +254,18 @@ def test_sequence_decoders_accept_only_canonical_payloads(msg, data):
 # --- sifting operations ----------------------------------------------------------
 
 def test_detection_report_sorted_and_bases():
-    rep = bob_detection_report(np.array([9, 3, 7]), np.array([0, 3, 2], dtype=np.uint8))
+    # classify_clicks hands Bob his pulses in increasing order: the report keeps it
+    rep = bob_detection_report(np.array([3, 7, 9]), np.array([3, 2, 0], dtype=np.uint8))
     assert list(rep.pulse_index) == [3, 7, 9]
     assert list(rep.basis) == [1, 1, 0]  # detectors A,D -> diag; H -> rect
 
 
 def test_detection_report_rejects_duplicates():
-    with pytest.raises(ProtocolViolationError):
-        bob_detection_report(np.array([3, 3]), np.array([0, 1], dtype=np.uint8))
+    # Alice refuses a report whose indices repeat or fall back
+    for idx in ([3, 3], [7, 3]):
+        rep = DetectionReport(pulse_index=np.array(idx), basis=np.zeros(2, dtype=np.uint8))
+        with pytest.raises(ProtocolViolationError, match="strictly increasing"):
+            alice_match(SourceConfig(rng_seed=8), rep, 100)
 
 
 def _basis_bit(cfg, n):

@@ -370,11 +370,13 @@ def test_classify_random_bit_uniform_over_clicked():
 
 
 def test_classify_output_sorted_by_pulse():
+    # gated tags arrive in pulse order; each pulse is reported once, in that order
     rng = np.random.default_rng(3)
     idx, det, _, _ = classify_clicks(
-        np.array([9, 3, 7, 7, 1]), np.array([0, 1, 2, 3, 2], dtype=np.uint8),
+        np.array([1, 3, 7, 7, 9]), np.array([2, 1, 2, 3, 0], dtype=np.uint8),
         RANDOM_BIT, rng)
-    assert list(idx) == sorted(idx)
+    assert list(idx) == [1, 3, 7, 9]
+    assert list(det[[0, 1, 3]]) == [2, 1, 0] and det[2] in (2, 3)
 
 
 def test_array_bounded_draws_equal_scalar_draws():
@@ -389,20 +391,26 @@ def test_array_bounded_draws_equal_scalar_draws():
 
 
 def _click_stream(seed, n_pulses=400):
-    """Shuffled tags of pulses with 1-6 tags from 1-4 distinct detectors."""
+    """Tags of pulses with 1-6 tags from 1-4 distinct detectors, in pulse order.
+
+    Shuffled, then sorted stably by pulse as gating delivers them, so each
+    pulse's detectors come in a random order.
+    """
     rng = np.random.default_rng(seed)
     pulses = rng.choice(10**9, n_pulses, replace=False)
     mult = rng.integers(1, 7, n_pulses)
     det = np.concatenate([rng.choice(rng.choice(4, rng.integers(1, 5), replace=False), m)
                           for m in mult]).astype(np.uint8)
+    idx = np.repeat(pulses, mult)
     perm = rng.permutation(len(det))
-    return np.repeat(pulses, mult)[perm], det[perm]
+    perm = perm[np.argsort(idx[perm], kind="stable")]
+    return idx[perm], det[perm]
 
 
 @pytest.mark.parametrize("policy", [RANDOM_BIT, DISCARD])
 def test_classify_matches_reference_loop(policy):
     streams = [_click_stream(seed) for seed in range(10)]
-    streams.append((np.array([5, 3, 9]), np.array([DET_A, DET_H, DET_D], dtype=np.uint8)))
+    streams.append((np.array([3, 5, 9]), np.array([DET_H, DET_A, DET_D], dtype=np.uint8)))
     for idx, det in streams:
         g_new, g_ref = np.random.default_rng(99), np.random.default_rng(99)
         out = classify_clicks(idx, det, policy, g_new)

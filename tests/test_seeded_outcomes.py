@@ -1,0 +1,75 @@
+"""Seeded sessions pinned to their exact integer outcomes.
+
+A refactor that claims byte-identical reports must leave every count
+below unchanged. Only integers are pinned (no libm-dependent floats), so
+a failure names the count that moved. The sessions cover multi-clicks
+resolved by ``random_bit`` and dropped by ``discard``, beacon-assisted
+sync, and the retro link's weak V emitter under acquired drift.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from fsbb84.receiver import DISCARD
+from fsbb84.runner import run_in_process
+from fsbb84.scenario import bundled_scenario
+
+
+def _dense(policy=None):
+    # 0 m link, lossless receiver: ~4.5e-2 tags per pulse, hundreds of
+    # multi-click pulses; a sampled QBER keeps three quarters of the key.
+    sc = bundled_scenario("table2_beam_expanders", seed=5)
+    rx = replace(sc.receiver, efficiency_db=0.0, misalignment_deg=6.0)
+    if policy is not None:
+        rx = replace(rx, double_click_policy=policy)
+    return replace(sc, channel=replace(sc.channel, distance_m=0.0, extra_loss_db=3.0),
+                   receiver=rx,
+                   protocol=replace(sc.protocol, n_pulses=1_000_000, sample_fraction=0.25,
+                                    benchmark_mode=False))
+
+
+def _bundled(name, seed, beacon=False):
+    sc = bundled_scenario(name, seed=seed)
+    return replace(sc, sync=replace(sc.sync, beacon_assisted=beacon),
+                   protocol=replace(sc.protocol, n_pulses=20_000_000))
+
+
+def _counts(arrivals, tags, per_detector, accepted, rejected, multi, discarded, reported):
+    return {"arrivals": arrivals, "tags_total": tags,
+            "tags_per_detector": dict(zip("HVDA", per_detector)),
+            "tags_gate_accepted": accepted, "tags_gate_rejected": rejected,
+            "multi_click_pulses": multi, "multi_click_discarded": discarded,
+            "reported_pulses": reported}
+
+
+# name -> (scenario, Bob's counts, sifted, remaining, (disclosed, errors))
+CASES = {
+    "dense_random_bit": (
+        lambda: _dense(),
+        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38327, 6426, 452, 0, 37874),
+        19052, 14289, (4763, 53)),
+    "dense_discard": (
+        lambda: _dense(DISCARD),
+        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38327, 6426, 452, 452, 37422),
+        18865, 14148, (4717, 52)),
+    "daylight_beacon": (
+        lambda: _bundled("table2_beam_expanders", 6, beacon=True),
+        _counts(6519, 7710, (1910, 1860, 2042, 1898), 5639, 2071, 1, 0, 5638),
+        2785, 0, (2785, 54)),
+    "retro_weak_v": (
+        lambda: _bundled("table1_run1_retro", 7),
+        _counts(3810, 6999, (2058, 1455, 1682, 1804), 3405, 3594, 0, 0, 3405),
+        1732, 0, (1732, 72)),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_seeded_session_outcome_is_pinned(name):
+    make, counts, sifted, remaining, (disclosed, errors) = CASES[name]
+    bob, alice, _ = run_in_process(make())
+    assert bob.counts == counts
+    for party in (bob, alice):
+        assert not party.abort
+        assert (party.sifted_key_length, party.remaining_key_length) == (sifted, remaining)
+        assert (party.qber.disclosed_count, party.qber.error_count) == (disclosed, errors)

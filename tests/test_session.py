@@ -2,14 +2,16 @@
 
 import dataclasses
 import socket
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
 from conftest import make_fast_scenario
 from fsbb84.errors import SessionFailedError, SyncFailureError
-from fsbb84.protocol import (DetectionReport, Done, Hello, MatchMask, MsgType,
+from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
                              QberResult, SampleBits, SampleIndices, run_session)
 from fsbb84.protocol import session
 from fsbb84.protocol.framing import decode_frame, encode_frame
@@ -196,6 +198,46 @@ def test_short_match_mask_is_a_protocol_violation(fast_scenario):
     t_bob.close()
     assert bob.abort and bob.abort_reason.startswith("protocol-violation: mask length")
     assert out["alice"].abort and out["alice"].abort_reason.startswith("peer-abort: mask length")
+
+
+def _crc_valid_frame(mtype, payload):
+    """A frame that passes the framing checks whatever its payload holds."""
+    header = struct.pack("<4sBBI", b"QKD1", 1, mtype, len(payload))
+    return header + payload + struct.pack("<I", zlib.crc32(header + payload))
+
+
+@pytest.mark.parametrize("role", [ROLE_ALICE, ROLE_BOB])
+def test_undecodable_peer_frame_is_a_protocol_violation(fast_scenario, role):
+    # A hand-driven peer sends a frame whose checksum holds but whose
+    # payload breaks a decode rule: a HELLO with role byte 2 to Alice, a
+    # 3-entry MATCH_MASK with a padding bit set to Bob.
+    sc = fast_scenario
+    a_sock, b_sock = socket.socketpair()
+    party, peer = StreamTransport(a_sock, 10.0), StreamTransport(b_sock, 10.0)
+    out = {}
+    th = threading.Thread(target=lambda: out.update(report=run_session(role, party, sc)))
+    th.start()
+    assert isinstance(peer.recv_message(), Hello)
+    if role == ROLE_ALICE:
+        hello = Hello(session_id=sc.protocol.session_id, role=2, scenario_hash=sc.hash_bytes())
+        b_sock.sendall(encode_frame(hello))  # the encoder does not check flags
+        reason = "bad role flag 2"
+    else:
+        peer.send_message(Hello(session_id=sc.protocol.session_id, role=0,
+                                scenario_hash=sc.hash_bytes()))
+        peer.send_message(session._session_params_msg(sc))
+        assert isinstance(peer.recv_message(), DetectionReport)
+        b_sock.sendall(_crc_valid_frame(MsgType.MATCH_MASK,
+                                        (3).to_bytes(8, "little") + bytes([0b1000_0101])))
+        reason = "non-zero padding bits"
+    abort = peer.recv_message()
+    th.join(10.0)
+    party.close()
+    peer.close()
+    assert not th.is_alive()
+    assert isinstance(abort, Abort) and abort.reason == reason
+    assert out["report"].abort
+    assert out["report"].abort_reason == f"protocol-violation: {reason}"
 
 
 def test_bob_messages_never_leak_bits(fast_scenario):

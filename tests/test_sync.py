@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fsbb84.analysis import gate_acceptance
@@ -365,6 +367,35 @@ def test_assignment_order_preserving_and_unique_mapping():
     assert np.all(np.diff(asg.pulse_index) >= 0)
     again = assign_and_gate(_tags(times), _clock(), 2_000.0)
     assert np.array_equal(asg.pulse_index, again.pulse_index)
+
+
+@st.composite
+def _gate_inputs(draw):
+    """Sorted tag times (ties, points next to half a period) under a clock and a gate."""
+    P = draw(st.sampled_from([PERIOD, 9_973.0]))
+    offset = draw(st.one_of(st.integers(-10**6, 10**6).map(float), st.floats(-1e6, 1e6)))
+    drift = draw(st.one_of(st.just(0.0), st.floats(-DRIFT_GUARD_PPM, DRIFT_GUARD_PPM)))
+    rate = 1.0 + drift * 1e-6
+    half = st.integers(-3, 10**9).map(lambda k: round(offset + rate * (k + 0.5) * P))
+    near_half = st.tuples(half, st.integers(-2, 2)).map(sum)
+    times = draw(st.lists(st.one_of(st.integers(-10**6, 10**13), half, near_half),
+                          max_size=200))
+    times += times[:draw(st.integers(0, len(times)))]  # repeats make ties
+    gate = draw(st.floats(0.0, P, exclude_min=True, exclude_max=True))
+    clock = ClockModel(offset_ps=offset, drift_ppm=drift, residual_rms_ps=0.0, period_ps=P)
+    return np.sort(np.array(times, dtype=np.int64)), clock, gate
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_gate_inputs())
+def test_gate_keeps_pulse_order(inputs):
+    # click resolution, the in-train prefix and Bob's report all take this
+    # order as given
+    times, clock, gate = inputs
+    asg = assign_and_gate(_tags(times), clock, gate)
+    assert asg.pulse_index.dtype == np.int64
+    assert np.all(asg.pulse_index[1:] >= asg.pulse_index[:-1])
+    assert len(asg) + asg.rejected_count == len(times)
 
 
 def test_negative_slots_rejected():
