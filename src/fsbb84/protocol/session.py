@@ -184,9 +184,11 @@ def _loss_accounting(scenario: Scenario) -> dict:
     return acct
 
 
-def _abort_report(scenario: Scenario, role: str, reason: str) -> SessionReport:
+def _abort_report(scenario: Scenario, scenario_hash: bytes, role: str,
+                  reason: str) -> SessionReport:
     empty = QberResult(disclosed_count=0, error_count=0, qber=0.0, abort=True)
-    return replace(_finish_report(scenario, role, empty, 0, 0, {}), abort_reason=reason)
+    return replace(_finish_report(scenario, scenario_hash, role, empty, 0, 0, {}),
+                   abort_reason=reason)
 
 
 def _session_params_msg(scenario: Scenario) -> SessionParamsMsg:
@@ -228,9 +230,11 @@ def run_session(role: str, transport, scenario: Scenario,
     if role not in (ROLE_ALICE, ROLE_BOB):
         raise ValueError(f"role must be '{ROLE_ALICE}' or '{ROLE_BOB}'")
     phase_box = ["handshake"]
+    scenario_hash = scenario.hash_bytes()  # HELLO, the peer's check and the report
     try:
         try:
-            return _run_role(role, transport, scenario, replay_tags, quantum, phase_box)
+            return _run_role(role, transport, scenario, scenario_hash, replay_tags, quantum,
+                             phase_box)
         except (ProtocolViolationError, CorruptFrameError) as e:
             end = _Abort(f"protocol-violation: {e}", str(e))
         except _Abort as e:
@@ -240,24 +244,24 @@ def run_session(role: str, transport, scenario: Scenario,
             raise
         if end.notice is not None:
             transport.send_message(Abort(reason=end.notice))
-        return _abort_report(scenario, role, end.reason)
+        return _abort_report(scenario, scenario_hash, role, end.reason)
     except SessionFailedError as e:
         if e.phase == "unknown":
             raise SessionFailedError(e.message, phase=phase_box[0]) from e
         raise
 
 
-def _run_role(role: str, transport, scenario: Scenario, replay_tags, quantum,
-              phase_box) -> SessionReport:
+def _run_role(role: str, transport, scenario: Scenario, scenario_hash: bytes, replay_tags,
+              quantum, phase_box) -> SessionReport:
     # --- HELLO exchange -----------------------------------------------------
     transport.send_message(Hello(session_id=scenario.protocol.session_id,
-                                 role=_ROLE_CODE[role], scenario_hash=scenario.hash_bytes()))
+                                 role=_ROLE_CODE[role], scenario_hash=scenario_hash))
     peer = _expect(transport.recv_message(), Hello)
     if peer.role == _ROLE_CODE[role]:
         raise _Abort("role-conflict", "both parties claim the same role")
     if peer.session_id != scenario.protocol.session_id:
         raise _Abort("session-id-mismatch", "session id mismatch")
-    if peer.scenario_hash != scenario.hash_bytes():
+    if peer.scenario_hash != scenario_hash:
         raise _Abort("parameter-mismatch", "scenario hash mismatch")
 
     # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -----------------
@@ -265,18 +269,18 @@ def _run_role(role: str, transport, scenario: Scenario, replay_tags, quantum,
     local_params = _session_params_msg(scenario)
     if role == ROLE_ALICE:
         transport.send_message(local_params)
-        return _run_alice(transport, scenario, phase_box)
+        return _run_alice(transport, scenario, scenario_hash, phase_box)
     if _expect(transport.recv_message(), SessionParamsMsg) != local_params:
         raise _Abort("parameter-mismatch", "session parameter mismatch")
-    return _run_bob(transport, scenario, replay_tags, quantum, phase_box)
+    return _run_bob(transport, scenario, scenario_hash, replay_tags, quantum, phase_box)
 
 
-def _finish_report(scenario: Scenario, role: str, qber: QberResult, sifted_len: int,
-                   remaining_len: int, counts: dict) -> SessionReport:
+def _finish_report(scenario: Scenario, scenario_hash: bytes, role: str, qber: QberResult,
+                   sifted_len: int, remaining_len: int, counts: dict) -> SessionReport:
     duration = scenario.simulated_duration_s
     return SessionReport(
         scenario_name=scenario.name,
-        scenario_hash=scenario.hash_hex(),
+        scenario_hash=scenario_hash.hex(),
         session_id=scenario.protocol.session_id,
         role=role,
         completed=True,
@@ -293,7 +297,8 @@ def _finish_report(scenario: Scenario, role: str, qber: QberResult, sifted_len: 
     )
 
 
-def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> SessionReport:
+def _run_bob(transport, scenario: Scenario, scenario_hash: bytes, replay_tags, quantum,
+             phase_box) -> SessionReport:
     phase_box[0] = "quantum"
     if quantum is None:
         quantum = simulate_quantum_phase(scenario, replay_tags=replay_tags)
@@ -326,10 +331,12 @@ def _run_bob(transport, scenario: Scenario, replay_tags, quantum, phase_box) -> 
         raise _Abort(f"protocol-violation: DONE for session {done.session_id}")
 
     remaining = len(key) - len(positions)
-    return _finish_report(scenario, ROLE_BOB, qber, len(key), remaining, quantum.counts())
+    return _finish_report(scenario, scenario_hash, ROLE_BOB, qber, len(key), remaining,
+                          quantum.counts())
 
 
-def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
+def _run_alice(transport, scenario: Scenario, scenario_hash: bytes,
+               phase_box) -> SessionReport:
     phase_box[0] = "report"
     report = _expect(transport.recv_message(), DetectionReport)
     mask, key = alice_match(scenario.source, report, scenario.n_pulses)
@@ -353,4 +360,4 @@ def _run_alice(transport, scenario: Scenario, phase_box) -> SessionReport:
     transport.send_message(Done(session_id=scenario.protocol.session_id))
 
     remaining = len(key) - qber.disclosed_count
-    return _finish_report(scenario, ROLE_ALICE, qber, len(key), remaining, {})
+    return _finish_report(scenario, scenario_hash, ROLE_ALICE, qber, len(key), remaining, {})

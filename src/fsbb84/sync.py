@@ -12,9 +12,20 @@ is recovered from the quantum tags themselves:
    the exact map d = fP / (1 - fP) reads d off the peak (the linear d = fP
    is ~10 cycles off over a 10 s stream at 100 ppm). The phasors are summed
    into time cells a quarter of the period of the guard's highest |f|,
-   zero-padded to twice the stream and transformed once; a parabolic fit to
+   zero-padded to twice the span and transformed once; a parabolic fit to
    the largest bin within the guard resolves d well below P/(4 span), the
-   step at which the grid slips a quarter period across the stream.
+   step at which the grid slips a quarter period across the span.
+   The span transformed is a leading sub-span, so the FFT's length and
+   memory do not follow session length: 2^12 cells (0.1 s) first, doubled
+   until the peak is 24x the guard band's median magnitude (a false peak
+   that high over background alone has probability 2^-576 per bin), and
+   the whole stream when no shorter sub-span gets there. A stream within
+   the first sub-span is transformed whole, as it always was. The block
+   regression of step 2 then carries the drift over the sub-span and over
+   spans doubling from it, up to the last one short of the whole stream;
+   at that peak ratio each hand-over keeps the next span's excursion under
+   P/8 (see ``ACQ_PEAK_TO_MEDIAN``). The cost is one bounded FFT plus work
+   proportional to tags.
 2. *Block-phase regression*: the full stream is cut into time blocks, each
    block contributes a circular-mean phase, and a weighted linear fit of
    phase versus block midtime refines drift and fixes the offset. Tags
@@ -128,13 +139,35 @@ def export_histogram_csv(counts: np.ndarray, period_ps: float, path) -> None:
             f.write(f"{i * period_ps / n:.3f},{int(c)}\n")
 
 
-def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
-    """Drift (absolute) of the strongest grid tone within the guard (step 1)."""
+# First FFT sub-span of step 1: 0.1 s at the 25 us cell of the 100 ppm
+# guard, a 2^13-point FFT where a 60 s stream took 2^23 (~0.5 GB), and
+# ~10^3 tags even on the sparsest bundled link.
+ACQ_FIRST_CELLS = 1 << 12
+# Peak-to-median ratio at which a sub-span's FFT is trusted, and the factor
+# by which sub-spans and hand-over spans grow. Over background alone each
+# guard-band bin is Rayleigh, so a false peak at ratio r has probability
+# 2^(-r^2) per bin: 1e-11 at 6x, 2^-576 at 24x. The threshold is set by the
+# hand-over instead. A peak r times the median over background puts the
+# tags' mean phase within 0.85/r rad (1 sigma), and the regression's drift
+# within an excursion of sqrt(12)/(2 pi) * 0.85/r = 0.47/r periods across
+# its span (0.35-0.47/r measured; less where signal dominates). Handed to
+# a span twice as long that is 0.94/r, P/25 at r = 24: the next span's
+# excursion stays under P/8 to 3.2 sigma, and each later span, with sqrt(2)
+# more peak, further. _block_regression takes block phases about the
+# span's circular mean, so an excursion of P/8 keeps them within P/16 of
+# it, 8 times clear of the half period where a block wraps to a neighbour.
+ACQ_PEAK_TO_MEDIAN = 24.0
+SPAN_GROWTH = 2
+# Blocks of each hand-over regression: at the threshold a sub-span holds
+# >= ~400 tags, >= 20 per block.
+HANDOVER_BLOCKS = 20
+
+
+def _fft_drift(tau: np.ndarray, period_ps: float,
+               dt: float) -> tuple[float, float, np.ndarray]:
+    """Drift of the strongest grid tone within the guard, its peak and the band's magnitudes."""
     P = period_ps
     g = DRIFT_GUARD_PPM * 1e-6
-    # |f| peaks at d = -g; its quarter period keeps the guard within bins
-    # |k| <= m/4 and attenuates the band edge by sinc(1/4) = 0.9 at most.
-    dt = P * (1.0 - g) / (4.0 * g)
     cell = np.rint(tau / dt).astype(np.int64)
     m = 1 << math.ceil(math.log2(2 * (int(cell[-1]) + 1)))
     ph = _cycles(tau, P).astype(np.float32) * np.float32(2.0 * np.pi)
@@ -143,11 +176,36 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
     bin_fp = P / (m * dt)  # bin spacing of f, in units of 1/P
     k = np.arange(-(m // 4), m // 4 + 1)
     k = k[np.abs(k * bin_fp / (1.0 - k * bin_fp)) <= g]
-    i = int(k[np.argmax(mag[k])])
+    band = mag[k]
+    i = int(k[np.argmax(band)])
     a, b, c = mag[i - 1], mag[i], mag[i + 1]
     curv = a - 2.0 * b + c
     fp = (i + (0.5 * (a - c) / curv if curv < 0 else 0.0)) * bin_fp
-    return fp / (1.0 - fp)
+    return fp / (1.0 - fp), b, band
+
+
+def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
+    """Drift (absolute) of the grid: FFT on a leading sub-span, carried on by regression (step 1)."""
+    P = period_ps
+    g = DRIFT_GUARD_PPM * 1e-6
+    # |f| peaks at d = -g; its quarter period keeps the guard within bins
+    # |k| <= m/4 and attenuates the band edge by sinc(1/4) = 0.9 at most.
+    dt = P * (1.0 - g) / (4.0 * g)
+    span = ACQ_FIRST_CELLS * dt
+    while True:
+        n = int(np.searchsorted(tau, span - 0.5 * dt))  # tags in cells below span / dt
+        if n == len(tau):
+            return _fft_drift(tau, P, dt)[0]
+        d, peak, band = _fft_drift(tau[:n], P, dt)
+        if peak >= ACQ_PEAK_TO_MEDIAN * np.median(band):
+            break
+        span *= SPAN_GROWTH
+    while n < len(tau):
+        slope, _ = _block_regression(tau[:n] / (1.0 + d), P, HANDOVER_BLOCKS)
+        d = (1.0 + d) * (1.0 + slope) - 1.0
+        span *= SPAN_GROWTH
+        n = int(np.searchsorted(tau, span - 0.5 * dt))
+    return d
 
 
 def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 1-3 replay the reference runs at full duration (1e9 pulses each,
-about half a minute apiece); the rest are statistical or structural. Run
+under a second apiece); the rest are statistical or structural. Run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 

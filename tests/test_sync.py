@@ -14,9 +14,9 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import BUNDLED_NAMES, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel, TrueClock,
-                         _acquire_drift, _block_regression, assign_and_gate, fold_histogram,
-                         recover_clock)
+from fsbb84.sync import (ACQ_FIRST_CELLS, DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel,
+                         TrueClock, _acquire_drift, _block_regression, assign_and_gate,
+                         fold_histogram, recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0
@@ -144,8 +144,10 @@ def test_recover_centres_gate_at_low_signal_to_background():
 
 def test_recover_refined_stream_passes_significance_guard():
     # Folded at a drift 0.02 ppm off (one step of a coarse drift grid) this
-    # stream's peak is under 3x the median; the FFT acquisition stops
-    # 0.009 ppm off (4.6x), and the guard judges the refined mapping.
+    # stream's peak is 2.5-2.8x the median, under the guard's 3x; the FFT
+    # acquisition, whose first sub-span holds this whole 0.1 s stream, stops
+    # 0.008 ppm off (4.3x), and the guard judges the refined mapping
+    # (0.0003 ppm off, 8x).
     sc = bundled_scenario("table2_collimators", seed=500015)
     sc = dataclasses.replace(sc, duration_s=0.1)
     qp = simulate_quantum_phase(sc)
@@ -234,6 +236,57 @@ def test_acquire_drift_near_guard_on_long_stream(drift_ppm):
     assert abs(clock.offset_ps) < 50.0
 
 
+def _long_stream(seconds, p_click, drift_ppm, bg_rate_cps, seed, offset=2_468.0):
+    """Tag times of a long stream: clicked pulses drawn by geometric gaps, plus background."""
+    n_pulses = round(seconds * 1e12 / PERIOD)
+    rng = np.random.default_rng(seed)
+    clicked = np.cumsum(rng.geometric(p_click, size=int(1.2 * n_pulses * p_click) + 100)) - 1
+    clicked = clicked[clicked < n_pulses]
+    rate = 1.0 + drift_ppm * 1e-6
+    t_sig = offset + rate * (clicked * PERIOD + rng.normal(0.0, 171.0, clicked.size))
+    t_bg = offset + rng.random(rng.poisson(bg_rate_cps * seconds)) * n_pulses * PERIOD * rate
+    return np.sort(np.rint(np.concatenate([t_sig, t_bg])).astype(np.int64))
+
+
+@pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", _ACQUISITION_CASES)
+def test_acquisition_past_first_sub_span(n_pulses, p_click, drift_ppm, bg_cps, seed):
+    # the acquisition cases' SNRs over 1 s: FFT on a leading sub-span, then
+    # the regressions hand the drift on to the whole stream
+    t = _long_stream(1.0, p_click, drift_ppm, bg_cps, seed=seed + 10)
+    tau = t - t[0].astype(np.float64)
+    assert abs(_acquire_drift(tau, PERIOD) - drift_ppm * 1e-6) <= PERIOD / (4.0 * tau[-1])
+
+
+@pytest.mark.parametrize("signal_cps, bg_cps, drift_ppm", [(300, 1_000, -5.0),
+                                                           (200, 1_500, 20.0)])
+@pytest.mark.parametrize("seed", range(5))
+def test_recover_sparse_long_stream(signal_cps, bg_cps, drift_ppm, seed):
+    # no leading sub-span of these 1 s streams reaches the acquisition's
+    # peak-to-median threshold, so the whole stream is transformed
+    t = _long_stream(1.0, signal_cps * PERIOD * 1e-12, drift_ppm, bg_cps, seed=30 + seed)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
+    assert abs(clock.drift_ppm - drift_ppm) < 0.5
+
+
+def test_acquisition_fft_length_does_not_follow_session_length(monkeypatch):
+    # 60 s of 3000 signal under 1000 background tags/s: the whole stream
+    # would take a 2^23-point FFT; a 0.2 s sub-span (2^14 points) reaches
+    # the peak-to-median threshold
+    lengths = []
+    fft = np.fft.fft
+
+    def recording_fft(a, *args, **kwargs):
+        lengths.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    t = _long_stream(60.0, 3e-5, -37.3, 1_000.0, seed=50)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
+    assert lengths and max(lengths) <= 1 << 15, lengths
+    assert abs(clock.drift_ppm + 37.3) < 0.5
+    assert abs(clock.offset_ps - 2_468.0) < 50.0
+
+
 # --- agreement with the reference clock recovery ----------------------------------
 
 def _assert_matches_reference(tags, period, gate_width_ps, block_count=20, **kwargs):
@@ -246,7 +299,12 @@ def _assert_matches_reference(tags, period, gate_width_ps, block_count=20, **kwa
     tau = tags.time_ps - tags.time_ps[0].astype(np.float64)
     if kwargs.get("known_drift_ppm") is None:
         d0 = reference_chain._acquire_drift(tau, period)
-        assert abs(_acquire_drift(tau, period) - d0) <= 1e-12
+        # within the first sub-span acquisition is the reference's FFT; past
+        # it, the regressions' drift is within one resolution step of it
+        g = DRIFT_GUARD_PPM * 1e-6
+        within = tau[-1] < (ACQ_FIRST_CELLS - 0.5) * period * (1.0 - g) / (4.0 * g)
+        assert abs(_acquire_drift(tau, period) - d0) <= (1e-12 if within
+                                                         else period / (4.0 * tau[-1]))
     else:
         d0 = kwargs["known_drift_ppm"] * 1e-6
     u = tau / (1.0 + d0)

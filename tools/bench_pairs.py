@@ -4,8 +4,8 @@ Runs ``perfbench/run.py`` of the parent and of this repository in
 alternating pairs (the parent first in even pairs, this tree first in odd
 ones, workloads interleaved within a pair); the peak RSS of a fixed number
 of sessions per workload in fresh processes, in the same alternating pairs;
-one traced run per side and workload; and the bundled 10 s
-``table2_beam_expanders`` run stage by stage in fresh processes::
+one traced run per side and workload; and the bundled runs of
+``STAGE_RUNS`` stage by stage in fresh processes, with their peak RSS::
 
     python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_8.json
 
@@ -31,7 +31,17 @@ REPO = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SECONDS = 8.0  # --seconds of each perfbench run
 TRACE_SEED = 5
-STAGE_RUNS = 3  # 10 s processes per side
+STAGE_PROCESSES = 3  # per side and stage run
+# (bundled scenario, seconds, beacon-assisted) of each stage run: the 10 s
+# beam-expander run the trajectory follows, and the long runs where drift
+# acquisition's cost and memory once followed session length, each also
+# with the beacon, which skips acquisition.
+STAGE_RUNS = (
+    ("table2_beam_expanders", 10, False),
+    ("table2_collimators", 10, False), ("table2_collimators", 10, True),
+    ("table2_collimators", 60, False), ("table2_collimators", 60, True),
+    ("table2_beam_expanders", 30, False), ("table2_beam_expanders", 30, True),
+)
 # perfbench's peak_rss_mb is the high-water mark of a fixed-length run, and a
 # process's RSS creeps up with the sessions it has run, so a faster side reads
 # higher; these runs hold the session count fixed instead.
@@ -41,13 +51,15 @@ END_TO_END = ("setup_s", "session_s", "peak_rss_mb")
 TRACED = ("sync.recover_s", "sync.gate_s", "sync.ns_per_tag", "simulate.quantum_s",
           "receiver.detect_s", "protocol.alice_match_s", "protocol.bob_s", "receiver.tags")
 
-# Bob's stages of one bundled 10 s session, each timed on its own, then the
-# whole two-party session; two calls per process, the second one warm.
+# Bob's stages of one bundled session, each timed on its own, then the whole
+# two-party session; two calls per process, the second one warm.
 _STAGES = """
-import json, resource, time
+import dataclasses, json, resource, sys, time
 from fsbb84 import channel, receiver, runner, simulate, sync
 from fsbb84.scenario import bundled_scenario
-sc = bundled_scenario("table2_beam_expanders")
+sc = bundled_scenario(sys.argv[1])
+sc = dataclasses.replace(sc, duration_s=float(sys.argv[2]),
+                         sync=dataclasses.replace(sc.sync, beacon_assisted=sys.argv[3] == "1"))
 src, rx = sc.source, sc.receiver
 out = []
 for _ in range(2):
@@ -179,12 +191,21 @@ def main(argv=None) -> int:
             m = _perfbench(root, w, TRACE_SEED, 1)["metrics"]
             traced[s][w] = {k: round(m[k]["value"], 6) for k in TRACED}
 
-    stages = {s: [] for s in sides}
-    for i in range(STAGE_RUNS):
-        for s in (sides if i % 2 == 0 else reversed(list(sides))):
-            proc = subprocess.run([sys.executable, "-c", _STAGES], env=_env(sides[s]),
-                                  capture_output=True, text=True, timeout=900, check=True)
-            stages[s].append(json.loads(proc.stdout))
+    stage_runs = []
+    for name, seconds, beacon in STAGE_RUNS:
+        rec = {"scenario": name, "seconds": seconds, "beacon_assisted": beacon,
+               **{s: [] for s in sides}}
+        for i in range(STAGE_PROCESSES):
+            for s in (sides if i % 2 == 0 else reversed(list(sides))):
+                proc = subprocess.run([sys.executable, "-c", _STAGES, name, str(seconds),
+                                       str(int(beacon))], env=_env(sides[s]),
+                                      capture_output=True, text=True, timeout=900, check=True)
+                rec[s].append(json.loads(proc.stdout))
+        print(f"{name} {seconds} s beacon={beacon}: run_in_process / peak_rss_mb "
+              + ", ".join(f"{s} {min(r['calls'][1]['run_in_process'] for r in rec[s]):.3f} s / "
+                          f"{max(r['peak_rss_mb'] for r in rec[s]):.0f} MB" for s in sides),
+              flush=True)
+        stage_runs.append(rec)
 
     doc = {
         "machine": _machine(),
@@ -204,12 +225,11 @@ def main(argv=None) -> int:
                        f"--seconds {SECONDS:g} --trace 1 (one run per side)",
             **traced,
         },
-        "bundled_10s_run": {
-            "scenario": "table2_beam_expanders",
-            "n_pulses": stages["change"][0]["n_pulses"],
+        "stage_runs": {
             "measure": "stage wall times of Bob's chain, then run_in_process; two calls per "
-                       f"process, {STAGE_RUNS} processes per side, alternating",
-            **{s: stages[s] for s in sides},
+                       f"process, {STAGE_PROCESSES} processes per side, alternating; "
+                       "peak_rss_mb is the process's ru_maxrss",
+            "runs": stage_runs,
         },
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
