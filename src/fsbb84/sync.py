@@ -16,16 +16,20 @@ is recovered from the quantum tags themselves:
    the largest bin within the guard resolves d well below P/(4 span), the
    step at which the grid slips a quarter period across the span.
    The span transformed is a leading sub-span, so the FFT's length and
-   memory do not follow session length: 2^12 cells (0.1 s) first, doubled
-   until the peak is 24x the guard band's median magnitude (a false peak
-   that high over background alone has probability 2^-576 per bin), and
-   the whole stream when no shorter sub-span gets there. A stream within
-   the first sub-span is transformed whole, as it always was. The block
-   regression of step 2 then carries the drift over the sub-span and over
-   spans doubling from it, up to the last one short of the whole stream;
-   at that peak ratio each hand-over keeps the next span's excursion under
-   P/8 (see ``ACQ_PEAK_TO_MEDIAN``). The cost is one bounded FFT plus work
-   proportional to tags.
+   memory do not follow session length: 2^12 cells (0.1 s) first, then
+   longer ones by powers of two, until the peak is 24x the guard band's
+   median magnitude (a false peak that high over background alone has
+   probability 2^-576 per bin). The ratio grows as the root of the span,
+   so a failed sub-span skips to the first that it predicts will pass.
+   The block regression of step 2 carries an acquired drift over the
+   sub-span and over spans doubling from it, up to the last one short of
+   the whole stream; at that peak ratio each hand-over keeps the next
+   span's excursion under P/8 (see ``ACQ_PEAK_TO_MEDIAN``). The sub-spans
+   tried take at most half of the whole stream's FFT points together;
+   past that, or when none gets there, the whole stream is transformed,
+   as it always was for a stream within the first sub-span. The cost is
+   one bounded FFT plus work proportional to tags, and at most 1.5
+   whole-stream FFTs on a stream too weak for any sub-span.
 2. *Block-phase regression*: the full stream is cut into time blocks, each
    block contributes a circular-mean phase, and a weighted linear fit of
    phase versus block midtime refines drift and fixes the offset. Tags
@@ -144,23 +148,35 @@ def export_histogram_csv(counts: np.ndarray, period_ps: float, path) -> None:
 # ~10^3 tags even on the sparsest bundled link.
 ACQ_FIRST_CELLS = 1 << 12
 # Peak-to-median ratio at which a sub-span's FFT is trusted, and the factor
-# by which sub-spans and hand-over spans grow. Over background alone each
-# guard-band bin is Rayleigh, so a false peak at ratio r has probability
-# 2^(-r^2) per bin: 1e-11 at 6x, 2^-576 at 24x. The threshold is set by the
-# hand-over instead. A peak r times the median over background puts the
-# tags' mean phase within 0.85/r rad (1 sigma), and the regression's drift
-# within an excursion of sqrt(12)/(2 pi) * 0.85/r = 0.47/r periods across
-# its span (0.35-0.47/r measured; less where signal dominates). Handed to
-# a span twice as long that is 0.94/r, P/25 at r = 24: the next span's
-# excursion stays under P/8 to 3.2 sigma, and each later span, with sqrt(2)
-# more peak, further. _block_regression takes block phases about the
-# span's circular mean, so an excursion of P/8 keeps them within P/16 of
-# it, 8 times clear of the half period where a block wraps to a neighbour.
+# by which hand-over spans grow (sub-spans tried, by a power of it). Over
+# background alone each guard-band bin is Rayleigh, so a false peak at
+# ratio r has probability 2^(-r^2) per bin: 1e-11 at 6x, 2^-576 at 24x.
+# The threshold is set by the hand-over instead. A peak r times the median
+# over background puts the tags' mean phase within 0.85/r rad (1 sigma),
+# and the regression's drift within an excursion of sqrt(12)/(2 pi) *
+# 0.85/r = 0.47/r periods across its span (0.35-0.47/r measured; less
+# where signal dominates). Handed to a span twice as long that is 0.94/r,
+# P/25 at r = 24: the next span's excursion stays under P/8 to 3.2 sigma,
+# and each later span, with sqrt(2) more peak, further. _block_regression
+# takes block phases about the span's circular mean, so an excursion of
+# P/8 keeps them within P/16 of it, 8 times clear of the half period where
+# a block wraps to a neighbour.
 ACQ_PEAK_TO_MEDIAN = 24.0
 SPAN_GROWTH = 2
+# Share of the whole stream's FFT points that the sub-spans tried may take
+# together. A stream no sub-span acquires is transformed whole after them,
+# so it costs at most 1.5 whole-stream FFTs, in no more memory. A half, not
+# less, leaves room for a quarter-length sub-span: 60 s of 200 signal under
+# 1,500 background tags/s tries 2^13 and 2^19 points and acquires on 2^21.
+ACQ_TRY_SHARE = 1 / 2
 # Blocks of each hand-over regression: at the threshold a sub-span holds
 # >= ~400 tags, >= 20 per block.
 HANDOVER_BLOCKS = 20
+
+
+def _fft_length(tau_last: float, dt: float) -> int:
+    """Points of the FFT over cells 0 .. rint(tau_last / dt): twice the cells, to a power of two."""
+    return 1 << math.ceil(math.log2(2 * (int(np.rint(tau_last / dt)) + 1)))
 
 
 def _fft_drift(tau: np.ndarray, period_ps: float,
@@ -169,7 +185,7 @@ def _fft_drift(tau: np.ndarray, period_ps: float,
     P = period_ps
     g = DRIFT_GUARD_PPM * 1e-6
     cell = np.rint(tau / dt).astype(np.int64)
-    m = 1 << math.ceil(math.log2(2 * (int(cell[-1]) + 1)))
+    m = _fft_length(tau[-1], dt)
     ph = _cycles(tau, P).astype(np.float32) * np.float32(2.0 * np.pi)
     mag = np.abs(np.fft.fft(np.bincount(cell, weights=np.cos(ph), minlength=m)
                             + 1j * np.bincount(cell, weights=np.sin(ph), minlength=m)))
@@ -192,14 +208,24 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
     # |k| <= m/4 and attenuates the band edge by sinc(1/4) = 0.9 at most.
     dt = P * (1.0 - g) / (4.0 * g)
     span = ACQ_FIRST_CELLS * dt
+    budget = ACQ_TRY_SHARE * _fft_length(tau[-1], dt)
     while True:
         n = int(np.searchsorted(tau, span - 0.5 * dt))  # tags in cells below span / dt
-        if n == len(tau):
+        if n == len(tau) or (m := _fft_length(tau[n - 1], dt)) > budget:
             return _fft_drift(tau, P, dt)[0]
         d, peak, band = _fft_drift(tau[:n], P, dt)
-        if peak >= ACQ_PEAK_TO_MEDIAN * np.median(band):
+        ratio = peak / np.median(band)
+        if ratio >= ACQ_PEAK_TO_MEDIAN:
             break
-        span *= SPAN_GROWTH
+        # The peak grows with signal tags and the median with the root of
+        # all tags, so the ratio grows as the root of the span: skip to the
+        # first sub-span of the ladder where this one would reach the
+        # threshold. A peak at background's level (~3.5x over the first
+        # sub-span's ~4k band bins) skips 64-fold, so a sparse stream is
+        # soon transformed whole.
+        budget -= m
+        span *= SPAN_GROWTH ** max(1, math.ceil(math.log((ACQ_PEAK_TO_MEDIAN / ratio) ** 2,
+                                                         SPAN_GROWTH)))
     while n < len(tau):
         slope, _ = _block_regression(tau[:n] / (1.0 + d), P, HANDOVER_BLOCKS)
         d = (1.0 + d) * (1.0 + slope) - 1.0

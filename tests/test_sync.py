@@ -14,9 +14,9 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import BUNDLED_NAMES, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (ACQ_FIRST_CELLS, DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel,
-                         TrueClock, _acquire_drift, _block_regression, assign_and_gate,
-                         fold_histogram, recover_clock)
+from fsbb84.sync import (DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel, TrueClock,
+                         _acquire_drift, _block_regression, assign_and_gate, fold_histogram,
+                         recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0
@@ -248,6 +248,19 @@ def _long_stream(seconds, p_click, drift_ppm, bg_rate_cps, seed, offset=2_468.0)
     return np.sort(np.rint(np.concatenate([t_sig, t_bg])).astype(np.int64))
 
 
+def _record_fft_lengths(mp):
+    """Patch np.fft.fft through ``mp`` to record each transform's length; returns the list."""
+    lengths = []
+    fft = np.fft.fft
+
+    def recording_fft(a, *args, **kwargs):
+        lengths.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    mp.setattr(np.fft, "fft", recording_fft)
+    return lengths
+
+
 @pytest.mark.parametrize("n_pulses, p_click, drift_ppm, bg_cps, seed", _ACQUISITION_CASES)
 def test_acquisition_past_first_sub_span(n_pulses, p_click, drift_ppm, bg_cps, seed):
     # the acquisition cases' SNRs over 1 s: FFT on a leading sub-span, then
@@ -257,14 +270,32 @@ def test_acquisition_past_first_sub_span(n_pulses, p_click, drift_ppm, bg_cps, s
     assert abs(_acquire_drift(tau, PERIOD) - drift_ppm * 1e-6) <= PERIOD / (4.0 * tau[-1])
 
 
+@pytest.mark.parametrize("signal_cps, bg_cps, drift_ppm, seed", [(300, 1_000, -5.0, 40),
+                                                                 (200, 1_500, 20.0, 41)])
+def test_weak_stream_tries_at_most_half_a_whole_stream_fft(monkeypatch, signal_cps, bg_cps,
+                                                           drift_ppm, seed):
+    # a background-level peak on the first sub-span of these 10 s streams
+    # points 64-fold past it, to a 2^19-point sub-span that would take the
+    # sub-spans past half the whole stream's 2^20 points, so the whole
+    # stream is transformed next
+    lengths = _record_fft_lengths(monkeypatch)
+    t = _long_stream(10.0, signal_cps * PERIOD * 1e-12, drift_ppm, bg_cps, seed=seed)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
+    assert lengths == [1 << 13, 1 << 20]
+    assert abs(clock.drift_ppm - drift_ppm) < 0.5
+
+
 @pytest.mark.parametrize("signal_cps, bg_cps, drift_ppm", [(300, 1_000, -5.0),
                                                            (200, 1_500, 20.0)])
 @pytest.mark.parametrize("seed", range(5))
-def test_recover_sparse_long_stream(signal_cps, bg_cps, drift_ppm, seed):
+def test_recover_sparse_long_stream(monkeypatch, signal_cps, bg_cps, drift_ppm, seed):
     # no leading sub-span of these 1 s streams reaches the acquisition's
-    # peak-to-median threshold, so the whole stream is transformed
+    # peak-to-median threshold; the first one's background-level peak
+    # points past the stream's end, so the whole stream is transformed next
+    lengths = _record_fft_lengths(monkeypatch)
     t = _long_stream(1.0, signal_cps * PERIOD * 1e-12, drift_ppm, bg_cps, seed=30 + seed)
     clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
+    assert lengths == [1 << 13, 1 << 17]
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
 
 
@@ -272,14 +303,7 @@ def test_acquisition_fft_length_does_not_follow_session_length(monkeypatch):
     # 60 s of 3000 signal under 1000 background tags/s: the whole stream
     # would take a 2^23-point FFT; a 0.2 s sub-span (2^14 points) reaches
     # the peak-to-median threshold
-    lengths = []
-    fft = np.fft.fft
-
-    def recording_fft(a, *args, **kwargs):
-        lengths.append(len(a))
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    lengths = _record_fft_lengths(monkeypatch)
     t = _long_stream(60.0, 3e-5, -37.3, 1_000.0, seed=50)
     clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
     assert lengths and max(lengths) <= 1 << 15, lengths
@@ -298,13 +322,15 @@ def _assert_matches_reference(tags, period, gate_width_ps, block_count=20, **kwa
     """
     tau = tags.time_ps - tags.time_ps[0].astype(np.float64)
     if kwargs.get("known_drift_ppm") is None:
-        d0 = reference_chain._acquire_drift(tau, period)
-        # within the first sub-span acquisition is the reference's FFT; past
-        # it, the regressions' drift is within one resolution step of it
-        g = DRIFT_GUARD_PPM * 1e-6
-        within = tau[-1] < (ACQ_FIRST_CELLS - 0.5) * period * (1.0 - g) / (4.0 * g)
-        assert abs(_acquire_drift(tau, period) - d0) <= (1e-12 if within
-                                                         else period / (4.0 * tau[-1]))
+        with pytest.MonkeyPatch.context() as mp:
+            lengths = _record_fft_lengths(mp)
+            d0 = reference_chain._acquire_drift(tau, period)
+            d = _acquire_drift(tau, period)
+        # ended on the reference's whole-stream FFT, acquisition is the
+        # reference's arithmetic; ended on a sub-span's, the regressions'
+        # drift is within one resolution step of it
+        whole = lengths[-1] == lengths[0]
+        assert abs(d - d0) <= (1e-12 if whole else period / (4.0 * tau[-1]))
     else:
         d0 = kwargs["known_drift_ppm"] * 1e-6
     u = tau / (1.0 + d0)

@@ -4,8 +4,9 @@ Runs ``perfbench/run.py`` of the parent and of this repository in
 alternating pairs (the parent first in even pairs, this tree first in odd
 ones, workloads interleaved within a pair); the peak RSS of a fixed number
 of sessions per workload in fresh processes, in the same alternating pairs;
-one traced run per side and workload; and the bundled runs of
-``STAGE_RUNS`` stage by stage in fresh processes, with their peak RSS::
+one traced run per side and workload; the bundled runs of ``STAGE_RUNS``
+stage by stage in fresh processes, with their peak RSS; and clock recovery
+on the synthetic weak streams of ``WEAK_STREAMS``, likewise::
 
     python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_8.json
 
@@ -42,6 +43,16 @@ STAGE_RUNS = (
     ("table2_collimators", 60, False), ("table2_collimators", 60, True),
     ("table2_beam_expanders", 30, False), ("table2_beam_expanders", 30, True),
 )
+# (seconds, signal tags/s, background tags/s, drift ppm, seed) of synthetic
+# streams too weak for drift acquisition's first sub-span, built as
+# tests/test_sync.py builds its long streams; the 1 s and 10 s ones are
+# too weak for any sub-span, so the whole stream is transformed after them.
+WEAK_STREAMS = (
+    (1, 300, 1_000, -5.0, 30), (1, 200, 1_500, 20.0, 30),
+    (10, 300, 1_000, -5.0, 40), (10, 200, 1_500, 20.0, 41),
+    (60, 300, 1_000, -5.0, 60), (60, 200, 1_500, 20.0, 61),
+)
+WEAK_CALLS = 5  # recover_clock calls per process
 # perfbench's peak_rss_mb is the high-water mark of a fixed-length run, and a
 # process's RSS creeps up with the sessions it has run, so a faster side reads
 # higher; these runs hold the session count fixed instead.
@@ -84,6 +95,38 @@ for _ in range(2):
     s["photons"], s["tags"] = len(arr), len(tags)
     out.append(s)
 print(json.dumps({"calls": out, "n_pulses": sc.n_pulses,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+# recover_clock on one weak stream: the FFT lengths of the first call, then
+# the wall time of each call; the stream is drawn before the RSS baseline.
+_WEAK = """
+import json, resource, sys, time
+import numpy as np
+from fsbb84 import sync
+P = 10_000.0
+secs, sig, bg, drift, seed, calls = (float(a) for a in sys.argv[1:])
+n_pulses = round(secs * 1e12 / P)
+rng = np.random.default_rng(int(seed))
+p = sig * P * 1e-12
+clicked = np.cumsum(rng.geometric(p, size=int(1.2 * n_pulses * p) + 100)) - 1
+clicked = clicked[clicked < n_pulses]
+rate = 1.0 + drift * 1e-6
+t_sig = 2_468.0 + rate * (clicked * P + rng.normal(0.0, 171.0, clicked.size))
+t_bg = 2_468.0 + rng.random(rng.poisson(bg * secs)) * n_pulses * P * rate
+t = np.sort(np.rint(np.concatenate([t_sig, t_bg])).astype(np.int64))
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+fft, lengths = np.fft.fft, []
+np.fft.fft = lambda a, *args, **kw: (lengths.append(len(a)), fft(a, *args, **kw))[1]
+wall = []
+for i in range(int(calls)):
+    s = time.perf_counter()
+    clock = sync.recover_clock(t, P, coarse_reference_ps=2_468.0)
+    wall.append(time.perf_counter() - s)
+    if i == 0:
+        np.fft.fft = fft
+print(json.dumps({"tags": len(t), "fft_lengths": lengths, "recover_clock_s": wall,
+                  "drift_error_ppm": clock.drift_ppm - drift, "rss_before_mb": base,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -207,6 +250,23 @@ def main(argv=None) -> int:
               flush=True)
         stage_runs.append(rec)
 
+    weak_streams = []
+    for stream in WEAK_STREAMS:
+        rec = {"stream": dict(zip(("seconds", "signal_cps", "background_cps", "drift_ppm",
+                                   "seed"), stream)), **{s: [] for s in sides}}
+        for i in range(STAGE_PROCESSES):
+            for s in (sides if i % 2 == 0 else reversed(list(sides))):
+                proc = subprocess.run([sys.executable, "-c", _WEAK, *map(str, stream),
+                                       str(WEAK_CALLS)], env=_env(sides[s]),
+                                      capture_output=True, text=True, timeout=900, check=True)
+                rec[s].append(json.loads(proc.stdout))
+        wall = {s: statistics.median(w for r in rec[s] for w in r["recover_clock_s"][1:])
+                for s in sides}
+        print(f"weak stream {stream}: recover_clock median / peak_rss_mb "
+              + ", ".join(f"{s} {wall[s]:.4f} s / {max(r['peak_rss_mb'] for r in rec[s]):.0f} MB"
+                          for s in sides), flush=True)
+        weak_streams.append(rec)
+
     doc = {
         "machine": _machine(),
         "end_to_end": {
@@ -230,6 +290,13 @@ def main(argv=None) -> int:
                        f"process, {STAGE_PROCESSES} processes per side, alternating; "
                        "peak_rss_mb is the process's ru_maxrss",
             "runs": stage_runs,
+        },
+        "weak_streams": {
+            "measure": f"recover_clock on a synthetic stream, {WEAK_CALLS} calls per process, "
+                       f"{STAGE_PROCESSES} processes per side, alternating; the first call is "
+                       "cold and records fft_lengths, its transforms; peak_rss_mb is the "
+                       "process's ru_maxrss",
+            "runs": weak_streams,
         },
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
