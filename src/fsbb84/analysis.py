@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -84,6 +83,11 @@ def gate_acceptance(gate_width_ps: float, pulse_fwhm_ps: float, jitter_fwhm_ps: 
         return 1.0
     sigma = fwhm / FWHM_TO_SIGMA
     return math.erf(gate_width_ps / 2.0 / (sigma * math.sqrt(2.0)))
+
+
+def click_probability(mu_per_state, eta: float) -> float:
+    """``mean_s(1 - exp(-mu_s eta))``: a pulse delivers at least one photon to an APD."""
+    return sum(1.0 - math.exp(-mu * eta) for mu in mu_per_state) / 4.0
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,7 @@ def predict(scenario: Scenario) -> PredictedMetrics:
     eta = 10.0 ** (-(link_db + rx.efficiency_db) / 10.0)
 
     acc = gate_acceptance(scenario.sync.gate_width_ps, src.pulse_fwhm_ps, rx.jitter_fwhm_ps)
-    p_click = sum(1.0 - math.exp(-mu * eta) for mu in src.mu_per_state) / 4.0
-    p_sig = p_click * acc
+    p_sig = click_probability(src.mu_per_state, eta) * acc
     p_bg_apd = rx.background_rate_cps_per_apd * scenario.sync.gate_width_ps * 1e-12
     p_bg = 4.0 * p_bg_apd
 

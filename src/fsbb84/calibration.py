@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analysis import gate_acceptance
+from .analysis import click_probability, gate_acceptance
 from .channel import ChannelConfig, loss_breakdown
 from .errors import ConfigError
 
@@ -65,12 +65,11 @@ def fit_run(sifted_rate_bps: float, qber: float, rep_rate_hz: float,
     acc = gate_acceptance(gate_width_ps, pulse_fwhm_ps, jitter_fwhm_ps)
     p_click = p_sig / acc
 
-    # mean_s(1 - exp(-mu_s * eta)) = p_click, solved by bisection
+    # click_probability(mu, eta) = p_click, solved by bisection
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = sum(1.0 - math.exp(-mu * mid) for mu in mu_per_state) / 4.0
-        if val < p_click:
+        if click_probability(mu_per_state, mid) < p_click:
             lo = mid
         else:
             hi = mid

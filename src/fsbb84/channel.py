@@ -43,6 +43,7 @@ from . import source
 from .errors import ConfigError
 from .seeds import STREAM_FADING, spawn
 from .source import SHARD_SIZE, SourceConfig, emit_jitter_ps
+from .sync import TrueClock
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -99,8 +100,6 @@ class ChannelConfig:
 
 def beam_radius_m(waist_radius_m: float, distance_m: float, wavelength_m: float) -> float:
     """1/e^2 Gaussian beam radius after free propagation from the waist."""
-    if waist_radius_m <= 0:
-        raise ConfigError("beam waist must be > 0", "channel.tx_beam_diameter_e2_cm")
     z_r = math.pi * waist_radius_m**2 / wavelength_m
     return waist_radius_m * math.sqrt(1.0 + (distance_m / z_r) ** 2)
 
@@ -129,8 +128,6 @@ def _kim_q(visibility_km: float) -> float:
 
 def atmospheric_loss_db(visibility_km: float, wavelength_nm: float, distance_m: float) -> float:
     """Kim-model extinction over ``distance_m`` in dB."""
-    if visibility_km <= 0:
-        raise ConfigError("must be > 0", "channel.visibility_km")
     sigma_per_km = (3.91 / visibility_km) * (wavelength_nm / 550.0) ** (-_kim_q(visibility_km))
     return 10.0 / math.log(10.0) * sigma_per_km * (distance_m / 1000.0)
 
@@ -225,9 +222,7 @@ def _arrivals(index: np.ndarray, states: np.ndarray, n_phot: np.ndarray, emit_ps
     states = states.copy()
     if config.retro_mode and config.retro_flip_prob > 0.0:
         states[rng.random(index.size) < config.retro_flip_prob] ^= 1
-    t = emit_ps + config.delay_ps()
-    if true_clock is not None:
-        t = true_clock.to_receiver(t)
+    t = true_clock.to_receiver(emit_ps + config.delay_ps())
     t = np.rint(t).astype(np.int64)
     states = np.repeat(states, n_phot)
     u = rng.random(states.size)
@@ -249,7 +244,7 @@ def _finalize_arrivals(parts) -> PhotonArrivals:
 
 def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses: int,
                     efficiency: float, analyzer: np.ndarray,
-                    true_clock=None) -> PhotonArrivals:
+                    true_clock: TrueClock = TrueClock()) -> PhotonArrivals:
     """Source, channel and Bob's analyzer in one pass: the photons at his APDs.
 
     ``efficiency`` is the receiver's lumped efficiency ``eta`` and
@@ -261,8 +256,9 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
     ``min(T * f_b, 1)``, which is exact because thinning composes. Emission
     jitter, retro flips and APD picks are drawn from the shard's generator,
     in that order, for these pulses only. States are the source's, so
-    Alice's lookup agrees with every arrival. Output is sorted by arrival
-    time with pulse order preserved on ties.
+    Alice's lookup agrees with every arrival. Arrival times are read on
+    ``true_clock``, the receiver clock, and sorted with pulse order
+    preserved on ties.
     """
     transmittance = 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
     analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()

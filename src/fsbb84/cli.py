@@ -7,9 +7,11 @@ Subcommands:
 * ``party``    -- one side of a networked session over TCP;
 * ``predict``  -- analytic metrics for a scenario, no simulation.
 
-Exit codes: 0 = session completed (including QBER aborts, which are an
-outcome, not a failure); 2 = configuration error; 1 = infrastructure
-failure (transport, I/O, clock recovery, inconclusive session).
+Exit codes follow the failure taxonomy of :mod:`fsbb84.protocol.session`:
+0 = the party ended in a report, an outcome even when it aborts (QBER
+above threshold, handshake mismatch, ``peer-abort``, ``protocol-violation``);
+1 = infrastructure failure (transport death or timeout, clock recovery, no
+sifted bit, I/O); 2 = configuration error.
 
 The default output directory comes from ``FSBB84_OUT_DIR`` (falling back
 to the working directory).
@@ -30,16 +32,9 @@ from .errors import ConfigError, InconclusiveSessionError, SessionFailedError, S
 from .protocol.session import ROLE_ALICE, ROLE_BOB, run_session
 from .protocol.transport import connect, listen_accept
 from .runner import run_in_process
-from .scenario import BUNDLED_NAMES, bundled_scenario, load_scenario
-from .simulate import simulate_quantum_phase
+from .scenario import BUNDLED_NAMES, load_scenario
 
 ENV_OUT_DIR = "FSBB84_OUT_DIR"
-
-
-def _load(path: str, seed):
-    if path in BUNDLED_NAMES:
-        return bundled_scenario(path, seed=seed)
-    return load_scenario(path, seed=seed)
 
 
 def _out_dir(arg) -> Path:
@@ -69,7 +64,7 @@ def _write(doc: dict, out: Path, stem: str, fmt: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load(args.scenario, args.seed)
+    scenario = load_scenario(args.scenario, args.seed)
     if args.duration is not None:
         if scenario.protocol.n_pulses is not None:
             raise ConfigError("fixes the pulse count, so --duration would be ignored",
@@ -102,7 +97,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_party(args) -> int:
-    scenario = _load(args.scenario, args.seed)
+    scenario = load_scenario(args.scenario, args.seed)
     out = _out_dir(args.out)
     role = args.role
 
@@ -129,7 +124,7 @@ def _cmd_party(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    scenario = _load(args.scenario, args.seed)
+    scenario = load_scenario(args.scenario, args.seed)
     predicted = analysis.predict(scenario)
     if args.out:
         out = _out_dir(args.out)

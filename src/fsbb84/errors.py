@@ -30,7 +30,7 @@ class InconclusiveSessionError(RuntimeError):
 
 
 class SessionFailedError(RuntimeError):
-    """Infrastructure failure (transport death, bad message flow) mid-session."""
+    """Infrastructure failure mid-session: transport death or timeout."""
 
     def __init__(self, message: str, phase: str = "unknown"):
         self.message, self.phase = message, phase

@@ -13,14 +13,23 @@ and both abort if it exceeds the threshold. In benchmark mode the whole
 sifted key is disclosed, which reproduces the reference measurements'
 bookkeeping (sifted rate counts all basis-matched bits).
 
-:func:`run_session` alone sends the ABORT and builds the abort report of
-a handshake mismatch, a peer's ABORT (``peer-abort``), or a peer message
-that breaks session semantics (``protocol-violation``): an undecodable
-frame or a DONE for another session for either, a bad report or sample
-for Alice, a QBER_RESULT that does not follow from Bob's sample for Bob
-(Bob sends no ABORT after Alice's DONE, her last message). Transport
-death or malformed flow raise :class:`SessionFailedError`. Bob tells Alice
-with an ABORT, then raises, if his clock recovery fails or he sifts no bit.
+A party's session ends in one of three ways:
+
+* a report of the estimated QBER (``abort`` marks one above threshold);
+* an abort report, which only :func:`run_session` builds, sending an ABORT
+  unless the peer's ABORT or last DONE ended the session: a handshake
+  mismatch (``role-conflict``, ``session-id-mismatch``,
+  ``parameter-mismatch``), ``peer-abort``, or ``protocol-violation``, a
+  peer message that breaks session semantics: for either party an
+  undecodable frame, a message of the wrong type for the phase or a DONE
+  for another session; for Alice a bad report or sample, or anything but
+  an ABORT after an empty mask; for Bob a QBER_RESULT that does not follow
+  from his sample;
+* an exception: :class:`SessionFailedError`, carrying the phase, for
+  transport death or timeout (or a party the in-process runner waited for
+  in vain); :class:`SyncFailureError` or :class:`InconclusiveSessionError`
+  when Bob's clock recovery fails or he sifts no bit, which he tells Alice
+  with an ABORT first (she raises the second too).
 """
 
 from __future__ import annotations
@@ -215,7 +224,8 @@ def _expect(message, expected_type):
     if isinstance(message, Abort):
         raise _Abort(f"peer-abort: {message.reason}")
     if not isinstance(message, expected_type):
-        raise SessionFailedError(f"expected {expected_type.__name__}, got {type(message).__name__}")
+        raise ProtocolViolationError(
+            f"expected {expected_type.__name__}, got {type(message).__name__}")
     return message
 
 
@@ -347,7 +357,7 @@ def _run_alice(transport, scenario: Scenario, scenario_hash: bytes,
         msg = transport.recv_message()
         if isinstance(msg, Abort):
             raise InconclusiveSessionError("no sifted bits to estimate QBER from")
-        raise SessionFailedError("expected abort on empty key")
+        raise ProtocolViolationError(f"expected Abort on an empty key, got {type(msg).__name__}")
     sample_idx = _expect(transport.recv_message(), SampleIndices)
     sample_bits = _expect(transport.recv_message(), SampleBits)
     qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)

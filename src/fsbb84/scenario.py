@@ -160,21 +160,6 @@ def scenario_from_dict(doc: dict, name_hint: str = "") -> Scenario:
     )
 
 
-def load_scenario(path, seed: Optional[int] = None) -> Scenario:
-    """Load a scenario from a JSON file (optionally reseeded)."""
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {p}", "") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"not valid JSON: {e}", str(p)) from None
-    scenario = scenario_from_dict(doc, name_hint=p.stem)
-    if seed is not None:
-        scenario = scenario.with_seed(seed)
-    return scenario
-
-
 BUNDLED_NAMES = (
     "table1_run1_retro",
     "table1_run2_retro",
@@ -184,14 +169,32 @@ BUNDLED_NAMES = (
 
 
 def bundled_scenario_text(name: str) -> str:
-    if name not in BUNDLED_NAMES:
-        raise ConfigError(f"unknown bundled scenario {name!r} "
-                          f"(have: {', '.join(BUNDLED_NAMES)})", "scenario")
+    """JSON text of the bundled scenario ``name``, one of :data:`BUNDLED_NAMES`."""
     return resources.files("fsbb84.scenarios").joinpath(f"{name}.json").read_text("utf-8")
 
 
+def load_scenario(source, seed: Optional[int] = None) -> Scenario:
+    """Load a bundled scenario by name, else a JSON file by path (optionally reseeded)."""
+    if source in BUNDLED_NAMES:
+        text, name = bundled_scenario_text(source), source
+    else:
+        p = Path(source)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"scenario file not found: {p}", "") from None
+        name = p.stem
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"not valid JSON: {e}", str(source)) from None
+    scenario = scenario_from_dict(doc, name_hint=name)
+    return scenario if seed is None else scenario.with_seed(seed)
+
+
 def bundled_scenario(name: str, seed: Optional[int] = None) -> Scenario:
-    scenario = scenario_from_dict(json.loads(bundled_scenario_text(name)), name_hint=name)
-    if seed is not None:
-        scenario = scenario.with_seed(seed)
-    return scenario
+    """Load a bundled scenario; an unknown name is an error, never a path."""
+    if name not in BUNDLED_NAMES:
+        raise ConfigError(f"unknown bundled scenario {name!r} "
+                          f"(have: {', '.join(BUNDLED_NAMES)})", "scenario")
+    return load_scenario(name, seed)

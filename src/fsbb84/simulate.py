@@ -62,11 +62,9 @@ def expected_offset_ps(scenario: Scenario) -> float:
 
 def receiver_window_ps(scenario: Scenario) -> tuple[int, int]:
     """Receiver-clock span covering the whole pulse train."""
-    clk = scenario.sync.true_clock
-    delay = scenario.channel.delay_ps()
-    t0 = clk.to_receiver(delay)
-    t1 = clk.to_receiver(delay + scenario.n_pulses * scenario.source.period_ps)
-    return int(t0), int(np.ceil(t1))
+    end = scenario.sync.true_clock.to_receiver(
+        scenario.channel.delay_ps() + scenario.n_pulses * scenario.source.period_ps)
+    return int(expected_offset_ps(scenario)), int(np.ceil(end))
 
 
 def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,

@@ -102,10 +102,6 @@ class ClockModel:
     period_ps: float
     rate = TrueClock.rate
 
-    def __post_init__(self):
-        if self.residual_rms_ps < 0:
-            raise ConfigError("must be >= 0", "clock_model.residual_rms_ps")
-
 
 def _cycles(x: np.ndarray, period_ps: float, nearest: bool = False) -> np.ndarray:
     """(x mod P) / P in [0, 1), or in [-1/2, 1/2] with ``nearest``; exact for whole-ps x."""
@@ -331,22 +327,20 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     return offset + A * rate, rate
 
 
-def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: int = 20,
-                  known_drift_ppm: Optional[float] = None,
-                  coarse_reference_ps: Optional[float] = None) -> ClockModel:
+def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_reference_ps: float,
+                  block_count: int = 20, known_drift_ppm: Optional[float] = None) -> ClockModel:
     """Estimate offset and drift from a non-decreasing tag stream (as in TimeTags).
 
+    ``coarse_reference_ps`` resolves the whole-period offset ambiguity to
+    the grid numbering nearest the given expected offset.
     ``known_drift_ppm`` skips acquisition (beacon-assisted mode); like an
     acquired drift, it must keep the grid within a fraction of a period
-    across the stream. ``coarse_reference_ps`` resolves the whole-period offset ambiguity to
-    the grid numbering nearest the given expected offset.
+    across the stream.
     """
     t = np.asarray(times_ps, dtype=np.float64)
     n = len(t)
     if n < MIN_TAGS:
         raise SyncFailureError(f"need >= {MIN_TAGS} tags for clock recovery, got {n}")
-    if block_count < 1:
-        raise ValueError("block_count must be >= 1")
     P = float(nominal_period_ps)
     t0 = t[0]
     tau = t - t0
@@ -374,9 +368,8 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: i
     if hist.max() < 3.0 * np.median(hist):
         raise SyncFailureError("no significant pulse-grid peak in folded histogram")
 
-    if coarse_reference_ps is not None:
-        k = round((coarse_reference_ps - offset) / (rate * P))
-        offset += k * rate * P
+    k = round((coarse_reference_ps - offset) / (rate * P))
+    offset += k * rate * P
 
     return ClockModel(offset_ps=float(offset), drift_ppm=float((rate - 1.0) * 1e6),
                       residual_rms_ps=residual_rms, period_ps=P)

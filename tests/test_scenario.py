@@ -10,7 +10,7 @@ import pytest
 
 import fsbb84
 from fsbb84.errors import ConfigError
-from fsbb84.scenario import (BUNDLED_NAMES, bundled_scenario,
+from fsbb84.scenario import (BUNDLED_NAMES, SyncSettings, bundled_scenario,
                              bundled_scenario_text, load_scenario,
                              scenario_from_dict)
 
@@ -81,6 +81,14 @@ def test_unknown_bundled_name():
         bundled_scenario("table9_imaginary")
 
 
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_load_scenario_takes_bundled_names(name, seed):
+    # one loader: a bundled name reaches the same scenario, seeded once
+    assert (load_scenario(name, seed=seed).hash_hex()
+            == bundled_scenario(name, seed=seed).hash_hex())
+
+
 def test_load_from_file_and_hash_stability(tmp_path):
     text = bundled_scenario_text("table2_beam_expanders")
     p = tmp_path / "sc.json"
@@ -142,6 +150,12 @@ def test_gate_must_fit_in_period():
     doc["sync"]["gate_width_ps"] = 10_000.0
     with pytest.raises(ConfigError):
         scenario_from_dict(doc)
+
+
+def test_sync_block_count_must_be_positive():
+    with pytest.raises(ConfigError) as err:
+        SyncSettings(block_count=0)
+    assert err.value.field == "sync.block_count"
 
 
 def test_missing_file():

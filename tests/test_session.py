@@ -240,6 +240,49 @@ def test_undecodable_peer_frame_is_a_protocol_violation(fast_scenario, role):
     assert out["report"].abort_reason == f"protocol-violation: {reason}"
 
 
+@pytest.mark.parametrize("role, case", [(ROLE_ALICE, "report"), (ROLE_ALICE, "empty-key"),
+                                        (ROLE_BOB, "sift")])
+def test_wrong_message_type_is_a_protocol_violation(fast_scenario, role, case):
+    # A hand-driven peer sends a well-formed message of the wrong type: a
+    # MATCH_MASK where Alice waits for the report, a DONE where she waits
+    # for the ABORT of an empty key, a SAMPLE_INDICES where Bob waits for
+    # the mask. The honest party must end in a protocol-violation report
+    # and tell the peer, which would otherwise wait out its own timeout.
+    sc = fast_scenario
+    a_sock, b_sock = socket.socketpair()
+    party, peer = StreamTransport(a_sock, 5.0), StreamTransport(b_sock, 5.0)
+    out = {}
+    th = threading.Thread(target=lambda: out.update(report=run_session(role, party, sc)))
+    th.start()
+    assert isinstance(peer.recv_message(), Hello)
+    peer.send_message(Hello(session_id=sc.protocol.session_id,
+                            role=1 if role == ROLE_ALICE else 0, scenario_hash=sc.hash_bytes()))
+    if role == ROLE_ALICE:
+        assert peer.recv_message() == session._session_params_msg(sc)
+        if case == "report":
+            peer.send_message(MatchMask(mask=np.ones(3, dtype=bool)))
+            reason = "expected DetectionReport, got MatchMask"
+        else:
+            peer.send_message(DetectionReport(pulse_index=np.zeros(0, dtype=np.int64),
+                                              basis=np.zeros(0, dtype=np.uint8)))
+            assert len(peer.recv_message()) == 0
+            peer.send_message(Done(session_id=sc.protocol.session_id))
+            reason = "expected Abort on an empty key, got Done"
+    else:
+        peer.send_message(session._session_params_msg(sc))
+        assert isinstance(peer.recv_message(), DetectionReport)
+        peer.send_message(SampleIndices(positions=np.arange(3, dtype=np.int64)))
+        reason = "expected MatchMask, got SampleIndices"
+    abort = peer.recv_message()
+    th.join(10.0)
+    party.close()
+    peer.close()
+    assert not th.is_alive()
+    assert isinstance(abort, Abort) and abort.reason == reason
+    assert out["report"].abort
+    assert out["report"].abort_reason == f"protocol-violation: {reason}"
+
+
 def test_bob_messages_never_leak_bits(fast_scenario):
     """Information-flow audit: Bob discloses bits only in the QBER sample."""
     captured = []

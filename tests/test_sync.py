@@ -158,12 +158,12 @@ def test_recover_background_only_fails():
     rng = np.random.default_rng(3)
     times = np.sort(rng.integers(0, 10**12, size=60_000))
     with pytest.raises(SyncFailureError):
-        recover_clock(times, PERIOD)
+        recover_clock(times, PERIOD, coarse_reference_ps=0.0)
 
 
 def test_recover_needs_enough_tags():
     with pytest.raises(SyncFailureError):
-        recover_clock(np.arange(999) * 10_000, PERIOD)
+        recover_clock(np.arange(999) * 10_000, PERIOD, coarse_reference_ps=0.0)
 
 
 def test_recover_beacon_assisted_skips_search():
