@@ -41,11 +41,16 @@ import numpy as np
 
 from . import source
 from .errors import ConfigError
-from .seeds import STREAM_FADING, spawn
+from .seeds import STREAM_FADING, STREAM_STATE, counter_key, spawn
 from .source import SHARD_SIZE, SourceConfig, emit_jitter_ps
 from .sync import TrueClock
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+
+# Candidate pulses that close a group of consecutive shards in
+# transmit_stream. It bounds the group's transient arrays (a few MB at
+# 2^16), not the output; a 60 s collimator stream runs in three groups.
+GROUP_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,10 +170,6 @@ def loss_breakdown(config: ChannelConfig, wavelength_nm: float) -> LossBreakdown
     )
 
 
-def total_link_loss_db(config: ChannelConfig, wavelength_nm: float) -> float:
-    return loss_breakdown(config, wavelength_nm).total_db
-
-
 @dataclass
 class PhotonArrivals:
     """Photons reaching Bob's APDs, on Bob's (pre-tagger) clock.
@@ -202,39 +203,74 @@ def _fading_block(index, period_ps: float, config: ChannelConfig):
 
 
 def _block_survival(first_block: int, last_block: int, transmittance: float,
-                    config: ChannelConfig) -> np.ndarray:
+                    config: ChannelConfig) -> list[float]:
     """Photon survival probability ``min(T * f_b, 1)`` of each block in range."""
-    factors = [fading_factor(config, b) for b in range(first_block, last_block + 1)]
-    return np.minimum(transmittance * np.array(factors), 1.0)
+    return [min(transmittance * fading_factor(config, b), 1.0)
+            for b in range(first_block, last_block + 1)]
 
 
-def _arrivals(index: np.ndarray, states: np.ndarray, n_phot: np.ndarray, emit_ps: np.ndarray,
-              config: ChannelConfig, true_clock, analyzer_cdf: np.ndarray,
-              rng: np.random.Generator):
+def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
+              config: ChannelConfig, true_clock: TrueClock, analyzer_cdf: np.ndarray):
     """(pulse_index, state, detector, arrival_time_ps) per photon at an APD.
 
-    One entry per photon of each pulse; ``emit_ps`` is the pulses' emission
-    time in ps (float64). A retro flip acts per pulse. Each photon then
-    picks its APD with one uniform ``u``: the APD is the number of entries
-    of its state's cumulative analyzer row that are <= ``u``, with
-    ``analyzer_cdf[d, s]`` = P(APD <= d | state s) for d = 0, 1, 2.
+    ``group`` holds ``(shard, b0, p, p_max)`` per shard: its candidates
+    from :func:`fsbb84.source.generate_shard`, its first fading block, the
+    survival ``p`` of its blocks and their largest value. One entry per
+    photon of each pulse. Each shard's generator draws, after the source's
+    draws: the fading binomial (where ``p`` varies), then emission jitter
+    and the retro flip per pulse, then one uniform ``u`` per photon. The
+    APD is the number of entries of the photon's state's cumulative
+    analyzer row that are <= ``u``, with ``analyzer_cdf[d, s]`` =
+    P(APD <= d | state s) for d = 0, 1, 2.
     """
-    states = states.copy()
-    if config.retro_mode and config.retro_flip_prob > 0.0:
-        states[rng.random(index.size) < config.retro_flip_prob] ^= 1
-    t = true_clock.to_receiver(emit_ps + config.delay_ps())
-    t = np.rint(t).astype(np.int64)
+    shards = [sh for sh, _, _, _ in group]
+    pulses = source.non_vacuum(shards, state_key)
+    index, states, n_phot, bounds = (pulses.index, pulses.states, pulses.photon_count,
+                                     pulses.bounds)
+    period = source_config.period_ps
+    faded = [(k, b0, p, p_max) for k, (_, b0, p, p_max) in enumerate(group) if min(p) < p_max]
+    for k, b0, p, p_max in faded:
+        a, b = bounds[k], bounds[k + 1]
+        block = _fading_block(index[a:b], period, config) - b0
+        n_phot[a:b] = shards[k].rng.binomial(n_phot[a:b], np.array(p)[block] / p_max)
+    if faded:
+        alive = np.flatnonzero(n_phot)
+        index, states, n_phot = index.take(alive), states.take(alive), n_phot.take(alive)
+        bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), index.size]
+    photon_bounds = np.append(0, np.cumsum(n_phot))[bounds].tolist()
+    flips = config.retro_mode and config.retro_flip_prob > 0.0
+    jitter, u = np.empty(index.size), np.empty(photon_bounds[-1])
+    flip = np.empty(index.size) if flips else None
+    for sh, a, b, pa, pb in zip(shards, bounds, bounds[1:], photon_bounds, photon_bounds[1:]):
+        jitter[a:b] = emit_jitter_ps(source_config, sh.rng, b - a)
+        if flips:
+            sh.rng.random(out=flip[a:b])
+        sh.rng.random(out=u[pa:pb])
+    if flips:
+        states[flip < config.retro_flip_prob] ^= 1
+    t = np.rint(true_clock.to_receiver(index * period + jitter + config.delay_ps()))
+    t = t.astype(np.int64)
+    del jitter, flip  # free what the photon-sized arrays below need no more
     states = np.repeat(states, n_phot)
-    u = rng.random(states.size)
+    detector = _apd_pick(u, states, analyzer_cdf)
+    del u
+    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
+
+
+def _apd_pick(u: np.ndarray, states: np.ndarray, analyzer_cdf: np.ndarray) -> np.ndarray:
+    """APD of each photon from its uniform ``u`` and its state (see :func:`_arrivals`)."""
     k = states.astype(np.intp)
     detector = np.zeros(u.size, dtype=np.uint8)
     for column in analyzer_cdf:
         detector += u >= column.take(k)
-    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
+    return detector
 
 
 def _finalize_arrivals(parts) -> PhotonArrivals:
-    idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
+    if len(parts) == 1:
+        idx, states, detector, times = parts[0]
+    else:
+        idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
     if len(times) > 1 and np.any(times[1:] < times[:-1]):
         order = np.argsort(times, kind="stable")
         idx, states, detector, times = idx[order], states[order], detector[order], times[order]
@@ -259,25 +295,30 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
     Alice's lookup agrees with every arrival. Arrival times are read on
     ``true_clock``, the receiver clock, and sorted with pulse order
     preserved on ties.
+
+    Only the draws run per shard. Everything else runs once per group of
+    consecutive shards, closed once it holds GROUP_CANDIDATES candidates,
+    so its transient arrays stay bounded however long the stream.
     """
-    transmittance = 10.0 ** (-total_link_loss_db(config, source_config.wavelength_nm) / 10.0)
+    transmittance = 10.0 ** (-loss_breakdown(config, source_config.wavelength_nm).total_db / 10.0)
     analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()
     period = source_config.period_ps
-    parts = []
+    state_key = counter_key(source_config.rng_seed, STREAM_STATE)
+    folded = {}  # p_max -> the source at mu * p_max * eta
+    parts, group, n_candidates = [], [], 0
     for start in range(0, n_pulses, SHARD_SIZE):
         n = min(SHARD_SIZE, n_pulses - start)
         b0 = _fading_block(start, period, config)
         p = _block_survival(b0, _fading_block(start + n - 1, period, config), transmittance, config)
-        p_max = float(p.max())
-        mu = tuple(m * p_max * efficiency for m in source_config.mu_per_state)
-        shard = source.generate_shard(replace(source_config, mu_per_state=mu),
-                                      start // SHARD_SIZE, n)
-        g, index, states, n_phot = (shard.rng, start + shard.position, shard.states,
-                                    shard.photon_count)
-        if p.min() < p_max:
-            n_phot = g.binomial(n_phot, p[_fading_block(index, period, config) - b0] / p_max)
-            index, states, n_phot = index[n_phot > 0], states[n_phot > 0], n_phot[n_phot > 0]
-        emit = index * period + emit_jitter_ps(source_config, g, index.size)
-        parts.append(_arrivals(index, states, n_phot, emit, config, true_clock,
-                               analyzer_cdf, g))
+        p_max = max(p)
+        if p_max not in folded:
+            folded[p_max] = replace(source_config, mu_per_state=tuple(
+                m * p_max * efficiency for m in source_config.mu_per_state))
+        shard = source.generate_shard(folded[p_max], start // SHARD_SIZE, n)
+        group.append((shard, b0, p, p_max))
+        n_candidates += shard.position.size
+        if n_candidates >= GROUP_CANDIDATES or start + n == n_pulses:
+            parts.append(_arrivals(group, state_key, source_config, config, true_clock,
+                                   analyzer_cdf))
+            group, n_candidates = [], 0
     return _finalize_arrivals(parts)

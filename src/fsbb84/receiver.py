@@ -135,13 +135,12 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
 
 
 def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s: float,
-           window_ps: Optional[tuple[int, int]] = None,
-           with_truth: bool = False) -> TimeTags:
+           window_ps: tuple[int, int], with_truth: bool = False) -> TimeTags:
     """Turn photons at the APDs into the merged, dead-time-filtered tag stream.
 
-    ``window_ps`` bounds the background injection (defaults to
-    [0, duration)); pass the session's receiver-clock window so background
-    covers the same span as the signal.
+    ``window_ps`` bounds the background injection: the session's
+    receiver-clock window, so background covers the same span as the
+    signal. ``with_truth`` adds each tag's originating pulse.
     """
     t_arr = arrivals.arrival_time_ps
     if len(t_arr) > 1 and np.any(t_arr[1:] < t_arr[:-1]):
@@ -151,7 +150,6 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     res = int(config.tag_resolution_ps)
     m = len(arrivals)
     detectors = arrivals.detector
-    sig_truth = arrivals.pulse_index
 
     # Timing jitter, then tagger quantization
     sig_times = t_arr.astype(np.float64)
@@ -160,8 +158,6 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     sig_times = (np.rint(sig_times / res) * res).astype(np.int64)
 
     # Background: one Poisson process per APD over the observation window
-    if window_ps is None:
-        window_ps = (0, int(round(session_duration_s * 1e12)))
     w0, w1 = int(window_ps[0]), int(window_ps[1])
     bg = spawn(config.rng_seed, STREAM_BACKGROUND)
     t_all, det_all = [sig_times], [detectors]
@@ -171,7 +167,6 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
         t_all.append((np.rint(t / res) * res).astype(np.int64))
         det_all.append(np.full(n_bg, d, dtype=np.uint8))
     t_all, det_all = np.concatenate(t_all), np.concatenate(det_all)
-    tr_all = np.concatenate([sig_truth, np.full(len(t_all) - m, -1, dtype=np.int64)])
 
     # One stable (time, detector) order, and the same order grouped by
     # detector for dead time; signal precedes background at equal times.
@@ -188,8 +183,11 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     keep = np.zeros(len(t_all), dtype=bool)
     keep[by_det[_dead_time_filter(key, dead_ps)]] = True
     order = by_time[keep[by_time]]
-    return TimeTags(detector=det_all[order], time_ps=t_all[order],
-                    truth_pulse_index=tr_all[order] if with_truth else None)
+    truth = None
+    if with_truth:
+        truth = np.concatenate([arrivals.pulse_index,
+                                np.full(len(t_all) - m, -1, dtype=np.int64)])[order]
+    return TimeTags(detector=det_all[order], time_ps=t_all[order], truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,

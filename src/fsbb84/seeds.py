@@ -14,11 +14,16 @@ per-pulse polarization states, which Alice looks up by pulse index.
 
 Reproducibility contract (version 3): outputs depend on the seeds, the
 stream tags below, the SplitMix64 constants, the source's shard size and
-the order in which each stage draws from its generators. Within a shard
-of :func:`fsbb84.channel.transmit_stream`, the shard generator draws the
-non-vacuum pulses (see :func:`fsbb84.source.generate_shard`), then any
-fading thinning, then emission jitter per pulse, then the retro flip per
-pulse, then the APD pick, one uniform per photon. ``STREAM_RECEIVER``
+the order in which each generator is drawn from. Each shard of
+:func:`fsbb84.channel.transmit_stream` has one generator, which draws, in
+this order: the geometric gaps between candidate pulses, a keep uniform
+per candidate, a photon-number uniform per kept pulse (the source's
+draws, :mod:`fsbb84.source`), a fading binomial per pulse where fading
+varies within the shard, then emission jitter and the retro flip per
+surviving pulse, and the APD-pick uniform per photon. Steps that draw
+nothing (the state hash, the keep test, the photon-number inversion,
+arrival times, the APD pick itself) run over several shards at once, so
+how shards are grouped is not part of the contract. ``STREAM_RECEIVER``
 draws only detector jitter, one normal per photon. No library stage draws
 from ``STREAM_CHANNEL`` or ``STREAM_EMIT_JITTER``: they are the streams of
 the tests' photon-by-photon reference chain (its link thinning, and the

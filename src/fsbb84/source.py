@@ -17,21 +17,25 @@ the SplitMix64 hash of ``i`` under a key derived from ``rng_seed`` (see
 (:func:`pulse_states`), so Alice looks up the states Bob reports without
 regenerating anything.
 
-Photon numbers are drawn only where they are not zero. Each shard of
-``SHARD_SIZE`` pulses has its own generator derived from
-``(rng_seed, shard_index)``, and :func:`generate_shard` draws its
-non-vacuum pulses by exact Poisson thinning:
+Photon numbers are drawn only where they are not zero, by exact Poisson
+thinning. Each shard of ``SHARD_SIZE`` pulses has its own generator
+derived from ``(rng_seed, shard_index)``, and the pulses come in stages:
 
-* candidate positions come from geometric gaps at
+* :func:`generate_shard` draws candidate positions from geometric gaps at
   ``p_max = 1 - exp(-max_s mu_s)``;
-* a candidate of state ``s`` is kept with probability
+* :func:`non_vacuum` has each shard's generator draw a keep uniform per
+  candidate, and keeps a candidate of state ``s`` with probability
   ``(1 - exp(-mu_s)) / p_max``;
-* its photon number comes from a zero-truncated Poisson(mu_s), by
-  inversion.
+* it then has the generator draw a uniform per kept pulse, and inverts it
+  into a zero-truncated Poisson(mu_s) photon number.
+
+Only the draws run shard by shard. The state hash, the keep test and the
+inversion run once over a list of consecutive shards, and read a 4-entry
+table per shard instead of evaluating ``exp`` per pulse.
 
 The cost follows ``mu * n``, not ``n``. Loss thins a Poisson pulse into a
 Poisson pulse, so the channel draws the pulses that reach Bob's APDs with
-the same function at ``mu_s * T * eta`` (:func:`fsbb84.channel.transmit_stream`).
+the same functions at ``mu_s * T * eta`` (:func:`fsbb84.channel.transmit_stream`).
 
 Reproducibility: a seed fixes every output for a given ``n_pulses``. The
 states of a seed never depend on ``n_pulses``; the photon numbers of its
@@ -40,6 +44,7 @@ last shard do. This is version 3 of the contract in :mod:`fsbb84.seeds`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,21 +111,34 @@ class SourceConfig:
 # ---------------------------------------------------------------------------
 
 
+def _hashed_states(key: np.uint64, indices) -> np.ndarray:
+    return (splitmix64(key, indices) >> np.uint64(62)).astype(np.uint8)
+
+
 def pulse_states(config: SourceConfig, indices) -> np.ndarray:
     """State (0..3, uint8) of each pulse index: top two bits of its hash."""
-    z = splitmix64(counter_key(config.rng_seed, STREAM_STATE), indices)
-    return (z >> np.uint64(62)).astype(np.uint8)
+    return _hashed_states(counter_key(config.rng_seed, STREAM_STATE), indices)
 
 
 @dataclass
 class PulseShard:
-    """The pulses of one shard that carry at least one photon."""
+    """A shard's generator and its candidate pulses, the first of its draws."""
 
     start: int  # global index of the shard's first pulse
-    position: np.ndarray  # int64, increasing positions within the shard
+    position: np.ndarray  # int64, increasing candidate positions within the shard
+    mu: tuple[float, float, float, float]  # mean photon number per state
+    p_max: float  # 1 - exp(-max mu), the candidates' Bernoulli rate
+    rng: np.random.Generator = field(repr=False)
+
+
+@dataclass
+class Pulses:
+    """The non-vacuum pulses of consecutive shards, in pulse order."""
+
+    index: np.ndarray  # int64, global pulse index
     states: np.ndarray  # uint8, 0..3
     photon_count: np.ndarray  # int64, >= 1
-    rng: np.random.Generator = field(repr=False)
+    bounds: list[int]  # shard k's pulses are [bounds[k], bounds[k + 1])
 
 
 def _success_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -135,40 +153,73 @@ def _success_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray
     return pos[: np.searchsorted(pos, n)]
 
 
-def _zero_truncated_poisson(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Poisson(mu) draw per entry, conditioned on >= 1, by inversion."""
-    u = rng.random(mu.size) * -np.expm1(-mu)  # uniform on [0, P(N >= 1))
-    pmf = mu * np.exp(-mu)
-    cdf = pmf.copy()
-    count = np.ones(mu.size, dtype=np.int64)
-    todo = np.nonzero(u >= cdf)[0]
+def _zero_truncated_poisson(mu: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One Poisson(mu[row]) draw per entry, conditioned on >= 1, by inversion.
+
+    ``mu`` is a flat per-state table and ``u`` holds one uniform per entry;
+    it is scaled in place onto [0, P(N >= 1)).
+    """
+    u *= (-np.expm1(-mu))[row]
+    cdf = (mu * np.exp(-mu))[row]  # P(N = 1), raised below to P(N <= count)
+    count = np.ones(row.size, dtype=np.int64)
+    todo = np.flatnonzero(u >= cdf)
+    pmf = cdf[todo]
     k = 1
     while todo.size:  # ends at the latest where the pmf underflows
         k += 1
-        pmf[todo] *= mu[todo] / k
-        cdf[todo] += pmf[todo]
+        pmf *= mu[row[todo]] / k
+        cdf[todo] += pmf
         count[todo] = k
-        todo = todo[(u[todo] >= cdf[todo]) & (pmf[todo] > 0.0)]
+        more = (u[todo] >= cdf[todo]) & (pmf > 0.0)
+        todo, pmf = todo[more], pmf[more]
     return count
 
 
 def generate_shard(config: SourceConfig, shard_index: int, n: int) -> PulseShard:
-    """The non-vacuum pulses among the ``n`` pulses of shard ``shard_index``.
+    """The candidate pulses among the ``n`` pulses of shard ``shard_index``.
 
-    ``n`` may be smaller than SHARD_SIZE only for the final shard. The
-    returned generator has drawn nothing else; consumers continue from it
-    (emission jitter, channel draws).
+    Spawns the shard's generator and draws the first of its stages: the
+    geometric gaps between candidates at ``p_max``. ``n`` may be smaller
+    than SHARD_SIZE only for the final shard. The generator's next draws,
+    in order, are a keep uniform per candidate and a photon-number uniform
+    per kept pulse (:func:`non_vacuum`), then the channel's
+    (:func:`fsbb84.channel.transmit_stream`).
     """
     g = spawn(config.rng_seed, STREAM_SOURCE, shard_index)
-    start = shard_index * SHARD_SIZE
-    mu = np.asarray(config.mu_per_state, dtype=np.float64)
-    p_max = -math.expm1(-mu.max())
-    pos = _success_positions(n, p_max, g)
-    states = pulse_states(config, start + pos)
-    keep = g.random(pos.size) * p_max < -np.expm1(-mu)[states]
-    pos, states = pos[keep], states[keep]
-    return PulseShard(start=start, position=pos, states=states,
-                      photon_count=_zero_truncated_poisson(mu[states], g), rng=g)
+    p_max = -math.expm1(-max(config.mu_per_state))
+    return PulseShard(start=shard_index * SHARD_SIZE, position=_success_positions(n, p_max, g),
+                      mu=config.mu_per_state, p_max=p_max, rng=g)
+
+
+def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
+    """The non-vacuum pulses of consecutive shards from :func:`generate_shard`.
+
+    ``state_key`` is the state stream's key,
+    ``counter_key(rng_seed, STREAM_STATE)``. Each shard's generator draws
+    a keep uniform per candidate, then a photon-number uniform per kept
+    pulse, each into its slice of one array; the state hash, the keep test
+    and the inversion run once over all the shards, on per-state tables.
+    """
+    sizes = [sh.position.size for sh in shards]
+    bounds = [0, *itertools.accumulate(sizes)]
+    index = np.empty(bounds[-1], dtype=np.int64)
+    u = np.empty(bounds[-1])
+    for sh, a, b in zip(shards, bounds, bounds[1:]):
+        np.add(sh.position, sh.start, out=index[a:b])
+        sh.rng.random(out=u[a:b])
+    states = _hashed_states(state_key, index)
+    # Entry 4 k + s of the flat per-state tables is state s of shard k.
+    mu = np.array([sh.mu for sh in shards], dtype=np.float64).ravel()
+    row = np.repeat(np.arange(0, mu.size, 4), sizes) + states
+    u *= np.repeat([sh.p_max for sh in shards], sizes)
+    kept = np.flatnonzero(u < (-np.expm1(-mu))[row])
+    index, states, row = index.take(kept), states.take(kept), row.take(kept)
+    bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), index.size]
+    u = u[:index.size]  # the keep uniforms are spent
+    for sh, a, b in zip(shards, bounds, bounds[1:]):
+        sh.rng.random(out=u[a:b])
+    return Pulses(index=index, states=states, photon_count=_zero_truncated_poisson(mu, row, u),
+                  bounds=bounds)
 
 
 def emit_jitter_ps(config: SourceConfig, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -328,11 +328,13 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
 
 
 def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_reference_ps: float,
-                  block_count: int = 20, known_drift_ppm: Optional[float] = None) -> ClockModel:
+                  block_count: int, known_drift_ppm: Optional[float] = None) -> ClockModel:
     """Estimate offset and drift from a non-decreasing tag stream (as in TimeTags).
 
     ``coarse_reference_ps`` resolves the whole-period offset ambiguity to
-    the grid numbering nearest the given expected offset.
+    the grid numbering nearest the given expected offset. ``block_count``
+    is the number of phase blocks of the regression
+    (``SyncSettings.block_count``).
     ``known_drift_ppm`` skips acquisition (beacon-assisted mode); like an
     acquired drift, it must keep the grid within a fraction of a period
     across the stream.

@@ -17,24 +17,130 @@ one Poisson thinning, kept as an independent reference:
 :func:`transmit` and :func:`analyze` draw from their own generators, so
 they share no random numbers with the library.
 
-The second is :func:`reference_recover_clock`, the clock recovery that
+The second is :func:`reference_transmit_stream`, the folded chain one
+shard at a time: every step of a shard, the state hash and the photon-number
+inversion included, runs before the next shard starts.
+:func:`fsbb84.channel.transmit_stream` runs only the draws per shard and
+everything else once per group of shards; both must give the same arrays.
+
+The third is :func:`reference_recover_clock`, the clock recovery that
 :func:`fsbb84.sync.recover_clock` computes in fewer passes: here every
 fold is ``np.mod``, the phasors are float64, and each tag searches for
 its phase block.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from fsbb84.channel import PhotonArrivals, fading_factor, total_link_loss_db
+from fsbb84.channel import ChannelConfig, PhotonArrivals, fading_factor, loss_breakdown
 from fsbb84.errors import ConfigError, SyncFailureError
-from fsbb84.seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, spawn
+from fsbb84.seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, STREAM_SOURCE, spawn
 from fsbb84.source import (SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig, emit_jitter_ps,
-                           generate_shard, pulse_states)
-from fsbb84.sync import DRIFT_GUARD_PPM, MIN_TAGS, ClockModel
+                           pulse_states)
+from fsbb84.sync import DRIFT_GUARD_PPM, MIN_TAGS, ClockModel, TrueClock
+
+
+def _transmittance(config: ChannelConfig, wavelength_nm: float) -> float:
+    return 10.0 ** (-loss_breakdown(config, wavelength_nm).total_db / 10.0)
+
+
+class ReferenceShard(NamedTuple):
+    """The non-vacuum pulses of one shard and the generator that drew them."""
+
+    position: np.ndarray  # int64, positions within the shard
+    states: np.ndarray  # uint8
+    photon_count: np.ndarray  # int64, >= 1
+    rng: np.random.Generator
+
+
+def _success_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    batch = min(int(n * p + 6.0 * math.sqrt(n * p)) + 16, n + 1)
+    pos = np.cumsum(rng.geometric(p, size=batch)) - 1
+    while pos[-1] < n:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size=batch))])
+    return pos[: np.searchsorted(pos, n)]
+
+
+def _zero_truncated_poisson(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Poisson(mu) draw per entry, conditioned on >= 1, with exp per entry."""
+    u = rng.random(mu.size) * -np.expm1(-mu)
+    pmf = mu * np.exp(-mu)
+    cdf = pmf.copy()
+    count = np.ones(mu.size, dtype=np.int64)
+    todo = np.nonzero(u >= cdf)[0]
+    k = 1
+    while todo.size:
+        k += 1
+        pmf[todo] *= mu[todo] / k
+        cdf[todo] += pmf[todo]
+        count[todo] = k
+        todo = todo[(u[todo] >= cdf[todo]) & (pmf[todo] > 0.0)]
+    return count
+
+
+def reference_shard(config: SourceConfig, shard_index: int, n: int) -> ReferenceShard:
+    """Shard ``shard_index`` of the source, hashed and inverted on its own.
+
+    The same draws as the library's shard generator: geometric gaps at
+    ``p_max``, a keep uniform per candidate, a photon-number uniform per
+    kept pulse.
+    """
+    g = spawn(config.rng_seed, STREAM_SOURCE, shard_index)
+    mu = np.asarray(config.mu_per_state, dtype=np.float64)
+    p_max = -math.expm1(-mu.max())
+    pos = _success_positions(n, p_max, g)
+    states = pulse_states(config, shard_index * SHARD_SIZE + pos)
+    keep = g.random(pos.size) * p_max < -np.expm1(-mu)[states]
+    pos, states = pos[keep], states[keep]
+    return ReferenceShard(pos, states, _zero_truncated_poisson(mu[states], g), g)
+
+
+def reference_transmit_stream(source_config: SourceConfig, config: ChannelConfig,
+                              n_pulses: int, efficiency: float, analyzer: np.ndarray,
+                              true_clock: TrueClock = TrueClock()) -> PhotonArrivals:
+    """:func:`fsbb84.channel.transmit_stream`, one whole shard after another."""
+    transmittance = _transmittance(config, source_config.wavelength_nm)
+    analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()
+    period = source_config.period_ps
+    block_ps = int(config.fading_block_ms * 1e9)
+    parts = []
+    for start in range(0, n_pulses, SHARD_SIZE):
+        n = min(SHARD_SIZE, n_pulses - start)
+        b0 = start * int(period) // block_ps
+        b1 = (start + n - 1) * int(period) // block_ps
+        p = np.minimum(transmittance * np.array([fading_factor(config, b)
+                                                 for b in range(b0, b1 + 1)]), 1.0)
+        p_max = float(p.max())
+        mu = tuple(m * p_max * efficiency for m in source_config.mu_per_state)
+        shard = reference_shard(replace(source_config, mu_per_state=mu), start // SHARD_SIZE, n)
+        g, index = shard.rng, start + shard.position
+        states, n_phot = shard.states, shard.photon_count
+        if p.min() < p_max:
+            n_phot = g.binomial(n_phot, p[index * int(period) // block_ps - b0] / p_max)
+            index, states, n_phot = index[n_phot > 0], states[n_phot > 0], n_phot[n_phot > 0]
+        emit = index * period + emit_jitter_ps(source_config, g, index.size)
+        states = states.copy()
+        if config.retro_mode and config.retro_flip_prob > 0.0:
+            states[g.random(index.size) < config.retro_flip_prob] ^= 1
+        t = np.rint(true_clock.to_receiver(emit + config.delay_ps())).astype(np.int64)
+        states = np.repeat(states, n_phot)
+        u = g.random(states.size)
+        k = states.astype(np.intp)
+        detector = np.zeros(u.size, dtype=np.uint8)
+        for column in analyzer_cdf:
+            detector += u >= column.take(k)
+        parts.append((np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)))
+    idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
+    if len(times) > 1 and np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        idx, states, detector, times = idx[order], states[order], detector[order], times[order]
+    return PhotonArrivals(pulse_index=idx, state=states, detector=detector,
+                          arrival_time_ps=times)
 
 
 @dataclass
@@ -56,7 +162,7 @@ def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
     """Materialize a full pulse train.
 
     States are the hash that :func:`fsbb84.source.pulse_states` computes
-    and photon numbers come from :func:`fsbb84.source.generate_shard`.
+    and photon numbers come from :func:`reference_shard`.
     Emission jitter has its own stream per shard, so emission times do not
     depend on mu. A session (:func:`fsbb84.channel.transmit_stream`) shares
     these states but draws its own photon numbers and jitter.
@@ -69,7 +175,7 @@ def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
     jitter = np.empty(n_pulses)
     for start in range(0, n_pulses, SHARD_SIZE):
         n = min(SHARD_SIZE, n_pulses - start)
-        shard = generate_shard(config, start // SHARD_SIZE, n)
+        shard = reference_shard(config, start // SHARD_SIZE, n)
         counts[start + shard.position] = shard.photon_count
         jg = spawn(config.rng_seed, STREAM_EMIT_JITTER, start // SHARD_SIZE)
         jitter[start:start + n] = emit_jitter_ps(config, jg, n)
@@ -100,7 +206,7 @@ def transmit(train, config, true_clock=None) -> ApertureArrivals:
     block = pos * int(train.config.period_ps) // int(config.fading_block_ms * 1e9)
     n_blocks = int(block.max()) + 1 if pos.size else 0
     factors = np.array([fading_factor(config, b) for b in range(n_blocks)])
-    transmittance = 10.0 ** (-total_link_loss_db(config, train.config.wavelength_nm) / 10.0)
+    transmittance = _transmittance(config, train.config.wavelength_nm)
     p = np.minimum(transmittance * factors, 1.0)
     n_phot = g.binomial(train.photon_count[pos].astype(np.int64), p[block])
     pos, n_phot = pos[n_phot > 0], n_phot[n_phot > 0]
@@ -268,7 +374,7 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     return offset + A * rate, rate
 
 
-def reference_recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: int = 20,
+def reference_recover_clock(times_ps: np.ndarray, nominal_period_ps: float, block_count: int,
                   known_drift_ppm: Optional[float] = None,
                   coarse_reference_ps: Optional[float] = None) -> ClockModel:
     """Estimate offset and drift from a tag stream.

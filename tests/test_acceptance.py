@@ -11,7 +11,6 @@ import time
 from statistics import NormalDist
 
 import numpy as np
-import pytest
 
 from conftest import make_fast_scenario
 from fsbb84.analysis import predict
@@ -27,7 +26,7 @@ from fsbb84.runner import run_in_process
 from fsbb84.scenario import BUNDLED_NAMES, Scenario, SyncSettings, bundled_scenario
 from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.source import SourceConfig
-from fsbb84.sync import TrueClock, recover_clock
+from fsbb84.sync import TrueClock
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from conftest import make_fast_scenario

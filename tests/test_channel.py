@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fsbb84.channel import (ChannelConfig, atmospheric_loss_db, fading_factor,
-                            geometric_loss_db, loss_breakdown, total_link_loss_db,
-                            transmit_stream)
+from fsbb84 import source
+from fsbb84.channel import (GROUP_CANDIDATES, ChannelConfig, atmospheric_loss_db,
+                            fading_factor, geometric_loss_db, loss_breakdown, transmit_stream)
 from fsbb84.errors import ConfigError
 from fsbb84.receiver import analyzer_table
-from fsbb84.source import SHARD_SIZE, SourceConfig, generate_shard, pulse_states
+from fsbb84.source import SHARD_SIZE, SourceConfig, pulse_states
 from fsbb84.sync import TrueClock
-from reference_chain import analyze, build_pulse_train, transmit
+from reference_chain import (analyze, build_pulse_train, reference_shard,
+                             reference_transmit_stream, transmit)
 
 
 # --- independent oracles (recomputed here, not imported) --------------------
@@ -125,7 +126,7 @@ def test_atmospheric_monotone_in_visibility():
 
 def test_total_loss_zero_contributions():
     cfg = _cfg(distance_m=0.0, rx_aperture_diameter_e2_cm=500.0, extra_loss_db=0.0)
-    assert total_link_loss_db(cfg, 850.0) < 1e-6
+    assert loss_breakdown(cfg, 850.0).total_db < 1e-6
 
 
 def test_total_loss_is_sum_of_parts():
@@ -154,8 +155,8 @@ def test_retro_with_no_penalty_equals_direct_when_path_lossless():
     direct = ChannelConfig(tx_beam_diameter_e2_cm=3.48, **kw)
     retro = ChannelConfig(tx_beam_diameter_e2_cm=3.48, retro_mode=True,
                           splitter_penalty_db=0.0, **kw)
-    assert total_link_loss_db(retro, 850.0) == pytest.approx(
-        total_link_loss_db(direct, 850.0), abs=1e-9)
+    assert loss_breakdown(retro, 850.0).total_db == pytest.approx(
+        loss_breakdown(direct, 850.0).total_db, abs=1e-9)
 
 
 def test_config_validation():
@@ -196,8 +197,8 @@ def test_transmit_lossless_everything_arrives():
     src = SourceConfig(rng_seed=3)
     n = SHARD_SIZE + 100_000
     arr = _stream(src, _lossless(rng_seed=4), n)
-    shards = [generate_shard(src, k, min(SHARD_SIZE, n - k * SHARD_SIZE)) for k in range(2)]
-    index = np.concatenate([sh.start + sh.position for sh in shards])
+    shards = [reference_shard(src, k, min(SHARD_SIZE, n - k * SHARD_SIZE)) for k in range(2)]
+    index = np.concatenate([k * SHARD_SIZE + sh.position for k, sh in enumerate(shards)])
     counts = np.concatenate([sh.photon_count for sh in shards])
     assert np.array_equal(arr.pulse_index, np.repeat(index, counts))
     assert np.array_equal(arr.state, pulse_states(src, arr.pulse_index))
@@ -388,6 +389,70 @@ def test_fading_factor_mean_one():
     factors = np.array([fading_factor(cfg, k) for k in range(20_000)])
     assert abs(factors.mean() - 1.0) < 4 * factors.std() / math.sqrt(len(factors))
     assert abs(factors.std() - 0.5) < 0.02
+
+
+# --- agreement with the per-shard reference ---------------------------------------
+
+def _assert_equals_reference(monkeypatch, src, cfg, n):
+    """transmit_stream against reference_transmit_stream: equal arrays, equal dtypes.
+
+    Returns the arrivals and the number of shards in each group.
+    """
+    groups = []
+    non_vacuum = source.non_vacuum
+
+    def counting(shards, state_key):
+        groups.append(len(shards))
+        return non_vacuum(shards, state_key)
+
+    monkeypatch.setattr(source, "non_vacuum", counting)
+    args = (src, cfg, n, 0.8, analyzer_table(4.0))
+    clock = TrueClock(offset_ps=1_234.0, drift_ppm=7.0)
+    got = transmit_stream(*args, true_clock=clock)
+    want = reference_transmit_stream(*args, true_clock=clock)
+    for field in ("pulse_index", "state", "detector", "arrival_time_ps"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+    return got, groups
+
+
+def test_transmit_stream_equals_reference_dark_state_under_fading(monkeypatch):
+    # a state of mu 0, and 1 ms fading blocks that give each of the three
+    # shards its own largest factor (so its own p_max); the last shard is partial
+    src = SourceConfig(mu_per_state=(0.004, 0.0, 0.006, 0.002), rng_seed=61)
+    cfg = _lossless(extra_loss_db=3.0, fading_sigma=0.3, fading_block_ms=1.0, rng_seed=62)
+    n = 2 * SHARD_SIZE + 12_345
+    arr, groups = _assert_equals_reference(monkeypatch, src, cfg, n)
+    assert groups == [3] and len(arr) > 1_000
+    assert not np.any(arr.state == 1)
+    # 1e5 pulses of 10 ns per 1 ms block
+    first = [k * SHARD_SIZE // 100_000 for k in range(3)]
+    last = [(min((k + 1) * SHARD_SIZE, n) - 1) // 100_000 for k in range(3)]
+    f_max = {max(fading_factor(cfg, b) for b in range(b0, b1 + 1)) for b0, b1 in zip(first, last)}
+    assert len(f_max) == 3
+
+
+def test_transmit_stream_equals_reference_retro_flips_and_sort(monkeypatch):
+    # retro flips, and 9 ns pulses on a 10 ns grid: neighbours' photons swap order
+    src = SourceConfig(mu_per_state=(0.005, 0.005, 0.005, 0.005), pulse_fwhm_ps=9_000.0,
+                       rng_seed=63)
+    cfg = _lossless(retro_mode=True, splitter_penalty_db=0.0, retro_flip_prob=0.3, rng_seed=64)
+    arr, groups = _assert_equals_reference(monkeypatch, src, cfg, 2 * SHARD_SIZE + 777)
+    assert groups == [3]
+    assert np.any(arr.state != pulse_states(src, arr.pulse_index))
+    assert np.any(np.diff(arr.pulse_index) < 0)
+
+
+def test_transmit_stream_equals_reference_across_groups(monkeypatch):
+    # 3/4 of GROUP_CANDIDATES candidates per shard: two shards close the
+    # first group, the partial third shard makes the second
+    p = 0.75 * GROUP_CANDIDATES / SHARD_SIZE
+    mu = -math.log1p(-p) / 0.8
+    src = SourceConfig(mu_per_state=(mu, mu, mu, mu), rng_seed=65)
+    _, groups = _assert_equals_reference(monkeypatch, src, _lossless(rng_seed=66),
+                                         2 * SHARD_SIZE + 99)
+    assert groups == [2, 1]
 
 
 def test_transmit_deterministic():

@@ -49,7 +49,7 @@ def _bench(n_pulses, cfg, mu=(1.0, 0.0, 0.0, 0.0), seed=0):
 
 def _tags(n_pulses, cfg, mu=(1.0, 0.0, 0.0, 0.0), seed=0):
     """The folded path end to end: the bench's photons, detected."""
-    return detect(_bench(n_pulses, cfg, mu, seed), cfg, n_pulses * 1e-8)
+    return detect(_bench(n_pulses, cfg, mu, seed), cfg, n_pulses * 1e-8, (0, n_pulses * 10_000))
 
 
 # --- scalar references ------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_background_only_rate():
     # 700 c/s x 4 APDs x 10 s -> 28 000 +- 3 sigma
     arr = _arrivals([], [])
     cfg = _quiet(background_rate_cps_per_apd=700.0, rng_seed=3)
-    tags = detect(arr, cfg, session_duration_s=10.0)
+    tags = detect(arr, cfg, session_duration_s=10.0, window_ps=(0, 10**13))
     expected = 28_000
     assert abs(len(tags) - expected) < 3 * math.sqrt(expected)
     # per-APD rates individually consistent
@@ -159,7 +159,7 @@ def test_ideal_chain_tags_equal_arrivals():
     # no jitter, noise or dead time: every photon tags, on its own APD
     dets = np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 2_500)
     times = np.arange(10_000, dtype=np.int64) * 10_000
-    tags = detect(_arrivals(dets, times), _quiet(rng_seed=4), 1e-4)
+    tags = detect(_arrivals(dets, times), _quiet(rng_seed=4), 1e-4, (0, 10**8))
     assert np.array_equal(tags.time_ps, times)
     assert np.array_equal(tags.detector, dets)
 
@@ -167,7 +167,7 @@ def test_ideal_chain_tags_equal_arrivals():
 def test_unsorted_arrivals_rejected():
     arr = _arrivals([0, 0], [200, 100])
     with pytest.raises(ContractViolationError):
-        detect(arr, _quiet(), 1e-6)
+        detect(arr, _quiet(), 1e-6, (0, 10**6))
 
 
 def test_efficiency_thinning():
@@ -201,7 +201,7 @@ def test_jitter_spread():
     arr = _arrivals(np.zeros(n, dtype=np.uint8),
                     np.arange(n, dtype=np.int64) * 100_000)
     cfg = _quiet(jitter_fwhm_ps=350.0, rng_seed=8)
-    tags = detect(arr, cfg, n * 1e-7, with_truth=True)
+    tags = detect(arr, cfg, n * 1e-7, (0, n * 100_000), with_truth=True)
     resid = tags.time_ps - tags.truth_pulse_index * 100_000
     expected = 350.0 / (2 * math.sqrt(2 * math.log(2)))
     assert abs(resid.std() - expected) / expected < 0.02
@@ -210,7 +210,7 @@ def test_jitter_spread():
 def test_tag_quantization():
     arr = _arrivals([0] * 5, [103, 1_222, 2_387, 9_601, 12_049])
     cfg = _quiet(tag_resolution_ps=16, rng_seed=9)
-    tags = detect(arr, cfg, 1e-7)
+    tags = detect(arr, cfg, 1e-7, (0, 10**5))
     assert np.all(tags.time_ps % 16 == 0)
 
 
@@ -218,23 +218,23 @@ def test_dead_time_suppresses_close_tags():
     # two arrivals 10 ns apart at one APD with 50 ns dead time: one tag
     arr = _arrivals([DET_H, DET_H], [0, 10_000])
     cfg = _quiet(dead_time_ns=50.0)
-    assert len(detect(arr, cfg, 1e-6)) == 1
+    assert len(detect(arr, cfg, 1e-6, (0, 10**6))) == 1
     # exactly at the dead-time boundary the second tag survives (gap >= dead)
-    assert len(detect(_arrivals([DET_H, DET_H], [0, 50_000]), cfg, 1e-6)) == 2
+    assert len(detect(_arrivals([DET_H, DET_H], [0, 50_000]), cfg, 1e-6, (0, 10**6))) == 2
 
 
 def test_dead_time_is_per_detector():
     # a V tag 10 ns before an H tag under 50 ns dead time: both survive,
     # since each APD has its own dead time
     arr = _arrivals([DET_V, DET_H], [0, 10_000])
-    tags = detect(arr, _quiet(dead_time_ns=50.0), 1e-6)
+    tags = detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))
     assert list(tags.detector) == [DET_V, DET_H]
 
 
 def test_dead_time_enforced_on_noisy_stream():
     cfg = _quiet(background_rate_cps_per_apd=200_000.0, dead_time_ns=50.0,
                  rng_seed=11)
-    tags = detect(_arrivals([], []), cfg, 0.05)
+    tags = detect(_arrivals([], []), cfg, 0.05, (0, 5 * 10**10))
     for d in range(4):
         t = tags.time_ps[tags.detector == d]
         if len(t) > 1:
@@ -274,12 +274,12 @@ def test_detect_dead_time_matches_reference_per_detector():
     arr = _arrivals(np.random.default_rng(15).integers(0, 4, n), times)
     kw = dict(background_rate_cps_per_apd=2e6, jitter_fwhm_ps=350.0,
               tag_resolution_ps=1_000, rng_seed=16)
-    free = detect(arr, _quiet(**kw), 2e-3, with_truth=True)
+    free = detect(arr, _quiet(**kw), 2e-3, (0, 2 * 10**9), with_truth=True)
     keep = np.zeros(len(free), dtype=bool)
     for d in range(4):
         sel = np.flatnonzero(free.detector == d)
         keep[sel] = dead_time_filter_loop(free.time_ps[sel], 50_000)
-    tags = detect(arr, _quiet(dead_time_ns=50.0, **kw), 2e-3, with_truth=True)
+    tags = detect(arr, _quiet(dead_time_ns=50.0, **kw), 2e-3, (0, 2 * 10**9), with_truth=True)
     assert 0 < keep.sum() < len(free)
     assert np.array_equal(tags.time_ps, free.time_ps[keep])
     assert np.array_equal(tags.detector, free.detector[keep])
@@ -290,7 +290,7 @@ def test_detect_rejects_times_too_wide_for_one_key():
     # dead time runs on times shifted by detector spans in one int64 key
     arr = _arrivals([DET_H, DET_H], [0, 2**62])
     with pytest.raises(ContractViolationError):
-        detect(arr, _quiet(dead_time_ns=50.0), 1e-6)
+        detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))
 
 
 def test_merged_stream_sorted():
@@ -298,7 +298,7 @@ def test_merged_stream_sorted():
     arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 10_000)
     cfg = _quiet(background_rate_cps_per_apd=5_000.0, jitter_fwhm_ps=350.0,
                  rng_seed=12)
-    tags = detect(arr, cfg, n * 1e-8)
+    tags = detect(arr, cfg, n * 1e-8, (0, n * 10_000))
     assert np.all(np.diff(tags.time_ps) >= 0)
 
 
@@ -307,7 +307,7 @@ def test_truth_labels():
     arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 10_000,
                     indices=np.arange(n) + 7)
     cfg = _quiet(background_rate_cps_per_apd=100_000.0, rng_seed=13)
-    tags = detect(arr, cfg, 1e-5, with_truth=True)
+    tags = detect(arr, cfg, 1e-5, (0, 10**7), with_truth=True)
     assert set(np.unique(tags.truth_pulse_index[tags.truth_pulse_index >= 0])) <= set(range(7, n + 7))
     assert np.sum(tags.truth_pulse_index == -1) > 0
 

@@ -14,7 +14,7 @@ from fsbb84.errors import SessionFailedError, SyncFailureError
 from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
                              QberResult, SampleBits, SampleIndices, run_session)
 from fsbb84.protocol import session
-from fsbb84.protocol.framing import decode_frame, encode_frame
+from fsbb84.protocol.framing import encode_frame
 from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)

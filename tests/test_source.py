@@ -13,8 +13,9 @@ from fsbb84.protocol import DetectionReport
 from fsbb84.protocol.params import SessionParams
 from fsbb84.protocol.session import alice_match
 from fsbb84.receiver import analyzer_table
+from fsbb84.seeds import STREAM_STATE, counter_key
 from fsbb84.source import (SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig, emit_jitter_ps,
-                           generate_shard, pulse_states)
+                           generate_shard, non_vacuum, pulse_states)
 from reference_chain import build_pulse_train
 
 RECTILINEAR, DIAGONAL = 0, 1  # basis = state >> 1
@@ -30,12 +31,17 @@ def polarization_angle(basis, bit):
     return float(STATE_ANGLES_DEG[2 * basis + bit])
 
 
-def _non_vacuum(cfg, n_pulses):
-    """(state, photon count) of every non-vacuum pulse, over all shards."""
+def _pulses(cfg, n_pulses):
+    """The non-vacuum pulses of all shards, and the shards with their generators."""
     shards = [generate_shard(cfg, start // SHARD_SIZE, min(SHARD_SIZE, n_pulses - start))
               for start in range(0, n_pulses, SHARD_SIZE)]
-    return (np.concatenate([sh.states for sh in shards]),
-            np.concatenate([sh.photon_count for sh in shards]))
+    return non_vacuum(shards, counter_key(cfg.rng_seed, STREAM_STATE)), shards
+
+
+def _non_vacuum(cfg, n_pulses):
+    """(state, photon count) of every non-vacuum pulse, over all shards."""
+    pulses, _ = _pulses(cfg, n_pulses)
+    return pulses.states, pulses.photon_count
 
 
 def test_polarization_angle_mapping():
@@ -54,9 +60,9 @@ def test_polarization_orthogonality():
 def test_zero_mu_state_draws_no_photons():
     # a dark emitter for one state: that state never carries a photon
     cfg = SourceConfig(mu_per_state=(0.0, 0.5, 0.5, 0.5), rng_seed=1)
-    shard = generate_shard(cfg, 0, 100_000)
-    assert shard.position.size > 10_000
-    assert not np.any(shard.states == 0)
+    pulses, _ = _pulses(cfg, 100_000)
+    assert pulses.index.size > 10_000
+    assert not np.any(pulses.states == 0)
 
 
 def test_config_validation():
@@ -86,9 +92,10 @@ def test_empty_train_rejected():
 
 def test_all_mu_zero_yields_no_photons():
     cfg = SourceConfig(mu_per_state=(0.0, 0.0, 0.0, 0.0), rng_seed=3)
-    shard = generate_shard(cfg, 0, 10_000)
+    pulses, (shard,) = _pulses(cfg, 10_000)
     assert shard.position.size == 0
-    assert shard.photon_count.sum() == 0
+    assert pulses.index.size == 0
+    assert pulses.photon_count.sum() == 0
 
 
 def test_emit_time_grid():
@@ -117,12 +124,13 @@ def test_emit_jitter_sigma():
 
 def test_same_seed_bit_identical():
     cfg = SourceConfig(rng_seed=99)
-    a, b = generate_shard(cfg, 0, 50_000), generate_shard(cfg, 0, 50_000)
-    assert np.array_equal(a.position, b.position)
+    (a, (sa,)), (b, (sb,)) = _pulses(cfg, 50_000), _pulses(cfg, 50_000)
+    assert np.array_equal(sa.position, sb.position)
+    assert np.array_equal(a.index, b.index)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.photon_count, b.photon_count)
-    n = a.position.size
-    assert np.array_equal(emit_jitter_ps(cfg, a.rng, n), emit_jitter_ps(cfg, b.rng, n))
+    n = a.index.size
+    assert np.array_equal(emit_jitter_ps(cfg, sa.rng, n), emit_jitter_ps(cfg, sb.rng, n))
     idx = np.arange(50_000)
     assert np.array_equal(pulse_states(cfg, idx), pulse_states(cfg, idx))
 
@@ -151,7 +159,7 @@ def test_photon_count_chi_square_per_state():
     for s, mu in enumerate(cfg.mu_per_state):
         counts = kept_counts[kept_states == s]
         hist = np.bincount(counts, minlength=4)
-        # the vacuum pulses of state s are the ones generate_shard left out
+        # the vacuum pulses of state s are the ones non_vacuum left out
         hist[0] = np.count_nonzero(states == s) - counts.size
         # merge the tail so expected counts stay > 5
         kmax = 3

@@ -104,6 +104,7 @@ _WEAK = """
 import json, resource, sys, time
 import numpy as np
 from fsbb84 import sync
+from fsbb84.scenario import SyncSettings
 P = 10_000.0
 secs, sig, bg, drift, seed, calls = (float(a) for a in sys.argv[1:])
 n_pulses = round(secs * 1e12 / P)
@@ -121,7 +122,8 @@ np.fft.fft = lambda a, *args, **kw: (lengths.append(len(a)), fft(a, *args, **kw)
 wall = []
 for i in range(int(calls)):
     s = time.perf_counter()
-    clock = sync.recover_clock(t, P, coarse_reference_ps=2_468.0)
+    clock = sync.recover_clock(t, P, coarse_reference_ps=2_468.0,
+                               block_count=SyncSettings().block_count)
     wall.append(time.perf_counter() - s)
     if i == 0:
         np.fft.fft = fft
