@@ -250,20 +250,14 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
         states[flip < config.retro_flip_prob] ^= 1
     t = np.rint(true_clock.to_receiver(index * period + jitter + config.delay_ps()))
     t = t.astype(np.int64)
-    del jitter, flip  # free what the photon-sized arrays below need no more
+    del jitter, flip  # scratch is freed before each larger array it makes way for
     states = np.repeat(states, n_phot)
-    detector = _apd_pick(u, states, analyzer_cdf)
-    del u
-    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
-
-
-def _apd_pick(u: np.ndarray, states: np.ndarray, analyzer_cdf: np.ndarray) -> np.ndarray:
-    """APD of each photon from its uniform ``u`` and its state (see :func:`_arrivals`)."""
     k = states.astype(np.intp)
     detector = np.zeros(u.size, dtype=np.uint8)
     for column in analyzer_cdf:
         detector += u >= column.take(k)
-    return detector
+    del u, k
+    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
 
 
 def _finalize_arrivals(parts) -> PhotonArrivals:

@@ -4,9 +4,11 @@ Runs ``perfbench/run.py`` of the parent and of this repository in
 alternating pairs (the parent first in even pairs, this tree first in odd
 ones, workloads interleaved within a pair); the peak RSS of a fixed number
 of sessions per workload in fresh processes, in the same alternating pairs;
-one traced run per side and workload; the bundled runs of ``STAGE_RUNS``
-stage by stage in fresh processes, with their peak RSS; and clock recovery
-on the synthetic weak streams of ``WEAK_STREAMS``, likewise::
+one traced run per side and workload; ``channel.transmit_stream`` alone on
+sessions of each workload, timed and under ``tracemalloc``; the bundled runs
+of ``STAGE_RUNS`` stage by stage in fresh processes, with their peak RSS and
+``transmit_stream``'s traced peak; and clock recovery on the synthetic weak
+streams of ``WEAK_STREAMS``, likewise::
 
     python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_8.json
 
@@ -59,13 +61,14 @@ WEAK_CALLS = 5  # recover_clock calls per process
 FIXED_SESSIONS = 24
 WORKLOADS = ("daylight_780m", "retro_beacon_weak_v", "dense_short_link")
 END_TO_END = ("setup_s", "session_s", "peak_rss_mb")
-TRACED = ("sync.recover_s", "sync.gate_s", "sync.ns_per_tag", "simulate.quantum_s",
+TRACED = ("source.busy_s", "channel.busy_s",
+          "sync.recover_s", "sync.gate_s", "sync.ns_per_tag", "simulate.quantum_s",
           "receiver.detect_s", "protocol.alice_match_s", "protocol.bob_s", "receiver.tags")
 
 # Bob's stages of one bundled session, each timed on its own, then the whole
 # two-party session; two calls per process, the second one warm.
 _STAGES = """
-import dataclasses, json, resource, sys, time
+import dataclasses, json, resource, sys, time, tracemalloc
 from fsbb84 import channel, receiver, runner, simulate, sync
 from fsbb84.scenario import bundled_scenario
 sc = bundled_scenario(sys.argv[1])
@@ -94,8 +97,38 @@ for _ in range(2):
     s["run_in_process"] = time.perf_counter() - t
     s["photons"], s["tags"] = len(arr), len(tags)
     out.append(s)
-print(json.dumps({"calls": out, "n_pulses": sc.n_pulses,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+tracemalloc.start()
+channel.transmit_stream(src, sc.channel, sc.n_pulses, rx.efficiency,
+                        receiver.analyzer_table(rx.misalignment_deg),
+                        true_clock=sc.sync.true_clock)
+traced = tracemalloc.get_traced_memory()[1] / 2**20
+tracemalloc.stop()
+print(json.dumps({"calls": out, "n_pulses": sc.n_pulses, "peak_rss_mb": rss,
+                  "transmit_stream_traced_peak_mb": traced}))
+"""
+
+# transmit_stream on sessions 0..n-1 of one workload: the wall time of each
+# call, and the largest tracemalloc peak of a second, traced call.
+_TRANSMIT = """
+import json, sys, time, tracemalloc
+import workloads
+from fsbb84 import channel, receiver
+name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+wall, peak = [], 0.0
+for i in range(n):
+    sc = workloads.build(name, seed, i)
+    rx = sc.receiver
+    args = (sc.source, sc.channel, sc.n_pulses, rx.efficiency,
+            receiver.analyzer_table(rx.misalignment_deg))
+    t = time.perf_counter()
+    channel.transmit_stream(*args, true_clock=sc.sync.true_clock)
+    wall.append(time.perf_counter() - t)
+    tracemalloc.start()
+    channel.transmit_stream(*args, true_clock=sc.sync.true_clock)
+    peak = max(peak, tracemalloc.get_traced_memory()[1] / 2**20)
+    tracemalloc.stop()
+print(json.dumps({"transmit_stream_s": wall, "traced_peak_mb": peak}))
 """
 
 # recover_clock on one weak stream: the FFT lengths of the first call, then
@@ -236,6 +269,23 @@ def main(argv=None) -> int:
             m = _perfbench(root, w, TRACE_SEED, 1)["metrics"]
             traced[s][w] = {k: round(m[k]["value"], 6) for k in TRACED}
 
+    transmit = {}
+    for w in WORKLOADS:
+        rec = {s: [] for s in sides}
+        for i in range(STAGE_PROCESSES):
+            for s in (sides if i % 2 == 0 else reversed(list(sides))):
+                proc = subprocess.run([sys.executable, "-c", _TRANSMIT, w, str(args.seed + i),
+                                       str(FIXED_SESSIONS)], env=_env(sides[s]),
+                                      capture_output=True, text=True, timeout=900, check=True)
+                rec[s].append(json.loads(proc.stdout))
+        transmit[w] = {s: {"transmit_stream_s": _quartiles([t for r in rec[s]
+                                                             for t in r["transmit_stream_s"]]),
+                           "traced_peak_mb": round(max(r["traced_peak_mb"] for r in rec[s]), 3)}
+                       for s in sides}
+        print(f"{w} transmit_stream: " + ", ".join(
+            f"{s} {transmit[w][s]['transmit_stream_s']['median']:.5f} s / "
+            f"{transmit[w][s]['traced_peak_mb']:.2f} MB traced" for s in sides), flush=True)
+
     stage_runs = []
     for name, seconds, beacon in STAGE_RUNS:
         rec = {"scenario": name, "seconds": seconds, "beacon_assisted": beacon,
@@ -287,10 +337,19 @@ def main(argv=None) -> int:
                        f"--seconds {SECONDS:g} --trace 1 (one run per side)",
             **traced,
         },
+        "transmit_stream": {
+            "measure": f"channel.transmit_stream alone on sessions 0-{FIXED_SESSIONS - 1} of seed "
+                       f"{args.seed}+i, {STAGE_PROCESSES} processes per side, alternating: "
+                       "quartiles of the calls' wall time, and the largest tracemalloc peak of "
+                       "a second, traced call",
+            "workloads": transmit,
+        },
         "stage_runs": {
             "measure": "stage wall times of Bob's chain, then run_in_process; two calls per "
                        f"process, {STAGE_PROCESSES} processes per side, alternating; "
-                       "peak_rss_mb is the process's ru_maxrss",
+                       "peak_rss_mb is the process's ru_maxrss before a third, traced "
+                       "transmit_stream call, whose tracemalloc peak is "
+                       "transmit_stream_traced_peak_mb",
             "runs": stage_runs,
         },
         "weak_streams": {
