@@ -11,13 +11,16 @@ already at its APD, and applies Gaussian timing jitter and quantization to
 the tagger resolution.
 
 Background (solar + dark) counts are injected as four independent Poisson
-processes, one per APD, at a common configured rate. Each detector then
-applies non-paralyzable dead time: a tag at least one dead time after the
-previous tag on its detector opens a cluster and is kept (a head); inside
-a cluster the kept tags are the chain ``i -> nxt[i]``, the first tag at
-least one dead time after ``t[i]``, followed from the head. The chains of
-all clusters advance together, one array step per round. The four streams
-then merge into one non-decreasing tag stream.
+processes, one per APD, at a common configured rate. Signal and background
+times are quantized together and put in one stable (time, APD) order,
+signal before background at equal times. Each APD then applies
+non-paralyzable dead time to its own tags in that order: a tag at least
+one dead time after the previous tag on its APD opens a cluster and is
+kept (a head); inside a cluster the kept tags are the chain
+``i -> nxt[i]``, the first tag at least one dead time after ``t[i]``,
+followed from the head. The chains of all clusters advance together, one
+array step per round. The kept tags stay in the merged order, so the tag
+stream is non-decreasing.
 
 Detector indices follow the state encoding: H=0, V=1, D=2, A=3, so
 ``basis = detector >> 1`` and ``bit = detector & 1``.
@@ -98,7 +101,7 @@ class TimeTags:
         return len(self.time_ps)
 
     def per_detector_counts(self) -> dict[str, int]:
-        return {DETECTOR_NAMES[d]: int(np.sum(self.detector == d)) for d in range(4)}
+        return dict(zip(DETECTOR_NAMES, np.bincount(self.detector, minlength=4).tolist()))
 
 
 def analyzer_table(misalignment_deg: float) -> np.ndarray:
@@ -146,48 +149,38 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     if len(t_arr) > 1 and np.any(t_arr[1:] < t_arr[:-1]):
         raise ContractViolationError("arrivals must be sorted by time")
 
-    g = spawn(config.rng_seed, STREAM_RECEIVER)
-    res = int(config.tag_resolution_ps)
-    m = len(arrivals)
-    detectors = arrivals.detector
-
-    # Timing jitter, then tagger quantization
-    sig_times = t_arr.astype(np.float64)
-    if config.jitter_sigma_ps > 0.0 and m:
-        sig_times += g.normal(0.0, config.jitter_sigma_ps, size=m)
-    sig_times = (np.rint(sig_times / res) * res).astype(np.int64)
-
-    # Background: one Poisson process per APD over the observation window
-    w0, w1 = int(window_ps[0]), int(window_ps[1])
+    # Timing jitter on the signal, then background: one Poisson process per
+    # APD over the observation window
+    jitter = spawn(config.rng_seed, STREAM_RECEIVER)
     bg = spawn(config.rng_seed, STREAM_BACKGROUND)
-    t_all, det_all = [sig_times], [detectors]
+    w0, w1 = int(window_ps[0]), int(window_ps[1])
+    t_all = [t_arr + jitter.normal(0.0, config.jitter_sigma_ps, size=len(t_arr))]
+    det_all = [arrivals.detector]
     for d in range(4):
         n_bg = bg.poisson(config.background_rate_cps_per_apd * session_duration_s)
-        t = bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64)
-        t_all.append((np.rint(t / res) * res).astype(np.int64))
+        t_all.append(bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64))
         det_all.append(np.full(n_bg, d, dtype=np.uint8))
-    t_all, det_all = np.concatenate(t_all), np.concatenate(det_all)
+    res = int(config.tag_resolution_ps)
+    t_all = (np.rint(np.concatenate(t_all) / res) * res).astype(np.int64)
+    det_all = np.concatenate(det_all)
 
-    # One stable (time, detector) order, and the same order grouped by
-    # detector for dead time; signal precedes background at equal times.
-    # Detector d's times are shifted by d spans there, so no dead-time
-    # chain crosses into the next detector.
-    dead_ps = int(round(config.dead_time_ns * 1000.0))
+    # One stable (time, detector) order, signal before background at equal
+    # times; each detector's dead time acts on its own tags in that order.
     t_min, t_max = (int(t_all.min()), int(t_all.max())) if len(t_all) else (0, 0)
-    span = t_max - t_min + dead_ps + 1
-    if 4 * span >= 2**63:
+    if 4 * (t_max - t_min) + 3 >= 2**63:
         raise ContractViolationError("tag times span too wide for one int64 key")
     by_time = np.argsort((t_all - t_min) * 4 + det_all, kind="stable")
-    by_det = by_time[np.argsort(det_all[by_time], kind="stable")]
-    key = (t_all[by_det] - t_min) + det_all[by_det] * np.int64(span)
-    keep = np.zeros(len(t_all), dtype=bool)
-    keep[by_det[_dead_time_filter(key, dead_ps)]] = True
-    order = by_time[keep[by_time]]
+    t_all, det_all = t_all[by_time], det_all[by_time]
+    dead_ps = int(round(config.dead_time_ns * 1000.0))
+    keep = np.empty(len(t_all), dtype=bool)
+    for d in range(4):
+        on_d = np.flatnonzero(det_all == d)
+        keep[on_d] = _dead_time_filter(t_all[on_d], dead_ps)
     truth = None
     if with_truth:
-        truth = np.concatenate([arrivals.pulse_index,
-                                np.full(len(t_all) - m, -1, dtype=np.int64)])[order]
-    return TimeTags(detector=det_all[order], time_ps=t_all[order], truth_pulse_index=truth)
+        background = np.full(len(t_all) - len(t_arr), -1, dtype=np.int64)
+        truth = np.concatenate([arrivals.pulse_index, background])[by_time[keep]]
+    return TimeTags(detector=det_all[keep], time_ps=t_all[keep], truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,

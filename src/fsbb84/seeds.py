@@ -24,11 +24,12 @@ surviving pulse, and the APD-pick uniform per photon. Steps that draw
 nothing (the state hash, the keep test, the photon-number inversion,
 arrival times, the APD pick itself) run over several shards at once, so
 how shards are grouped is not part of the contract. ``STREAM_RECEIVER``
-draws only detector jitter, one normal per photon. No library stage draws
-from ``STREAM_CHANNEL`` or ``STREAM_EMIT_JITTER``: they are the streams of
-the tests' photon-by-photon reference chain (its link thinning, and the
-emission jitter of the pulse train it materializes) and keep their tags so
-that its draws stay fixed. Version 1 drew a 32-bit integer per pulse for
+draws only detector jitter: one normal per photon at any jitter width,
+zero included. No library stage draws from ``STREAM_CHANNEL`` or
+``STREAM_EMIT_JITTER``: they are the streams of the tests'
+photon-by-photon reference chain (its link thinning, and the emission
+jitter of the pulse train it materializes) and keep their tags so that
+its draws stay fixed. Version 1 drew a 32-bit integer per pulse for
 state and photon number; version 2 drew photons at the receiver aperture
 and left the receiver efficiency, basis choice and Malus projection to
 ``STREAM_RECEIVER``. Every seeded output changed with each version.

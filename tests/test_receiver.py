@@ -12,6 +12,7 @@ from fsbb84.errors import ConfigError, ContractViolationError
 from fsbb84.receiver import (DET_A, DET_D, DET_H, DET_V, DISCARD, RANDOM_BIT,
                              ReceiverConfig, TimeTags, _dead_time_filter, analyzer_table,
                              classify_clicks, detect, dump_tags, load_tags)
+from fsbb84.seeds import STREAM_BACKGROUND, STREAM_RECEIVER, spawn
 from fsbb84.source import STATE_ANGLES_DEG, SourceConfig
 from reference_chain import malus_first
 
@@ -286,8 +287,56 @@ def test_detect_dead_time_matches_reference_per_detector():
     assert np.array_equal(tags.truth_pulse_index, free.truth_pulse_index[keep])
 
 
+def _detect_rebuilt(arr, cfg, duration_s, window_ps):
+    """Reference: detect's stream rebuilt from its draws, block by block.
+
+    Jitter from ``STREAM_RECEIVER``, then each APD's background block from
+    ``STREAM_BACKGROUND``, each block quantized on its own; one stable
+    (time, detector) sort, and the reference loop's dead time per APD.
+    """
+    res = cfg.tag_resolution_ps
+    jitter = spawn(cfg.rng_seed, STREAM_RECEIVER).normal(0.0, cfg.jitter_sigma_ps, len(arr))
+    bg = spawn(cfg.rng_seed, STREAM_BACKGROUND)
+    times = [np.rint((arr.arrival_time_ps + jitter) / res) * res]
+    dets, truth = [arr.detector], [arr.pulse_index]
+    for d in range(4):
+        n = bg.poisson(cfg.background_rate_cps_per_apd * duration_s)
+        times.append(np.rint(bg.integers(*window_ps, size=n, dtype=np.int64) / res) * res)
+        dets.append(np.full(n, d, dtype=np.uint8))
+        truth.append(np.full(n, -1, dtype=np.int64))
+    t, det, truth = (np.concatenate(x) for x in (times, dets, truth))
+    t = t.astype(np.int64)
+    order = np.lexsort((det, t))
+    t, det, truth = t[order], det[order], truth[order]
+    keep = np.zeros(len(t), dtype=bool)
+    for d in range(4):
+        sel = np.flatnonzero(det == d)
+        keep[sel] = dead_time_filter_loop(t[sel], round(cfg.dead_time_ns * 1000))
+    return t, det, truth, keep
+
+
+@pytest.mark.parametrize("dead_ns", [0.0, 50.0])
+@pytest.mark.parametrize("jitter_ps", [0.0, 350.0])
+def test_detect_draws_and_tie_order_match_rebuild(dead_ns, jitter_ps):
+    # 5,000 photons and 4 x 1,000 background counts in 0.5 ms at 1 ns
+    # resolution: equal times within one APD and across APDs
+    n, window = 5_000, (0, 5 * 10**8)
+    times = np.sort(np.random.default_rng(21).integers(*window, n))
+    arr = _arrivals(np.random.default_rng(22).integers(0, 4, n), times)
+    cfg = _quiet(background_rate_cps_per_apd=2e6, jitter_fwhm_ps=jitter_ps,
+                 dead_time_ns=dead_ns, tag_resolution_ps=1_000, rng_seed=23)
+    t, det, truth, keep = _detect_rebuilt(arr, cfg, 5e-4, window)
+    tie = np.diff(t) == 0
+    same = det[1:] == det[:-1]
+    assert np.any(tie & same) and np.any(tie & ~same)
+    tags = detect(arr, cfg, 5e-4, window, with_truth=True)
+    assert np.array_equal(tags.time_ps, t[keep])
+    assert np.array_equal(tags.detector, det[keep])
+    assert np.array_equal(tags.truth_pulse_index, truth[keep])
+
+
 def test_detect_rejects_times_too_wide_for_one_key():
-    # dead time runs on times shifted by detector spans in one int64 key
+    # the stable (time, detector) sort runs on one int64 key, 4 t + detector
     arr = _arrivals([DET_H, DET_H], [0, 2**62])
     with pytest.raises(ContractViolationError):
         detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))
