@@ -58,9 +58,10 @@ ROLE_BOB = "bob"
 _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
 
 
-def strictly_increasing(a: np.ndarray) -> bool:
-    """Whether every entry exceeds the one before it (neighbours compared, no diff array)."""
-    return bool(np.all(a[1:] > a[:-1]))
+def _check_indices(a: np.ndarray, bound: int, what: str) -> None:
+    """A protocol violation unless ``a`` is strictly increasing within ``[0, bound)``."""
+    if len(a) and (np.any(a[1:] <= a[:-1]) or a[0] < 0 or a[-1] >= bound):
+        raise ProtocolViolationError(f"{what} must be strictly increasing and in [0, {bound})")
 
 
 def bob_detection_report(pulse_index: np.ndarray, detector: np.ndarray) -> DetectionReport:
@@ -81,12 +82,7 @@ def alice_match(source_config: SourceConfig, report: DetectionReport,
     lie in ``[0, n_pulses)``.
     """
     idx = report.pulse_index
-    if len(idx):
-        if idx.min() < 0 or idx.max() >= n_pulses:
-            raise ProtocolViolationError(
-                f"report index out of range (n_pulses={n_pulses})")
-        if not strictly_increasing(idx):
-            raise ProtocolViolationError("report indices must be strictly increasing")
+    _check_indices(idx, n_pulses, "report indices")
     states = pulse_states(source_config, idx)
     match = (states >> 1) == report.basis
     keep = np.flatnonzero(match)
@@ -133,10 +129,7 @@ def _count_errors(alice_key: SiftedKey, positions: np.ndarray, disclosed_bits: n
     if len(positions) != expected:
         raise ProtocolViolationError(
             f"sample holds {len(positions)} positions, expected {expected}")
-    if positions.min() < 0 or positions.max() >= len(alice_key):
-        raise ProtocolViolationError("sample position out of range")
-    if not strictly_increasing(positions):
-        raise ProtocolViolationError("sample positions must be strictly increasing")
+    _check_indices(positions, len(alice_key), "sample positions")
     errors = int(np.sum(alice_key.bits[positions] != disclosed_bits))
     return _qber_report(int(len(positions)), errors, params)
 
