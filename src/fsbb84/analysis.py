@@ -90,6 +90,11 @@ def click_probability(mu_per_state, eta: float) -> float:
     return sum(1.0 - math.exp(-mu * eta) for mu in mu_per_state) / 4.0
 
 
+def background_click_probability(rate_cps_per_apd: float, gate_width_ps: float) -> float:
+    """``rate * g``: a background count falls inside one APD's gate."""
+    return rate_cps_per_apd * gate_width_ps * 1e-12
+
+
 @dataclass(frozen=True)
 class PredictedMetrics:
     p_signal_click_per_pulse: float
@@ -124,7 +129,8 @@ def predict(scenario: Scenario) -> PredictedMetrics:
 
     acc = gate_acceptance(scenario.sync.gate_width_ps, src.pulse_fwhm_ps, rx.jitter_fwhm_ps)
     p_sig = click_probability(src.mu_per_state, eta) * acc
-    p_bg_apd = rx.background_rate_cps_per_apd * scenario.sync.gate_width_ps * 1e-12
+    p_bg_apd = background_click_probability(rx.background_rate_cps_per_apd,
+                                            scenario.sync.gate_width_ps)
     p_bg = 4.0 * p_bg_apd
 
     # dead time: live fraction per APD, weighted by its in-gate clicks

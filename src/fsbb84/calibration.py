@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analysis import click_probability, gate_acceptance
+from .analysis import background_click_probability, click_probability, gate_acceptance
 from .channel import ChannelConfig, loss_breakdown
 from .errors import ConfigError
 
@@ -51,7 +51,7 @@ def fit_run(sifted_rate_bps: float, qber: float, rep_rate_hz: float,
             background_cps_per_apd: float, gate_width_ps: float,
             pulse_fwhm_ps: float, jitter_fwhm_ps: float) -> RateQberFit:
     """Solve for e_pol and end-to-end efficiency hitting rate and QBER."""
-    p_bg = 4.0 * background_cps_per_apd * gate_width_ps * 1e-12
+    p_bg = 4.0 * background_click_probability(background_cps_per_apd, gate_width_ps)
     p_total = 2.0 * sifted_rate_bps / rep_rate_hz
     p_sig = p_total - p_bg
     if p_sig <= 0:
