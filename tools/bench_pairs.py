@@ -193,11 +193,23 @@ def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _fixed_rss(root: Path, workload: str, seed: int) -> float:
-    proc = subprocess.run([sys.executable, "-c", _FIXED_RSS, workload, str(seed),
-                           str(FIXED_SESSIONS)], env=_env(root), capture_output=True,
-                          text=True, timeout=900, check=True)
-    return float(proc.stdout)
+def _script(root: Path, script: str, *args):
+    """One embedded script in a fresh process on ``root``'s tree; its JSON output."""
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=_env(root),
+                          capture_output=True, text=True, timeout=900, check=True)
+    return json.loads(proc.stdout)
+
+
+def _alternating(sides: dict, script: str, args) -> dict:
+    """``script`` in STAGE_PROCESSES processes per side, ``args(i)`` in round i.
+
+    Even rounds run the sides in order, odd rounds in reverse.
+    """
+    rec = {s: [] for s in sides}
+    for i in range(STAGE_PROCESSES):
+        for s in (sides if i % 2 == 0 else reversed(list(sides))):
+            rec[s].append(_script(sides[s], script, *args(i)))
+    return rec
 
 
 def _quartiles(values: list) -> dict:
@@ -249,7 +261,8 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in WORKLOADS:
             for side in order:
-                rss[w][side].append(_fixed_rss(sides[side], w, args.seed + i))
+                rss[w][side].append(_script(sides[side], _FIXED_RSS, w, args.seed + i,
+                                            FIXED_SESSIONS))
                 print(f"pair {i} {w} {side}: {FIXED_SESSIONS}-session peak_rss_mb "
                       f"{rss[w][side][-1]:.2f}", flush=True)
 
@@ -271,13 +284,7 @@ def main(argv=None) -> int:
 
     transmit = {}
     for w in WORKLOADS:
-        rec = {s: [] for s in sides}
-        for i in range(STAGE_PROCESSES):
-            for s in (sides if i % 2 == 0 else reversed(list(sides))):
-                proc = subprocess.run([sys.executable, "-c", _TRANSMIT, w, str(args.seed + i),
-                                       str(FIXED_SESSIONS)], env=_env(sides[s]),
-                                      capture_output=True, text=True, timeout=900, check=True)
-                rec[s].append(json.loads(proc.stdout))
+        rec = _alternating(sides, _TRANSMIT, lambda i: (w, args.seed + i, FIXED_SESSIONS))
         transmit[w] = {s: {"transmit_stream_s": _quartiles([t for r in rec[s]
                                                              for t in r["transmit_stream_s"]]),
                            "traced_peak_mb": round(max(r["traced_peak_mb"] for r in rec[s]), 3)}
@@ -289,13 +296,7 @@ def main(argv=None) -> int:
     stage_runs = []
     for name, seconds, beacon in STAGE_RUNS:
         rec = {"scenario": name, "seconds": seconds, "beacon_assisted": beacon,
-               **{s: [] for s in sides}}
-        for i in range(STAGE_PROCESSES):
-            for s in (sides if i % 2 == 0 else reversed(list(sides))):
-                proc = subprocess.run([sys.executable, "-c", _STAGES, name, str(seconds),
-                                       str(int(beacon))], env=_env(sides[s]),
-                                      capture_output=True, text=True, timeout=900, check=True)
-                rec[s].append(json.loads(proc.stdout))
+               **_alternating(sides, _STAGES, lambda i: (name, seconds, int(beacon)))}
         print(f"{name} {seconds} s beacon={beacon}: run_in_process / peak_rss_mb "
               + ", ".join(f"{s} {min(r['calls'][1]['run_in_process'] for r in rec[s]):.3f} s / "
                           f"{max(r['peak_rss_mb'] for r in rec[s]):.0f} MB" for s in sides),
@@ -305,13 +306,8 @@ def main(argv=None) -> int:
     weak_streams = []
     for stream in WEAK_STREAMS:
         rec = {"stream": dict(zip(("seconds", "signal_cps", "background_cps", "drift_ppm",
-                                   "seed"), stream)), **{s: [] for s in sides}}
-        for i in range(STAGE_PROCESSES):
-            for s in (sides if i % 2 == 0 else reversed(list(sides))):
-                proc = subprocess.run([sys.executable, "-c", _WEAK, *map(str, stream),
-                                       str(WEAK_CALLS)], env=_env(sides[s]),
-                                      capture_output=True, text=True, timeout=900, check=True)
-                rec[s].append(json.loads(proc.stdout))
+                                   "seed"), stream)),
+               **_alternating(sides, _WEAK, lambda i: (*stream, WEAK_CALLS))}
         wall = {s: statistics.median(w for r in rec[s] for w in r["recover_clock_s"][1:])
                 for s in sides}
         print(f"weak stream {stream}: recover_clock median / peak_rss_mb "
