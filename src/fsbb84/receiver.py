@@ -170,17 +170,18 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     if 4 * (t_max - t_min) + 3 >= 2**63:
         raise ContractViolationError("tag times span too wide for one int64 key")
     by_time = np.argsort((t_all - t_min) * 4 + det_all, kind="stable")
-    t_all, det_all = t_all[by_time], det_all[by_time]
+    t_sorted, det_sorted = t_all[by_time], det_all[by_time]
     dead_ps = int(round(config.dead_time_ns * 1000.0))
     keep = np.empty(len(t_all), dtype=bool)
     for d in range(4):
-        on_d = np.flatnonzero(det_all == d)
-        keep[on_d] = _dead_time_filter(t_all[on_d], dead_ps)
+        on_d = np.flatnonzero(det_sorted == d)
+        keep[on_d] = _dead_time_filter(t_sorted[on_d], dead_ps)
+    order = by_time[keep]
     truth = None
     if with_truth:
         background = np.full(len(t_all) - len(t_arr), -1, dtype=np.int64)
-        truth = np.concatenate([arrivals.pulse_index, background])[by_time[keep]]
-    return TimeTags(detector=det_all[keep], time_ps=t_all[keep], truth_pulse_index=truth)
+        truth = np.concatenate([arrivals.pulse_index, background])[order]
+    return TimeTags(detector=det_all[order], time_ps=t_all[order], truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
