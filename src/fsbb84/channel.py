@@ -34,7 +34,7 @@ delivers nothing to an APD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -151,13 +151,7 @@ class LossBreakdown:
         return self.geometric_db + self.atmospheric_db + self.extra_db + self.splitter_db
 
     def to_dict(self) -> dict:
-        return {
-            "geometric_db": self.geometric_db,
-            "atmospheric_db": self.atmospheric_db,
-            "extra_db": self.extra_db,
-            "splitter_db": self.splitter_db,
-            "total_db": self.total_db,
-        }
+        return {**asdict(self), "total_db": self.total_db}
 
 
 def loss_breakdown(config: ChannelConfig, wavelength_nm: float) -> LossBreakdown:
@@ -176,7 +170,9 @@ class PhotonArrivals:
 
     ``detector`` is the APD each photon reaches (H=0, V=1, D=2, A=3).
     ``pulse_index`` and ``state`` (the polarization state after any retro
-    flip) are simulation-only provenance for ground-truth checks.
+    flip) are simulation-only provenance for ground-truth checks. Photons
+    come in pulse order, so pulses wide enough to overlap leave their times
+    out of order: :func:`fsbb84.receiver.detect` sorts them.
     """
 
     pulse_index: np.ndarray  # int64
@@ -260,18 +256,6 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
     return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
 
 
-def _finalize_arrivals(parts) -> PhotonArrivals:
-    if len(parts) == 1:
-        idx, states, detector, times = parts[0]
-    else:
-        idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
-    if len(times) > 1 and np.any(times[1:] < times[:-1]):
-        order = np.argsort(times, kind="stable")
-        idx, states, detector, times = idx[order], states[order], detector[order], times[order]
-    return PhotonArrivals(pulse_index=idx, state=states, detector=detector,
-                          arrival_time_ps=times)
-
-
 def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses: int,
                     efficiency: float, analyzer: np.ndarray,
                     true_clock: TrueClock = TrueClock()) -> PhotonArrivals:
@@ -287,8 +271,8 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
     jitter, retro flips and APD picks are drawn from the shard's generator,
     in that order, for these pulses only. States are the source's, so
     Alice's lookup agrees with every arrival. Arrival times are read on
-    ``true_clock``, the receiver clock, and sorted with pulse order
-    preserved on ties.
+    ``true_clock``, the receiver clock; photons come in pulse order, not
+    time order (:class:`PhotonArrivals`).
 
     Only the draws run per shard. Everything else runs once per group of
     consecutive shards, closed once it holds GROUP_CANDIDATES candidates,
@@ -315,4 +299,4 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
             parts.append(_arrivals(group, state_key, source_config, config, true_clock,
                                    analyzer_cdf))
             group, n_candidates = [], 0
-    return _finalize_arrivals(parts)
+    return PhotonArrivals(*(np.concatenate(column) for column in zip(*parts)))

@@ -84,8 +84,10 @@ def _cmd_run(args) -> int:
     if args.dump_tags:
         receiver.dump_tags(quantum.tags, args.dump_tags)
     if args.dump_histogram:
-        hist = sync.fold_histogram(quantum.tags.time_ps, scenario.source.period_ps, 256)
-        sync.export_histogram_csv(hist, scenario.source.period_ps, args.dump_histogram)
+        clock, period = quantum.clock, scenario.source.period_ps
+        phase_ps = (quantum.tags.time_ps - clock.offset_ps) / clock.rate + period / 2
+        sync.export_histogram_csv(sync.fold_histogram(phase_ps, period, 256), period,
+                                  args.dump_histogram)
 
     q = bob_report.qber
     status = "ABORTED" if bob_report.abort else "ok"
@@ -158,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--duration", type=float, default=None,
                        help="override scenario duration_s (rejected if protocol.n_pulses is set)")
     run_p.add_argument("--dump-tags", default=None, help="write the binary time-tag stream here")
-    run_p.add_argument("--dump-histogram", default=None, help="write the folded histogram CSV here")
+    run_p.add_argument("--dump-histogram", default=None,
+                       help="write here the CSV histogram of tag times folded at the period "
+                            "on the recovered clock, each slot centre in bin 128 of 256")
     run_p.set_defaults(func=_cmd_run)
 
     party_p = sub.add_parser("party", help="one networked party over TCP")

@@ -11,9 +11,11 @@ already at its APD, and applies Gaussian timing jitter and quantization to
 the tagger resolution.
 
 Background (solar + dark) counts are injected as four independent Poisson
-processes, one per APD, at a common configured rate. Signal and background
-times are quantized together and put in one stable (time, APD) order,
-signal before background at equal times. Each APD then applies
+processes, one per APD, at a common configured rate. Signal photons come
+in pulse order, not time order once jitter spreads them. Signal and
+background times are quantized together and put in one stable (time, APD)
+order, the chain's only time sort: at equal (time, APD) signal comes
+before background and keeps pulse order. Each APD then applies
 non-paralyzable dead time to its own tags in that order: a tag at least
 one dead time after the previous tag on its APD opens a cluster and is
 kept (a head); inside a cluster the kept tags are the chain
@@ -146,9 +148,6 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     signal. ``with_truth`` adds each tag's originating pulse.
     """
     t_arr = arrivals.arrival_time_ps
-    if len(t_arr) > 1 and np.any(t_arr[1:] < t_arr[:-1]):
-        raise ContractViolationError("arrivals must be sorted by time")
-
     # Timing jitter on the signal, then background: one Poisson process per
     # APD over the observation window
     jitter = spawn(config.rng_seed, STREAM_RECEIVER)
@@ -164,8 +163,9 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     t_all = (np.rint(np.concatenate(t_all) / res) * res).astype(np.int64)
     det_all = np.concatenate(det_all)
 
-    # One stable (time, detector) order, signal before background at equal
-    # times; each detector's dead time acts on its own tags in that order.
+    # The one time sort: stable on (time, detector), so at equal keys signal
+    # comes before background and keeps pulse order; each detector's dead
+    # time acts on its own tags in that order.
     t_min, t_max = (int(t_all.min()), int(t_all.max())) if len(t_all) else (0, 0)
     if 4 * (t_max - t_min) + 3 >= 2**63:
         raise ContractViolationError("tag times span too wide for one int64 key")

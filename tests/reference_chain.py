@@ -135,12 +135,7 @@ def reference_transmit_stream(source_config: SourceConfig, config: ChannelConfig
         for column in analyzer_cdf:
             detector += u >= column.take(k)
         parts.append((np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)))
-    idx, states, detector, times = (np.concatenate(col) for col in zip(*parts))
-    if len(times) > 1 and np.any(times[1:] < times[:-1]):
-        order = np.argsort(times, kind="stable")
-        idx, states, detector, times = idx[order], states[order], detector[order], times[order]
-    return PhotonArrivals(pulse_index=idx, state=states, detector=detector,
-                          arrival_time_ps=times)
+    return PhotonArrivals(*(np.concatenate(column) for column in zip(*parts)))
 
 
 @dataclass

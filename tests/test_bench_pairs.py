@@ -5,7 +5,7 @@ that a refactor broke (a renamed function, a removed default) would fail
 nothing here until the harness itself is run. Each script runs once on
 tiny inputs, and its output must hold what ``main()`` reads. The module
 is loaded from its file, and no process writes bytecode next to the
-sources.
+sources. The ``src/`` line count it records is checked on a small tree.
 """
 
 import importlib.util
@@ -61,3 +61,12 @@ def test_weak_script(bench_pairs):
 
 def test_fixed_rss_script(bench_pairs):
     assert _run(bench_pairs, "_FIXED_RSS", "retro_beacon_weak_v", "1", "1") > 0
+
+
+def test_src_lines_counts_python_under_src(bench_pairs, tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("\n\nz = 3\n")
+    (tmp_path / "src" / "pkg" / "data.json").write_text("{}\n")
+    (tmp_path / "setup.py").write_text("pass\n")
+    assert bench_pairs._src_lines(tmp_path) == 5

@@ -88,6 +88,12 @@ def test_run_dumps(tmp_path, scenario_file):
     lines = hist_p.read_text().splitlines()
     assert lines[0] == "bin_start_ps,count"
     assert len(lines) == 257
+    # folded on the recovered clock, the slots' tags pile up within 1 ns of
+    # the middle bin, whatever the clock's offset and drift
+    start_ps, count = np.loadtxt(hist_p, delimiter=",", skiprows=1, unpack=True)
+    middle = start_ps[128]
+    assert middle == pytest.approx(5_000.0)
+    assert count[np.abs(start_ps - middle) <= 1_000].sum() >= 0.9 * count.sum()
 
 
 def test_run_duration_override(tmp_path, scenario_file, capsys):

@@ -4,7 +4,8 @@ A refactor that claims byte-identical reports must leave every count
 below unchanged. Only integers are pinned (no libm-dependent floats), so
 a failure names the count that moved. The sessions cover multi-clicks
 resolved by ``random_bit`` and dropped by ``discard``, beacon-assisted
-sync, and the retro link's weak V emitter under acquired drift.
+sync, the retro link's weak V emitter under acquired drift, and a faded
+daylight link.
 """
 
 from dataclasses import replace
@@ -29,9 +30,10 @@ def _dense(policy=None):
                                     benchmark_mode=False))
 
 
-def _bundled(name, seed, beacon=False):
+def _bundled(name, seed, beacon=False, **channel):
     sc = bundled_scenario(name, seed=seed)
-    return replace(sc, sync=replace(sc.sync, beacon_assisted=beacon),
+    return replace(sc, channel=replace(sc.channel, **channel),
+                   sync=replace(sc.sync, beacon_assisted=beacon),
                    protocol=replace(sc.protocol, n_pulses=20_000_000))
 
 
@@ -61,6 +63,12 @@ CASES = {
         lambda: _bundled("table1_run1_retro", 7),
         _counts(3810, 6999, (2058, 1455, 1682, 1804), 3405, 3594, 0, 0, 3405),
         1732, 0, (1732, 72)),
+    # 1 ms fading blocks: each shard spans 42 blocks (factors 0.41-1.96),
+    # so every pulse is re-thinned to its own block's survival
+    "daylight_faded": (
+        lambda: _bundled("table2_beam_expanders", 8, fading_sigma=0.3, fading_block_ms=1.0),
+        _counts(6395, 7537, (1873, 1871, 1866, 1927), 5556, 1981, 0, 0, 5556),
+        2773, 0, (2773, 64)),
 }
 
 

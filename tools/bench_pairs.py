@@ -14,9 +14,9 @@ streams of ``WEAK_STREAMS``, likewise::
 
 Pair i runs with ``--seed`` + i; pick seeds no earlier BENCH file used, so
 no run was seen while writing the change. Each side is imported from its
-own ``src``; the JSON records the machine, numpy and pulse counts with the
-medians and quartiles of every end-to-end metric and the count of pairs
-the change won.
+own ``src``; the JSON records the machine, numpy, each side's count of
+``src/`` Python lines and pulse counts with the medians and quartiles of
+every end-to-end metric and the count of pairs the change won.
 """
 
 from __future__ import annotations
@@ -237,6 +237,11 @@ def _machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
+def _src_lines(root: Path) -> int:
+    """Lines of Python under ``root``'s ``src``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -317,6 +322,7 @@ def main(argv=None) -> int:
 
     doc = {
         "machine": _machine(),
+        "src_python_lines": {s: _src_lines(root) for s, root in sides.items()},
         "end_to_end": {
             "harness": f"python3 perfbench/run.py --workload W --seed {args.seed}+i "
                        f"--seconds {SECONDS:g} --trace 0",
