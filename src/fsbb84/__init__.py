@@ -1,7 +1,1 @@
 """Free-space daylight BB84: Monte-Carlo link simulator plus protocol stack."""
-
-__version__ = "0.1.0"
-
-from . import analysis, channel, receiver, scenario, source, sync  # noqa: F401
-from .runner import run_in_process  # noqa: F401
-from .scenario import Scenario, bundled_scenario, load_scenario  # noqa: F401

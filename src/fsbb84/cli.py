@@ -85,7 +85,8 @@ def _cmd_run(args) -> int:
         receiver.dump_tags(quantum.tags, args.dump_tags)
     if args.dump_histogram:
         clock, period = quantum.clock, scenario.source.period_ps
-        phase_ps = (quantum.tags.time_ps - clock.offset_ps) / clock.rate + period / 2
+        phase_ps = sync.source_time_ps(quantum.tags.time_ps, clock.offset_ps, clock.rate)
+        phase_ps += period / 2
         sync.export_histogram_csv(sync.fold_histogram(phase_ps, period, 256), period,
                                   args.dump_histogram)
 

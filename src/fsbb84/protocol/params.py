@@ -17,15 +17,16 @@ class SessionParams:
     """Two-party session contract.
 
     ``sample_fraction`` is the share of sifted bits disclosed for QBER
-    estimation; benchmark mode discloses everything (and keeps nothing),
-    which is how the reference measurements are reproduced. ``rng_seed``
-    drives Bob's sample selection.
+    estimation; benchmark mode (off unless set, or selected in a scenario
+    file by ``"sample_fraction": "all"``) discloses everything and keeps
+    nothing, which is how the reference measurements are reproduced.
+    ``rng_seed`` drives Bob's sample selection.
     """
 
     session_id: int = 1
     qber_abort_threshold: float = DEFAULT_QBER_ABORT_THRESHOLD
     sample_fraction: float = 1.0
-    benchmark_mode: bool = True
+    benchmark_mode: bool = False
     rng_seed: int = 0
     n_pulses: Optional[int] = None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -55,8 +56,8 @@ class Scenario:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("must be > 0", "duration_s")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("must be finite and > 0", "duration_s")
         if self.sync.gate_width_ps >= self.source.period_ps:
             raise ConfigError("gate must be narrower than the pulse period", "sync.gate_width_ps")
         if self.n_pulses <= 0:
@@ -107,11 +108,18 @@ def _require(d: dict, key: str, path: str) -> Any:
     return d[key]
 
 
-def _build(cls, payload: dict, path: str, **extra):
+def _number(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"must be a number, got {value!r}", path) from None
+
+
+def _build(cls, payload: dict, path: str):
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", path)
     try:
-        return cls(**payload, **extra)
+        return cls(**payload)
     except ConfigError:
         raise
     except TypeError as e:
@@ -130,27 +138,25 @@ def scenario_from_dict(doc: dict, name_hint: str = "") -> Scenario:
         mu = src["mu_per_state"]
         if not isinstance(mu, (list, tuple)):
             raise ConfigError("must be a 4-element array", "source.mu_per_state")
-        src = dict(src, mu_per_state=tuple(float(m) for m in mu))
+        src = dict(src, mu_per_state=tuple(_number(m, "source.mu_per_state") for m in mu))
     source = _build(SourceConfig, src, "source")
     chan = _build(ChannelConfig, _require(doc, "channel", ""), "channel")
     recv = _build(ReceiverConfig, _require(doc, "receiver", ""), "receiver")
 
     sync_doc = _require(doc, "sync", "")
-    if not isinstance(sync_doc, dict):
-        raise ConfigError("must be an object", "sync")
-    clock = _build(TrueClock, sync_doc.get("true_clock", {}), "sync.true_clock")
-    sync_rest = {k: v for k, v in sync_doc.items() if k != "true_clock"}
-    sync = _build(SyncSettings, sync_rest, "sync", true_clock=clock)
+    if isinstance(sync_doc, dict) and "true_clock" in sync_doc:
+        sync_doc = dict(sync_doc, true_clock=_build(TrueClock, sync_doc["true_clock"],
+                                                    "sync.true_clock"))
+    sync = _build(SyncSettings, sync_doc, "sync")
 
-    proto_doc = dict(_require(doc, "protocol", ""))
-    if proto_doc.get("sample_fraction") == "all":
-        proto_doc["sample_fraction"] = 1.0
-        proto_doc["benchmark_mode"] = True
+    proto_doc = _require(doc, "protocol", "")
+    if isinstance(proto_doc, dict) and proto_doc.get("sample_fraction") == "all":
+        proto_doc = dict(proto_doc, sample_fraction=1.0, benchmark_mode=True)
     proto = _build(SessionParams, proto_doc, "protocol")
 
     return Scenario(
         name=name,
-        duration_s=float(duration),
+        duration_s=_number(duration, "duration_s"),
         source=source,
         channel=chan,
         receiver=recv,

@@ -35,6 +35,8 @@ and left the receiver efficiency, basis choice and Malus projection to
 ``STREAM_RECEIVER``. Every seeded output changed with each version.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 # Spawn-key stream tags, one per consumer. Values are part of the

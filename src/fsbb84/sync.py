@@ -103,6 +103,13 @@ class ClockModel:
     rate = TrueClock.rate
 
 
+def source_time_ps(t: np.ndarray, offset_ps: float, rate: float) -> np.ndarray:
+    """Receiver times mapped to the source clock, (t - offset_ps) / rate, as a new float64 array."""
+    r = np.subtract(t, offset_ps, dtype=np.float64)
+    r /= rate
+    return r
+
+
 def _cycles(x: np.ndarray, period_ps: float, nearest: bool = False) -> np.ndarray:
     """(x mod P) / P in [0, 1), or in [-1/2, 1/2] with ``nearest``; exact for whole-ps x."""
     r = x / period_ps
@@ -300,7 +307,7 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     the narrowing windows keep small.
     """
     P = period_ps
-    ta = (t - offset) / rate
+    ta = source_time_ps(t, offset, rate)
     res = _cycles(ta, P, nearest=True)
     near = np.flatnonzero(np.abs(res) <= 0.25)
     near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
@@ -361,9 +368,7 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_referen
     # drift is a fraction of a grid step off is judged after refinement.
     # One fold: the wrapped residuals give the rms; shifted by P/2, the
     # folded histogram turned by half its bins, same peak and median.
-    ta = t - offset
-    ta /= rate
-    res = _cycles(ta, P, nearest=True)
+    res = _cycles(source_time_ps(t, offset, rate), P, nearest=True)
     residual_rms = P * math.sqrt(np.dot(res, res) / n)
     res += 0.5
     hist = _bin_counts(res, 64)
@@ -399,9 +404,7 @@ def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignment
     accepts every tag. Accepted tags keep the stream's order and each float
     step from time to slot is monotone, so ``pulse_index`` is non-decreasing.
     """
-    r = tags.time_ps.astype(np.float64)  # (t - offset) / rate, in place
-    r -= clock.offset_ps
-    r /= clock.rate
+    r = source_time_ps(tags.time_ps, clock.offset_ps, clock.rate)
     P = clock.period_ps
     k = r / P
     np.floor(k, out=k)

@@ -5,7 +5,8 @@ that a refactor broke (a renamed function, a removed default) would fail
 nothing here until the harness itself is run. Each script runs once on
 tiny inputs, and its output must hold what ``main()`` reads. The module
 is loaded from its file, and no process writes bytecode next to the
-sources. The ``src/`` line count it records is checked on a small tree.
+sources. The ``src/`` line count it records is checked on a small tree,
+and the bytecode settings it records on this process.
 """
 
 import importlib.util
@@ -70,3 +71,10 @@ def test_src_lines_counts_python_under_src(bench_pairs, tmp_path):
     (tmp_path / "src" / "pkg" / "data.json").write_text("{}\n")
     (tmp_path / "setup.py").write_text("pass\n")
     assert bench_pairs._src_lines(tmp_path) == 5
+
+
+def test_machine_records_bytecode_settings(bench_pairs, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    machine = bench_pairs._machine()
+    assert machine["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert machine["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)

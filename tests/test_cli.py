@@ -129,6 +129,14 @@ def test_malformed_scenario_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "efficiency_db" in capsys.readouterr().err
 
+    for field, value in (("protocol", 5), ("protocol", None), ("duration_s", "ten")):
+        doc = sc.to_dict()
+        doc[field] = value
+        bad2.write_text(json.dumps(doc))
+        assert main(["predict", "--scenario", str(bad2)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+
 
 def test_predict_cmd(tmp_path, scenario_file, capsys):
     rc = main(["predict", "--scenario", str(scenario_file)])

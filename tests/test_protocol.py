@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from fsbb84.errors import (CorruptFrameError, InconclusiveSessionError,
                            NeedMoreBytes, ProtocolViolationError)
-from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask,
-                             QberResult, SampleBits, SampleIndices,
-                             SessionParams, SessionParamsMsg, SiftedKey,
-                             alice_match, bob_detection_report, bob_sift,
-                             decode_frame, encode_frame, loopback_pair, run_session)
-from fsbb84.protocol.session import ROLE_ALICE, _count_errors, sample_size, select_sample
+from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask,
+                                     QberResult, SampleBits, SampleIndices, SessionParamsMsg,
+                                     decode_frame, encode_frame)
+from fsbb84.protocol.params import SessionParams, SiftedKey
+from fsbb84.protocol.session import (ROLE_ALICE, _count_errors, alice_match,
+                                     bob_detection_report, bob_sift, run_session,
+                                     sample_size, select_sample)
+from fsbb84.protocol.transport import loopback_pair
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.channel import ChannelConfig, transmit_stream

@@ -10,6 +10,7 @@ import pytest
 
 import fsbb84
 from fsbb84.errors import ConfigError
+from fsbb84.protocol.session import sample_size
 from fsbb84.scenario import (BUNDLED_NAMES, SyncSettings, bundled_scenario,
                              bundled_scenario_text, load_scenario,
                              scenario_from_dict)
@@ -143,6 +144,39 @@ def test_sample_fraction_all_means_benchmark():
     sc = scenario_from_dict(doc)
     assert sc.protocol.benchmark_mode
     assert sc.protocol.sample_fraction == 1.0
+
+
+def test_sample_fraction_alone_samples_that_share():
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    doc["protocol"] = {"sample_fraction": 0.25}
+    protocol = scenario_from_dict(doc).protocol
+    assert not protocol.benchmark_mode
+    assert sample_size(1000, protocol) == 250
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (("protocol",), 5, "protocol"),
+    (("protocol",), [1, 2], "protocol"),
+    (("protocol",), "ab", "protocol"),
+    (("protocol",), None, "protocol"),
+    (("sync",), [], "sync"),
+    (("sync", "true_clock"), 3, "sync.true_clock"),
+    (("duration_s",), "ten", "duration_s"),
+    (("duration_s",), None, "duration_s"),
+    (("duration_s",), float("inf"), "duration_s"),
+    (("duration_s",), float("nan"), "duration_s"),
+    (("source", "mu_per_state"), ["a", 0.5, 0.5, 0.1], "source.mu_per_state"),
+])
+def test_malformed_value_names_field(keys, value, field):
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    *parents, leaf = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.field == field
 
 
 def test_gate_must_fit_in_period():

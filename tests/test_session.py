@@ -11,11 +11,10 @@ import pytest
 
 from conftest import make_fast_scenario
 from fsbb84.errors import SessionFailedError, SyncFailureError
-from fsbb84.protocol import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
-                             QberResult, SampleBits, SampleIndices, run_session)
 from fsbb84.protocol import session
-from fsbb84.protocol.framing import encode_frame
-from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB
+from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
+                                     QberResult, SampleBits, SampleIndices, encode_frame)
+from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, run_session
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)
 from fsbb84.receiver import TimeTags

@@ -9,7 +9,7 @@ from scipy import stats
 from conftest import make_fast_scenario
 from fsbb84.channel import ChannelConfig, transmit_stream
 from fsbb84.errors import ConfigError, ProtocolViolationError
-from fsbb84.protocol import DetectionReport
+from fsbb84.protocol.framing import DetectionReport
 from fsbb84.protocol.params import SessionParams
 from fsbb84.protocol.session import alice_match
 from fsbb84.receiver import analyzer_table

@@ -233,8 +233,11 @@ def _machine() -> dict:
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
+    # setup_s compiles every module on the setup path when no bytecode is written
     return {"cpu": cpu, "arch": platform.machine(), "nproc": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def _src_lines(root: Path) -> int:
