@@ -25,8 +25,8 @@ the Monte Carlo applies together in the Poisson thinning of
 
   where ``q_sd`` is the share of state-s photons sent to APD d (a 50/50
   basis choice, then Malus' law on the misaligned analyzer): the
-  receiver's :func:`~fsbb84.receiver.analyzer_table`, the table with
-  which that thinning picks each photon's APD. The live
+  :func:`analyzer_table`, the table with which that thinning picks each
+  photon's APD. The live
   fraction ``L`` is the mean of the ``L_d`` weighted by each APD's in-gate
   clicks. It scales signal and background alike, so to first order QBER
   keeps its form; ``p_sig`` and ``p_bg`` above are the clicks before it;
@@ -60,6 +60,24 @@ bundled scenarios and 0.9921 at the busiest randomized one):
   acceptance lies within 0.3% of ``A_gate``, inside its statistical
   error (0.5% at ``table2_collimators``, at most 0.3% elsewhere);
 * gate spill: the neighbouring slots lie over 40 sigma_t from the gate.
+
+Loss model
+----------
+The link budget (:func:`loss_breakdown`), here so that the oracle loads no
+numpy, has three physical contributions plus a calibration residual:
+
+* geometric capture of a Gaussian beam by a circular aperture:
+  ``loss = -10 log10(1 - exp(-2 a^2 / w(z)^2))`` with ``w(z)`` the 1/e^2
+  beam radius after propagating ``z`` from a waist ``w0 = tx_diameter/2``,
+  ``w(z) = w0 sqrt(1 + (z/z_R)^2)``, ``z_R = pi w0^2 / lambda``;
+* atmospheric extinction from meteorological visibility (Kim model):
+  ``sigma = (3.91/V) (lambda_nm/550)^-q`` per km (natural units), with the
+  piecewise size parameter ``q(V)``; in dB: ``4.343 sigma d_km``;
+* ``extra_loss_db``: optics train, filter insertion, pointing residual --
+  whatever the calibrated scenario needs to match the measured total.
+
+In retro-reflected mode the beam traverses the path twice, so geometric
+and atmospheric legs double and the beam-splitter penalty is added.
 """
 
 from __future__ import annotations
@@ -67,13 +85,85 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .channel import loss_breakdown
 from .errors import ComparisonRefusedError
-from .receiver import analyzer_table
-from .scenario import Scenario
-from .source import FWHM_TO_SIGMA
+from .scenario import FWHM_TO_SIGMA, ChannelConfig, Scenario
+
+# Polarizer orientations per state, degrees.
+STATE_ANGLES_DEG = (0.0, 90.0, 45.0, -45.0)
+
+
+def beam_radius_m(waist_radius_m: float, distance_m: float, wavelength_m: float) -> float:
+    """1/e^2 Gaussian beam radius after free propagation from the waist."""
+    z_r = math.pi * waist_radius_m**2 / wavelength_m
+    return waist_radius_m * math.sqrt(1.0 + (distance_m / z_r) ** 2)
+
+
+def geometric_loss_db(config: ChannelConfig, wavelength_nm: float) -> float:
+    """One-way aperture-capture loss in dB at ``config.distance_m``."""
+    w0 = config.tx_beam_diameter_e2_cm / 200.0  # cm diameter -> m radius
+    a = config.rx_aperture_diameter_e2_cm / 200.0
+    w = beam_radius_m(w0, config.distance_m, wavelength_nm * 1e-9)
+    captured = 1.0 - math.exp(-2.0 * a * a / (w * w))
+    return -10.0 * math.log10(captured)
+
+
+def _kim_q(visibility_km: float) -> float:
+    v = visibility_km
+    if v > 50.0:
+        return 1.6
+    if v > 6.0:
+        return 1.3
+    if v > 1.0:
+        return 0.16 * v + 0.34
+    if v > 0.5:
+        return v - 0.5
+    return 0.0
+
+
+def atmospheric_loss_db(visibility_km: float, wavelength_nm: float, distance_m: float) -> float:
+    """Kim-model extinction over ``distance_m`` in dB."""
+    sigma_per_km = (3.91 / visibility_km) * (wavelength_nm / 550.0) ** (-_kim_q(visibility_km))
+    return 10.0 / math.log(10.0) * sigma_per_km * (distance_m / 1000.0)
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """Per-contribution link loss, already including path doubling."""
+
+    geometric_db: float
+    atmospheric_db: float
+    extra_db: float
+    splitter_db: float
+
+    @property
+    def total_db(self) -> float:
+        return self.geometric_db + self.atmospheric_db + self.extra_db + self.splitter_db
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "total_db": self.total_db}
+
+
+def loss_breakdown(config: ChannelConfig, wavelength_nm: float) -> LossBreakdown:
+    legs = 2.0 if config.retro_mode else 1.0
+    return LossBreakdown(
+        geometric_db=legs * geometric_loss_db(config, wavelength_nm),
+        atmospheric_db=legs * atmospheric_loss_db(config.visibility_km, wavelength_nm, config.distance_m),
+        extra_db=config.extra_loss_db,
+        splitter_db=config.splitter_penalty_db if config.retro_mode else 0.0,
+    )
+
+
+def analyzer_table(misalignment_deg: float) -> list[list[float]]:
+    """q[s][d]: probability that a state-s photon at the bench reaches APD d.
+
+    Either basis with probability 1/2, then cos^2 of the angle between the
+    photon polarization and the APD's analyzer axis, rotated by the
+    residual misalignment. Each row sums to 1.
+    """
+    axis = [45.0 * (d >> 1) + 90.0 * (d & 1) + misalignment_deg for d in range(4)]
+    cos = [[math.cos(math.radians(s - a)) for a in axis] for s in STATE_ANGLES_DEG]
+    # c * c, not pow's c ** 2: bit for bit the table seeded outputs were pinned with
+    return [[0.5 * c * c for c in row] for row in cos]
 
 
 def gate_acceptance(gate_width_ps: float, pulse_fwhm_ps: float, jitter_fwhm_ps: float) -> float:
@@ -115,10 +205,12 @@ def _detector_click_probabilities(mu_per_state, eta: float, misalignment_deg: fl
     """Per-pulse probability of at least one photon at each APD (H, V, D, A).
 
     Detector d sees a Poisson photon number of mean ``mu_s eta q_sd`` from
-    a state-s pulse, ``q`` being the receiver's analyzer table.
+    a state-s pulse, ``q`` being :func:`analyzer_table`.
     """
-    mu = np.asarray(mu_per_state, dtype=np.float64)[:, None]
-    return (-np.expm1(-mu * eta * analyzer_table(misalignment_deg))).mean(axis=0).tolist()
+    p = [[-math.expm1(-mu * eta * q) for q in row]
+         for mu, row in zip(mu_per_state, analyzer_table(misalignment_deg))]
+    # left to right, as the pinned predictions were summed; sum() compensates from 3.12 on
+    return [(h + v + d + a) / 4.0 for h, v, d, a in zip(*p)]
 
 
 def predict(scenario: Scenario) -> PredictedMetrics:

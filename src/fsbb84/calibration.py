@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analysis import background_click_probability, click_probability, gate_acceptance
-from .channel import ChannelConfig, loss_breakdown
+from .analysis import (background_click_probability, click_probability, gate_acceptance,
+                       loss_breakdown)
 from .errors import ConfigError
+from .scenario import ChannelConfig
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, receiver, sync
+from . import analysis
 from .errors import ConfigError, InconclusiveSessionError, SessionFailedError, SyncFailureError
-from .protocol.session import ROLE_ALICE, ROLE_BOB, run_session
-from .protocol.transport import connect, listen_accept
-from .runner import run_in_process
+from .protocol.params import ROLE_ALICE, ROLE_BOB
 from .scenario import BUNDLED_NAMES, load_scenario
 
 ENV_OUT_DIR = "FSBB84_OUT_DIR"
@@ -64,6 +62,7 @@ def _write(doc: dict, out: Path, stem: str, fmt: str) -> None:
 
 
 def _cmd_run(args) -> int:
+    from . import receiver, runner, sync  # not on predict's path: they load numpy
     scenario = load_scenario(args.scenario, args.seed)
     if args.duration is not None:
         if scenario.protocol.n_pulses is not None:
@@ -72,7 +71,7 @@ def _cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, duration_s=args.duration)
     out = _out_dir(args.out)
 
-    bob_report, alice_report, quantum = run_in_process(scenario)
+    bob_report, alice_report, quantum = runner.run_in_process(scenario)
     predicted = analysis.predict(scenario)
     deviation = analysis.compare(predicted, bob_report)
 
@@ -100,6 +99,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_party(args) -> int:
+    from . import receiver
+    from .protocol.session import run_session
+    from .protocol.transport import connect, listen_accept
     scenario = load_scenario(args.scenario, args.seed)
     out = _out_dir(args.out)
     role = args.role

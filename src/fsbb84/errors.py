@@ -13,6 +13,26 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
+def check_kinds(config, path: str, ints=(), seeds=(), bools=()) -> None:
+    """A ConfigError naming the first listed field of ``config`` of the wrong kind.
+
+    ``ints`` must be ints (or None where that is the default), ``seeds`` ints
+    in [0, 2^64), as the wire's u64, and ``bools`` bools; a bool is no int.
+    """
+    for name in (*ints, *seeds, *bools):
+        v = getattr(config, name)
+        is_int = isinstance(v, int) and not isinstance(v, bool)
+        if name in bools:
+            ok, kind = isinstance(v, bool), "a bool"
+        elif name in seeds:
+            ok, kind = is_int and 0 <= v < 1 << 64, "an int in [0, 2^64)"
+        else:
+            optional = config.__dataclass_fields__[name].default is None
+            ok, kind = is_int or (optional and v is None), "an int"
+        if not ok:
+            raise ConfigError(f"must be {kind}, got {v!r}", f"{path}.{name}")
+
+
 class ContractViolationError(RuntimeError):
     """An operation received input violating its documented precondition."""
 

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..errors import ConfigError
+from ..errors import ConfigError, check_kinds
 
 DEFAULT_QBER_ABORT_THRESHOLD = 0.10
+ROLE_ALICE, ROLE_BOB = "alice", "bob"
 
 
 @dataclass(frozen=True)
@@ -31,6 +30,8 @@ class SessionParams:
     n_pulses: Optional[int] = None
 
     def __post_init__(self):
+        check_kinds(self, "protocol", ints=("n_pulses",), seeds=("session_id", "rng_seed"),
+                    bools=("benchmark_mode",))
         if not 0.0 < self.qber_abort_threshold < 0.5:
             raise ConfigError("must be in (0, 0.5)", "protocol.qber_abort_threshold")
         if not 0.0 < self.sample_fraction <= 1.0:

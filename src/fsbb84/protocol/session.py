@@ -38,23 +38,20 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
+from ..analysis import loss_breakdown
 from ..errors import (CorruptFrameError, InconclusiveSessionError, ProtocolViolationError,
                       SessionFailedError, SyncFailureError)
 from ..simulate import QuantumPhase, simulate_quantum_phase
-from ..source import SourceConfig, pulse_states
+from ..scenario import Scenario, SourceConfig
+from ..source import pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices, SessionParamsMsg)
-from .params import SessionParams, SiftedKey
+from .params import ROLE_ALICE, ROLE_BOB, SessionParams, SiftedKey
 
-if TYPE_CHECKING:
-    from ..scenario import Scenario
-
-ROLE_ALICE = "alice"
-ROLE_BOB = "bob"
 _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
 
 
@@ -178,14 +175,6 @@ class SessionReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _loss_accounting(scenario: Scenario) -> dict:
-    from ..channel import loss_breakdown
-
-    acct = loss_breakdown(scenario.channel, scenario.source.wavelength_nm).to_dict()
-    acct["receiver_efficiency_db"] = scenario.receiver.efficiency_db
-    return acct
-
-
 def _abort_report(scenario: Scenario, scenario_hash: bytes, role: str,
                   reason: str) -> SessionReport:
     empty = QberResult(disclosed_count=0, error_count=0, qber=0.0, abort=True)
@@ -296,7 +285,8 @@ def _finish_report(scenario: Scenario, scenario_hash: bytes, role: str, qber: Qb
         remaining_key_length=remaining_len,
         qber=qber,
         counts=counts,
-        loss_accounting=_loss_accounting(scenario),
+        loss_accounting={**loss_breakdown(scenario.channel, scenario.source.wavelength_nm).to_dict(),
+                         "receiver_efficiency_db": scenario.receiver.efficiency_db},
     )
 
 

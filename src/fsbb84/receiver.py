@@ -4,11 +4,11 @@ The optical part of the bench acts in the channel's Poisson thinning
 (:func:`fsbb84.channel.transmit_stream`): the lumped receiver efficiency
 (spectral filter, fiber coupling, APD quantum efficiency) scales the
 photon mean, and each photon that reaches the APDs picks one from
-:func:`analyzer_table`, a 50/50 passive basis choice followed by Malus'
-law on the misaligned analyzer. :func:`predict <fsbb84.analysis.predict>`
-uses the same table. :func:`detect` starts from those photons, each
-already at its APD, and applies Gaussian timing jitter and quantization to
-the tagger resolution.
+:func:`fsbb84.analysis.analyzer_table`, a 50/50 passive basis choice
+followed by Malus' law on the misaligned analyzer, the table that
+:func:`predict <fsbb84.analysis.predict>` uses. :func:`detect` starts
+from those photons, each already at its APD, and applies Gaussian timing
+jitter and quantization to the tagger resolution.
 
 Background (solar + dark) counts are injected as four independent Poisson
 processes, one per APD, at a common configured rate. Signal photons come
@@ -37,54 +37,16 @@ import numpy as np
 
 from .channel import PhotonArrivals
 from .errors import ConfigError, ContractViolationError
+from .scenario import DISCARD, ReceiverConfig
 from .seeds import STREAM_BACKGROUND, STREAM_RECEIVER, spawn
-from .source import FWHM_TO_SIGMA, STATE_ANGLES_DEG
 
 DET_H, DET_V, DET_D, DET_A = 0, 1, 2, 3
 DETECTOR_NAMES = "HVDA"
-
-RANDOM_BIT = "random_bit"
-DISCARD = "discard"
 
 # For a 4-bit detector mask: its number of set bits, and its k-th set bit.
 _SET_BITS = [[d for d in range(4) if m >> d & 1] for m in range(16)]
 _N_SET = np.array([len(b) for b in _SET_BITS], dtype=np.int64)
 _NTH_SET = np.array([b + [0] * (4 - len(b)) for b in _SET_BITS], dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class ReceiverConfig:
-    efficiency_db: float = 12.0
-    misalignment_deg: float = 0.0
-    background_rate_cps_per_apd: float = 0.0
-    jitter_fwhm_ps: float = 350.0
-    dead_time_ns: float = 50.0
-    tag_resolution_ps: int = 1
-    double_click_policy: str = RANDOM_BIT
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.efficiency_db < 0:
-            raise ConfigError("must be >= 0 (a loss)", "receiver.efficiency_db")
-        if self.background_rate_cps_per_apd < 0:
-            raise ConfigError("must be >= 0", "receiver.background_rate_cps_per_apd")
-        if self.jitter_fwhm_ps < 0:
-            raise ConfigError("must be >= 0", "receiver.jitter_fwhm_ps")
-        if self.dead_time_ns < 0:
-            raise ConfigError("must be >= 0", "receiver.dead_time_ns")
-        if self.tag_resolution_ps < 1:
-            raise ConfigError("must be >= 1", "receiver.tag_resolution_ps")
-        if self.double_click_policy not in (RANDOM_BIT, DISCARD):
-            raise ConfigError(f"unknown policy {self.double_click_policy!r}",
-                              "receiver.double_click_policy")
-
-    @property
-    def efficiency(self) -> float:
-        return 10.0 ** (-self.efficiency_db / 10.0)
-
-    @property
-    def jitter_sigma_ps(self) -> float:
-        return self.jitter_fwhm_ps / FWHM_TO_SIGMA
 
 
 @dataclass
@@ -104,18 +66,6 @@ class TimeTags:
 
     def per_detector_counts(self) -> dict[str, int]:
         return dict(zip(DETECTOR_NAMES, np.bincount(self.detector, minlength=4).tolist()))
-
-
-def analyzer_table(misalignment_deg: float) -> np.ndarray:
-    """q[s, d]: probability that a state-s photon at the bench reaches APD d.
-
-    Either basis with probability 1/2, then cos^2 of the angle between the
-    photon polarization and the APD's analyzer axis, rotated by the
-    residual misalignment. Each row sums to 1.
-    """
-    d = np.arange(4)
-    axis = 45.0 * (d >> 1) + 90.0 * (d & 1) + misalignment_deg
-    return 0.5 * np.cos(np.radians(STATE_ANGLES_DEG[:, None] - axis)) ** 2
 
 
 def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -192,9 +142,10 @@ def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
     non-decreasing, as :func:`fsbb84.sync.assign_and_gate` leaves it. Pulses
     with one tag pass through; multi-click pulses are either dropped
     (``discard``) or resolved to a uniformly chosen detector among the
-    distinct clicking detectors (``random_bit``); :class:`ReceiverConfig`
-    validates the policy. Returns (pulse_index, detector, n_multi,
-    n_discarded), strictly increasing in pulse index.
+    distinct clicking detectors (``random_bit``);
+    :class:`~fsbb84.scenario.ReceiverConfig` validates the policy. Returns
+    (pulse_index, detector, n_multi, n_discarded), strictly increasing in
+    pulse index.
     """
     if len(pulse_index) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0)

@@ -5,6 +5,9 @@ parameters plus a free-form metadata block mirroring the logged
 experimental conditions (weather, visibility, reported figures). Metadata
 is carried verbatim and has no physical effect.
 
+The parameter classes live here, so that a scenario and the oracle load
+no numpy.
+
 The canonical serialization (sorted keys, fixed separators) defines the
 scenario hash used by the two-party handshake and by prediction/report
 comparison.
@@ -20,12 +23,174 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
 
-from .channel import ChannelConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_kinds
 from .protocol.params import SessionParams
-from .receiver import ReceiverConfig
-from .source import SourceConfig
-from .sync import TrueClock
+
+# Gaussian FWHM -> sigma.
+FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+# Largest mean photon number per pulse: the source's photon-number
+# inversion starts from exp(-mu), which underflows near mu = 745.
+MAX_MU = 100.0
+
+
+@dataclass(frozen=True)
+class SourceConfig:
+    """Transmitter parameters.
+
+    mu_per_state holds the mean photon number per pulse for the H, V, D, A
+    states in that order; pulse_fwhm_ps is the optical pulse duration and
+    sets the emission-time spread around the repetition grid.
+    """
+
+    rep_rate_hz: float = 100e6
+    pulse_fwhm_ps: float = 200.0
+    wavelength_nm: float = 852.0
+    mu_per_state: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.1)
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        check_kinds(self, "source", seeds=("rng_seed",))
+        if self.rep_rate_hz <= 0:
+            raise ConfigError("must be > 0", "source.rep_rate_hz")
+        if self.wavelength_nm <= 0:
+            raise ConfigError("must be > 0", "source.wavelength_nm")
+        if len(self.mu_per_state) != 4:
+            raise ConfigError("needs exactly 4 entries (H, V, D, A)", "source.mu_per_state")
+        if any(not 0 <= m <= MAX_MU for m in self.mu_per_state):
+            raise ConfigError(f"entries must be in [0, {MAX_MU:g}]", "source.mu_per_state")
+        if self.pulse_fwhm_ps < 0:
+            raise ConfigError("must be >= 0", "source.pulse_fwhm_ps")
+        if self.pulse_fwhm_ps >= self.period_ps:
+            raise ConfigError("pulse duration must be shorter than the period", "source.pulse_fwhm_ps")
+
+    @property
+    def period_ps(self) -> float:
+        return 1e12 / self.rep_rate_hz
+
+    @property
+    def emit_sigma_ps(self) -> float:
+        return self.pulse_fwhm_ps / FWHM_TO_SIGMA
+
+
+SPEED_OF_LIGHT_M_S = 299_792_458.0
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Free-space link description.
+
+    Beam sizes are 1/e^2 *diameters* in cm, as usually quoted for
+    collimators and beam expanders. ``propagation_delay_ps`` defaults to
+    the geometric value (doubled path in retro mode) when left as None.
+    """
+
+    distance_m: float
+    tx_beam_diameter_e2_cm: float
+    rx_aperture_diameter_e2_cm: float
+    visibility_km: float = 10.0
+    extra_loss_db: float = 0.0
+    retro_mode: bool = False
+    splitter_penalty_db: float = 6.0
+    retro_flip_prob: float = 0.0
+    fading_sigma: float = 0.0
+    fading_block_ms: float = 10.0
+    propagation_delay_ps: Optional[int] = None
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        check_kinds(self, "channel", ints=("propagation_delay_ps",), seeds=("rng_seed",),
+                    bools=("retro_mode",))
+        if self.distance_m < 0:
+            raise ConfigError("must be >= 0", "channel.distance_m")
+        if self.tx_beam_diameter_e2_cm <= 0:
+            raise ConfigError("must be > 0", "channel.tx_beam_diameter_e2_cm")
+        if self.rx_aperture_diameter_e2_cm <= 0:
+            raise ConfigError("must be > 0", "channel.rx_aperture_diameter_e2_cm")
+        if self.visibility_km <= 0:
+            raise ConfigError("must be > 0", "channel.visibility_km")
+        if self.splitter_penalty_db < 0:
+            raise ConfigError("must be >= 0", "channel.splitter_penalty_db")
+        if self.fading_sigma < 0:
+            raise ConfigError("must be >= 0", "channel.fading_sigma")
+        if self.fading_block_ms <= 0:
+            raise ConfigError("must be > 0", "channel.fading_block_ms")
+        if not 0.0 <= self.retro_flip_prob <= 1.0:
+            raise ConfigError("must be in [0, 1]", "channel.retro_flip_prob")
+
+    @property
+    def path_length_m(self) -> float:
+        return 2.0 * self.distance_m if self.retro_mode else self.distance_m
+
+    def delay_ps(self) -> int:
+        if self.propagation_delay_ps is not None:
+            return int(self.propagation_delay_ps)
+        return int(round(self.path_length_m / SPEED_OF_LIGHT_M_S * 1e12))
+
+
+RANDOM_BIT = "random_bit"
+DISCARD = "discard"
+
+
+@dataclass(frozen=True)
+class ReceiverConfig:
+    efficiency_db: float = 12.0
+    misalignment_deg: float = 0.0
+    background_rate_cps_per_apd: float = 0.0
+    jitter_fwhm_ps: float = 350.0
+    dead_time_ns: float = 50.0
+    tag_resolution_ps: int = 1
+    double_click_policy: str = RANDOM_BIT
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        check_kinds(self, "receiver", ints=("tag_resolution_ps",), seeds=("rng_seed",))
+        if self.efficiency_db < 0:
+            raise ConfigError("must be >= 0 (a loss)", "receiver.efficiency_db")
+        if self.background_rate_cps_per_apd < 0:
+            raise ConfigError("must be >= 0", "receiver.background_rate_cps_per_apd")
+        if self.jitter_fwhm_ps < 0:
+            raise ConfigError("must be >= 0", "receiver.jitter_fwhm_ps")
+        if self.dead_time_ns < 0:
+            raise ConfigError("must be >= 0", "receiver.dead_time_ns")
+        if self.tag_resolution_ps < 1:
+            raise ConfigError("must be >= 1", "receiver.tag_resolution_ps")
+        if self.double_click_policy not in (RANDOM_BIT, DISCARD):
+            raise ConfigError(f"unknown policy {self.double_click_policy!r}",
+                              "receiver.double_click_policy")
+
+    @property
+    def efficiency(self) -> float:
+        return 10.0 ** (-self.efficiency_db / 10.0)
+
+    @property
+    def jitter_sigma_ps(self) -> float:
+        return self.jitter_fwhm_ps / FWHM_TO_SIGMA
+
+
+# Largest |drift| a simulated clock may have (TrueClock) and the band the
+# FFT acquisition searches.
+DRIFT_GUARD_PPM = 100.0
+
+
+@dataclass(frozen=True)
+class TrueClock:
+    """Ground-truth receiver-clock disturbance (simulation input)."""
+
+    offset_ps: float = 0.0
+    drift_ppm: float = 0.0
+
+    def __post_init__(self):
+        if abs(self.drift_ppm) > DRIFT_GUARD_PPM:
+            raise ConfigError(f"|drift| must be <= {DRIFT_GUARD_PPM} ppm", "sync.true_clock.drift_ppm")
+
+    @property
+    def rate(self) -> float:
+        return 1.0 + self.drift_ppm * 1e-6
+
+    def to_receiver(self, t_source_ps):
+        """Map transmitter-side times onto the receiver clock."""
+        return self.offset_ps + self.rate * t_source_ps
 
 
 @dataclass(frozen=True)
@@ -38,6 +203,7 @@ class SyncSettings:
     true_clock: TrueClock = field(default_factory=TrueClock)
 
     def __post_init__(self):
+        check_kinds(self, "sync", ints=("block_count",), bools=("beacon_assisted",))
         if self.gate_width_ps <= 0:
             raise ConfigError("must be > 0", "sync.gate_width_ps")
         if self.block_count < 1:
@@ -120,8 +286,6 @@ def _build(cls, payload: dict, path: str):
         raise ConfigError("must be an object", path)
     try:
         return cls(**payload)
-    except ConfigError:
-        raise
     except TypeError as e:
         raise ConfigError(f"bad fields: {e}", path) from None
 

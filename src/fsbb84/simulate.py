@@ -10,17 +10,15 @@ choices, which she hashes from the source seed for the pulses Bob reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import channel, receiver, sync
+from . import analysis, channel, receiver, sync
 from .receiver import TimeTags
+from .scenario import Scenario
 from .seeds import STREAM_PROTOCOL, spawn
 from .sync import Assignments, ClockModel
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 
 @dataclass
@@ -75,7 +73,7 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
 
     if replay_tags is None:
         arrivals = channel.transmit_stream(src, scenario.channel, n_pulses, rx.efficiency,
-                                           receiver.analyzer_table(rx.misalignment_deg),
+                                           analysis.analyzer_table(rx.misalignment_deg),
                                            true_clock=scenario.sync.true_clock)
         tags = receiver.detect(arrivals, rx,
                                session_duration_s=scenario.simulated_duration_s,

@@ -50,60 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .scenario import SourceConfig
 from .seeds import STREAM_SOURCE, STREAM_STATE, counter_key, spawn, splitmix64
-
-# Polarizer orientations per state, degrees.
-STATE_ANGLES_DEG = np.array([0.0, 90.0, 45.0, -45.0])
-
-# Gaussian FWHM -> sigma.
-FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
-# Largest mean photon number per pulse: the photon-number inversion in
-# generate_shard starts from exp(-mu), which underflows near mu = 745.
-MAX_MU = 100.0
 
 # Pulses per generator of the photon-number draw. Part of the
 # reproducibility contract.
 SHARD_SIZE = 1 << 22
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Transmitter parameters.
-
-    mu_per_state holds the mean photon number per pulse for the H, V, D, A
-    states in that order; pulse_fwhm_ps is the optical pulse duration and
-    sets the emission-time spread around the repetition grid.
-    """
-
-    rep_rate_hz: float = 100e6
-    pulse_fwhm_ps: float = 200.0
-    wavelength_nm: float = 852.0
-    mu_per_state: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.1)
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.rep_rate_hz <= 0:
-            raise ConfigError("must be > 0", "source.rep_rate_hz")
-        if self.wavelength_nm <= 0:
-            raise ConfigError("must be > 0", "source.wavelength_nm")
-        if len(self.mu_per_state) != 4:
-            raise ConfigError("needs exactly 4 entries (H, V, D, A)", "source.mu_per_state")
-        if any(not 0 <= m <= MAX_MU for m in self.mu_per_state):
-            raise ConfigError(f"entries must be in [0, {MAX_MU:g}]", "source.mu_per_state")
-        if self.pulse_fwhm_ps < 0:
-            raise ConfigError("must be >= 0", "source.pulse_fwhm_ps")
-        if self.pulse_fwhm_ps >= self.period_ps:
-            raise ConfigError("pulse duration must be shorter than the period", "source.pulse_fwhm_ps")
-
-    @property
-    def period_ps(self) -> float:
-        return 1e12 / self.rep_rate_hz
-
-    @property
-    def emit_sigma_ps(self) -> float:
-        return self.pulse_fwhm_ps / FWHM_TO_SIGMA
 
 
 # ---------------------------------------------------------------------------

@@ -64,34 +64,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SyncFailureError
+from .errors import SyncFailureError
+from .scenario import DRIFT_GUARD_PPM, TrueClock
 
 MIN_TAGS = 1000
-# Largest |drift| a simulated clock may have (TrueClock) and the band the
-# FFT acquisition searches.
-DRIFT_GUARD_PPM = 100.0
-
-
-@dataclass(frozen=True)
-class TrueClock:
-    """Ground-truth receiver-clock disturbance (simulation input)."""
-
-    offset_ps: float = 0.0
-    drift_ppm: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.drift_ppm) > DRIFT_GUARD_PPM:
-            raise ConfigError(f"|drift| must be <= {DRIFT_GUARD_PPM} ppm", "sync.true_clock.drift_ppm")
-
-    @property
-    def rate(self) -> float:
-        return 1.0 + self.drift_ppm * 1e-6
-
-    def to_receiver(self, t_source_ps):
-        """Map transmitter-side times onto the receiver clock."""
-        return self.offset_ps + self.rate * np.asarray(t_source_ps, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class ClockModel:
     """Recovered mapping: t_source = (t_receiver - offset_ps) / (1 + drift)."""

@@ -4,12 +4,9 @@ import dataclasses
 
 import pytest
 
-from fsbb84.channel import ChannelConfig
 from fsbb84.protocol.params import SessionParams
-from fsbb84.receiver import ReceiverConfig
-from fsbb84.scenario import Scenario, SyncSettings
-from fsbb84.source import SourceConfig
-from fsbb84.sync import TrueClock
+from fsbb84.scenario import (ChannelConfig, ReceiverConfig, Scenario, SourceConfig, SyncSettings,
+                             TrueClock)
 
 
 def make_fast_scenario(name="fast", duration_s=0.002, seed=100, *,

@@ -35,12 +35,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from fsbb84.channel import ChannelConfig, PhotonArrivals, fading_factor, loss_breakdown
+from fsbb84.analysis import STATE_ANGLES_DEG, loss_breakdown
+from fsbb84.channel import PhotonArrivals, fading_factor
 from fsbb84.errors import ConfigError, SyncFailureError
+from fsbb84.scenario import DRIFT_GUARD_PPM, ChannelConfig, SourceConfig, TrueClock
 from fsbb84.seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, STREAM_SOURCE, spawn
-from fsbb84.source import (SHARD_SIZE, STATE_ANGLES_DEG, SourceConfig, emit_jitter_ps,
-                           pulse_states)
-from fsbb84.sync import DRIFT_GUARD_PPM, MIN_TAGS, ClockModel, TrueClock
+from fsbb84.source import SHARD_SIZE, emit_jitter_ps, pulse_states
+from fsbb84.sync import MIN_TAGS, ClockModel
 
 
 def _transmittance(config: ChannelConfig, wavelength_nm: float) -> float:
@@ -226,7 +227,7 @@ def analyze(arrivals: ApertureArrivals, efficiency: float, misalignment_deg: flo
     states = arrivals.state[passed]
     bases = g.integers(0, 2, size=states.size)
     axis = 45.0 * bases + misalignment_deg
-    p_first = np.cos(np.radians(STATE_ANGLES_DEG[states] - axis)) ** 2
+    p_first = np.cos(np.radians(np.asarray(STATE_ANGLES_DEG)[states] - axis)) ** 2
     detector = (2 * bases + (g.random(states.size) >= p_first)).astype(np.uint8)
     return PhotonArrivals(pulse_index=arrivals.pulse_index[passed], state=states,
                           detector=detector, arrival_time_ps=arrivals.arrival_time_ps[passed])

@@ -13,20 +13,17 @@ from statistics import NormalDist
 import numpy as np
 
 from conftest import make_fast_scenario
-from fsbb84.analysis import predict
-from fsbb84.channel import ChannelConfig, atmospheric_loss_db
+from fsbb84.analysis import atmospheric_loss_db, predict
 from fsbb84.errors import CorruptFrameError, NeedMoreBytes, SyncFailureError
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello,
                                      MatchMask, QberResult, SampleBits,
                                      SampleIndices, SessionParamsMsg,
                                      decode_frame, encode_frame)
 from fsbb84.protocol.params import SessionParams
-from fsbb84.receiver import ReceiverConfig
 from fsbb84.runner import run_in_process
-from fsbb84.scenario import BUNDLED_NAMES, Scenario, SyncSettings, bundled_scenario
+from fsbb84.scenario import (BUNDLED_NAMES, ChannelConfig, ReceiverConfig, Scenario,
+                             SourceConfig, SyncSettings, TrueClock, bundled_scenario)
 from fsbb84.simulate import simulate_quantum_phase
-from fsbb84.source import SourceConfig
-from fsbb84.sync import TrueClock
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -337,7 +334,8 @@ def test_criterion_8_wire_protocol():
 
     # networked loopback == in-process, byte for byte (checked in the CLI and
     # session suites over real TCP; re-asserted here on a fresh scenario)
-    from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, run_session
+    from fsbb84.protocol.params import ROLE_ALICE, ROLE_BOB
+    from fsbb84.protocol.session import run_session
     from fsbb84.protocol.transport import connect, listen_accept
     import threading
 

@@ -6,11 +6,14 @@ nothing here until the harness itself is run. Each script runs once on
 tiny inputs, and its output must hold what ``main()`` reads. The module
 is loaded from its file, and no process writes bytecode next to the
 sources. The ``src/`` line count it records is checked on a small tree,
-and the bytecode settings it records on this process.
+and the bytecode settings it records on this process; a perfbench run
+must not read bytecode left in its tree.
 """
 
 import importlib.util
 import json
+import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +81,22 @@ def test_machine_records_bytecode_settings(bench_pairs, monkeypatch):
     machine = bench_pairs._machine()
     assert machine["PYTHONDONTWRITEBYTECODE"] == "1"
     assert machine["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    assert "src_pycache" in machine
+
+
+def test_perfbench_run_reads_no_stale_bytecode(bench_pairs, tmp_path):
+    # Bytecode whose source changed within the same second at the same size
+    # passes Python's staleness check; a run must not find it in src.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    module = tmp_path / "src" / "probe_mod.py"
+    module.write_text("X = 1\n")
+    cached = tmp_path / "src" / "__pycache__" / f"probe_mod.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(module), cfile=str(cached), doraise=True)
+    stamp = module.stat().st_mtime_ns
+    module.write_text("X = 2\n")
+    os.utime(module, ns=(stamp, stamp))
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\nsys.path.insert(0, 'src')\nimport probe_mod\n"
+        "print(json.dumps({'x': probe_mod.X}))\n")
+    assert bench_pairs._perfbench(tmp_path, "w", 1, 0) == {"x": 2}

@@ -137,6 +137,15 @@ def test_malformed_scenario_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and field in err
 
+    # once a traceback (exit 1) and a retro link run on a truthy string (exit 0)
+    for part, field, value in (("source", "rng_seed", -3), ("channel", "retro_mode", "no")):
+        doc = sc.to_dict()
+        doc[part][field] = value
+        bad2.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(bad2), "--out", str(tmp_path / "o3")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{part}.{field}" in err
+
 
 def test_predict_cmd(tmp_path, scenario_file, capsys):
     rc = main(["predict", "--scenario", str(scenario_file)])

@@ -1,8 +1,10 @@
 """Each caller loads only the modules it names.
 
-The package ``__init__`` files hold only docstrings, so importing a
-scenario and the closed-form oracle must not pull in the simulator, the
-protocol machine or the socket transport. Each module must also import
+The package ``__init__`` files hold only docstrings, and the parameter
+classes, the link budget and the analyzer table live in pure-Python
+modules, so a scenario and the closed-form oracle (``fsbb84 predict``
+too) must load neither numpy, the Monte Carlo, the protocol machine nor
+the socket transport. Each module must also import
 on its own, in a fresh module table, so no import cycle hides behind an
 import order. Each check runs in a fresh interpreter.
 """
@@ -16,15 +18,26 @@ import fsbb84
 
 PACKAGE = Path(fsbb84.__file__).resolve().parent
 
-# What a scenario and predict() never need: the runner and simulator,
-# the session machine, the wire codec and the socket transport.
-OFF_ORACLE_PATH = ("fsbb84.runner", "fsbb84.simulate", "fsbb84.protocol.session",
-                   "fsbb84.protocol.framing", "fsbb84.protocol.transport", "socket")
+# What a scenario and predict() never need: numpy, the Monte-Carlo stages,
+# the runner and simulator, the session machine, the wire codec and the
+# socket transport.
+OFF_ORACLE_PATH = ("numpy", "fsbb84.channel", "fsbb84.source", "fsbb84.receiver",
+                   "fsbb84.sync", "fsbb84.seeds", "fsbb84.runner", "fsbb84.simulate",
+                   "fsbb84.protocol.session", "fsbb84.protocol.framing",
+                   "fsbb84.protocol.transport", "socket")
 
 _ORACLE = f"""
 import sys
 from fsbb84 import analysis, scenario
 analysis.predict(scenario.bundled_scenario("table2_beam_expanders"))
+print(" ".join(m for m in {OFF_ORACLE_PATH!r} if m in sys.modules))
+"""
+
+_CLI_PREDICT = f"""
+import contextlib, io, sys
+from fsbb84 import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["predict", "--scenario", "table1_run1_retro"]) == 0
 print(" ".join(m for m in {OFF_ORACLE_PATH!r} if m in sys.modules))
 """
 
@@ -48,6 +61,10 @@ def _python(script: str, *args: str) -> str:
 
 def test_oracle_path_loads_no_simulator_or_transport():
     assert _python(_ORACLE).split() == []
+
+
+def test_cli_predict_loads_no_numpy_or_transport():
+    assert _python(_CLI_PREDICT).split() == []
 
 
 def test_every_module_imports_on_its_own():

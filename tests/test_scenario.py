@@ -166,6 +166,21 @@ def test_sample_fraction_alone_samples_that_share():
     (("duration_s",), float("inf"), "duration_s"),
     (("duration_s",), float("nan"), "duration_s"),
     (("source", "mu_per_state"), ["a", 0.5, 0.5, 0.1], "source.mu_per_state"),
+    # integer and flag fields: each once a traceback, a truncation or a truthy string
+    (("protocol", "n_pulses"), 2e7 + 0.5, "protocol.n_pulses"),
+    (("protocol", "n_pulses"), True, "protocol.n_pulses"),
+    (("sync", "block_count"), 2.5, "sync.block_count"),
+    (("protocol", "session_id"), -1, "protocol.session_id"),
+    (("protocol", "session_id"), 2**64, "protocol.session_id"),
+    (("protocol", "rng_seed"), -1, "protocol.rng_seed"),
+    (("source", "rng_seed"), -3, "source.rng_seed"),
+    (("channel", "rng_seed"), "7", "channel.rng_seed"),
+    (("receiver", "rng_seed"), 1.5, "receiver.rng_seed"),
+    (("receiver", "tag_resolution_ps"), 1.5, "receiver.tag_resolution_ps"),
+    (("channel", "propagation_delay_ps"), 1.5, "channel.propagation_delay_ps"),
+    (("channel", "retro_mode"), "no", "channel.retro_mode"),
+    (("sync", "beacon_assisted"), 0, "sync.beacon_assisted"),
+    (("protocol",), {"benchmark_mode": "true"}, "protocol.benchmark_mode"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
@@ -177,6 +192,14 @@ def test_malformed_value_names_field(keys, value, field):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
     assert err.value.field == field
+
+
+def test_integer_fields_keep_their_edges():
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    doc["protocol"].update(session_id=2**64 - 1, rng_seed=0, n_pulses=1000)
+    doc["channel"]["propagation_delay_ps"] = -5
+    sc = scenario_from_dict(doc)
+    assert (sc.protocol.session_id, sc.n_pulses, sc.channel.delay_ps()) == (2**64 - 1, 1000, -5)
 
 
 def test_gate_must_fit_in_period():

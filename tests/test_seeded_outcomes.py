@@ -12,9 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from fsbb84.receiver import DISCARD
 from fsbb84.runner import run_in_process
-from fsbb84.scenario import bundled_scenario
+from fsbb84.scenario import DISCARD, bundled_scenario
 
 
 def _dense(policy=None):

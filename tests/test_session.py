@@ -4,6 +4,7 @@ import dataclasses
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -14,7 +15,8 @@ from fsbb84.errors import SessionFailedError, SyncFailureError
 from fsbb84.protocol import session
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
                                      QberResult, SampleBits, SampleIndices, encode_frame)
-from fsbb84.protocol.session import ROLE_ALICE, ROLE_BOB, run_session
+from fsbb84.protocol.params import ROLE_ALICE, ROLE_BOB
+from fsbb84.protocol.session import run_session
 from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
                                        loopback_pair)
 from fsbb84.receiver import TimeTags
@@ -392,3 +394,22 @@ def test_run_in_process_raises_when_alice_outlives_timeout(fast_scenario, monkey
         assert err.value.phase == "join"
     finally:
         release.set()
+
+
+def test_run_in_process_raises_alice_error_at_once(fast_scenario, monkeypatch):
+    # Alice fails before her handshake, as a seed the wire cannot pack once
+    # made her do: Bob waits on his read, so only closing her end stops him
+    # before timeout_s, and her error, not his, is the cause to report.
+    real_run_session = runner.run_session
+
+    def alice_fails(role, *args, **kwargs):
+        if role == ROLE_ALICE:
+            raise struct.error("argument out of range")
+        return real_run_session(role, *args, **kwargs)
+
+    quantum = simulate_quantum_phase(fast_scenario)
+    monkeypatch.setattr(runner, "run_session", alice_fails)
+    t0 = time.monotonic()
+    with pytest.raises(struct.error, match="out of range"):
+        run_in_process(fast_scenario, timeout_s=5.0, quantum=quantum)
+    assert time.monotonic() - t0 < 1.0

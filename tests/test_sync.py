@@ -12,11 +12,11 @@ from scipy import stats
 from fsbb84.analysis import gate_acceptance
 from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
-from fsbb84.scenario import BUNDLED_NAMES, SyncSettings, bundled_scenario
+from fsbb84.scenario import (BUNDLED_NAMES, DRIFT_GUARD_PPM, SyncSettings, TrueClock,
+                             bundled_scenario)
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (DRIFT_GUARD_PPM, REFIT_MAX_TAGS, ClockModel, TrueClock,
-                         _acquire_drift, _block_regression, assign_and_gate, fold_histogram,
-                         recover_clock)
+from fsbb84.sync import (REFIT_MAX_TAGS, ClockModel, _acquire_drift, _block_regression,
+                         assign_and_gate, fold_histogram, recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0

@@ -14,9 +14,13 @@ streams of ``WEAK_STREAMS``, likewise::
 
 Pair i runs with ``--seed`` + i; pick seeds no earlier BENCH file used, so
 no run was seen while writing the change. Each side is imported from its
-own ``src``; the JSON records the machine, numpy, each side's count of
-``src/`` Python lines and pulse counts with the medians and quartiles of
-every end-to-end metric and the count of pairs the change won.
+own ``src``, whose ``__pycache__`` directories are removed before each
+perfbench run, so neither side reads bytecode an earlier run left (a
+``PYTHONPYCACHEPREFIX`` would hide numpy's and the standard library's too,
+and every set-up probe would compile them). The JSON records the machine,
+numpy, each side's count of ``src/`` Python lines and pulse counts with
+the medians and quartiles of every end-to-end metric and the count of
+pairs the change won.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,7 +74,7 @@ TRACED = ("source.busy_s", "channel.busy_s",
 # two-party session; two calls per process, the second one warm.
 _STAGES = """
 import dataclasses, json, resource, sys, time, tracemalloc
-from fsbb84 import channel, receiver, runner, simulate, sync
+from fsbb84 import analysis, channel, receiver, runner, simulate, sync
 from fsbb84.scenario import bundled_scenario
 sc = bundled_scenario(sys.argv[1])
 sc = dataclasses.replace(sc, duration_s=float(sys.argv[2]),
@@ -80,7 +85,7 @@ for _ in range(2):
     s = {}
     t = time.perf_counter()
     arr = channel.transmit_stream(src, sc.channel, sc.n_pulses, rx.efficiency,
-                                  receiver.analyzer_table(rx.misalignment_deg),
+                                  analysis.analyzer_table(rx.misalignment_deg),
                                   true_clock=sc.sync.true_clock)
     s["transmit_stream"], t = time.perf_counter() - t, time.perf_counter()
     tags = receiver.detect(arr, rx, session_duration_s=sc.simulated_duration_s,
@@ -100,7 +105,7 @@ for _ in range(2):
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 tracemalloc.start()
 channel.transmit_stream(src, sc.channel, sc.n_pulses, rx.efficiency,
-                        receiver.analyzer_table(rx.misalignment_deg),
+                        analysis.analyzer_table(rx.misalignment_deg),
                         true_clock=sc.sync.true_clock)
 traced = tracemalloc.get_traced_memory()[1] / 2**20
 tracemalloc.stop()
@@ -113,14 +118,14 @@ print(json.dumps({"calls": out, "n_pulses": sc.n_pulses, "peak_rss_mb": rss,
 _TRANSMIT = """
 import json, sys, time, tracemalloc
 import workloads
-from fsbb84 import channel, receiver
+from fsbb84 import analysis, channel
 name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 wall, peak = [], 0.0
 for i in range(n):
     sc = workloads.build(name, seed, i)
     rx = sc.receiver
     args = (sc.source, sc.channel, sc.n_pulses, rx.efficiency,
-            receiver.analyzer_table(rx.misalignment_deg))
+            analysis.analyzer_table(rx.misalignment_deg))
     t = time.perf_counter()
     channel.transmit_stream(*args, true_clock=sc.sync.true_clock)
     wall.append(time.perf_counter() - t)
@@ -187,6 +192,8 @@ def _env(root: Path) -> dict:
 
 
 def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
+    for cache in list((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True, timeout=900, check=True)
@@ -237,7 +244,8 @@ def _machine() -> dict:
     return {"cpu": cpu, "arch": platform.machine(), "nproc": os.cpu_count(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+            "src_pycache": "removed from each side's src before each perfbench run"}
 
 
 def _src_lines(root: Path) -> int:

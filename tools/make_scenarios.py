@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from fsbb84.calibration import fit_run, residual_extra_loss_db
-from fsbb84.channel import ChannelConfig
+from fsbb84.scenario import ChannelConfig
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "fsbb84" / "scenarios"
 
