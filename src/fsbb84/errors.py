@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator and protocol stack."""
+"""Exception types shared across the simulator and protocol stack, and ``check_fields``."""
+
+import sys
+from dataclasses import fields
 
 
 class ConfigError(ValueError):
@@ -13,24 +16,40 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
-def check_kinds(config, path: str, ints=(), seeds=(), bools=()) -> None:
-    """A ConfigError naming the first listed field of ``config`` of the wrong kind.
+# A generator seed or session id: an int in [0, 2^64), the wire's u64.
+Seed = int
 
-    ``ints`` must be ints (or None where that is the default), ``seeds`` ints
-    in [0, 2^64), as the wire's u64, and ``bools`` bools; a bool is no int.
+
+def _finite(v) -> bool:  # int-float comparisons are exact: ints past any float fail too
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# A field's kind rule, by its annotation: (test, what a value must be).
+_KINDS = {
+    "float": (_finite, "a finite number"),
+    "int": (lambda v: type(v) is int, "an int"),
+    "Optional[int]": (lambda v: v is None or type(v) is int, "an int or null"),
+    "Seed": (lambda v: type(v) is int and 0 <= v < 1 << 64, "an int in [0, 2^64)"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "tuple[float, float, float, float]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_finite, v)), "an array of finite numbers"),
+}
+
+
+def check_fields(config, section: str) -> None:
+    """A ConfigError naming the first field of ``config`` that is not of its kind.
+
+    A field's annotation is its kind rule: a key of ``_KINDS`` or else a class
+    name (annotations are strings under ``from __future__ import annotations``).
+    ``section`` is the dotted path of ``config`` in a document, "" at its top.
     """
-    for name in (*ints, *seeds, *bools):
-        v = getattr(config, name)
-        is_int = isinstance(v, int) and not isinstance(v, bool)
-        if name in bools:
-            ok, kind = isinstance(v, bool), "a bool"
-        elif name in seeds:
-            ok, kind = is_int and 0 <= v < 1 << 64, "an int in [0, 2^64)"
-        else:
-            optional = config.__dataclass_fields__[name].default is None
-            ok, kind = is_int or (optional and v is None), "an int"
-        if not ok:
-            raise ConfigError(f"must be {kind}, got {v!r}", f"{path}.{name}")
+    for f in fields(config):
+        v = getattr(config, f.name)
+        rule, kind = _KINDS.get(f.type, (lambda v: type(v).__name__ == f.type, f"a {f.type}"))
+        if not rule(v):
+            raise ConfigError(f"must be {kind}, got {v!r}", f"{section}.{f.name}" if section else f.name)
 
 
 class ContractViolationError(RuntimeError):

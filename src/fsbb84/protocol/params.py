@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError, check_kinds
+from ..errors import ConfigError, Seed, check_fields
 
 DEFAULT_QBER_ABORT_THRESHOLD = 0.10
 ROLE_ALICE, ROLE_BOB = "alice", "bob"
@@ -22,16 +22,15 @@ class SessionParams:
     ``rng_seed`` drives Bob's sample selection.
     """
 
-    session_id: int = 1
+    session_id: Seed = 1
     qber_abort_threshold: float = DEFAULT_QBER_ABORT_THRESHOLD
     sample_fraction: float = 1.0
     benchmark_mode: bool = False
-    rng_seed: int = 0
+    rng_seed: Seed = 0
     n_pulses: Optional[int] = None
 
     def __post_init__(self):
-        check_kinds(self, "protocol", ints=("n_pulses",), seeds=("session_id", "rng_seed"),
-                    bools=("benchmark_mode",))
+        check_fields(self, "protocol")
         if not 0.0 < self.qber_abort_threshold < 0.5:
             raise ConfigError("must be in (0, 0.5)", "protocol.qber_abort_threshold")
         if not 0.0 < self.sample_fraction <= 1.0:

@@ -6,7 +6,9 @@ experimental conditions (weather, visibility, reported figures). Metadata
 is carried verbatim and has no physical effect.
 
 The parameter classes live here, so that a scenario and the oracle load
-no numpy.
+no numpy. They are the document's schema: a field's annotation is its kind
+rule (``errors.check_fields``, each class's first check), and a field
+annotated with a parameter class is a section, built from its own object.
 
 The canonical serialization (sorted keys, fixed separators) defines the
 scenario hash used by the two-party handshake and by prediction/report
@@ -18,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
-from .errors import ConfigError, check_kinds
+from .errors import ConfigError, Seed, check_fields
 from .protocol.params import SessionParams
 
 # Gaussian FWHM -> sigma.
@@ -47,10 +50,11 @@ class SourceConfig:
     pulse_fwhm_ps: float = 200.0
     wavelength_nm: float = 852.0
     mu_per_state: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.1)
-    rng_seed: int = 0
+    rng_seed: Seed = 0
 
     def __post_init__(self):
-        check_kinds(self, "source", seeds=("rng_seed",))
+        check_fields(self, "source")
+        object.__setattr__(self, "mu_per_state", tuple(map(float, self.mu_per_state)))
         if self.rep_rate_hz <= 0:
             raise ConfigError("must be > 0", "source.rep_rate_hz")
         if self.wavelength_nm <= 0:
@@ -96,11 +100,10 @@ class ChannelConfig:
     fading_sigma: float = 0.0
     fading_block_ms: float = 10.0
     propagation_delay_ps: Optional[int] = None
-    rng_seed: int = 0
+    rng_seed: Seed = 0
 
     def __post_init__(self):
-        check_kinds(self, "channel", ints=("propagation_delay_ps",), seeds=("rng_seed",),
-                    bools=("retro_mode",))
+        check_fields(self, "channel")
         if self.distance_m < 0:
             raise ConfigError("must be >= 0", "channel.distance_m")
         if self.tx_beam_diameter_e2_cm <= 0:
@@ -141,10 +144,10 @@ class ReceiverConfig:
     dead_time_ns: float = 50.0
     tag_resolution_ps: int = 1
     double_click_policy: str = RANDOM_BIT
-    rng_seed: int = 0
+    rng_seed: Seed = 0
 
     def __post_init__(self):
-        check_kinds(self, "receiver", ints=("tag_resolution_ps",), seeds=("rng_seed",))
+        check_fields(self, "receiver")
         if self.efficiency_db < 0:
             raise ConfigError("must be >= 0 (a loss)", "receiver.efficiency_db")
         if self.background_rate_cps_per_apd < 0:
@@ -181,6 +184,7 @@ class TrueClock:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
+        check_fields(self, "sync.true_clock")
         if abs(self.drift_ppm) > DRIFT_GUARD_PPM:
             raise ConfigError(f"|drift| must be <= {DRIFT_GUARD_PPM} ppm", "sync.true_clock.drift_ppm")
 
@@ -203,7 +207,7 @@ class SyncSettings:
     true_clock: TrueClock = field(default_factory=TrueClock)
 
     def __post_init__(self):
-        check_kinds(self, "sync", ints=("block_count",), bools=("beacon_assisted",))
+        check_fields(self, "sync")
         if self.gate_width_ps <= 0:
             raise ConfigError("must be > 0", "sync.gate_width_ps")
         if self.block_count < 1:
@@ -222,10 +226,14 @@ class Scenario:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigError("must be finite and > 0", "duration_s")
+        check_fields(self, "")
+        object.__setattr__(self, "duration_s", float(self.duration_s))
+        if self.duration_s <= 0:
+            raise ConfigError("must be > 0", "duration_s")
         if self.sync.gate_width_ps >= self.source.period_ps:
             raise ConfigError("gate must be narrower than the pulse period", "sync.gate_width_ps")
+        if math.isinf(self.duration_s * self.source.rep_rate_hz):
+            raise ConfigError("covers more pulses than a float can count", "duration_s")
         if self.n_pulses <= 0:
             raise ConfigError("must cover at least one pulse period", "duration_s")
 
@@ -245,11 +253,16 @@ class Scenario:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def hash_bytes(self) -> bytes:
+    @cached_property
+    def _digest(self) -> bytes:
+        """SHA-256 of the canonical JSON, taken once: nothing mutates ``metadata``."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
 
+    def hash_bytes(self) -> bytes:
+        return self._digest
+
     def hash_hex(self) -> str:
-        return self.hash_bytes().hex()
+        return self._digest.hex()
 
     def with_seed(self, master_seed: int) -> "Scenario":
         """Re-derive every module seed from one master seed."""
@@ -268,66 +281,34 @@ def _derive(seed: int, idx: int) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _require(d: dict, key: str, path: str) -> Any:
-    if key not in d:
-        raise ConfigError("missing required field", f"{path}.{key}" if path else key)
-    return d[key]
-
-
-def _number(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"must be a number, got {value!r}", path) from None
-
-
-def _build(cls, payload: dict, path: str):
+def _build(cls, payload, path: str):
+    """``cls`` from its JSON object at ``path``; a field annotated with a
+    parameter class is built from its own object, any other value as is."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", path)
-    try:
-        return cls(**payload)
-    except TypeError as e:
-        raise ConfigError(f"bad fields: {e}", path) from None
+    prefix = f"{path}." if path else ""
+    for key in payload:
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError("unknown field", prefix + key)
+    values = dict(payload)
+    for f in fields(cls):
+        section = globals().get(f.type)
+        if f.name in payload and is_dataclass(section):
+            values[f.name] = _build(section, payload[f.name], prefix + f.name)
+        elif f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("missing required field", prefix + f.name)
+    return cls(**values)
 
 
 def scenario_from_dict(doc: dict, name_hint: str = "") -> Scenario:
     """Build a Scenario from parsed JSON, naming the offending field on error."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object", "")
-    name = doc.get("name", name_hint or "unnamed")
-    duration = _require(doc, "duration_s", "")
-
-    src = _require(doc, "source", "")
-    if isinstance(src, dict) and "mu_per_state" in src:
-        mu = src["mu_per_state"]
-        if not isinstance(mu, (list, tuple)):
-            raise ConfigError("must be a 4-element array", "source.mu_per_state")
-        src = dict(src, mu_per_state=tuple(_number(m, "source.mu_per_state") for m in mu))
-    source = _build(SourceConfig, src, "source")
-    chan = _build(ChannelConfig, _require(doc, "channel", ""), "channel")
-    recv = _build(ReceiverConfig, _require(doc, "receiver", ""), "receiver")
-
-    sync_doc = _require(doc, "sync", "")
-    if isinstance(sync_doc, dict) and "true_clock" in sync_doc:
-        sync_doc = dict(sync_doc, true_clock=_build(TrueClock, sync_doc["true_clock"],
-                                                    "sync.true_clock"))
-    sync = _build(SyncSettings, sync_doc, "sync")
-
-    proto_doc = _require(doc, "protocol", "")
-    if isinstance(proto_doc, dict) and proto_doc.get("sample_fraction") == "all":
-        proto_doc = dict(proto_doc, sample_fraction=1.0, benchmark_mode=True)
-    proto = _build(SessionParams, proto_doc, "protocol")
-
-    return Scenario(
-        name=name,
-        duration_s=_number(duration, "duration_s"),
-        source=source,
-        channel=chan,
-        receiver=recv,
-        sync=sync,
-        protocol=proto,
-        metadata=doc.get("metadata", {}),
-    )
+    doc = {"name": name_hint or "unnamed", **doc}
+    protocol = doc.get("protocol")
+    if isinstance(protocol, dict) and protocol.get("sample_fraction") == "all":
+        doc["protocol"] = dict(protocol, sample_fraction=1.0, benchmark_mode=True)
+    return _build(Scenario, doc, "")
 
 
 BUNDLED_NAMES = (

@@ -12,6 +12,7 @@ import pytest
 from conftest import make_fast_scenario
 from fsbb84.cli import main
 from fsbb84.receiver import TimeTags, dump_tags, load_tags
+from fsbb84.scenario import bundled_scenario_text
 
 
 def read_report_csv(path):
@@ -143,6 +144,21 @@ def test_malformed_scenario_exit_2(tmp_path, capsys):
         doc[part][field] = value
         bad2.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(bad2), "--out", str(tmp_path / "o3")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{part}.{field}" in err
+
+    # once a TypeError or OverflowError traceback, a ContractViolationError, a
+    # run that ended in "no sifted bits", and an exit 2 blaming source.mu_per_state
+    for part, field, value in (("receiver", "misalignment_deg", [1]),
+                               ("receiver", "dead_time_ns", float("inf")),
+                               ("receiver", "jitter_fwhm_ps", float("nan")),
+                               ("sync", "gate_width_ps", float("nan")),
+                               ("channel", "distance_m", float("nan"))):
+        doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+        doc["duration_s"] = 0.2
+        doc[part][field] = value
+        bad2.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(bad2), "--out", str(tmp_path / "o4")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{part}.{field}" in err
 

@@ -1,5 +1,6 @@
 """Scenario loading, validation errors, hashing, and table fixtures."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,11 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fsbb84
+from fsbb84 import analysis, runner
+from fsbb84 import scenario as scenario_module
 from fsbb84.errors import ConfigError
 from fsbb84.protocol.session import sample_size
-from fsbb84.scenario import (BUNDLED_NAMES, SyncSettings, bundled_scenario,
+from fsbb84.scenario import (BUNDLED_NAMES, Scenario, SyncSettings, bundled_scenario,
                              bundled_scenario_text, load_scenario,
                              scenario_from_dict)
 
@@ -107,6 +112,18 @@ def test_bundled_scenario_hash_pinned():
         "54387601005f3f3c81c997e333092cd95c15d198126fbcbb49eaae6dc784600f")
 
 
+def test_scenario_hashed_once_per_session(monkeypatch, fast_scenario):
+    # predict(), Bob's and Alice's run_session all need the same digest
+    calls = []
+    original = Scenario.canonical_json
+    monkeypatch.setattr(Scenario, "canonical_json",
+                        lambda self: calls.append(self) or original(self))
+    predicted = analysis.predict(fast_scenario)
+    bob, alice, _ = runner.run_in_process(fast_scenario)
+    assert predicted.scenario_hash == bob.scenario_hash == alice.scenario_hash
+    assert len(calls) == 1
+
+
 def test_seed_override_changes_hash_deterministically(tmp_path):
     sc = bundled_scenario("table2_beam_expanders")
     s1 = sc.with_seed(7)
@@ -181,6 +198,24 @@ def test_sample_fraction_alone_samples_that_share():
     (("channel", "retro_mode"), "no", "channel.retro_mode"),
     (("sync", "beacon_assisted"), 0, "sync.beacon_assisted"),
     (("protocol",), {"benchmark_mode": "true"}, "protocol.benchmark_mode"),
+    # float, string and array fields: each once loaded, or blamed on another field
+    (("channel", "distance_m"), "abc", "channel.distance_m"),
+    (("channel", "distance_m"), True, "channel.distance_m"),
+    (("channel", "distance_m"), float("nan"), "channel.distance_m"),
+    (("receiver", "background_rate_cps_per_apd"), float("inf"),
+     "receiver.background_rate_cps_per_apd"),
+    (("receiver", "misalignment_deg"), [1], "receiver.misalignment_deg"),
+    (("receiver", "misalignment_deg"), float("nan"), "receiver.misalignment_deg"),
+    (("protocol", "sample_fraction"), "0.5", "protocol.sample_fraction"),
+    (("sync", "true_clock"), {"offset_ps": float("nan")}, "sync.true_clock.offset_ps"),
+    (("sync", "gate_width_ps"), float("nan"), "sync.gate_width_ps"),
+    (("source", "rep_rate_hz"), float("inf"), "source.rep_rate_hz"),
+    (("duration_s",), True, "duration_s"),
+    (("duration_s",), "10", "duration_s"),
+    (("name",), 5, "name"),
+    (("receiver", "dead_time_ns"), float("inf"), "receiver.dead_time_ns"),
+    (("receiver", "jitter_fwhm_ps"), float("nan"), "receiver.jitter_fwhm_ps"),
+    (("channel", "fading_sigma"), float("nan"), "channel.fading_sigma"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
@@ -200,6 +235,82 @@ def test_integer_fields_keep_their_edges():
     doc["channel"]["propagation_delay_ps"] = -5
     sc = scenario_from_dict(doc)
     assert (sc.protocol.session_id, sc.n_pulses, sc.channel.delay_ps()) == (2**64 - 1, 1000, -5)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("duration_s",), 10),
+    (("channel", "distance_m"), 0),
+    (("channel", "distance_m"), 780),
+    (("channel", "visibility_km"), 2),
+    (("receiver", "dead_time_ns"), 50),
+    (("source", "mu_per_state"), [1, 0, 0.1, 0.1]),
+    (("sync", "true_clock", "offset_ps"), 5),
+    (("protocol", "sample_fraction"), 1),
+])
+def test_float_fields_keep_their_edges(keys, value):
+    # an int is a number and 0 m is a link; the loader takes both as they are
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    *parents, leaf = keys
+    target = doc
+    for key in parents:
+        target = target.setdefault(key, {})
+    target[leaf] = value
+    sc = scenario_from_dict(doc)
+    for key in keys:
+        sc = getattr(sc, key)
+    assert sc == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_integer_valued_document_hash_pinned():
+    # duration_s and the mu entries become floats, every other number stays
+    # as written: the hash of this document predates the schema-driven loader
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    doc["duration_s"] = 10
+    doc["source"]["mu_per_state"] = [1, 0, 0.1, 0.1]
+    doc["channel"]["distance_m"] = 780
+    doc["sync"]["true_clock"] = {"offset_ps": 5, "drift_ppm": 8}
+    assert scenario_from_dict(doc).hash_hex() == (
+        "718574301f693d34b356a133a9696c917b6eb2c933ddc66ac814b4aa4d2014f0")
+
+
+def _field_paths(cls, prefix=()):
+    """Every field of the schema, sections included, as key paths."""
+    for f in dataclasses.fields(cls):
+        path = (*prefix, f.name)
+        yield path
+        section = getattr(scenario_module, f.type, None)
+        if dataclasses.is_dataclass(section):
+            yield from _field_paths(section, path)
+
+
+FIELD_PATHS = sorted(_field_paths(Scenario))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+@example(path=("source", "rep_rate_hz"), value=float("nan"))  # once a ValueError
+@example(path=("source", "rep_rate_hz"), value=10**400)  # once an OverflowError
+@example(path=("duration_s",), value=1e301)  # once an OverflowError: 1e309 pulses
+def test_any_json_value_in_any_field_loads_or_names_its_section(path, value):
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    *parents, leaf = path
+    target = doc
+    for key in parents:
+        target = target.setdefault(key, {})
+    target[leaf] = value
+    try:
+        assert isinstance(scenario_from_dict(doc), Scenario)
+    except ConfigError as err:
+        allowed = [path[0]]
+        if path == ("source", "rep_rate_hz"):
+            # the period is judged against the gate and the session length
+            allowed += ["sync.gate_width_ps", "duration_s"]
+        assert any(err.field == a or err.field.startswith(a + ".") for a in allowed), err
 
 
 def test_gate_must_fit_in_period():
