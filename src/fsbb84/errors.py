@@ -18,6 +18,9 @@ class ConfigError(ValueError):
 
 # A generator seed or session id: an int in [0, 2^64), the wire's u64.
 Seed = int
+# Range kinds: finite and > 0, finite and >= 0, in [0, 1], and an int >= 1.
+Positive = NonNegative = Probability = float
+Count = int
 
 
 def _finite(v) -> bool:  # int-float comparisons are exact: ints past any float fail too
@@ -30,6 +33,11 @@ _KINDS = {
     "int": (lambda v: type(v) is int, "an int"),
     "Optional[int]": (lambda v: v is None or type(v) is int, "an int or null"),
     "Seed": (lambda v: type(v) is int and 0 <= v < 1 << 64, "an int in [0, 2^64)"),
+    "Positive": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "NonNegative": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "Probability": (lambda v: _finite(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "Count": (lambda v: type(v) is int and v >= 1, "an int >= 1"),
+    "Optional[Count]": (lambda v: v is None or type(v) is int and v >= 1, "an int >= 1 or null"),
     "bool": (lambda v: type(v) is bool, "a bool"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
@@ -41,8 +49,9 @@ _KINDS = {
 def check_fields(config, section: str) -> None:
     """A ConfigError naming the first field of ``config`` that is not of its kind.
 
-    A field's annotation is its kind rule: a key of ``_KINDS`` or else a class
-    name (annotations are strings under ``from __future__ import annotations``).
+    A field's annotation is its kind and range rule: a key of ``_KINDS`` (a
+    range kind such as ``Positive`` is one) or else a class name (annotations
+    are strings under ``from __future__ import annotations``).
     ``section`` is the dotted path of ``config`` in a document, "" at its top.
     """
     for f in fields(config):

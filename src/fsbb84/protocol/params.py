@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError, Seed, check_fields
+from ..errors import ConfigError, Count, Seed, check_fields
 
 DEFAULT_QBER_ABORT_THRESHOLD = 0.10
 ROLE_ALICE, ROLE_BOB = "alice", "bob"
@@ -27,7 +27,7 @@ class SessionParams:
     sample_fraction: float = 1.0
     benchmark_mode: bool = False
     rng_seed: Seed = 0
-    n_pulses: Optional[int] = None
+    n_pulses: Optional[Count] = None
 
     def __post_init__(self):
         check_fields(self, "protocol")
@@ -35,8 +35,6 @@ class SessionParams:
             raise ConfigError("must be in (0, 0.5)", "protocol.qber_abort_threshold")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError("must be in (0, 1]", "protocol.sample_fraction")
-        if self.n_pulses is not None and self.n_pulses <= 0:
-            raise ConfigError("must be > 0", "protocol.n_pulses")
 
 
 @dataclass

@@ -7,8 +7,8 @@ is carried verbatim and has no physical effect.
 
 The parameter classes live here, so that a scenario and the oracle load
 no numpy. They are the document's schema: a field's annotation is its kind
-rule (``errors.check_fields``, each class's first check), and a field
-annotated with a parameter class is a section, built from its own object.
+and range rule (``errors.check_fields``, run first by each class), and a
+field annotated with a parameter class is a section, built from its object.
 
 The canonical serialization (sorted keys, fixed separators) defines the
 scenario hash used by the two-party handshake and by prediction/report
@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, Seed, check_fields
+from .errors import ConfigError, Count, NonNegative, Positive, Probability, Seed, check_fields
 from .protocol.params import SessionParams
 
 # Gaussian FWHM -> sigma.
@@ -35,6 +35,7 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Largest mean photon number per pulse: the source's photon-number
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
+MAX_SPAN = 2**60  # pulses or ps: keeps receiver.detect's int64 key and the wire's u64 count
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,19 @@ class SourceConfig:
     sets the emission-time spread around the repetition grid.
     """
 
-    rep_rate_hz: float = 100e6
-    pulse_fwhm_ps: float = 200.0
-    wavelength_nm: float = 852.0
+    rep_rate_hz: Positive = 100e6
+    pulse_fwhm_ps: NonNegative = 200.0
+    wavelength_nm: Positive = 852.0
     mu_per_state: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.1)
     rng_seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self, "source")
         object.__setattr__(self, "mu_per_state", tuple(map(float, self.mu_per_state)))
-        if self.rep_rate_hz <= 0:
-            raise ConfigError("must be > 0", "source.rep_rate_hz")
-        if self.wavelength_nm <= 0:
-            raise ConfigError("must be > 0", "source.wavelength_nm")
         if len(self.mu_per_state) != 4:
             raise ConfigError("needs exactly 4 entries (H, V, D, A)", "source.mu_per_state")
         if any(not 0 <= m <= MAX_MU for m in self.mu_per_state):
             raise ConfigError(f"entries must be in [0, {MAX_MU:g}]", "source.mu_per_state")
-        if self.pulse_fwhm_ps < 0:
-            raise ConfigError("must be >= 0", "source.pulse_fwhm_ps")
         if self.pulse_fwhm_ps >= self.period_ps:
             raise ConfigError("pulse duration must be shorter than the period", "source.pulse_fwhm_ps")
 
@@ -89,37 +84,21 @@ class ChannelConfig:
     the geometric value (doubled path in retro mode) when left as None.
     """
 
-    distance_m: float
-    tx_beam_diameter_e2_cm: float
-    rx_aperture_diameter_e2_cm: float
-    visibility_km: float = 10.0
+    distance_m: NonNegative
+    tx_beam_diameter_e2_cm: Positive
+    rx_aperture_diameter_e2_cm: Positive
+    visibility_km: Positive = 10.0
     extra_loss_db: float = 0.0
     retro_mode: bool = False
-    splitter_penalty_db: float = 6.0
-    retro_flip_prob: float = 0.0
-    fading_sigma: float = 0.0
-    fading_block_ms: float = 10.0
+    splitter_penalty_db: NonNegative = 6.0
+    retro_flip_prob: Probability = 0.0
+    fading_sigma: NonNegative = 0.0
+    fading_block_ms: Positive = 10.0
     propagation_delay_ps: Optional[int] = None
     rng_seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self, "channel")
-        if self.distance_m < 0:
-            raise ConfigError("must be >= 0", "channel.distance_m")
-        if self.tx_beam_diameter_e2_cm <= 0:
-            raise ConfigError("must be > 0", "channel.tx_beam_diameter_e2_cm")
-        if self.rx_aperture_diameter_e2_cm <= 0:
-            raise ConfigError("must be > 0", "channel.rx_aperture_diameter_e2_cm")
-        if self.visibility_km <= 0:
-            raise ConfigError("must be > 0", "channel.visibility_km")
-        if self.splitter_penalty_db < 0:
-            raise ConfigError("must be >= 0", "channel.splitter_penalty_db")
-        if self.fading_sigma < 0:
-            raise ConfigError("must be >= 0", "channel.fading_sigma")
-        if self.fading_block_ms <= 0:
-            raise ConfigError("must be > 0", "channel.fading_block_ms")
-        if not 0.0 <= self.retro_flip_prob <= 1.0:
-            raise ConfigError("must be in [0, 1]", "channel.retro_flip_prob")
 
     @property
     def path_length_m(self) -> float:
@@ -137,27 +116,17 @@ DISCARD = "discard"
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    efficiency_db: float = 12.0
+    efficiency_db: NonNegative = 12.0  # a loss
     misalignment_deg: float = 0.0
-    background_rate_cps_per_apd: float = 0.0
-    jitter_fwhm_ps: float = 350.0
-    dead_time_ns: float = 50.0
-    tag_resolution_ps: int = 1
+    background_rate_cps_per_apd: NonNegative = 0.0
+    jitter_fwhm_ps: NonNegative = 350.0
+    dead_time_ns: NonNegative = 50.0
+    tag_resolution_ps: Count = 1
     double_click_policy: str = RANDOM_BIT
     rng_seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self, "receiver")
-        if self.efficiency_db < 0:
-            raise ConfigError("must be >= 0 (a loss)", "receiver.efficiency_db")
-        if self.background_rate_cps_per_apd < 0:
-            raise ConfigError("must be >= 0", "receiver.background_rate_cps_per_apd")
-        if self.jitter_fwhm_ps < 0:
-            raise ConfigError("must be >= 0", "receiver.jitter_fwhm_ps")
-        if self.dead_time_ns < 0:
-            raise ConfigError("must be >= 0", "receiver.dead_time_ns")
-        if self.tag_resolution_ps < 1:
-            raise ConfigError("must be >= 1", "receiver.tag_resolution_ps")
         if self.double_click_policy not in (RANDOM_BIT, DISCARD):
             raise ConfigError(f"unknown policy {self.double_click_policy!r}",
                               "receiver.double_click_policy")
@@ -201,23 +170,19 @@ class TrueClock:
 class SyncSettings:
     """Gate + recovery knobs + the simulated clock disturbance."""
 
-    gate_width_ps: float = 500.0
-    block_count: int = 20
+    gate_width_ps: Positive = 500.0
+    block_count: Count = 20
     beacon_assisted: bool = False
     true_clock: TrueClock = field(default_factory=TrueClock)
 
     def __post_init__(self):
         check_fields(self, "sync")
-        if self.gate_width_ps <= 0:
-            raise ConfigError("must be > 0", "sync.gate_width_ps")
-        if self.block_count < 1:
-            raise ConfigError("must be >= 1", "sync.block_count")
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    duration_s: float
+    duration_s: Positive
     source: SourceConfig
     channel: ChannelConfig
     receiver: ReceiverConfig
@@ -228,14 +193,21 @@ class Scenario:
     def __post_init__(self):
         check_fields(self, "")
         object.__setattr__(self, "duration_s", float(self.duration_s))
-        if self.duration_s <= 0:
-            raise ConfigError("must be > 0", "duration_s")
         if self.sync.gate_width_ps >= self.source.period_ps:
             raise ConfigError("gate must be narrower than the pulse period", "sync.gate_width_ps")
         if math.isinf(self.duration_s * self.source.rep_rate_hz):
             raise ConfigError("covers more pulses than a float can count", "duration_s")
         if self.n_pulses <= 0:
             raise ConfigError("must cover at least one pulse period", "duration_s")
+        ch, delay_set = self.channel, self.channel.propagation_delay_ps is not None
+        for value, name in (  # a link past MAX_SPAN m would overflow delay_ps()
+                (min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps),
+                 "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"),
+                (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN,
+                 "channel.propagation_delay_ps" if delay_set else "channel.distance_m"),
+                (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps")):
+            if abs(value) >= MAX_SPAN:
+                raise ConfigError("puts the run's times or pulse count past 2^60", name)
 
     @property
     def n_pulses(self) -> int:

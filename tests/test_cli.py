@@ -148,12 +148,14 @@ def test_malformed_scenario_exit_2(tmp_path, capsys):
         assert "config error" in err and f"{part}.{field}" in err
 
     # once a TypeError or OverflowError traceback, a ContractViolationError, a
-    # run that ended in "no sifted bits", and an exit 2 blaming source.mu_per_state
+    # run that ended in "no sifted bits", an exit 2 blaming source.mu_per_state,
+    # and a ValueError traceback
     for part, field, value in (("receiver", "misalignment_deg", [1]),
                                ("receiver", "dead_time_ns", float("inf")),
                                ("receiver", "jitter_fwhm_ps", float("nan")),
                                ("sync", "gate_width_ps", float("nan")),
-                               ("channel", "distance_m", float("nan"))):
+                               ("channel", "distance_m", float("nan")),
+                               ("channel", "propagation_delay_ps", 2**70)):
         doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
         doc["duration_s"] = 0.2
         doc[part][field] = value

@@ -171,6 +171,23 @@ def test_sample_fraction_alone_samples_that_share():
     assert sample_size(1000, protocol) == 250
 
 
+def _schema(cls, prefix=()):
+    """Every field of the schema, sections included: key path -> annotation."""
+    for f in dataclasses.fields(cls):
+        path = (*prefix, f.name)
+        yield path, f.type
+        section = getattr(scenario_module, f.type, None)
+        if dataclasses.is_dataclass(section):
+            yield from _schema(section, path)
+
+
+SCHEMA = dict(_schema(Scenario))
+# Per range kind, the values just outside its range and the edges it keeps.
+OUTSIDE = {"Positive": [0], "NonNegative": [-1], "Probability": [-0.1, 1.5],
+           "Count": [0], "Optional[Count]": [0]}
+EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Count]": [1]}
+
+
 @pytest.mark.parametrize("keys, value, field", [
     (("protocol",), 5, "protocol"),
     (("protocol",), [1, 2], "protocol"),
@@ -216,6 +233,13 @@ def test_sample_fraction_alone_samples_that_share():
     (("receiver", "dead_time_ns"), float("inf"), "receiver.dead_time_ns"),
     (("receiver", "jitter_fwhm_ps"), float("nan"), "receiver.jitter_fwhm_ps"),
     (("channel", "fading_sigma"), float("nan"), "channel.fading_sigma"),
+    # a train or delay past int64 picoseconds: each once loaded
+    (("protocol", "n_pulses"), 2**70, "protocol.n_pulses"),
+    (("channel", "propagation_delay_ps"), 2**70, "channel.propagation_delay_ps"),
+    (("sync", "true_clock", "offset_ps"), 1e300, "sync.true_clock.offset_ps"),
+    (("duration_s",), 1e12, "duration_s"),
+    (("channel", "distance_m"), 1e300, "channel.distance_m"),
+    *((path, v, ".".join(path)) for path, kind in SCHEMA.items() for v in OUTSIDE.get(kind, [])),
 ])
 def test_malformed_value_names_field(keys, value, field):
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
@@ -246,6 +270,7 @@ def test_integer_fields_keep_their_edges():
     (("source", "mu_per_state"), [1, 0, 0.1, 0.1]),
     (("sync", "true_clock", "offset_ps"), 5),
     (("protocol", "sample_fraction"), 1),
+    *((path, v) for path, kind in SCHEMA.items() for v in EDGES.get(kind, [])),
 ])
 def test_float_fields_keep_their_edges(keys, value):
     # an int is a number and 0 m is a link; the loader takes both as they are
@@ -273,17 +298,7 @@ def test_integer_valued_document_hash_pinned():
         "718574301f693d34b356a133a9696c917b6eb2c933ddc66ac814b4aa4d2014f0")
 
 
-def _field_paths(cls, prefix=()):
-    """Every field of the schema, sections included, as key paths."""
-    for f in dataclasses.fields(cls):
-        path = (*prefix, f.name)
-        yield path
-        section = getattr(scenario_module, f.type, None)
-        if dataclasses.is_dataclass(section):
-            yield from _field_paths(section, path)
-
-
-FIELD_PATHS = sorted(_field_paths(Scenario))
+FIELD_PATHS = sorted(SCHEMA)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner,
@@ -296,6 +311,9 @@ JSON_VALUES = st.recursive(
 @example(path=("source", "rep_rate_hz"), value=float("nan"))  # once a ValueError
 @example(path=("source", "rep_rate_hz"), value=10**400)  # once an OverflowError
 @example(path=("duration_s",), value=1e301)  # once an OverflowError: 1e309 pulses
+@example(path=("protocol", "n_pulses"), value=2**70)  # these three once loaded
+@example(path=("channel", "propagation_delay_ps"), value=2**70)
+@example(path=("sync", "true_clock", "offset_ps"), value=1e300)
 def test_any_json_value_in_any_field_loads_or_names_its_section(path, value):
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
     *parents, leaf = path
