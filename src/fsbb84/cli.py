@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``run``      -- full in-process session (both parties over loopback),
+* ``run``      -- full in-process session (both parties in one thread),
                   writes session report, prediction, and deviation report;
 * ``party``    -- one side of a networked session over TCP;
 * ``predict``  -- analytic metrics for a scenario, no simulation.
@@ -10,8 +10,8 @@ Subcommands:
 Exit codes follow the failure taxonomy of :mod:`fsbb84.protocol.session`:
 0 = the party ended in a report, an outcome even when it aborts (QBER
 above threshold, handshake mismatch, ``peer-abort``, ``protocol-violation``);
-1 = infrastructure failure (transport death or timeout, clock recovery, no
-sifted bit, I/O); 2 = configuration error.
+1 = infrastructure failure (transport death, timeout or deadlock, clock
+recovery, no sifted bit, I/O); 2 = configuration error.
 
 The default output directory comes from ``FSBB84_OUT_DIR`` (falling back
 to the working directory).

@@ -1,6 +1,7 @@
 """Two-party BB84 post-processing over a framed byte stream.
 
-Both roles walk the same phase sequence::
+Each role is a sans-I/O generator (:func:`session_party`, driven over a
+transport by :func:`run_session`), and both walk the same phases::
 
     HELLO -> SESSION_PARAMS -> (quantum phase) -> DETECTION_REPORT
           -> MATCH_MASK -> SAMPLE_INDICES + SAMPLE_BITS -> QBER_RESULT
@@ -16,7 +17,7 @@ bookkeeping (sifted rate counts all basis-matched bits).
 A party's session ends in one of three ways:
 
 * a report of the estimated QBER (``abort`` marks one above threshold);
-* an abort report, which only :func:`run_session` builds, sending an ABORT
+* an abort report, which only :func:`session_party` builds, sending an ABORT
   unless the peer's ABORT or last DONE ended the session: a handshake
   mismatch (``role-conflict``, ``session-id-mismatch``,
   ``parameter-mismatch``), ``peer-abort``, or ``protocol-violation``, a
@@ -26,10 +27,11 @@ A party's session ends in one of three ways:
   an ABORT after an empty mask; for Bob a QBER_RESULT that does not follow
   from his sample;
 * an exception: :class:`SessionFailedError`, carrying the phase, for
-  transport death or timeout (or a party the in-process runner waited for
-  in vain); :class:`SyncFailureError` or :class:`InconclusiveSessionError`
-  when Bob's clock recovery fails or he sifts no bit, which he tells Alice
-  with an ABORT first (she raises the second too).
+  transport death or timeout, or in process for a deadlock (both parties
+  waiting to read); :class:`SyncFailureError` or
+  :class:`InconclusiveSessionError` when Bob's clock recovery fails or he
+  sifts no bit, which he tells Alice with an ABORT first (she raises the
+  second too).
 """
 
 from __future__ import annotations
@@ -213,58 +215,68 @@ def _expect(message, expected_type):
 
 def run_session(role: str, transport, scenario: Scenario,
                 replay_tags=None, quantum: Optional[QuantumPhase] = None) -> SessionReport:
-    """Execute one party of a session over ``transport``.
-
-    ``quantum`` lets the caller inject a precomputed quantum phase (the
-    in-process runner shares one simulation between threads); otherwise
-    Bob simulates it from the scenario (or replays ``replay_tags``).
-    """
-    if role not in (ROLE_ALICE, ROLE_BOB):
-        raise ValueError(f"role must be '{ROLE_ALICE}' or '{ROLE_BOB}'")
+    """Drive one party over ``transport``: send what it yields, feed it what
+    is read (an undecodable frame is thrown in), and name its phase in a
+    transport's :class:`SessionFailedError`."""
     phase_box = ["handshake"]
-    scenario_hash = scenario.hash_bytes()  # HELLO, the peer's check and the report
+    party = session_party(role, scenario, phase_box, replay_tags, quantum)
     try:
-        try:
-            return _run_role(role, transport, scenario, scenario_hash, replay_tags, quantum,
-                             phase_box)
-        except (ProtocolViolationError, CorruptFrameError) as e:
-            end = _Abort(f"protocol-violation: {e}", str(e))
-        except _Abort as e:
-            end = e
-        except SyncFailureError as e:  # Alice waits for a report Bob cannot make
-            transport.send_message(Abort(reason=f"clock recovery failed: {e}"))
-            raise
-        if end.notice is not None:
-            transport.send_message(Abort(reason=end.notice))
-        return _abort_report(scenario, scenario_hash, role, end.reason)
+        out = next(party)
+        while True:
+            while out is not None:
+                transport.send_message(out)
+                out = next(party)
+            try:
+                out = party.send(transport.recv_message())
+            except CorruptFrameError as e:
+                out = party.throw(e)
+    except StopIteration as end:
+        return end.value
     except SessionFailedError as e:
         if e.phase == "unknown":
             raise SessionFailedError(e.message, phase=phase_box[0]) from e
         raise
 
 
-def _run_role(role: str, transport, scenario: Scenario, scenario_hash: bytes, replay_tags,
-              quantum, phase_box) -> SessionReport:
-    # --- HELLO exchange -----------------------------------------------------
-    transport.send_message(Hello(session_id=scenario.protocol.session_id,
-                                 role=_ROLE_CODE[role], scenario_hash=scenario_hash))
-    peer = _expect(transport.recv_message(), Hello)
-    if peer.role == _ROLE_CODE[role]:
-        raise _Abort("role-conflict", "both parties claim the same role")
-    if peer.session_id != scenario.protocol.session_id:
-        raise _Abort("session-id-mismatch", "session id mismatch")
-    if peer.scenario_hash != scenario_hash:
-        raise _Abort("parameter-mismatch", "scenario hash mismatch")
+def session_party(role: str, scenario: Scenario, phase_box: list,
+                  replay_tags=None, quantum: Optional[QuantumPhase] = None):
+    """One party as a generator: it yields each message it sends, yields None
+    to be sent the next one read, and returns its report; ``phase_box[0]`` is
+    its phase. Bob simulates (or replays) the quantum phase unless ``quantum`` holds it."""
+    if role not in (ROLE_ALICE, ROLE_BOB):
+        raise ValueError(f"role must be '{ROLE_ALICE}' or '{ROLE_BOB}'")
+    scenario_hash = scenario.hash_bytes()  # HELLO, the peer's check and the report
+    try:
+        # --- HELLO exchange -------------------------------------------------
+        yield Hello(session_id=scenario.protocol.session_id, role=_ROLE_CODE[role],
+                    scenario_hash=scenario_hash)
+        peer = _expect((yield), Hello)
+        if peer.role == _ROLE_CODE[role]:
+            raise _Abort("role-conflict", "both parties claim the same role")
+        if peer.session_id != scenario.protocol.session_id:
+            raise _Abort("session-id-mismatch", "session id mismatch")
+        if peer.scenario_hash != scenario_hash:
+            raise _Abort("parameter-mismatch", "scenario hash mismatch")
 
-    # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -----------------
-    phase_box[0] = "params"
-    local_params = _session_params_msg(scenario)
-    if role == ROLE_ALICE:
-        transport.send_message(local_params)
-        return _run_alice(transport, scenario, scenario_hash, phase_box)
-    if _expect(transport.recv_message(), SessionParamsMsg) != local_params:
-        raise _Abort("parameter-mismatch", "session parameter mismatch")
-    return _run_bob(transport, scenario, scenario_hash, replay_tags, quantum, phase_box)
+        # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -------------
+        phase_box[0] = "params"
+        local_params = _session_params_msg(scenario)
+        if role == ROLE_ALICE:
+            yield local_params
+            return (yield from _run_alice(scenario, scenario_hash, phase_box))
+        if _expect((yield), SessionParamsMsg) != local_params:
+            raise _Abort("parameter-mismatch", "session parameter mismatch")
+        return (yield from _run_bob(scenario, scenario_hash, replay_tags, quantum, phase_box))
+    except (ProtocolViolationError, CorruptFrameError) as e:
+        end = _Abort(f"protocol-violation: {e}", str(e))
+    except _Abort as e:
+        end = e
+    except SyncFailureError as e:  # Alice waits for a report Bob cannot make
+        yield Abort(reason=f"clock recovery failed: {e}")
+        raise
+    if end.notice is not None:
+        yield Abort(reason=end.notice)
+    return _abort_report(scenario, scenario_hash, role, end.reason)
 
 
 def _finish_report(scenario: Scenario, scenario_hash: bytes, role: str, qber: QberResult,
@@ -290,35 +302,34 @@ def _finish_report(scenario: Scenario, scenario_hash: bytes, role: str, qber: Qb
     )
 
 
-def _run_bob(transport, scenario: Scenario, scenario_hash: bytes, replay_tags, quantum,
-             phase_box) -> SessionReport:
+def _run_bob(scenario: Scenario, scenario_hash: bytes, replay_tags, quantum, phase_box):
     phase_box[0] = "quantum"
     if quantum is None:
         quantum = simulate_quantum_phase(scenario, replay_tags=replay_tags)
 
     phase_box[0] = "report"
     report = bob_detection_report(quantum.classified_index, quantum.classified_detector)
-    transport.send_message(report)
+    yield report
 
     phase_box[0] = "sift"
-    mask = _expect(transport.recv_message(), MatchMask)
+    mask = _expect((yield), MatchMask)
     key = bob_sift(report, quantum.classified_detector, mask)
 
     phase_box[0] = "qber"
     if len(key) == 0:
-        transport.send_message(Abort(reason="no sifted bits"))
+        yield Abort(reason="no sifted bits")
         raise InconclusiveSessionError("no sifted bits to estimate QBER from")
     rng = np.random.default_rng(scenario.protocol.rng_seed)
     positions = select_sample(len(key), scenario.protocol, rng)
-    transport.send_message(SampleIndices(positions=positions))
-    transport.send_message(SampleBits(bits=key.bits[positions]))
+    yield SampleIndices(positions=positions)
+    yield SampleBits(bits=key.bits[positions])
 
-    result = _expect(transport.recv_message(), QberResult)
+    result = _expect((yield), QberResult)
     qber = _check_qber_result(result, len(positions), scenario.protocol)
 
     phase_box[0] = "done"
-    transport.send_message(Done(session_id=scenario.protocol.session_id))
-    done = _expect(transport.recv_message(), Done)
+    yield Done(session_id=scenario.protocol.session_id)
+    done = _expect((yield), Done)
     if done.session_id != scenario.protocol.session_id:
         # Alice's DONE is her last message: nothing more goes on the wire.
         raise _Abort(f"protocol-violation: DONE for session {done.session_id}")
@@ -328,29 +339,28 @@ def _run_bob(transport, scenario: Scenario, scenario_hash: bytes, replay_tags, q
                           quantum.counts())
 
 
-def _run_alice(transport, scenario: Scenario, scenario_hash: bytes,
-               phase_box) -> SessionReport:
+def _run_alice(scenario: Scenario, scenario_hash: bytes, phase_box):
     phase_box[0] = "report"
-    report = _expect(transport.recv_message(), DetectionReport)
+    report = _expect((yield), DetectionReport)
     mask, key = alice_match(scenario.source, report, scenario.n_pulses)
-    transport.send_message(mask)
+    yield mask
 
     phase_box[0] = "qber"
     if len(key) == 0:
-        msg = transport.recv_message()
+        msg = yield
         if isinstance(msg, Abort):
             raise InconclusiveSessionError("no sifted bits to estimate QBER from")
         raise ProtocolViolationError(f"expected Abort on an empty key, got {type(msg).__name__}")
-    sample_idx = _expect(transport.recv_message(), SampleIndices)
-    sample_bits = _expect(transport.recv_message(), SampleBits)
+    sample_idx = _expect((yield), SampleIndices)
+    sample_bits = _expect((yield), SampleBits)
     qber = _count_errors(key, sample_idx.positions, sample_bits.bits, scenario.protocol)
-    transport.send_message(qber)
+    yield qber
 
     phase_box[0] = "done"
-    done = _expect(transport.recv_message(), Done)
+    done = _expect((yield), Done)
     if done.session_id != scenario.protocol.session_id:
         raise ProtocolViolationError(f"DONE for session {done.session_id}")
-    transport.send_message(Done(session_id=scenario.protocol.session_id))
+    yield Done(session_id=scenario.protocol.session_id)
 
     remaining = len(key) - qber.disclosed_count
     return _finish_report(scenario, scenario_hash, ROLE_ALICE, qber, len(key), remaining, {})

@@ -1,7 +1,8 @@
 """Reliable byte-stream transports and the framed message channel.
 
-The loopback transport is a plain ``socket.socketpair`` so in-process
-sessions exercise the identical read/write path as TCP sessions.
+:class:`StreamTransport` frames messages over a TCP socket, or over an
+:class:`InlinePeer`, the socket stand-in of in-process sessions, so both
+take the same encode and read path.
 """
 
 from __future__ import annotations
@@ -58,10 +59,37 @@ class StreamTransport:
             pass
 
 
-def loopback_pair(timeout_s: float = 30.0) -> tuple[StreamTransport, StreamTransport]:
-    """Two connected in-process transports."""
-    a, b = socket.socketpair()
-    return StreamTransport(a, timeout_s), StreamTransport(b, timeout_s)
+class InlinePeer:
+    """A socket stand-in whose far end is a party generator, stepped inline:
+    frames sent to it are fed to the party, what it yields waits for ``recv``,
+    and a ``recv`` with nothing waiting is a deadlock. ``result`` is the
+    party's report once it returns; frames sent after that go unread."""
+
+    def __init__(self, party):
+        self.result, self._party, self._out = None, party, bytearray()
+        self._feed(None)
+
+    def _feed(self, message) -> None:
+        try:
+            out = self._party.send(message)
+            while out is not None:
+                self._out += encode_frame(out)
+                out = next(self._party)
+        except StopIteration as end:
+            self.result = end.value
+
+    def sendall(self, frame: bytes) -> None:
+        if self.result is None:
+            self._feed(decode_frame(frame)[0])
+
+    def recv(self, size: int) -> bytes:
+        if not self._out:
+            raise SessionFailedError("deadlock: the in-process peer waits to read too")
+        chunk = bytes(self._out[:size])
+        del self._out[:size]
+        return chunk
+
+    settimeout = close = lambda self, *args: None  # stepped inline: never blocks
 
 
 def connect(host: str, port: int, timeout_s: float = 30.0,

@@ -35,7 +35,7 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Largest mean photon number per pulse: the source's photon-number
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
-MAX_SPAN = 2**60  # pulses or ps: keeps receiver.detect's int64 key and the wire's u64 count
+MAX_SPAN = 2**60  # pulses, ps or tags: keeps receiver.detect's int64 key and the wire's u64 count
 
 
 @dataclass(frozen=True)
@@ -199,15 +199,21 @@ class Scenario:
             raise ConfigError("covers more pulses than a float can count", "duration_s")
         if self.n_pulses <= 0:
             raise ConfigError("must cover at least one pulse period", "duration_s")
-        ch, delay_set = self.channel, self.channel.propagation_delay_ps is not None
+        ch, rx, delay_set = self.channel, self.receiver, self.channel.propagation_delay_ps is not None
+        if not 1 <= ch.fading_block_ms * 1e9 < MAX_SPAN:  # the channel's integer divisor, in ps
+            raise ConfigError("must be at least 1 ps and under 2^60 ps", "channel.fading_block_ms")
         for value, name in (  # a link past MAX_SPAN m would overflow delay_ps()
                 (min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps),
                  "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"),
                 (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN,
                  "channel.propagation_delay_ps" if delay_set else "channel.distance_m"),
-                (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps")):
+                (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps"),
+                (rx.dead_time_ns * 1e3, "receiver.dead_time_ns"),
+                (rx.jitter_fwhm_ps, "receiver.jitter_fwhm_ps"),
+                (rx.background_rate_cps_per_apd * self.simulated_duration_s,
+                 "receiver.background_rate_cps_per_apd")):
             if abs(value) >= MAX_SPAN:
-                raise ConfigError("puts the run's times or pulse count past 2^60", name)
+                raise ConfigError("puts the run's times or counts past 2^60", name)
 
     @property
     def n_pulses(self) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import socket
 import struct
 import threading
 import zlib
@@ -19,7 +20,7 @@ from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchM
 from fsbb84.protocol.params import ROLE_ALICE, SessionParams, SiftedKey
 from fsbb84.protocol.session import (_count_errors, alice_match, bob_detection_report,
                                      bob_sift, run_session, sample_size, select_sample)
-from fsbb84.protocol.transport import loopback_pair
+from fsbb84.protocol.transport import StreamTransport
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.analysis import analyzer_table
@@ -461,7 +462,7 @@ def test_qber_empty_key_inconclusive():
     empty = dataclasses.replace(qp, classified_index=qp.classified_index[:0],
                                 classified_detector=qp.classified_detector[:0])
     with pytest.raises(InconclusiveSessionError):
-        run_in_process(sc, timeout_s=30.0, quantum=empty)
+        run_in_process(sc, quantum=empty)
 
 
 def test_qber_sample_must_be_unique_increasing_and_full_size():
@@ -489,7 +490,8 @@ def test_alice_aborts_on_malformed_sample(fast_scenario, positions):
     # a hand-driven Bob discloses a sample Alice must refuse
     sc = fast_scenario
     qp = simulate_quantum_phase(sc)
-    t_alice, t_bob = loopback_pair(10.0)
+    a_sock, b_sock = socket.socketpair()
+    t_alice, t_bob = StreamTransport(a_sock, 10.0), StreamTransport(b_sock, 10.0)
     out = {}
     th = threading.Thread(target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, sc)))
     th.start()

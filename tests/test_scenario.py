@@ -113,7 +113,7 @@ def test_bundled_scenario_hash_pinned():
 
 
 def test_scenario_hashed_once_per_session(monkeypatch, fast_scenario):
-    # predict(), Bob's and Alice's run_session all need the same digest
+    # predict(), Bob's and Alice's parties all need the same digest
     calls = []
     original = Scenario.canonical_json
     monkeypatch.setattr(Scenario, "canonical_json",
@@ -240,6 +240,11 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     (("duration_s",), 1e12, "duration_s"),
     (("channel", "distance_m"), 1e300, "channel.distance_m"),
     *((path, v, ".".join(path)) for path, kind in SCHEMA.items() for v in OUTSIDE.get(kind, [])),
+    # past the run's int64 arithmetic: each once loaded, then crashed inside the run
+    (("receiver", "dead_time_ns"), 1e300, "receiver.dead_time_ns"),
+    (("receiver", "jitter_fwhm_ps"), 1e300, "receiver.jitter_fwhm_ps"),
+    (("channel", "fading_block_ms"), 1e-300, "channel.fading_block_ms"),
+    (("receiver", "background_rate_cps_per_apd"), 1e300, "receiver.background_rate_cps_per_apd"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))

@@ -17,8 +17,7 @@ from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchM
                                      QberResult, SampleBits, SampleIndices, encode_frame)
 from fsbb84.protocol.params import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.session import run_session
-from fsbb84.protocol.transport import (StreamTransport, connect, listen_accept,
-                                       loopback_pair)
+from fsbb84.protocol.transport import InlinePeer, StreamTransport, connect, listen_accept
 from fsbb84.receiver import TimeTags
 from fsbb84 import runner
 from fsbb84.runner import run_in_process
@@ -53,47 +52,38 @@ def test_session_deterministic(fast_scenario):
     assert a1.canonical_json() == a2.canonical_json()
 
 
+def _inline_alice(scenario):
+    """Alice's party behind a socket stand-in, stepped inline by Bob's sends."""
+    return InlinePeer(session.session_party(ROLE_ALICE, scenario, ["handshake"]))
+
+
 def test_session_id_mismatch_aborts(fast_scenario):
     other = dataclasses.replace(
         fast_scenario,
         protocol=dataclasses.replace(fast_scenario.protocol, session_id=2))
-    t_alice, t_bob = loopback_pair(10.0)
-    out = {}
-
-    def alice_side():
-        out["alice"] = run_session(ROLE_ALICE, t_alice, fast_scenario)
-
-    th = threading.Thread(target=alice_side)
-    th.start()
-    bob = run_session(ROLE_BOB, t_bob, other)
-    th.join(10.0)
-    assert bob.abort and out["alice"].abort
+    alice = _inline_alice(fast_scenario)
+    bob = run_session(ROLE_BOB, StreamTransport(alice), other)
+    assert bob.abort and alice.result.abort
     assert bob.abort_reason in ("session-id-mismatch", "peer-abort: session id mismatch")
     assert not bob.sifted_key_length
 
 
 def test_scenario_hash_mismatch_aborts(fast_scenario):
     other = make_fast_scenario(extra_loss_db=7.0)
-    t_alice, t_bob = loopback_pair(10.0)
-    out = {}
-
-    def alice_side():
-        out["alice"] = run_session(ROLE_ALICE, t_alice, fast_scenario)
-
-    th = threading.Thread(target=alice_side)
-    th.start()
-    bob = run_session(ROLE_BOB, t_bob, other)
-    th.join(10.0)
-    assert bob.abort and out["alice"].abort
+    alice = _inline_alice(fast_scenario)
+    bob = run_session(ROLE_BOB, StreamTransport(alice), other)
+    assert bob.abort and alice.result.abort
     assert "mismatch" in bob.abort_reason or "parameter" in bob.abort_reason
     assert bob.abort_reason.startswith(("parameter-mismatch", "peer-abort"))
 
 
 def test_transport_death_mid_session(fast_scenario):
-    t_alice, t_bob = loopback_pair(5.0)
-    t_alice.close()  # Alice never shows up
+    a_sock, b_sock = socket.socketpair()
+    a_sock.close()  # Alice never shows up
+    t_bob = StreamTransport(b_sock, 5.0)
     with pytest.raises(SessionFailedError) as err:
         run_session(ROLE_BOB, t_bob, fast_scenario)
+    t_bob.close()
     assert err.value.phase in ("handshake", "params")
     assert str(err.value).count("[phase=") == 1  # the phase is named once
 
@@ -102,17 +92,10 @@ def test_clock_recovery_failure_is_told_to_alice(fast_scenario):
     # 500 replayed tags are below clock recovery's floor: Bob cannot report
     tags = simulate_quantum_phase(fast_scenario).tags
     short = TimeTags(detector=tags.detector[:500], time_ps=tags.time_ps[:500])
-    t_alice, t_bob = loopback_pair(10.0)
-    out = {}
-    th = threading.Thread(
-        target=lambda: out.update(alice=run_session(ROLE_ALICE, t_alice, fast_scenario)))
-    th.start()
+    peer = _inline_alice(fast_scenario)
     with pytest.raises(SyncFailureError):
-        run_session(ROLE_BOB, t_bob, fast_scenario, replay_tags=short)
-    th.join(10.0)
-    t_alice.close()
-    t_bob.close()
-    alice = out["alice"]
+        run_session(ROLE_BOB, StreamTransport(peer), fast_scenario, replay_tags=short)
+    alice = peer.result
     assert alice.abort and alice.abort_reason.startswith(
         "peer-abort: clock recovery failed: need >= 1000 tags")
 
@@ -293,19 +276,9 @@ def test_bob_messages_never_leak_bits(fast_scenario):
             captured.append(message)
             super().send_message(message)
 
-    a_sock, b_sock = socket.socketpair()
-    t_alice = StreamTransport(a_sock, 30.0)
-    t_bob = AuditTransport(b_sock, 30.0)
+    t_bob = AuditTransport(_inline_alice(fast_scenario))
     qp = simulate_quantum_phase(fast_scenario)
-    out = {}
-
-    def alice_side():
-        out["alice"] = run_session(ROLE_ALICE, t_alice, fast_scenario)
-
-    th = threading.Thread(target=alice_side)
-    th.start()
     bob = run_session(ROLE_BOB, t_bob, fast_scenario, quantum=qp)
-    th.join(10.0)
 
     allowed = {MsgType.HELLO, MsgType.DETECTION_REPORT, MsgType.SAMPLE_INDICES,
                MsgType.SAMPLE_BITS, MsgType.DONE, MsgType.ABORT}
@@ -379,37 +352,43 @@ def test_frame_stream_reassembly():
     t.close()
 
 
-def test_run_in_process_raises_when_alice_outlives_timeout(fast_scenario, monkeypatch):
-    release = threading.Event()
+def test_run_in_process_names_bobs_phase_when_alice_stops_answering(fast_scenario,
+                                                                   monkeypatch):
+    def alice_goes_quiet(role, scenario, phase_box):  # her handshake, then silence
+        yield Hello(session_id=scenario.protocol.session_id, role=0,
+                    scenario_hash=scenario.hash_bytes())
+        yield session._session_params_msg(scenario)
+        while True:
+            yield
 
-    def fake_run_session(role, transport, scenario, quantum=None):
-        if role == ROLE_ALICE:
-            release.wait(10.0)
-        return role
-
-    monkeypatch.setattr(runner, "run_session", fake_run_session)
-    try:
-        with pytest.raises(SessionFailedError) as err:
-            run_in_process(fast_scenario, timeout_s=0.2, quantum="precomputed")
-        assert err.value.phase == "join"
-    finally:
-        release.set()
+    quantum = simulate_quantum_phase(fast_scenario)
+    monkeypatch.setattr(runner, "session_party", alice_goes_quiet)
+    t0 = time.monotonic()
+    with pytest.raises(SessionFailedError) as err:
+        run_in_process(fast_scenario, quantum=quantum)
+    assert time.monotonic() - t0 < 1.0
+    assert err.value.phase == "sift" and "deadlock" in err.value.message
 
 
 def test_run_in_process_raises_alice_error_at_once(fast_scenario, monkeypatch):
-    # Alice fails before her handshake, as a seed the wire cannot pack once
-    # made her do: Bob waits on his read, so only closing her end stops him
-    # before timeout_s, and her error, not his, is the cause to report.
-    real_run_session = runner.run_session
-
-    def alice_fails(role, *args, **kwargs):
-        if role == ROLE_ALICE:
-            raise struct.error("argument out of range")
-        return real_run_session(role, *args, **kwargs)
+    # Alice fails mid-session, as a seed the wire could not pack once made
+    # her do: her error, not Bob's abort or a deadlock, is the one raised.
+    def alice_fails(*args):
+        raise struct.error("argument out of range")
 
     quantum = simulate_quantum_phase(fast_scenario)
-    monkeypatch.setattr(runner, "run_session", alice_fails)
+    monkeypatch.setattr(session, "alice_match", alice_fails)
     t0 = time.monotonic()
     with pytest.raises(struct.error, match="out of range"):
-        run_in_process(fast_scenario, timeout_s=5.0, quantum=quantum)
+        run_in_process(fast_scenario, quantum=quantum)
     assert time.monotonic() - t0 < 1.0
+
+
+def test_run_in_process_starts_no_thread_and_opens_no_socket(fast_scenario, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-process session needs no thread and no socket")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket, "socketpair", refuse)
+    bob, alice, _ = run_in_process(fast_scenario)
+    assert not bob.abort and bob.sifted_key_length == alice.sifted_key_length > 0
