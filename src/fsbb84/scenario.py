@@ -10,6 +10,11 @@ no numpy. They are the document's schema: a field's annotation is its kind
 and range rule (``errors.check_fields``, run first by each class), and a
 field annotated with a parameter class is a section, built from its object.
 
+A field's path is its dotted key path, a section's included (``sync.true_clock``);
+:func:`field_paths` lists them. ``Scenario.override({path: value})`` writes each
+value into the scenario's document and loads that, so a change is checked and
+named as a file's field is; a section or ``metadata`` is replaced whole.
+
 The canonical serialization (sorted keys, fixed separators) defines the
 scenario hash used by the two-party handshake and by prediction/report
 comparison.
@@ -20,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cached_property, reduce
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ConfigError, Count, NonNegative, Positive, Probability, Seed, check_fields
 from .protocol.params import SessionParams
@@ -202,18 +207,21 @@ class Scenario:
         ch, rx, delay_set = self.channel, self.receiver, self.channel.propagation_delay_ps is not None
         if not 1 <= ch.fading_block_ms * 1e9 < MAX_SPAN:  # the channel's integer divisor, in ps
             raise ConfigError("must be at least 1 ps and under 2^60 ps", "channel.fading_block_ms")
+        train_ps = min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps)
         for value, name in (  # a link past MAX_SPAN m would overflow delay_ps()
-                (min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps),
-                 "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"),
+                (train_ps, "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"),
                 (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN,
                  "channel.propagation_delay_ps" if delay_set else "channel.distance_m"),
                 (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps"),
                 (rx.dead_time_ns * 1e3, "receiver.dead_time_ns"),
-                (rx.jitter_fwhm_ps, "receiver.jitter_fwhm_ps"),
                 (rx.background_rate_cps_per_apd * self.simulated_duration_s,
                  "receiver.background_rate_cps_per_apd")):
             if abs(value) >= MAX_SPAN:
                 raise ConfigError("puts the run's times or counts past 2^60", name)
+        # detect keys a tag by 4 * (its time - the first) + APD in an int64, so tags must
+        # span under 2^61 ps: the train plus 32 jitter sigmas each side (numpy's stay in 14)
+        if train_ps + 64 * rx.jitter_sigma_ps >= 2 * MAX_SPAN:
+            raise ConfigError("spreads the run's tag times past 2^61 ps", "receiver.jitter_fwhm_ps")
 
     @property
     def n_pulses(self) -> int:
@@ -242,16 +250,32 @@ class Scenario:
     def hash_hex(self) -> str:
         return self._digest.hex()
 
+    def override(self, changes: dict) -> "Scenario":
+        """This scenario with the field at each path of ``changes`` set to its
+        value; a ConfigError names a path that is not a field."""
+        doc, paths = self.to_dict(), {path for path, _ in field_paths()}
+        for path, value in changes.items():
+            if path not in paths:
+                raise ConfigError("not a scenario field", path)
+            if any(path.startswith(p + ".") for p in changes):
+                raise ConfigError("inside a section this override replaces", path)
+            *parents, leaf = path.split(".")
+            reduce(dict.__getitem__, parents, doc)[leaf] = value
+        return scenario_from_dict(doc)
+
     def with_seed(self, master_seed: int) -> "Scenario":
         """Re-derive every module seed from one master seed."""
         s = int(master_seed)
-        return replace(
-            self,
-            source=replace(self.source, rng_seed=_derive(s, 0)),
-            channel=replace(self.channel, rng_seed=_derive(s, 1)),
-            receiver=replace(self.receiver, rng_seed=_derive(s, 2)),
-            protocol=replace(self.protocol, rng_seed=_derive(s, 3)),
-        )
+        return self.override({f"{section}.rng_seed": _derive(s, i) for i, section
+                              in enumerate(("source", "channel", "receiver", "protocol"))})
+
+
+def field_paths(cls=Scenario, prefix: str = "") -> Iterator[tuple[str, str]]:
+    """(dotted path, annotation) of every field of the schema, a section before its fields."""
+    for f in fields(cls):
+        yield prefix + f.name, f.type
+        if is_dataclass(section := globals().get(f.type)):
+            yield from field_paths(section, f"{prefix}{f.name}.")
 
 
 def _derive(seed: int, idx: int) -> int:

@@ -387,7 +387,7 @@ def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignment
     r -= k * P
     upper = r > P / 2.0  # strictly above half: next slot is closer
     k += upper
-    np.subtract(r, P, out=r, where=upper)
+    r -= upper * P  # x - 0.0 is x, -0.0 included
     keep = np.flatnonzero((np.abs(r, out=r) <= gate_width_ps / 2.0) & (k >= 0))
     truth = tags.truth_pulse_index
     return Assignments(

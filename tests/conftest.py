@@ -1,7 +1,5 @@
 """Shared fixtures: compact scenarios that run in milliseconds."""
 
-import dataclasses
-
 import pytest
 
 from fsbb84.protocol.params import SessionParams
@@ -47,7 +45,3 @@ def make_fast_scenario(name="fast", duration_s=0.002, seed=100, *,
 @pytest.fixture
 def fast_scenario():
     return make_fast_scenario()
-
-
-def with_overrides(scenario, **kw):
-    return dataclasses.replace(scenario, **kw)

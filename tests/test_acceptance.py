@@ -5,7 +5,6 @@ under a second apiece); the rest are statistical or structural. Run
 with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 
-import dataclasses
 import math
 import time
 from statistics import NormalDist
@@ -34,7 +33,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def _run_bundled(name: str, duration_s=None):
     sc = bundled_scenario(name)
     if duration_s is not None:
-        sc = dataclasses.replace(sc, duration_s=duration_s)
+        sc = sc.override({"duration_s": duration_s})
     bob, alice, qp = run_in_process(sc)
     return sc, bob, alice
 
@@ -142,7 +141,7 @@ def _oracle_scenarios() -> list:
         # table1_run2_retro yields ~1060 tags per 0.1 s, at the 1000-tag floor
         # of clock recovery; at 0.2 s no session falls below it.
         duration = 0.2 if name == "table1_run2_retro" else 0.1
-        scenarios.append(dataclasses.replace(bundled_scenario(name), duration_s=duration))
+        scenarios.append(bundled_scenario(name).override({"duration_s": duration}))
     return scenarios + [_random_scenario(s) for s in (1, 2, 3)]
 
 
@@ -242,12 +241,9 @@ def test_criterion_7_clock_recovery():
     details = []
     ok = True
     for drift in (-20.0, 0.0, 20.0):
-        sc = bundled_scenario("table2_beam_expanders")
-        sc = dataclasses.replace(
-            sc, duration_s=0.3,
-            sync=dataclasses.replace(
-                sc.sync, true_clock=TrueClock(
-                    offset_ps=float(rng.uniform(-5e6, 5e6)), drift_ppm=drift)))
+        sc = bundled_scenario("table2_beam_expanders").override({
+            "duration_s": 0.3,
+            "sync.true_clock": {"offset_ps": float(rng.uniform(-5e6, 5e6)), "drift_ppm": drift}})
         qp = simulate_quantum_phase(sc, with_truth=True)
         truth = qp.assignments.truth_pulse_index
         sig = truth >= 0
@@ -258,10 +254,8 @@ def test_criterion_7_clock_recovery():
                        f"drift_err={drift_err:.4f} ppm")
 
     # background-only stream must raise a sync failure
-    sc_bg = bundled_scenario("table2_beam_expanders")
-    sc_bg = dataclasses.replace(
-        sc_bg, duration_s=0.3,
-        source=dataclasses.replace(sc_bg.source, mu_per_state=(0.0, 0.0, 0.0, 0.0)))
+    sc_bg = bundled_scenario("table2_beam_expanders").override({
+        "duration_s": 0.3, "source.mu_per_state": (0.0, 0.0, 0.0, 0.0)})
     try:
         simulate_quantum_phase(sc_bg)
         bg_ok = False

@@ -63,15 +63,11 @@ def test_qber_monotone_in_background_and_misalignment():
                               jitter_fwhm_ps=350.0)
     qbers = []
     for bg in (0.0, 1_000.0, 5_000.0, 20_000.0):
-        sc = dataclasses.replace(base, receiver=dataclasses.replace(
-            base.receiver, background_rate_cps_per_apd=bg))
-        qbers.append(predict(sc).qber_total)
+        qbers.append(predict(base.override({"receiver.background_rate_cps_per_apd": bg})).qber_total)
     assert all(a < b for a, b in zip(qbers, qbers[1:]))
     qbers = []
     for m in (0.0, 2.0, 5.0, 10.0):
-        sc = dataclasses.replace(base, receiver=dataclasses.replace(
-            base.receiver, misalignment_deg=m))
-        qbers.append(predict(sc).qber_total)
+        qbers.append(predict(base.override({"receiver.misalignment_deg": m})).qber_total)
     assert all(a < b for a, b in zip(qbers, qbers[1:]))
 
 
@@ -79,9 +75,7 @@ def test_rate_monotone_decreasing_in_loss():
     base = make_fast_scenario()
     rates = []
     for loss in (0.0, 5.0, 10.0, 20.0):
-        sc = dataclasses.replace(base, channel=dataclasses.replace(
-            base.channel, extra_loss_db=loss))
-        rates.append(predict(sc).sifted_rate_bps)
+        rates.append(predict(base.override({"channel.extra_loss_db": loss})).sifted_rate_bps)
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
@@ -113,9 +107,8 @@ def test_compare_refuses_hash_mismatch():
 
 
 def test_mc_agrees_with_prediction_at_3_sigma(fast_scenario):
-    sc = dataclasses.replace(make_fast_scenario(
-        misalignment_deg=5.0, background_cps=2_000.0, jitter_fwhm_ps=350.0,
-        dead_time_ns=50.0), duration_s=0.01)
+    sc = make_fast_scenario(misalignment_deg=5.0, background_cps=2_000.0, jitter_fwhm_ps=350.0,
+                            dead_time_ns=50.0, duration_s=0.01)
     bob, _, _ = run_in_process(sc)
     dev = compare(predict(sc), bob, rate_tolerance=0.0, qber_tolerance_pts=0.0)
     assert dev.passed, [e.to_dict() for e in dev.entries]

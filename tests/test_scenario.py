@@ -1,6 +1,5 @@
 """Scenario loading, validation errors, hashing, and table fixtures."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -13,11 +12,10 @@ from hypothesis import strategies as st
 
 import fsbb84
 from fsbb84 import analysis, runner
-from fsbb84 import scenario as scenario_module
 from fsbb84.errors import ConfigError
 from fsbb84.protocol.session import sample_size
 from fsbb84.scenario import (BUNDLED_NAMES, Scenario, SyncSettings, bundled_scenario,
-                             bundled_scenario_text, load_scenario,
+                             bundled_scenario_text, field_paths, load_scenario,
                              scenario_from_dict)
 
 # Every numeric row of the two reference tables, as shipped in the
@@ -46,6 +44,29 @@ TABLE_FIXTURES = {
         "reported_key_rate_bps": 1400,
     },
 }
+
+
+def _doc_with(keys, value, **protocol):
+    """The bundled beam-expander document, its protocol section updated with
+    ``protocol``, and ``value`` written at the key path ``keys``."""
+    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
+    doc["protocol"].update(protocol)
+    target = doc
+    for key in keys[:-1]:
+        target = target.setdefault(key, {})
+    target[keys[-1]] = value
+    return doc
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the field its ConfigError names."""
+    try:
+        return build()
+    except ConfigError as err:
+        return err.field
+
+
+BASE = bundled_scenario("table2_beam_expanders")
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -149,39 +170,24 @@ def test_missing_field_names_path():
 
 
 def test_invalid_value_names_field():
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    doc["channel"]["visibility_km"] = -2.0
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(doc)
+        scenario_from_dict(_doc_with(("channel", "visibility_km"), -2.0))
     assert "visibility_km" in str(err.value)
 
 
 def test_sample_fraction_all_means_benchmark():
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    sc = scenario_from_dict(doc)
+    sc = scenario_from_dict(json.loads(bundled_scenario_text("table2_beam_expanders")))
     assert sc.protocol.benchmark_mode
     assert sc.protocol.sample_fraction == 1.0
 
 
 def test_sample_fraction_alone_samples_that_share():
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    doc["protocol"] = {"sample_fraction": 0.25}
-    protocol = scenario_from_dict(doc).protocol
+    protocol = scenario_from_dict(_doc_with(("protocol",), {"sample_fraction": 0.25})).protocol
     assert not protocol.benchmark_mode
     assert sample_size(1000, protocol) == 250
 
 
-def _schema(cls, prefix=()):
-    """Every field of the schema, sections included: key path -> annotation."""
-    for f in dataclasses.fields(cls):
-        path = (*prefix, f.name)
-        yield path, f.type
-        section = getattr(scenario_module, f.type, None)
-        if dataclasses.is_dataclass(section):
-            yield from _schema(section, path)
-
-
-SCHEMA = dict(_schema(Scenario))
+SCHEMA = {tuple(path.split(".")): kind for path, kind in field_paths()}
 # Per range kind, the values just outside its range and the edges it keeps.
 OUTSIDE = {"Positive": [0], "NonNegative": [-1], "Probability": [-0.1, 1.5],
            "Count": [0], "Optional[Count]": [0]}
@@ -245,24 +251,28 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     (("receiver", "jitter_fwhm_ps"), 1e300, "receiver.jitter_fwhm_ps"),
     (("channel", "fading_block_ms"), 1e-300, "channel.fading_block_ms"),
     (("receiver", "background_rate_cps_per_apd"), 1e300, "receiver.background_rate_cps_per_apd"),
+    # jitter tails past detect's 2^61 ps key span: once loaded, then crashed inside the run
+    (("receiver", "jitter_fwhm_ps"), 1e18, "receiver.jitter_fwhm_ps"),
+    # not a schema field: a file's metadata is free-form, yet no override path
+    (("receiver", "bogus"), 1, "receiver.bogus"),
+    (("metadata", "weather"), "rain", "metadata.weather"),
 ])
 def test_malformed_value_names_field(keys, value, field):
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    *parents, leaf = keys
-    target = doc
-    for key in parents:
-        target = target[key]
-    target[leaf] = value
+    # a file and an override name the same field
+    assert _outcome(lambda: BASE.override({".".join(keys): value})) == field
+    if keys[0] != "metadata":
+        assert _outcome(lambda: scenario_from_dict(_doc_with(keys, value))) == field
+
+
+def test_override_refuses_a_path_inside_a_section_it_replaces():
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(doc)
-    assert err.value.field == field
+        BASE.override({"sync": {}, "sync.gate_width_ps": 400.0})
+    assert err.value.field == "sync.gate_width_ps"
 
 
 def test_integer_fields_keep_their_edges():
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    doc["protocol"].update(session_id=2**64 - 1, rng_seed=0, n_pulses=1000)
-    doc["channel"]["propagation_delay_ps"] = -5
-    sc = scenario_from_dict(doc)
+    sc = scenario_from_dict(_doc_with(("channel", "propagation_delay_ps"), -5,
+                                      session_id=2**64 - 1, rng_seed=0, n_pulses=1000))
     assert (sc.protocol.session_id, sc.n_pulses, sc.channel.delay_ps()) == (2**64 - 1, 1000, -5)
 
 
@@ -279,13 +289,7 @@ def test_integer_fields_keep_their_edges():
 ])
 def test_float_fields_keep_their_edges(keys, value):
     # an int is a number and 0 m is a link; the loader takes both as they are
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    *parents, leaf = keys
-    target = doc
-    for key in parents:
-        target = target.setdefault(key, {})
-    target[leaf] = value
-    sc = scenario_from_dict(doc)
+    sc = scenario_from_dict(_doc_with(keys, value))
     for key in keys:
         sc = getattr(sc, key)
     assert sc == (tuple(value) if isinstance(value, list) else value)
@@ -320,27 +324,25 @@ JSON_VALUES = st.recursive(
 @example(path=("channel", "propagation_delay_ps"), value=2**70)
 @example(path=("sync", "true_clock", "offset_ps"), value=1e300)
 def test_any_json_value_in_any_field_loads_or_names_its_section(path, value):
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    *parents, leaf = path
-    target = doc
-    for key in parents:
-        target = target.setdefault(key, {})
-    target[leaf] = value
     try:
-        assert isinstance(scenario_from_dict(doc), Scenario)
+        assert isinstance(scenario_from_dict(_doc_with(path, value)), Scenario)
     except ConfigError as err:
         allowed = [path[0]]
         if path == ("source", "rep_rate_hz"):
             # the period is judged against the gate and the session length
             allowed += ["sync.gate_width_ps", "duration_s"]
         assert any(err.field == a or err.field.startswith(a + ".") for a in allowed), err
+    # an override changes one field of the loaded scenario, where the file's
+    # "sample_fraction": "all" is two fields: with both written out, the file
+    # loads the same scenario or names the same field
+    spelled_out = _doc_with(path, value, sample_fraction=1.0, benchmark_mode=True)
+    assert (_outcome(lambda: BASE.override({".".join(path): value}))
+            == _outcome(lambda: scenario_from_dict(spelled_out)))
 
 
 def test_gate_must_fit_in_period():
-    doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
-    doc["sync"]["gate_width_ps"] = 10_000.0
     with pytest.raises(ConfigError):
-        scenario_from_dict(doc)
+        scenario_from_dict(_doc_with(("sync", "gate_width_ps"), 10_000.0))
 
 
 def test_sync_block_count_must_be_positive():

@@ -8,32 +8,27 @@ sync, the retro link's weak V emitter under acquired drift, and a faded
 daylight link.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from fsbb84.runner import run_in_process
-from fsbb84.scenario import DISCARD, bundled_scenario
+from fsbb84.scenario import DISCARD, RANDOM_BIT, bundled_scenario
 
 
-def _dense(policy=None):
+def _dense(policy=RANDOM_BIT):
     # 0 m link, lossless receiver: ~4.5e-2 tags per pulse, hundreds of
     # multi-click pulses; a sampled QBER keeps three quarters of the key.
-    sc = bundled_scenario("table2_beam_expanders", seed=5)
-    rx = replace(sc.receiver, efficiency_db=0.0, misalignment_deg=6.0)
-    if policy is not None:
-        rx = replace(rx, double_click_policy=policy)
-    return replace(sc, channel=replace(sc.channel, distance_m=0.0, extra_loss_db=3.0),
-                   receiver=rx,
-                   protocol=replace(sc.protocol, n_pulses=1_000_000, sample_fraction=0.25,
-                                    benchmark_mode=False))
+    return bundled_scenario("table2_beam_expanders", seed=5).override({
+        "channel.distance_m": 0.0, "channel.extra_loss_db": 3.0,
+        "receiver.efficiency_db": 0.0, "receiver.misalignment_deg": 6.0,
+        "receiver.double_click_policy": policy,
+        "protocol.n_pulses": 1_000_000, "protocol.sample_fraction": 0.25,
+        "protocol.benchmark_mode": False})
 
 
 def _bundled(name, seed, beacon=False, **channel):
-    sc = bundled_scenario(name, seed=seed)
-    return replace(sc, channel=replace(sc.channel, **channel),
-                   sync=replace(sc.sync, beacon_assisted=beacon),
-                   protocol=replace(sc.protocol, n_pulses=20_000_000))
+    return bundled_scenario(name, seed=seed).override({
+        **{f"channel.{k}": v for k, v in channel.items()},
+        "sync.beacon_assisted": beacon, "protocol.n_pulses": 20_000_000})
 
 
 def _counts(arrivals, tags, per_detector, accepted, rejected, multi, discarded, reported):

@@ -58,9 +58,7 @@ def _inline_alice(scenario):
 
 
 def test_session_id_mismatch_aborts(fast_scenario):
-    other = dataclasses.replace(
-        fast_scenario,
-        protocol=dataclasses.replace(fast_scenario.protocol, session_id=2))
+    other = fast_scenario.override({"protocol.session_id": 2})
     alice = _inline_alice(fast_scenario)
     bob = run_session(ROLE_BOB, StreamTransport(alice), other)
     assert bob.abort and alice.result.abort

@@ -1,6 +1,5 @@
 """Sync module: folding, clock recovery, gating and assignment."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -151,8 +150,7 @@ def test_recover_refined_stream_passes_significance_guard():
     # acquisition, whose first sub-span holds this whole 0.1 s stream, stops
     # 0.008 ppm off (4.3x), and the guard judges the refined mapping
     # (0.0003 ppm off, 8x).
-    sc = bundled_scenario("table2_collimators", seed=500015)
-    sc = dataclasses.replace(sc, duration_s=0.1)
+    sc = bundled_scenario("table2_collimators", seed=500015).override({"duration_s": 0.1})
     qp = simulate_quantum_phase(sc)
     assert abs(qp.clock.drift_ppm - sc.sync.true_clock.drift_ppm) < 0.5
 
@@ -358,8 +356,7 @@ def _assert_matches_reference(tags, period, gate_width_ps, block_count, **kwargs
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
 def test_recover_clock_matches_reference_on_bundled_streams(name):
-    sc = bundled_scenario(name, seed=7)
-    sc = dataclasses.replace(sc, protocol=dataclasses.replace(sc.protocol, n_pulses=20_000_000))
+    sc = bundled_scenario(name, seed=7).override({"protocol.n_pulses": 20_000_000})
     tags = simulate_quantum_phase(sc).tags
     known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
     _assert_matches_reference(tags, sc.source.period_ps, sc.sync.gate_width_ps,

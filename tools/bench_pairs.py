@@ -73,12 +73,11 @@ TRACED = ("source.busy_s", "channel.busy_s",
 # Bob's stages of one bundled session, each timed on its own, then the whole
 # two-party session; two calls per process, the second one warm.
 _STAGES = """
-import dataclasses, json, resource, sys, time, tracemalloc
+import json, resource, sys, time, tracemalloc
 from fsbb84 import analysis, channel, receiver, runner, simulate, sync
 from fsbb84.scenario import bundled_scenario
-sc = bundled_scenario(sys.argv[1])
-sc = dataclasses.replace(sc, duration_s=float(sys.argv[2]),
-                         sync=dataclasses.replace(sc.sync, beacon_assisted=sys.argv[3] == "1"))
+sc = bundled_scenario(sys.argv[1]).override(
+    {"duration_s": float(sys.argv[2]), "sync.beacon_assisted": sys.argv[3] == "1"})
 src, rx = sc.source, sc.receiver
 out = []
 for _ in range(2):
