@@ -3,7 +3,7 @@
 Frame layout (all integers little-endian)::
 
     magic   4 bytes  "QKD1"
-    version u8       currently 1
+    version u8       currently 2
     type    u8       message type code
     length  u32      payload byte count
     payload length bytes
@@ -15,8 +15,6 @@ u8 that must be 0 or 1)::
 
     type  message           payload
     0x01  HELLO             session_id u64, role flag (0 alice, 1 bob), scenario_hash 32 bytes
-    0x02  SESSION_PARAMS    session_id u64, n_pulses u64, qber_abort_threshold f64,
-                            sample_fraction f64, benchmark_mode flag, sample_seed u64
     0x10  DETECTION_REPORT  n u64, pulse_index u64[n], basis bits[n]
     0x11  MATCH_MASK        n u64, mask bits[n]
     0x20  SAMPLE_INDICES    n u64, positions u64[n]
@@ -43,7 +41,7 @@ import numpy as np
 from ..errors import CorruptFrameError, NeedMoreBytes
 
 MAGIC = b"QKD1"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<4sBBI")
 TRAILER = struct.Struct("<I")
 MAX_PAYLOAD = 1 << 28  # 256 MiB guard against absurd length fields
@@ -51,7 +49,6 @@ MAX_PAYLOAD = 1 << 28  # 256 MiB guard against absurd length fields
 
 class MsgType(IntEnum):
     HELLO = 0x01
-    SESSION_PARAMS = 0x02
     DETECTION_REPORT = 0x10
     MATCH_MASK = 0x11
     SAMPLE_INDICES = 0x20
@@ -164,19 +161,6 @@ class Hello(_Fixed):
         if len(self.scenario_hash) != 32:
             raise ValueError("scenario_hash must be 32 bytes")
         return super().pack()
-
-
-@_message
-class SessionParamsMsg(_Fixed):
-    TYPE = MsgType.SESSION_PARAMS
-    LAYOUT = struct.Struct("<QQddBQ")
-    FLAGS = {"benchmark_mode": bool}
-    session_id: int
-    n_pulses: int
-    qber_abort_threshold: float
-    sample_fraction: float
-    benchmark_mode: bool
-    sample_seed: int
 
 
 @_message

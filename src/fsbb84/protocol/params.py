@@ -13,19 +13,17 @@ ROLE_ALICE, ROLE_BOB = "alice", "bob"
 
 @dataclass(frozen=True)
 class SessionParams:
-    """Two-party session contract.
+    """Two-party session contract, agreed through the HELLO scenario hash.
 
     ``sample_fraction`` is the share of sifted bits disclosed for QBER
-    estimation; benchmark mode (off unless set, or selected in a scenario
-    file by ``"sample_fraction": "all"``) discloses everything and keeps
-    nothing, which is how the reference measurements are reproduced.
-    ``rng_seed`` drives Bob's sample selection.
+    estimation; 1.0 discloses everything and keeps nothing, which is how
+    the reference measurements are reproduced. ``rng_seed`` drives Bob's
+    sample selection.
     """
 
     session_id: Seed = 1
     qber_abort_threshold: float = DEFAULT_QBER_ABORT_THRESHOLD
     sample_fraction: float = 1.0
-    benchmark_mode: bool = False
     rng_seed: Seed = 0
     n_pulses: Optional[Count] = None
 

@@ -3,16 +3,18 @@
 Each role is a sans-I/O generator (:func:`session_party`, driven over a
 transport by :func:`run_session`), and both walk the same phases::
 
-    HELLO -> SESSION_PARAMS -> (quantum phase) -> DETECTION_REPORT
-          -> MATCH_MASK -> SAMPLE_INDICES + SAMPLE_BITS -> QBER_RESULT
+    HELLO -> (quantum phase) -> DETECTION_REPORT -> MATCH_MASK
+          -> SAMPLE_INDICES + SAMPLE_BITS -> QBER_RESULT
           -> DONE (or ABORT at any decision point)
 
-Bob measures and reports pulse indices with the measurement basis only.
-Alice answers with the basis-match mask. Bob then discloses a random
-sample of his sifted bits; Alice counts mismatches, publishes the QBER,
-and both abort if it exceeds the threshold. In benchmark mode the whole
-sifted key is disclosed, which reproduces the reference measurements'
-bookkeeping (sifted rate counts all basis-matched bits).
+HELLO's scenario hash covers every protocol parameter, so equal hashes
+are the parties' whole parameter agreement. Bob measures and reports
+pulse indices with the measurement basis only. Alice answers with the
+basis-match mask. Bob then discloses a random sample of his sifted bits;
+Alice counts mismatches, publishes the QBER, and both abort if it
+exceeds the threshold. A ``sample_fraction`` of 1.0 discloses the whole
+sifted key, which reproduces the reference measurements' bookkeeping
+(sifted rate counts all basis-matched bits).
 
 A party's session ends in one of three ways:
 
@@ -51,7 +53,7 @@ from ..simulate import QuantumPhase, simulate_quantum_phase
 from ..scenario import Scenario, SourceConfig
 from ..source import pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
-                      QberResult, SampleBits, SampleIndices, SessionParamsMsg)
+                      QberResult, SampleBits, SampleIndices)
 from .params import ROLE_ALICE, ROLE_BOB, SessionParams, SiftedKey
 
 _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
@@ -100,7 +102,7 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
 
 def sample_size(key_length: int, params: SessionParams) -> int:
     """How many sifted positions Bob discloses for QBER estimation."""
-    if params.benchmark_mode or params.sample_fraction >= 1.0:
+    if params.sample_fraction >= 1.0:
         return key_length
     # exact decimal ceiling: in floats 0.07 * 100 = 7.000000000000001
     return math.ceil(Fraction(str(params.sample_fraction)) * key_length)
@@ -184,18 +186,6 @@ def _abort_report(scenario: Scenario, scenario_hash: bytes, role: str,
                    abort_reason=reason)
 
 
-def _session_params_msg(scenario: Scenario) -> SessionParamsMsg:
-    p = scenario.protocol
-    return SessionParamsMsg(
-        session_id=p.session_id,
-        n_pulses=scenario.n_pulses,
-        qber_abort_threshold=p.qber_abort_threshold,
-        sample_fraction=p.sample_fraction,
-        benchmark_mode=p.benchmark_mode,
-        sample_seed=p.rng_seed,
-    )
-
-
 class _Abort(Exception):
     """Ends the session in an abort report; ``notice`` is the ABORT text for the peer."""
 
@@ -247,7 +237,7 @@ def session_party(role: str, scenario: Scenario, phase_box: list,
         raise ValueError(f"role must be '{ROLE_ALICE}' or '{ROLE_BOB}'")
     scenario_hash = scenario.hash_bytes()  # HELLO, the peer's check and the report
     try:
-        # --- HELLO exchange -------------------------------------------------
+        # --- HELLO: equal scenario hashes are the whole parameter agreement --
         yield Hello(session_id=scenario.protocol.session_id, role=_ROLE_CODE[role],
                     scenario_hash=scenario_hash)
         peer = _expect((yield), Hello)
@@ -257,15 +247,8 @@ def session_party(role: str, scenario: Scenario, phase_box: list,
             raise _Abort("session-id-mismatch", "session id mismatch")
         if peer.scenario_hash != scenario_hash:
             raise _Abort("parameter-mismatch", "scenario hash mismatch")
-
-        # --- SESSION_PARAMS (Alice authoritative, Bob verifies) -------------
-        phase_box[0] = "params"
-        local_params = _session_params_msg(scenario)
         if role == ROLE_ALICE:
-            yield local_params
             return (yield from _run_alice(scenario, scenario_hash, phase_box))
-        if _expect((yield), SessionParamsMsg) != local_params:
-            raise _Abort("parameter-mismatch", "session parameter mismatch")
         return (yield from _run_bob(scenario, scenario_hash, replay_tags, quantum, phase_box))
     except (ProtocolViolationError, CorruptFrameError) as e:
         end = _Abort(f"protocol-violation: {e}", str(e))

@@ -306,11 +306,7 @@ def scenario_from_dict(doc: dict, name_hint: str = "") -> Scenario:
     """Build a Scenario from parsed JSON, naming the offending field on error."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object", "")
-    doc = {"name": name_hint or "unnamed", **doc}
-    protocol = doc.get("protocol")
-    if isinstance(protocol, dict) and protocol.get("sample_fraction") == "all":
-        doc["protocol"] = dict(protocol, sample_fraction=1.0, benchmark_mode=True)
-    return _build(Scenario, doc, "")
+    return _build(Scenario, {"name": name_hint or "unnamed", **doc}, "")
 
 
 BUNDLED_NAMES = (

@@ -1,7 +1,11 @@
 """Shared fixtures: compact scenarios that run in milliseconds."""
 
+import struct
+import zlib
+
 import pytest
 
+from fsbb84.protocol.framing import VERSION
 from fsbb84.protocol.params import SessionParams
 from fsbb84.scenario import (ChannelConfig, ReceiverConfig, Scenario, SourceConfig, SyncSettings,
                              TrueClock)
@@ -12,10 +16,9 @@ def make_fast_scenario(name="fast", duration_s=0.002, seed=100, *,
                        misalignment_deg=0.0, background_cps=0.0,
                        jitter_fwhm_ps=0.0, dead_time_ns=0.0,
                        offset_ps=4321.0, drift_ppm=5.0, gate_width_ps=500.0,
-                       qber_abort_threshold=0.10, sample_fraction="all",
+                       qber_abort_threshold=0.10, sample_fraction=1.0,
                        fading_sigma=0.0, retro=False) -> Scenario:
     """High-rate, low-loss scenario: plenty of clicks from few pulses."""
-    benchmark = sample_fraction == "all"
     return Scenario(
         name=name,
         duration_s=duration_s,
@@ -36,10 +39,15 @@ def make_fast_scenario(name="fast", duration_s=0.002, seed=100, *,
                           true_clock=TrueClock(offset_ps=offset_ps, drift_ppm=drift_ppm)),
         protocol=SessionParams(
             session_id=1, qber_abort_threshold=qber_abort_threshold,
-            sample_fraction=1.0 if benchmark else sample_fraction,
-            benchmark_mode=benchmark, rng_seed=seed + 3),
+            sample_fraction=sample_fraction, rng_seed=seed + 3),
         metadata={"purpose": "test"},
     )
+
+
+def crc_valid_frame(mtype, payload: bytes, version: int = VERSION) -> bytes:
+    """A frame that passes the checksum whatever its header and payload hold."""
+    header = struct.pack("<4sBBI", b"QKD1", version, int(mtype), len(payload))
+    return header + payload + struct.pack("<I", zlib.crc32(header + payload))
 
 
 @pytest.fixture

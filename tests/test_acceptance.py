@@ -16,8 +16,7 @@ from fsbb84.analysis import atmospheric_loss_db, predict
 from fsbb84.errors import CorruptFrameError, NeedMoreBytes, SyncFailureError
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello,
                                      MatchMask, QberResult, SampleBits,
-                                     SampleIndices, SessionParamsMsg,
-                                     decode_frame, encode_frame)
+                                     SampleIndices, decode_frame, encode_frame)
 from fsbb84.protocol.params import SessionParams
 from fsbb84.runner import run_in_process
 from fsbb84.scenario import (BUNDLED_NAMES, ChannelConfig, ReceiverConfig, Scenario,
@@ -278,25 +277,20 @@ def _message_batch(mtype: int, n: int, rng) -> list:
             out.append(Hello(session_id=int(rng.integers(2**63)), role=k & 1,
                              scenario_hash=rng.integers(0, 256, 32, dtype=np.uint8).tobytes()))
         elif mtype == 1:
-            out.append(SessionParamsMsg(session_id=k, n_pulses=m + 1,
-                                        qber_abort_threshold=0.1 + 0.001 * m,
-                                        sample_fraction=(m + 1) / 24.0,
-                                        benchmark_mode=bool(k & 1), sample_seed=k))
-        elif mtype == 2:
             out.append(DetectionReport(
                 pulse_index=np.cumsum(rng.integers(1, 100, m)).astype(np.int64),
                 basis=rng.integers(0, 2, m, dtype=np.uint8)))
-        elif mtype == 3:
+        elif mtype == 2:
             out.append(MatchMask(mask=rng.integers(0, 2, m, dtype=np.uint8)))
-        elif mtype == 4:
+        elif mtype == 3:
             out.append(SampleIndices(
                 positions=np.cumsum(rng.integers(1, 50, m)).astype(np.int64)))
-        elif mtype == 5:
+        elif mtype == 4:
             out.append(SampleBits(bits=rng.integers(0, 2, m, dtype=np.uint8)))
-        elif mtype == 6:
+        elif mtype == 5:
             out.append(QberResult(disclosed_count=m, error_count=min(m, k % 7),
                                   qber=m / 24.0, abort=bool(k & 1)))
-        elif mtype == 7:
+        elif mtype == 6:
             out.append(Abort(reason="r" * m))
         else:
             out.append(Done(session_id=k))
@@ -305,8 +299,9 @@ def _message_batch(mtype: int, n: int, rng) -> list:
 
 def test_criterion_8_wire_protocol():
     rng = np.random.default_rng(88)
-    per_type = 100_000
-    for mtype in range(9):
+    n_types = 8
+    per_type = 900_000 // n_types
+    for mtype in range(n_types):
         for msg in _message_batch(mtype, per_type, rng):
             decoded, _ = decode_frame(encode_frame(msg))
             assert decoded == msg
@@ -356,7 +351,7 @@ def test_criterion_8_wire_protocol():
     identical = net_bob.canonical_json() == in_proc_bob.canonical_json()
     ok &= identical
     _report("criterion 8 (wire protocol)", ok,
-            f"9x{per_type} roundtrips ok, fuzz 1e6: crashes={crashes} parsed={parsed}, "
+            f"{n_types}x{per_type} roundtrips ok, fuzz 1e6: crashes={crashes} parsed={parsed}, "
             f"tcp-vs-inproc byte-identical={identical}")
 
 

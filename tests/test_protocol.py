@@ -2,10 +2,10 @@
 
 import dataclasses
 import math
+import re
 import socket
 import struct
 import threading
-import zlib
 
 import numpy as np
 import pytest
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from fsbb84.errors import (CorruptFrameError, InconclusiveSessionError,
                            NeedMoreBytes, ProtocolViolationError)
-from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask,
-                                     QberResult, SampleBits, SampleIndices, SessionParamsMsg,
+from fsbb84.protocol import framing
+from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
+                                     QberResult, SampleBits, SampleIndices, VERSION,
                                      decode_frame, encode_frame)
 from fsbb84.protocol.params import ROLE_ALICE, SessionParams, SiftedKey
 from fsbb84.protocol.session import (_count_errors, alice_match, bob_detection_report,
@@ -28,35 +29,28 @@ from fsbb84.channel import transmit_stream
 from fsbb84.scenario import ChannelConfig, SourceConfig
 from fsbb84.source import SHARD_SIZE, pulse_states
 
-from conftest import make_fast_scenario
+from conftest import crc_valid_frame, make_fast_scenario
 
 
 def _random_message(rng):
-    t = rng.integers(0, 9)
+    t = rng.integers(0, 8)
     n = int(rng.integers(0, 50))
     if t == 0:
         return Hello(session_id=int(rng.integers(0, 2**63)), role=int(rng.integers(0, 2)),
                      scenario_hash=bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
     if t == 1:
-        return SessionParamsMsg(session_id=int(rng.integers(0, 2**32)),
-                                n_pulses=int(rng.integers(1, 2**40)),
-                                qber_abort_threshold=float(rng.random() * 0.4),
-                                sample_fraction=float(rng.random()),
-                                benchmark_mode=bool(rng.integers(0, 2)),
-                                sample_seed=int(rng.integers(0, 2**63)))
-    if t == 2:
         idx = np.sort(rng.choice(2**40, size=n, replace=False)).astype(np.int64)
         return DetectionReport(pulse_index=idx, basis=rng.integers(0, 2, n, dtype=np.uint8))
-    if t == 3:
+    if t == 2:
         return MatchMask(mask=rng.integers(0, 2, n, dtype=np.uint8))
-    if t == 4:
+    if t == 3:
         return SampleIndices(positions=np.sort(rng.choice(2**30, size=n, replace=False)).astype(np.int64))
-    if t == 5:
+    if t == 4:
         return SampleBits(bits=rng.integers(0, 2, n, dtype=np.uint8))
-    if t == 6:
+    if t == 5:
         return QberResult(disclosed_count=n, error_count=int(rng.integers(0, n + 1)),
                           qber=float(rng.random()), abort=bool(rng.integers(0, 2)))
-    if t == 7:
+    if t == 6:
         return Abort(reason="".join(chr(c) for c in rng.integers(32, 127, size=n)))
     return Done(session_id=int(rng.integers(0, 2**63)))
 
@@ -105,24 +99,17 @@ def test_checksum_corruption_detected():
 
 
 def test_bad_magic_version_type():
-    good = bytearray(encode_frame(Done(session_id=1)))
-    bad_magic = bytearray(good)
+    bad_magic = bytearray(encode_frame(Done(session_id=1)))
     bad_magic[0] = ord("X")
     with pytest.raises(CorruptFrameError):
         decode_frame(bytes(bad_magic))
-    import zlib
-
-    def refrm(version=1, mtype=0x31):
-        import struct
-        payload = struct.pack("<Q", 1)
-        header = struct.pack("<4sBBI", b"QKD1", version, mtype, len(payload))
-        crc = zlib.crc32(header + payload)
-        return header + payload + struct.pack("<I", crc)
-
-    with pytest.raises(CorruptFrameError):
-        decode_frame(refrm(version=9))
-    with pytest.raises(CorruptFrameError):
-        decode_frame(refrm(mtype=0x7F))
+    payload = struct.pack("<Q", 1)
+    assert decode_frame(crc_valid_frame(0x31, payload))[0] == Done(session_id=1)
+    # version 1 sent a parameter message (type 0x02) after HELLO: such a peer is
+    # refused at its first frame
+    for version, mtype in [(9, 0x31), (1, 0x31), (VERSION, 0x7F), (VERSION, 0x02)]:
+        with pytest.raises(CorruptFrameError):
+            decode_frame(crc_valid_frame(mtype, payload, version))
 
 
 def test_fuzz_no_crashes():
@@ -146,42 +133,32 @@ def test_multiple_frames_in_buffer():
     assert m1 == a and m2 == b and off == len(buf)
 
 
-def _frame(mtype, payload: bytes) -> bytes:
-    """A CRC-valid frame around an arbitrary payload."""
-    header = struct.pack("<4sBBI", b"QKD1", 1, int(mtype), len(payload))
-    return header + payload + struct.pack("<I", zlib.crc32(header + payload))
-
-
 def _assert_rejected(cls, payload: bytes):
     with pytest.raises(CorruptFrameError):
         cls.unpack(payload)
     with pytest.raises(CorruptFrameError):
-        decode_frame(_frame(cls.TYPE, payload))
+        decode_frame(crc_valid_frame(cls.TYPE, payload))
 
 
 # One fixed instance of each message type and its frame, byte for byte.
 _GOLDEN = [
     (Hello(session_id=0x0102030405060708, role=1, scenario_hash=bytes(range(32))),
-     "514b4431010129000000080706050403020101000102030405060708090a0b0c0d0e0f10111213141516"
-     "1718191a1b1c1d1e1f2aecdc12"),
-    (SessionParamsMsg(session_id=7, n_pulses=20_000_000, qber_abort_threshold=0.1,
-                      sample_fraction=0.07, benchmark_mode=True, sample_seed=2**63 + 5),
-     "514b44310102290000000700000000000000002d3101000000009a9999999999b93fec51b81e85ebb13f01"
-     "0500000000000080128d3912"),
+     "514b4431020129000000080706050403020101000102030405060708090a0b0c0d0e0f10111213141516"
+     "1718191a1b1c1d1e1f85f157a9"),
     (DetectionReport(pulse_index=[3, 7, 2**63 - 1], basis=[1, 0, 1]),
-     "514b4431011021000000030000000000000003000000000000000700000000000000ffffffffffffff7f05"
-     "634500f8"),
+     "514b4431021021000000030000000000000003000000000000000700000000000000ffffffffffffff7f05"
+     "98599b2b"),
     (MatchMask(mask=[1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]),
-     "514b443101110a0000000b000000000000004d07ef4b97f5"),
+     "514b443102110a0000000b000000000000004d071dff5fdc"),
     (SampleIndices(positions=[0, 5, 2**40]),
-     "514b443101202000000003000000000000000000000000000000050000000000000000000000000100"
-     "00852e1729"),
-    (SampleBits(bits=[0, 1, 1, 0, 1]), "514b4431012109000000050000000000000016e2b382b5"),
+     "514b443102202000000003000000000000000000000000000000050000000000000000000000000100"
+     "00e22eff64"),
+    (SampleBits(bits=[0, 1, 1, 0, 1]), "514b44310221090000000500000000000000169bd9ffa4"),
     (QberResult(disclosed_count=100, error_count=3, qber=0.03, abort=False),
-     "514b443101221900000064000000000000000300000000000000b81e85eb51b89e3f00b5ad0384"),
+     "514b443102221900000064000000000000000300000000000000b81e85eb51b89e3f00c6942b97"),
     (Abort(reason="QBER_RESULT d\u00e9j\u00e0 vu"),
-     "514b4431013015000000514245525f524553554c542064c3a96ac3a0207675b5a84054"),
-    (Done(session_id=42), "514b44310131080000002a00000000000000c239e252"),
+     "514b4431023015000000514245525f524553554c542064c3a96ac3a02076757685d4e7"),
+    (Done(session_id=42), "514b44310231080000002a00000000000000191c832e"),
 ]
 
 
@@ -192,6 +169,11 @@ def test_golden_frames_and_exact_payload_sizes(msg, frame):
     if not isinstance(msg, Abort):  # every other payload has one exact size
         _assert_rejected(type(msg), msg.pack()[:-1])
         _assert_rejected(type(msg), msg.pack() + b"\0")
+
+
+def test_docstring_payload_table_lists_every_message_type():
+    rows = re.findall(r"^    0x([0-9a-f]{2})  ([A-Z_]+) ", framing.__doc__, re.MULTILINE)
+    assert [(int(code, 16), name) for code, name in rows] == [(int(t), t.name) for t in MsgType]
 
 
 def test_array_fields_of_unequal_length_do_not_encode():
@@ -214,9 +196,7 @@ def test_decoders_reject_non_canonical_encodings():
         _assert_rejected(cls, bytes(7))  # shorter than its count
     # flags are 0 or 1, and decode as bool where the field is one
     _assert_rejected(Hello, struct.pack("<QB", 1, 2) + bytes(32))
-    _assert_rejected(SessionParamsMsg, struct.pack("<QQddBQ", 1, 2, 0.1, 1.0, 2, 3))
     _assert_rejected(QberResult, struct.pack("<QQdB", 4, 1, 0.25, 2))
-    assert SessionParamsMsg.unpack(struct.pack("<QQddBQ", 1, 2, 0.1, 1.0, 1, 3)).benchmark_mode is True
     assert QberResult.unpack(struct.pack("<QQdB", 4, 1, 0.25, 0)).abort is False
 
 
@@ -402,10 +382,10 @@ def _keys(bits_a, bits_b):
 
 def test_qber_identical_keys():
     a, b = _keys([0, 1, 1, 0] * 50, [0, 1, 1, 0] * 50)
-    params = SessionParams(benchmark_mode=True)
+    params = SessionParams(sample_fraction=1.0)
     rep, rem_a, rem_b = estimate_qber(a, b, params, np.random.default_rng(0))
     assert rep.qber == 0.0 and not rep.abort
-    assert len(rem_a) == 0  # benchmark discloses everything
+    assert len(rem_a) == 0  # a sample fraction of 1 discloses everything
 
 
 def test_qber_above_threshold_aborts():
@@ -437,7 +417,7 @@ def test_qber_known_flip_rate_counted_exactly():
     b_bits = a_bits.copy()
     b_bits[flip_at] ^= 1
     a, b = _keys(a_bits, b_bits)
-    rep, _, _ = estimate_qber(a, b, SessionParams(benchmark_mode=True),
+    rep, _, _ = estimate_qber(a, b, SessionParams(sample_fraction=1.0),
                               np.random.default_rng(5))
     assert rep.error_count == n // 20
     assert rep.qber == 0.05
@@ -448,7 +428,7 @@ def test_qber_sampled_mode_removes_disclosed():
     n = 10_000
     bits = rng.integers(0, 2, n, dtype=np.uint8)
     a, b = _keys(bits, bits)
-    params = SessionParams(sample_fraction=0.25, benchmark_mode=False, rng_seed=7)
+    params = SessionParams(sample_fraction=0.25, rng_seed=7)
     rep, rem_a, rem_b = estimate_qber(a, b, params, np.random.default_rng(7))
     assert rep.disclosed_count == 2_500
     assert len(rem_a) == 7_500
@@ -469,14 +449,14 @@ def test_qber_sample_must_be_unique_increasing_and_full_size():
     # ten disclosures of position 0 on a 5-bit key once gave QBER 0 and a
     # remaining key of -5 bits
     a, _ = _keys([1, 0, 1, 1, 0], [1, 0, 1, 1, 0])
-    bench = SessionParams(benchmark_mode=True)
+    bench = SessionParams(sample_fraction=1.0)
     with pytest.raises(ProtocolViolationError):
         _count_errors(a, np.zeros(10, dtype=np.int64), np.ones(10, dtype=np.uint8), bench)
     with pytest.raises(ProtocolViolationError):  # right size, duplicated
         _count_errors(a, np.array([0, 1, 1, 2, 3]), np.ones(5, dtype=np.uint8), bench)
     with pytest.raises(ProtocolViolationError):  # unique but short
         _count_errors(a, np.array([0, 1, 2, 3]), np.ones(4, dtype=np.uint8), bench)
-    sampled = SessionParams(sample_fraction=0.5, benchmark_mode=False)  # ceil(2.5) = 3
+    sampled = SessionParams(sample_fraction=0.5)  # ceil(2.5) = 3
     with pytest.raises(ProtocolViolationError):
         _count_errors(a, np.array([0, 2]), np.ones(2, dtype=np.uint8), sampled)
     with pytest.raises(ProtocolViolationError):
@@ -498,7 +478,6 @@ def test_alice_aborts_on_malformed_sample(fast_scenario, positions):
     t_bob.send_message(Hello(session_id=sc.protocol.session_id, role=1,
                              scenario_hash=sc.hash_bytes()))
     assert isinstance(t_bob.recv_message(), Hello)
-    assert isinstance(t_bob.recv_message(), SessionParamsMsg)
     t_bob.send_message(bob_detection_report(qp.classified_index, qp.classified_detector))
     key_length = int(t_bob.recv_message().mask.sum())
     n = key_length if positions == "duplicated" else key_length - 1
@@ -515,8 +494,8 @@ def test_alice_aborts_on_malformed_sample(fast_scenario, positions):
 
 def test_select_sample_sizes():
     rng = np.random.default_rng(9)
-    assert len(select_sample(100, SessionParams(benchmark_mode=True), rng)) == 100
-    params = SessionParams(sample_fraction=0.1, benchmark_mode=False)
+    assert len(select_sample(100, SessionParams(sample_fraction=1.0), rng)) == 100
+    params = SessionParams(sample_fraction=0.1)
     pos = select_sample(1000, params, rng)
     assert len(pos) == 100
     assert len(np.unique(pos)) == 100
@@ -525,7 +504,7 @@ def test_select_sample_sizes():
 
 def test_sample_size_is_exact_decimal_ceiling():
     # in floating point 0.07 * 100 = 7.000000000000001, whose ceiling is 8
-    params = SessionParams(sample_fraction=0.07, benchmark_mode=False)
+    params = SessionParams(sample_fraction=0.07)
     assert sample_size(100, params) == 7
     assert all(sample_size(n, params) == -(-7 * n // 100) for n in range(1, 5_000))
 

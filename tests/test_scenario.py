@@ -130,7 +130,7 @@ def test_bundled_scenario_hash_pinned():
     # Peers of different versions agree in the handshake only if the
     # canonical serialization, and so this hash, stays the same.
     assert bundled_scenario("table2_beam_expanders").hash_hex() == (
-        "54387601005f3f3c81c997e333092cd95c15d198126fbcbb49eaae6dc784600f")
+        "12897ec1759ec58c2ae3e26250b0c35c15c3323876c89776d1fb65176db5ae22")
 
 
 def test_scenario_hashed_once_per_session(monkeypatch, fast_scenario):
@@ -175,15 +175,8 @@ def test_invalid_value_names_field():
     assert "visibility_km" in str(err.value)
 
 
-def test_sample_fraction_all_means_benchmark():
-    sc = scenario_from_dict(json.loads(bundled_scenario_text("table2_beam_expanders")))
-    assert sc.protocol.benchmark_mode
-    assert sc.protocol.sample_fraction == 1.0
-
-
 def test_sample_fraction_alone_samples_that_share():
     protocol = scenario_from_dict(_doc_with(("protocol",), {"sample_fraction": 0.25})).protocol
-    assert not protocol.benchmark_mode
     assert sample_size(1000, protocol) == 250
 
 
@@ -220,7 +213,7 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     (("channel", "propagation_delay_ps"), 1.5, "channel.propagation_delay_ps"),
     (("channel", "retro_mode"), "no", "channel.retro_mode"),
     (("sync", "beacon_assisted"), 0, "sync.beacon_assisted"),
-    (("protocol",), {"benchmark_mode": "true"}, "protocol.benchmark_mode"),
+    (("protocol",), {"benchmark_mode": "true"}, "protocol.benchmark_mode"),  # once a flag
     # float, string and array fields: each once loaded, or blamed on another field
     (("channel", "distance_m"), "abc", "channel.distance_m"),
     (("channel", "distance_m"), True, "channel.distance_m"),
@@ -256,6 +249,8 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     # not a schema field: a file's metadata is free-form, yet no override path
     (("receiver", "bogus"), 1, "receiver.bogus"),
     (("metadata", "weather"), "rain", "metadata.weather"),
+    # the "all" shorthand for a sample fraction of 1: once rewritten by the loader
+    (("protocol", "sample_fraction"), "all", "protocol.sample_fraction"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     # a file and an override name the same field
@@ -297,14 +292,14 @@ def test_float_fields_keep_their_edges(keys, value):
 
 def test_integer_valued_document_hash_pinned():
     # duration_s and the mu entries become floats, every other number stays
-    # as written: the hash of this document predates the schema-driven loader
+    # as written: its canonical form predates the schema-driven loader
     doc = json.loads(bundled_scenario_text("table2_beam_expanders"))
     doc["duration_s"] = 10
     doc["source"]["mu_per_state"] = [1, 0, 0.1, 0.1]
     doc["channel"]["distance_m"] = 780
     doc["sync"]["true_clock"] = {"offset_ps": 5, "drift_ppm": 8}
     assert scenario_from_dict(doc).hash_hex() == (
-        "718574301f693d34b356a133a9696c917b6eb2c933ddc66ac814b4aa4d2014f0")
+        "90d02e127dffe0ac0fab80b4cd0f7d9c2e7814aa0bbddf641f86d5f2cec22c64")
 
 
 FIELD_PATHS = sorted(SCHEMA)
@@ -332,12 +327,10 @@ def test_any_json_value_in_any_field_loads_or_names_its_section(path, value):
             # the period is judged against the gate and the session length
             allowed += ["sync.gate_width_ps", "duration_s"]
         assert any(err.field == a or err.field.startswith(a + ".") for a in allowed), err
-    # an override changes one field of the loaded scenario, where the file's
-    # "sample_fraction": "all" is two fields: with both written out, the file
-    # loads the same scenario or names the same field
-    spelled_out = _doc_with(path, value, sample_fraction=1.0, benchmark_mode=True)
+    # an override of one field loads the same scenario as the file with that
+    # field changed, or names the same field
     assert (_outcome(lambda: BASE.override({".".join(path): value}))
-            == _outcome(lambda: scenario_from_dict(spelled_out)))
+            == _outcome(lambda: scenario_from_dict(_doc_with(path, value))))
 
 
 def test_gate_must_fit_in_period():

@@ -21,8 +21,7 @@ def _dense(policy=RANDOM_BIT):
         "channel.distance_m": 0.0, "channel.extra_loss_db": 3.0,
         "receiver.efficiency_db": 0.0, "receiver.misalignment_deg": 6.0,
         "receiver.double_click_policy": policy,
-        "protocol.n_pulses": 1_000_000, "protocol.sample_fraction": 0.25,
-        "protocol.benchmark_mode": False})
+        "protocol.n_pulses": 1_000_000, "protocol.sample_fraction": 0.25})
 
 
 def _bundled(name, seed, beacon=False, **channel):

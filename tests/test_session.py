@@ -5,12 +5,11 @@ import socket
 import struct
 import threading
 import time
-import zlib
 
 import numpy as np
 import pytest
 
-from conftest import make_fast_scenario
+from conftest import crc_valid_frame, make_fast_scenario
 from fsbb84.errors import SessionFailedError, SyncFailureError
 from fsbb84.protocol import session
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
@@ -21,6 +20,7 @@ from fsbb84.protocol.transport import InlinePeer, StreamTransport, connect, list
 from fsbb84.receiver import TimeTags
 from fsbb84 import runner
 from fsbb84.runner import run_in_process
+from fsbb84.scenario import field_paths
 from fsbb84.simulate import simulate_quantum_phase
 
 
@@ -29,7 +29,7 @@ def test_in_process_session_completes(fast_scenario):
     assert bob.completed and alice.completed
     assert not bob.abort
     assert bob.sifted_key_length > 0
-    # benchmark mode: QBER over every sifted bit, nothing kept
+    # a sample fraction of 1: QBER over every sifted bit, nothing kept
     assert bob.qber.disclosed_count == bob.sifted_key_length
     assert bob.remaining_key_length == 0
     assert bob.qber.qber == alice.qber.qber
@@ -57,22 +57,40 @@ def _inline_alice(scenario):
     return InlinePeer(session.session_party(ROLE_ALICE, scenario, ["handshake"]))
 
 
-def test_session_id_mismatch_aborts(fast_scenario):
-    other = fast_scenario.override({"protocol.session_id": 2})
-    alice = _inline_alice(fast_scenario)
-    bob = run_session(ROLE_BOB, StreamTransport(alice), other)
-    assert bob.abort and alice.result.abort
-    assert bob.abort_reason in ("session-id-mismatch", "peer-abort: session id mismatch")
-    assert not bob.sifted_key_length
+# A valid value differing from the fast scenario's, for every protocol field
+# and for one field of the link.
+_OTHER_VALUE = {"protocol.session_id": 2, "protocol.qber_abort_threshold": 0.11,
+                "protocol.sample_fraction": 0.5, "protocol.rng_seed": 7,
+                "protocol.n_pulses": 1_000, "channel.extra_loss_db": 7.0}
 
 
-def test_scenario_hash_mismatch_aborts(fast_scenario):
-    other = make_fast_scenario(extra_loss_db=7.0)
-    alice = _inline_alice(fast_scenario)
-    bob = run_session(ROLE_BOB, StreamTransport(alice), other)
-    assert bob.abort and alice.result.abort
-    assert "mismatch" in bob.abort_reason or "parameter" in bob.abort_reason
-    assert bob.abort_reason.startswith(("parameter-mismatch", "peer-abort"))
+class _Audit(StreamTransport):
+    """Keeps every message it sends in ``sent``."""
+
+    def __init__(self, sock):
+        super().__init__(sock)
+        self.sent = []
+
+    def send_message(self, message):
+        self.sent.append(message)
+        super().send_message(message)
+
+
+@pytest.mark.parametrize("path", [p for p, _ in field_paths() if p.startswith("protocol.")]
+                         + ["channel.extra_loss_db"])
+def test_scenario_hash_mismatch_aborts(fast_scenario, path):
+    # The HELLO hash is the parties' only parameter agreement: a difference
+    # in any protocol field, or in the link, ends both in the handshake,
+    # before any report.
+    other = fast_scenario.override({path: _OTHER_VALUE[path]})
+    alice_phase = ["handshake"]
+    alice = InlinePeer(session.session_party(ROLE_ALICE, fast_scenario, alice_phase))
+    t_bob = _Audit(alice)
+    bob = run_session(ROLE_BOB, t_bob, other)
+    reason = "session-id-mismatch" if path == "protocol.session_id" else "parameter-mismatch"
+    assert bob.abort_reason == alice.result.abort_reason == reason
+    assert alice_phase == ["handshake"]
+    assert [type(m) for m in t_bob.sent] == [Hello, Abort]  # no DETECTION_REPORT
 
 
 def test_transport_death_mid_session(fast_scenario):
@@ -82,7 +100,7 @@ def test_transport_death_mid_session(fast_scenario):
     with pytest.raises(SessionFailedError) as err:
         run_session(ROLE_BOB, t_bob, fast_scenario)
     t_bob.close()
-    assert err.value.phase in ("handshake", "params")
+    assert err.value.phase == "handshake"
     assert str(err.value).count("[phase=") == 1  # the phase is named once
 
 
@@ -182,12 +200,6 @@ def test_short_match_mask_is_a_protocol_violation(fast_scenario):
     assert out["alice"].abort and out["alice"].abort_reason.startswith("peer-abort: mask length")
 
 
-def _crc_valid_frame(mtype, payload):
-    """A frame that passes the framing checks whatever its payload holds."""
-    header = struct.pack("<4sBBI", b"QKD1", 1, mtype, len(payload))
-    return header + payload + struct.pack("<I", zlib.crc32(header + payload))
-
-
 @pytest.mark.parametrize("role", [ROLE_ALICE, ROLE_BOB])
 def test_undecodable_peer_frame_is_a_protocol_violation(fast_scenario, role):
     # A hand-driven peer sends a frame whose checksum holds but whose
@@ -207,9 +219,8 @@ def test_undecodable_peer_frame_is_a_protocol_violation(fast_scenario, role):
     else:
         peer.send_message(Hello(session_id=sc.protocol.session_id, role=0,
                                 scenario_hash=sc.hash_bytes()))
-        peer.send_message(session._session_params_msg(sc))
         assert isinstance(peer.recv_message(), DetectionReport)
-        b_sock.sendall(_crc_valid_frame(MsgType.MATCH_MASK,
+        b_sock.sendall(crc_valid_frame(MsgType.MATCH_MASK,
                                         (3).to_bytes(8, "little") + bytes([0b1000_0101])))
         reason = "non-zero padding bits"
     abort = peer.recv_message()
@@ -240,7 +251,6 @@ def test_wrong_message_type_is_a_protocol_violation(fast_scenario, role, case):
     peer.send_message(Hello(session_id=sc.protocol.session_id,
                             role=1 if role == ROLE_ALICE else 0, scenario_hash=sc.hash_bytes()))
     if role == ROLE_ALICE:
-        assert peer.recv_message() == session._session_params_msg(sc)
         if case == "report":
             peer.send_message(MatchMask(mask=np.ones(3, dtype=bool)))
             reason = "expected DetectionReport, got MatchMask"
@@ -251,7 +261,6 @@ def test_wrong_message_type_is_a_protocol_violation(fast_scenario, role, case):
             peer.send_message(Done(session_id=sc.protocol.session_id))
             reason = "expected Abort on an empty key, got Done"
     else:
-        peer.send_message(session._session_params_msg(sc))
         assert isinstance(peer.recv_message(), DetectionReport)
         peer.send_message(SampleIndices(positions=np.arange(3, dtype=np.int64)))
         reason = "expected MatchMask, got SampleIndices"
@@ -267,16 +276,10 @@ def test_wrong_message_type_is_a_protocol_violation(fast_scenario, role, case):
 
 def test_bob_messages_never_leak_bits(fast_scenario):
     """Information-flow audit: Bob discloses bits only in the QBER sample."""
-    captured = []
-
-    class AuditTransport(StreamTransport):
-        def send_message(self, message):
-            captured.append(message)
-            super().send_message(message)
-
-    t_bob = AuditTransport(_inline_alice(fast_scenario))
+    t_bob = _Audit(_inline_alice(fast_scenario))
     qp = simulate_quantum_phase(fast_scenario)
     bob = run_session(ROLE_BOB, t_bob, fast_scenario, quantum=qp)
+    captured = t_bob.sent
 
     allowed = {MsgType.HELLO, MsgType.DETECTION_REPORT, MsgType.SAMPLE_INDICES,
                MsgType.SAMPLE_BITS, MsgType.DONE, MsgType.ABORT}
@@ -355,7 +358,6 @@ def test_run_in_process_names_bobs_phase_when_alice_stops_answering(fast_scenari
     def alice_goes_quiet(role, scenario, phase_box):  # her handshake, then silence
         yield Hello(session_id=scenario.protocol.session_id, role=0,
                     scenario_hash=scenario.hash_bytes())
-        yield session._session_params_msg(scenario)
         while True:
             yield
 

@@ -198,7 +198,7 @@ def build_scenarios() -> dict[str, dict]:
             "protocol": {
                 "session_id": 1,
                 "qber_abort_threshold": 0.10,
-                "sample_fraction": "all",
+                "sample_fraction": 1.0,
                 "rng_seed": s_proto,
             },
         }
