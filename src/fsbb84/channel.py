@@ -57,8 +57,6 @@ class PhotonArrivals:
 
 def fading_factor(config: ChannelConfig, block_index: int) -> float:
     """Log-normal transmittance factor for one fading block (mean 1)."""
-    if config.fading_sigma == 0.0:
-        return 1.0
     s2 = math.log1p(config.fading_sigma**2)
     g = spawn(config.rng_seed, STREAM_FADING, block_index)
     return float(np.exp(g.normal(-0.5 * s2, math.sqrt(s2))))
@@ -71,7 +69,10 @@ def _fading_block(index, period_ps: float, config: ChannelConfig):
 
 def _block_survival(first_block: int, last_block: int, transmittance: float,
                     config: ChannelConfig) -> list[float]:
-    """Photon survival probability ``min(T * f_b, 1)`` of each block in range."""
+    """Photon survival probability ``min(T * f_b, 1)`` of each block in range,
+    or one ``min(T, 1)`` for them all when the link does not fade."""
+    if config.fading_sigma == 0.0:
+        return [min(transmittance, 1.0)]
     return [min(transmittance * fading_factor(config, b), 1.0)
             for b in range(first_block, last_block + 1)]
 

@@ -28,8 +28,7 @@ from pathlib import Path
 
 from . import analysis
 from .errors import ConfigError, InconclusiveSessionError, SessionFailedError, SyncFailureError
-from .protocol.params import ROLE_ALICE, ROLE_BOB
-from .scenario import BUNDLED_NAMES, load_scenario
+from .scenario import BUNDLED_NAMES, ROLE_ALICE, ROLE_BOB, load_scenario
 
 ENV_OUT_DIR = "FSBB84_OUT_DIR"
 

@@ -50,13 +50,23 @@ from ..analysis import loss_breakdown
 from ..errors import (CorruptFrameError, InconclusiveSessionError, ProtocolViolationError,
                       SessionFailedError, SyncFailureError)
 from ..simulate import QuantumPhase, simulate_quantum_phase
-from ..scenario import Scenario, SourceConfig
+from ..scenario import ROLE_ALICE, ROLE_BOB, Scenario, SessionParams, SourceConfig
 from ..source import pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices)
-from .params import ROLE_ALICE, ROLE_BOB, SessionParams, SiftedKey
 
 _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
+
+
+@dataclass
+class SiftedKey:
+    """Bits surviving basis reconciliation, with their pulse indices (from a checked report)."""
+
+    bits: np.ndarray  # uint8
+    pulse_indices: np.ndarray  # int64, strictly increasing
+
+    def __len__(self) -> int:
+        return len(self.bits)
 
 
 def _check_indices(a: np.ndarray, bound: int, what: str) -> None:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from .protocol.params import ROLE_ALICE, ROLE_BOB
 from .protocol.session import SessionReport, run_session, session_party
 from .protocol.transport import InlinePeer, StreamTransport
-from .scenario import Scenario
+from .scenario import ROLE_ALICE, ROLE_BOB, Scenario
 from .simulate import QuantumPhase, simulate_quantum_phase
 
 

@@ -5,10 +5,12 @@ parameters plus a free-form metadata block mirroring the logged
 experimental conditions (weather, visibility, reported figures). Metadata
 is carried verbatim and has no physical effect.
 
-The parameter classes live here, so that a scenario and the oracle load
-no numpy. They are the document's schema: a field's annotation is its kind
-and range rule (``errors.check_fields``, run first by each class), and a
-field annotated with a parameter class is a section, built from its object.
+The parameter classes of all five sections live here, the protocol's
+two-party contract (``SessionParams``) included, so that a scenario and
+the oracle load no numpy and nothing of ``fsbb84.protocol``. They are the
+document's schema: a field's annotation is its kind and range rule
+(``errors.check_fields``, run first by each class), and a field annotated
+with a parameter class is a section, built from its object.
 
 A field's path is its dotted key path, a section's included (``sync.true_clock``);
 :func:`field_paths` lists them. ``Scenario.override({path: value})`` writes each
@@ -32,7 +34,6 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import ConfigError, Count, NonNegative, Positive, Probability, Seed, check_fields
-from .protocol.params import SessionParams
 
 # Gaussian FWHM -> sigma.
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -41,6 +42,10 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
 MAX_SPAN = 2**60  # pulses, ps or tags: keeps receiver.detect's int64 key and the wire's u64 count
+# Fading blocks a faded run may span: the channel seeds one generator per
+# block (20-30 us each), so at most 21-31 s of seeding; a 60 s run at
+# 0.1 ms blocks spans 6e5.
+MAX_FADING_BLOCKS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,15 +178,43 @@ class TrueClock:
 
 @dataclass(frozen=True)
 class SyncSettings:
-    """Gate + recovery knobs + the simulated clock disturbance."""
+    """The gate, whether the beacon supplies the drift, and the simulated clock disturbance."""
 
     gate_width_ps: Positive = 500.0
-    block_count: Count = 20
     beacon_assisted: bool = False
     true_clock: TrueClock = field(default_factory=TrueClock)
 
     def __post_init__(self):
         check_fields(self, "sync")
+
+
+DEFAULT_QBER_ABORT_THRESHOLD = 0.10
+# The two parties of a session, as the CLI's --role names them.
+ROLE_ALICE, ROLE_BOB = "alice", "bob"
+
+
+@dataclass(frozen=True)
+class SessionParams:
+    """Two-party session contract, agreed through the HELLO scenario hash.
+
+    ``sample_fraction`` is the share of sifted bits disclosed for QBER
+    estimation; 1.0 discloses everything and keeps nothing, which is how
+    the reference measurements are reproduced. ``rng_seed`` drives Bob's
+    sample selection.
+    """
+
+    session_id: Seed = 1
+    qber_abort_threshold: float = DEFAULT_QBER_ABORT_THRESHOLD
+    sample_fraction: float = 1.0
+    rng_seed: Seed = 0
+    n_pulses: Optional[Count] = None
+
+    def __post_init__(self):
+        check_fields(self, "protocol")
+        if not 0.0 < self.qber_abort_threshold < 0.5:
+            raise ConfigError("must be in (0, 0.5)", "protocol.qber_abort_threshold")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ConfigError("must be in (0, 1]", "protocol.sample_fraction")
 
 
 @dataclass(frozen=True)
@@ -218,6 +251,9 @@ class Scenario:
                  "receiver.background_rate_cps_per_apd")):
             if abs(value) >= MAX_SPAN:
                 raise ConfigError("puts the run's times or counts past 2^60", name)
+        if ch.fading_sigma > 0 and train_ps > MAX_FADING_BLOCKS * ch.fading_block_ms * 1e9:
+            raise ConfigError(f"splits a faded run into over {MAX_FADING_BLOCKS} blocks",
+                              "channel.fading_block_ms")
         # detect keys a tag by 4 * (its time - the first) + APD in an int64, so tags must
         # span under 2^61 ps: the train plus 32 jitter sigmas each side (numpy's stay in 14)
         if train_ps + 64 * rx.jitter_sigma_ps >= 2 * MAX_SPAN:

@@ -80,13 +80,13 @@ def simulate_quantum_phase(scenario: Scenario, with_truth: bool = False,
                                window_ps=receiver_window_ps(scenario),
                                with_truth=with_truth)
         n_arrivals = len(arrivals)
+        del arrivals  # only its length is kept: freed before clock recovery
     else:
         tags = replay_tags
         n_arrivals = len(replay_tags)
 
     known_drift = scenario.sync.true_clock.drift_ppm if scenario.sync.beacon_assisted else None
     clock = sync.recover_clock(tags.time_ps, src.period_ps,
-                               block_count=scenario.sync.block_count,
                                known_drift_ppm=known_drift,
                                coarse_reference_ps=expected_offset_ps(scenario))
 

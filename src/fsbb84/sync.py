@@ -30,10 +30,11 @@ is recovered from the quantum tags themselves:
    as it always was for a stream within the first sub-span. The cost is
    one bounded FFT plus work proportional to tags, and at most 1.5
    whole-stream FFTs on a stream too weak for any sub-span.
-2. *Block-phase regression*: the full stream is cut into time blocks, each
-   block contributes a circular-mean phase, and a weighted linear fit of
-   phase versus block midtime refines drift and fixes the offset. Tags
-   are non-decreasing, so each block is a run of them, summed in one pass.
+2. *Block-phase regression*: the full stream is cut into ``PHASE_BLOCKS``
+   (20) time blocks, as each hand-over's span of step 1 is. Each block
+   contributes a circular-mean phase, and a weighted linear fit of phase
+   versus block midtime refines drift and fixes the offset. Tags are
+   non-decreasing, so each block is a run of them, summed in one pass.
 3. *Peak refit*: offset and rate are fitted again, by least squares, to
    the wrapped residuals of the tags within a window around the folded
    peak, the window shrinking from P/8 to P/32. Every background tag
@@ -148,9 +149,9 @@ SPAN_GROWTH = 2
 # less, leaves room for a quarter-length sub-span: 60 s of 200 signal under
 # 1,500 background tags/s tries 2^13 and 2^19 points and acquires on 2^21.
 ACQ_TRY_SHARE = 1 / 2
-# Blocks of each hand-over regression: at the threshold a sub-span holds
-# >= ~400 tags, >= 20 per block.
-HANDOVER_BLOCKS = 20
+# Blocks of every block regression, each hand-over's and the whole
+# stream's: at the threshold a sub-span holds >= ~400 tags, >= 20 per block.
+PHASE_BLOCKS = 20
 
 
 def _fft_length(tau_last: float, dt: float) -> int:
@@ -206,27 +207,27 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
         span *= SPAN_GROWTH ** max(1, math.ceil(math.log((ACQ_PEAK_TO_MEDIAN / ratio) ** 2,
                                                          SPAN_GROWTH)))
     while n < len(tau):
-        slope, _ = _block_regression(tau[:n] / (1.0 + d), P, HANDOVER_BLOCKS)
+        slope, _ = _block_regression(tau[:n] / (1.0 + d), P)
         d = (1.0 + d) * (1.0 + slope) - 1.0
         span *= SPAN_GROWTH
         n = int(np.searchsorted(tau, span - 0.5 * dt))
     return d
 
 
-def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tuple[float, float]:
-    """Weighted line through per-block circular-mean phases of ``u``.
+def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
+    """Weighted line through the circular-mean phases of ``u``'s PHASE_BLOCKS blocks.
 
     Returns (slope, intercept): the grid sits at ``intercept + slope * u``
     (mod one period) in the coordinates of ``u``.
     """
     P = period_ps
     # Block b is the run of tags between the even edges b and b + 1; the last takes the rest.
-    bounds = np.searchsorted(u, np.linspace(u[0], u[-1] + 1e-9, block_count + 1))
+    bounds = np.searchsorted(u, np.linspace(u[0], u[-1] + 1e-9, PHASE_BLOCKS + 1))
     bounds[-1] = len(u)
     nb = np.diff(bounds)
 
     def block_sums(x):
-        sums = np.zeros(block_count)
+        sums = np.zeros(PHASE_BLOCKS)
         sums[nb > 0] = np.add.reduceat(x, bounds[:-1][nb > 0], dtype=np.float64)
         return sums
 
@@ -311,31 +312,30 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
 
 
 def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_reference_ps: float,
-                  block_count: int, known_drift_ppm: Optional[float] = None) -> ClockModel:
+                  known_drift_ppm: Optional[float] = None) -> ClockModel:
     """Estimate offset and drift from a non-decreasing tag stream (as in TimeTags).
 
     ``coarse_reference_ps`` resolves the whole-period offset ambiguity to
-    the grid numbering nearest the given expected offset. ``block_count``
-    is the number of phase blocks of the regression
-    (``SyncSettings.block_count``).
+    the grid numbering nearest the given expected offset.
     ``known_drift_ppm`` skips acquisition (beacon-assisted mode); like an
     acquired drift, it must keep the grid within a fraction of a period
-    across the stream.
+    across the stream. The tags are read as given (int64 in TimeTags);
+    only the times relative to the first are taken in float64.
     """
-    t = np.asarray(times_ps, dtype=np.float64)
+    t = np.asarray(times_ps)
     n = len(t)
     if n < MIN_TAGS:
         raise SyncFailureError(f"need >= {MIN_TAGS} tags for clock recovery, got {n}")
     P = float(nominal_period_ps)
     t0 = t[0]
-    tau = t - t0
+    tau = np.subtract(t, t0, dtype=np.float64)
 
     if known_drift_ppm is None:
         d0 = _acquire_drift(tau, P)
     else:
         d0 = known_drift_ppm * 1e-6
 
-    slope, a = _block_regression(np.divide(tau, 1.0 + d0, out=tau), P, block_count)
+    slope, a = _block_regression(np.divide(tau, 1.0 + d0, out=tau), P)
     del tau  # divided in place above; the refit and the guard need only t
     rate = (1.0 + d0) * (1.0 + slope)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)

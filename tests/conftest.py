@@ -6,9 +6,8 @@ import zlib
 import pytest
 
 from fsbb84.protocol.framing import VERSION
-from fsbb84.protocol.params import SessionParams
-from fsbb84.scenario import (ChannelConfig, ReceiverConfig, Scenario, SourceConfig, SyncSettings,
-                             TrueClock)
+from fsbb84.scenario import (ChannelConfig, ReceiverConfig, Scenario, SessionParams, SourceConfig,
+                             SyncSettings, TrueClock)
 
 
 def make_fast_scenario(name="fast", duration_s=0.002, seed=100, *,

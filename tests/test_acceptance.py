@@ -17,10 +17,10 @@ from fsbb84.errors import CorruptFrameError, NeedMoreBytes, SyncFailureError
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello,
                                      MatchMask, QberResult, SampleBits,
                                      SampleIndices, decode_frame, encode_frame)
-from fsbb84.protocol.params import SessionParams
 from fsbb84.runner import run_in_process
 from fsbb84.scenario import (BUNDLED_NAMES, ChannelConfig, ReceiverConfig, Scenario,
-                             SourceConfig, SyncSettings, TrueClock, bundled_scenario)
+                             SessionParams, SourceConfig, SyncSettings, TrueClock,
+                             bundled_scenario)
 from fsbb84.simulate import simulate_quantum_phase
 
 
@@ -323,7 +323,7 @@ def test_criterion_8_wire_protocol():
 
     # networked loopback == in-process, byte for byte (checked in the CLI and
     # session suites over real TCP; re-asserted here on a fresh scenario)
-    from fsbb84.protocol.params import ROLE_ALICE, ROLE_BOB
+    from fsbb84.scenario import ROLE_ALICE, ROLE_BOB
     from fsbb84.protocol.session import run_session
     from fsbb84.protocol.transport import connect, listen_accept
     import threading

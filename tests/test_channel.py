@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fsbb84 import source
+from fsbb84 import channel, source
 from fsbb84.analysis import (analyzer_table, atmospheric_loss_db, geometric_loss_db,
                              loss_breakdown)
 from fsbb84.channel import GROUP_CANDIDATES, fading_factor, transmit_stream
@@ -383,6 +383,20 @@ def test_transmit_stream_fading_block_variance_matches_lognormal():
     # Poisson(mu * n * T) noise per block adds in quadrature
     expected = math.sqrt(sigma_f**2 + 1.0 / (t_mean * per_block))
     assert abs(rates.std() / rates.mean() - expected) / expected < 0.15
+
+
+def test_unfaded_link_draws_no_fading_factor(monkeypatch):
+    # 1 ns blocks, ten per pulse period: without fading they cost nothing
+    # and change nothing
+    calls = []
+    monkeypatch.setattr(channel, "fading_factor", lambda *a: calls.append(a) or 1.0)
+    src = SourceConfig(rng_seed=21)
+    tiny, wide = (_lossless(extra_loss_db=7.0, fading_block_ms=ms, rng_seed=22)
+                  for ms in (1e-6, 10.0))
+    a, b = (_stream(src, cfg, SHARD_SIZE + 1_000) for cfg in (tiny, wide))
+    assert calls == []
+    for field in ("pulse_index", "state", "detector", "arrival_time_ps"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_fading_factor_mean_one():

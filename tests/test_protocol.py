@@ -18,15 +18,15 @@ from fsbb84.protocol import framing
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
                                      QberResult, SampleBits, SampleIndices, VERSION,
                                      decode_frame, encode_frame)
-from fsbb84.protocol.params import ROLE_ALICE, SessionParams, SiftedKey
-from fsbb84.protocol.session import (_count_errors, alice_match, bob_detection_report,
-                                     bob_sift, run_session, sample_size, select_sample)
+from fsbb84.protocol.session import (SiftedKey, _count_errors, alice_match,
+                                     bob_detection_report, bob_sift, run_session, sample_size,
+                                     select_sample)
 from fsbb84.protocol.transport import StreamTransport
 from fsbb84.runner import run_in_process
 from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.analysis import analyzer_table
 from fsbb84.channel import transmit_stream
-from fsbb84.scenario import ChannelConfig, SourceConfig
+from fsbb84.scenario import ROLE_ALICE, ChannelConfig, SessionParams, SourceConfig
 from fsbb84.source import SHARD_SIZE, pulse_states
 
 from conftest import crc_valid_frame, make_fast_scenario

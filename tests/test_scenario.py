@@ -14,7 +14,7 @@ import fsbb84
 from fsbb84 import analysis, runner
 from fsbb84.errors import ConfigError
 from fsbb84.protocol.session import sample_size
-from fsbb84.scenario import (BUNDLED_NAMES, Scenario, SyncSettings, bundled_scenario,
+from fsbb84.scenario import (BUNDLED_NAMES, MAX_FADING_BLOCKS, Scenario, bundled_scenario,
                              bundled_scenario_text, field_paths, load_scenario,
                              scenario_from_dict)
 
@@ -130,7 +130,7 @@ def test_bundled_scenario_hash_pinned():
     # Peers of different versions agree in the handshake only if the
     # canonical serialization, and so this hash, stays the same.
     assert bundled_scenario("table2_beam_expanders").hash_hex() == (
-        "12897ec1759ec58c2ae3e26250b0c35c15c3323876c89776d1fb65176db5ae22")
+        "40cc6a169b77cad8aa89eb99b0c7356b3dd34fe49455ff899ba586678d37134d")
 
 
 def test_scenario_hashed_once_per_session(monkeypatch, fast_scenario):
@@ -202,7 +202,7 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     # integer and flag fields: each once a traceback, a truncation or a truthy string
     (("protocol", "n_pulses"), 2e7 + 0.5, "protocol.n_pulses"),
     (("protocol", "n_pulses"), True, "protocol.n_pulses"),
-    (("sync", "block_count"), 2.5, "sync.block_count"),
+    (("sync", "block_count"), 20, "sync.block_count"),  # once a setting, now sync.PHASE_BLOCKS
     (("protocol", "session_id"), -1, "protocol.session_id"),
     (("protocol", "session_id"), 2**64, "protocol.session_id"),
     (("protocol", "rng_seed"), -1, "protocol.rng_seed"),
@@ -239,6 +239,9 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     (("duration_s",), 1e12, "duration_s"),
     (("channel", "distance_m"), 1e300, "channel.distance_m"),
     *((path, v, ".".join(path)) for path, kind in SCHEMA.items() for v in OUTSIDE.get(kind, [])),
+    # 1 ps blocks under fading, a generator seeded per block: once loaded, then never ended
+    (("channel",), {**BASE.to_dict()["channel"], "fading_block_ms": 1e-9, "fading_sigma": 0.5},
+     "channel.fading_block_ms"),
     # past the run's int64 arithmetic: each once loaded, then crashed inside the run
     (("receiver", "dead_time_ns"), 1e300, "receiver.dead_time_ns"),
     (("receiver", "jitter_fwhm_ps"), 1e300, "receiver.jitter_fwhm_ps"),
@@ -299,7 +302,7 @@ def test_integer_valued_document_hash_pinned():
     doc["channel"]["distance_m"] = 780
     doc["sync"]["true_clock"] = {"offset_ps": 5, "drift_ppm": 8}
     assert scenario_from_dict(doc).hash_hex() == (
-        "90d02e127dffe0ac0fab80b4cd0f7d9c2e7814aa0bbddf641f86d5f2cec22c64")
+        "9bec72b7d26d516b4b0d5caf8dbf7e51a1d508de5dc9c7c21627b67fcac802b5")
 
 
 FIELD_PATHS = sorted(SCHEMA)
@@ -338,10 +341,17 @@ def test_gate_must_fit_in_period():
         scenario_from_dict(_doc_with(("sync", "gate_width_ps"), 10_000.0))
 
 
-def test_sync_block_count_must_be_positive():
-    with pytest.raises(ConfigError) as err:
-        SyncSettings(block_count=0)
-    assert err.value.field == "sync.block_count"
+def test_faded_run_spans_at_most_max_fading_blocks():
+    # 1 ps blocks over 0.01 s are 1e10 blocks: refused under fading only
+    short = BASE.override({"duration_s": 0.01, "channel.fading_block_ms": 1e-9})
+    assert _outcome(lambda: short.override({"channel.fading_sigma": 0.5})) == (
+        "channel.fading_block_ms")
+    # the 10 s run at the limit, and just past it
+    at_limit = 10e3 / MAX_FADING_BLOCKS
+    assert BASE.override({"channel.fading_sigma": 0.5, "channel.fading_block_ms": at_limit})
+    assert _outcome(lambda: BASE.override({"channel.fading_sigma": 0.5,
+                                           "channel.fading_block_ms": at_limit * 0.999})) == (
+        "channel.fading_block_ms")
 
 
 def test_missing_file():

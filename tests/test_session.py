@@ -14,13 +14,12 @@ from fsbb84.errors import SessionFailedError, SyncFailureError
 from fsbb84.protocol import session
 from fsbb84.protocol.framing import (Abort, DetectionReport, Done, Hello, MatchMask, MsgType,
                                      QberResult, SampleBits, SampleIndices, encode_frame)
-from fsbb84.protocol.params import ROLE_ALICE, ROLE_BOB
 from fsbb84.protocol.session import run_session
 from fsbb84.protocol.transport import InlinePeer, StreamTransport, connect, listen_accept
 from fsbb84.receiver import TimeTags
 from fsbb84 import runner
 from fsbb84.runner import run_in_process
-from fsbb84.scenario import field_paths
+from fsbb84.scenario import ROLE_ALICE, ROLE_BOB, field_paths
 from fsbb84.simulate import simulate_quantum_phase
 
 

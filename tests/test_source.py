@@ -11,10 +11,9 @@ from fsbb84.analysis import STATE_ANGLES_DEG, analyzer_table
 from fsbb84.channel import transmit_stream
 from fsbb84.errors import ConfigError, ProtocolViolationError
 from fsbb84.protocol.framing import DetectionReport
-from fsbb84.protocol.params import SessionParams
 from fsbb84.protocol.session import alice_match
 from fsbb84.seeds import STREAM_STATE, counter_key
-from fsbb84.scenario import ChannelConfig, SourceConfig
+from fsbb84.scenario import ChannelConfig, SessionParams, SourceConfig
 from fsbb84.source import (SHARD_SIZE, emit_jitter_ps, generate_shard, non_vacuum,
                            pulse_states)
 from reference_chain import build_pulse_train

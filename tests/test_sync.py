@@ -11,15 +11,13 @@ from scipy import stats
 from fsbb84.analysis import gate_acceptance
 from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
-from fsbb84.scenario import (BUNDLED_NAMES, DRIFT_GUARD_PPM, SyncSettings, TrueClock,
-                             bundled_scenario)
+from fsbb84.scenario import BUNDLED_NAMES, DRIFT_GUARD_PPM, TrueClock, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (REFIT_MAX_TAGS, ClockModel, _acquire_drift, _block_regression,
-                         assign_and_gate, fold_histogram, recover_clock)
+from fsbb84.sync import (PHASE_BLOCKS, REFIT_MAX_TAGS, ClockModel, _acquire_drift,
+                         _block_regression, assign_and_gate, fold_histogram, recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0
-BLOCK_COUNT = SyncSettings().block_count
 _CLICK_CHUNK = 1 << 20  # pulses per block of click uniforms in _synthetic_stream
 
 
@@ -108,7 +106,7 @@ def test_fold_argument_validation():
 
 def test_recover_clean_zero_clock():
     tags = _synthetic_stream(2_000_000, 0.01, 0.0, 0.0, 0.0, 170.0, seed=1)
-    clock = recover_clock(tags.time_ps, PERIOD, block_count=BLOCK_COUNT, coarse_reference_ps=0.0)
+    clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=0.0)
     assert abs(clock.offset_ps) < 20.0
     assert abs(clock.drift_ppm) < 0.05
     assert clock.residual_rms_ps < 600.0
@@ -119,8 +117,7 @@ def test_recover_drift_and_offset_at_link_snr():
     # (p_click ~ 3.2e-4, 1500 c/s noise x4), 1 s of stream
     tags = _synthetic_stream(100_000_000, 3.2e-4, 1234.0, 20.0, 6_000.0,
                              171.0, seed=2)
-    clock = recover_clock(tags.time_ps, PERIOD,
-                          block_count=BLOCK_COUNT, coarse_reference_ps=1234.0)
+    clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=1234.0)
     assert abs(clock.drift_ppm - 20.0) < 0.5
     assert abs(clock.offset_ps - 1234.0) < 50.0
 
@@ -135,8 +132,7 @@ def test_recover_centres_gate_at_low_signal_to_background():
     for seed in range(32):
         tags = _synthetic_stream(10_000_000, 3.17e-5, -9_021.0, -5.0, 10_000.0,
                                  sigma, seed=1_000 + seed)
-        clock = recover_clock(tags.time_ps, PERIOD,
-                              block_count=BLOCK_COUNT, coarse_reference_ps=-9_021.0)
+        clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=-9_021.0)
         asg = assign_and_gate(tags, clock, 400.0)
         sig = tags.truth_pulse_index >= 0
         hit = (asg.truth_pulse_index >= 0) & (asg.pulse_index == asg.truth_pulse_index)
@@ -159,18 +155,17 @@ def test_recover_background_only_fails():
     rng = np.random.default_rng(3)
     times = np.sort(rng.integers(0, 10**12, size=60_000))
     with pytest.raises(SyncFailureError):
-        recover_clock(times, PERIOD, block_count=BLOCK_COUNT, coarse_reference_ps=0.0)
+        recover_clock(times, PERIOD, coarse_reference_ps=0.0)
 
 
 def test_recover_needs_enough_tags():
     with pytest.raises(SyncFailureError):
-        recover_clock(np.arange(999) * 10_000, PERIOD,
-                      block_count=BLOCK_COUNT, coarse_reference_ps=0.0)
+        recover_clock(np.arange(999) * 10_000, PERIOD, coarse_reference_ps=0.0)
 
 
 def test_recover_beacon_assisted_skips_search():
     tags = _synthetic_stream(5_000_000, 1e-3, -777.0, -20.0, 1_000.0, 171.0, seed=4)
-    clock = recover_clock(tags.time_ps, PERIOD, block_count=BLOCK_COUNT, known_drift_ppm=-20.0,
+    clock = recover_clock(tags.time_ps, PERIOD, known_drift_ppm=-20.0,
                           coarse_reference_ps=-777.0)
     assert abs(clock.drift_ppm + 20.0) < 0.1
     assert abs(clock.offset_ps + 777.0) < 50.0
@@ -179,8 +174,7 @@ def test_recover_beacon_assisted_skips_search():
 def test_recover_negative_drift():
     tags = _synthetic_stream(20_000_000, 3.2e-4, 55_555.0, -20.0, 6_000.0,
                              171.0, seed=5)
-    clock = recover_clock(tags.time_ps, PERIOD,
-                          block_count=BLOCK_COUNT, coarse_reference_ps=55_555.0)
+    clock = recover_clock(tags.time_ps, PERIOD, coarse_reference_ps=55_555.0)
     assert abs(clock.drift_ppm + 20.0) < 0.5
     assert abs(clock.offset_ps - 55_555.0) < 50.0
 
@@ -234,8 +228,7 @@ def test_acquire_drift_near_guard_on_long_stream(drift_ppm):
     tau = t - t[0]
     step = PERIOD / (4.0 * tau[-1])
     assert abs(_acquire_drift(tau, PERIOD) - drift_ppm * 1e-6) <= step
-    clock = recover_clock(t.astype(np.int64), PERIOD,
-                          block_count=BLOCK_COUNT, coarse_reference_ps=0.0)
+    clock = recover_clock(t.astype(np.int64), PERIOD, coarse_reference_ps=0.0)
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
     assert abs(clock.offset_ps) < 50.0
 
@@ -284,7 +277,7 @@ def test_weak_stream_tries_at_most_half_a_whole_stream_fft(monkeypatch, signal_c
     # stream is transformed next
     lengths = _record_fft_lengths(monkeypatch)
     t = _long_stream(10.0, signal_cps * PERIOD * 1e-12, drift_ppm, bg_cps, seed=seed)
-    clock = recover_clock(t, PERIOD, block_count=BLOCK_COUNT, coarse_reference_ps=2_468.0)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
     assert lengths == [1 << 13, 1 << 20]
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
 
@@ -298,7 +291,7 @@ def test_recover_sparse_long_stream(monkeypatch, signal_cps, bg_cps, drift_ppm, 
     # points past the stream's end, so the whole stream is transformed next
     lengths = _record_fft_lengths(monkeypatch)
     t = _long_stream(1.0, signal_cps * PERIOD * 1e-12, drift_ppm, bg_cps, seed=30 + seed)
-    clock = recover_clock(t, PERIOD, block_count=BLOCK_COUNT, coarse_reference_ps=2_468.0)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
     assert lengths == [1 << 13, 1 << 17]
     assert abs(clock.drift_ppm - drift_ppm) < 0.5
 
@@ -309,7 +302,7 @@ def test_acquisition_fft_length_does_not_follow_session_length(monkeypatch):
     # the peak-to-median threshold
     lengths = _record_fft_lengths(monkeypatch)
     t = _long_stream(60.0, 3e-5, -37.3, 1_000.0, seed=50)
-    clock = recover_clock(t, PERIOD, block_count=BLOCK_COUNT, coarse_reference_ps=2_468.0)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
     assert lengths and max(lengths) <= 1 << 15, lengths
     assert abs(clock.drift_ppm + 37.3) < 0.5
     assert abs(clock.offset_ps - 2_468.0) < 50.0
@@ -317,7 +310,7 @@ def test_acquisition_fft_length_does_not_follow_session_length(monkeypatch):
 
 # --- agreement with the reference clock recovery ----------------------------------
 
-def _assert_matches_reference(tags, period, gate_width_ps, block_count, **kwargs):
+def _assert_matches_reference(tags, period, gate_width_ps, **kwargs):
     """recover_clock against reference_recover_clock: same clock, same gating.
 
     The float32 phasors move the block regression's intercept by ~2e-4 ps
@@ -338,13 +331,13 @@ def _assert_matches_reference(tags, period, gate_width_ps, block_count, **kwargs
     else:
         d0 = kwargs["known_drift_ppm"] * 1e-6
     u = tau / (1.0 + d0)
-    slope, a = _block_regression(u.copy(), period, block_count)
-    ref_slope, ref_a = reference_chain._block_regression(u, period, block_count)
+    slope, a = _block_regression(u.copy(), period)
+    ref_slope, ref_a = reference_chain._block_regression(u, period, PHASE_BLOCKS)
     assert abs(slope - ref_slope) <= 1e-14 and abs(a - ref_a) <= 1e-3
 
-    clock = recover_clock(tags.time_ps, period, block_count=block_count, **kwargs)
+    clock = recover_clock(tags.time_ps, period, **kwargs)
     ref = reference_chain.reference_recover_clock(tags.time_ps, period,
-                                                  block_count=block_count, **kwargs)
+                                                  block_count=PHASE_BLOCKS, **kwargs)
     assert abs(clock.drift_ppm - ref.drift_ppm) <= 1e-6
     assert abs(clock.offset_ps - ref.offset_ps) <= 1e-3
     assert abs(clock.residual_rms_ps - ref.residual_rms_ps) <= 1e-3
@@ -360,7 +353,7 @@ def test_recover_clock_matches_reference_on_bundled_streams(name):
     tags = simulate_quantum_phase(sc).tags
     known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
     _assert_matches_reference(tags, sc.source.period_ps, sc.sync.gate_width_ps,
-                              block_count=sc.sync.block_count, known_drift_ppm=known,
+                              known_drift_ppm=known,
                               coarse_reference_ps=expected_offset_ps(sc))
 
 
@@ -368,7 +361,7 @@ def test_recover_clock_matches_reference_on_bundled_streams(name):
 def test_recover_clock_matches_reference_on_synthetic_streams(n_pulses, p_click, drift_ppm,
                                                               bg_cps, seed):
     tags = _synthetic_stream(n_pulses, p_click, 2_468.0, drift_ppm, bg_cps, 171.0, seed=seed)
-    _assert_matches_reference(tags, PERIOD, 500.0, BLOCK_COUNT, coarse_reference_ps=2_468.0)
+    _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
 
 
 def test_recover_clock_matches_reference_past_refit_stride():
@@ -376,7 +369,7 @@ def test_recover_clock_matches_reference_past_refit_stride():
     # signal tags lie near the peak, so the refit keeps every third or so.
     tags = _synthetic_stream(2_000_000, 0.1, 2_468.0, 60.0, 1e6, 171.0, seed=17)
     assert np.count_nonzero(tags.truth_pulse_index >= 0) > 2 * REFIT_MAX_TAGS
-    _assert_matches_reference(tags, PERIOD, 500.0, BLOCK_COUNT, coarse_reference_ps=2_468.0)
+    _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
 
 
 # --- assign_and_gate ---------------------------------------------------------------

@@ -91,8 +91,7 @@ for _ in range(2):
                            window_ps=simulate.receiver_window_ps(sc))
     s["detect"], t = time.perf_counter() - t, time.perf_counter()
     known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
-    clock = sync.recover_clock(tags.time_ps, src.period_ps, block_count=sc.sync.block_count,
-                               known_drift_ppm=known,
+    clock = sync.recover_clock(tags.time_ps, src.period_ps, known_drift_ppm=known,
                                coarse_reference_ps=simulate.expected_offset_ps(sc))
     s["recover_clock"], t = time.perf_counter() - t, time.perf_counter()
     sync.assign_and_gate(tags, clock, sc.sync.gate_width_ps)
@@ -141,7 +140,6 @@ _WEAK = """
 import json, resource, sys, time
 import numpy as np
 from fsbb84 import sync
-from fsbb84.scenario import SyncSettings
 P = 10_000.0
 secs, sig, bg, drift, seed, calls = (float(a) for a in sys.argv[1:])
 n_pulses = round(secs * 1e12 / P)
@@ -159,8 +157,7 @@ np.fft.fft = lambda a, *args, **kw: (lengths.append(len(a)), fft(a, *args, **kw)
 wall = []
 for i in range(int(calls)):
     s = time.perf_counter()
-    clock = sync.recover_clock(t, P, coarse_reference_ps=2_468.0,
-                               block_count=SyncSettings().block_count)
+    clock = sync.recover_clock(t, P, coarse_reference_ps=2_468.0)
     wall.append(time.perf_counter() - s)
     if i == 0:
         np.fft.fft = fft

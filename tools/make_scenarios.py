@@ -191,7 +191,6 @@ def build_scenarios() -> dict[str, dict]:
             },
             "sync": {
                 "gate_width_ps": run["gate_ps"],
-                "block_count": 20,
                 "beacon_assisted": False,
                 "true_clock": run["clock"],
             },
