@@ -284,6 +284,8 @@ def test_integer_fields_keep_their_edges():
     (("sync", "true_clock", "offset_ps"), 5),
     (("protocol", "sample_fraction"), 1),
     *((path, v) for path, kind in SCHEMA.items() for v in EDGES.get(kind, [])),
+    # the narrowest whole-picosecond gate: a Positive field has no edge at 0
+    (("sync", "gate_width_ps"), 1),
 ])
 def test_float_fields_keep_their_edges(keys, value):
     # an int is a number and 0 m is a link; the loader takes both as they are
