@@ -13,9 +13,14 @@ jitter and quantization to the tagger resolution.
 Background (solar + dark) counts are injected as four independent Poisson
 processes, one per APD, at a common configured rate. Signal photons come
 in pulse order, not time order once jitter spreads them. Signal and
-background times are quantized together and put in one stable (time, APD)
-order, the chain's only time sort: at equal (time, APD) signal comes
-before background and keeps pulse order. Each APD then applies
+background times are quantized together and keyed by (time, APD) in one
+int64 each. The chain's only time sort orders those keys as two runs: the
+signal's, sorted but for jitter, and the background's, sorted alone first;
+one stable sort merges them, and each tag's time and APD are read back
+from its key. Equal keys are equal tags. Only the truth labels need to
+know which tag is which, so with truth a stable argsort of the same keys
+orders the tags instead: at equal (time, APD) signal comes before
+background and keeps pulse order. Each APD then applies
 non-paralyzable dead time to its own tags in that order: a tag at least
 one dead time after the previous tag on its APD opens a cluster and is
 kept (a head); inside a cluster the kept tags are the chain
@@ -98,39 +103,69 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     signal. ``with_truth`` adds each tag's originating pulse.
     """
     t_arr = arrivals.arrival_time_ps
-    # Timing jitter on the signal, then background: one Poisson process per
-    # APD over the observation window
-    jitter = spawn(config.rng_seed, STREAM_RECEIVER)
+    n_sig = len(t_arr)
+    # Background: one Poisson process per APD over the observation window
     bg = spawn(config.rng_seed, STREAM_BACKGROUND)
     w0, w1 = int(window_ps[0]), int(window_ps[1])
-    t_all = [t_arr + jitter.normal(0.0, config.jitter_sigma_ps, size=len(t_arr))]
-    det_all = [arrivals.detector]
-    for d in range(4):
+    blocks = []
+    for _ in range(4):
         n_bg = bg.poisson(config.background_rate_cps_per_apd * session_duration_s)
-        t_all.append(bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64))
-        det_all.append(np.full(n_bg, d, dtype=np.uint8))
+        blocks.append(bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64))
+    # One float buffer, quantized to the tagger resolution: the signal's
+    # arrivals plus their jitter (its own stream; standard normals times
+    # sigma are normal(0, sigma)'s draws bit for bit), then the background.
+    t = np.empty(n_sig + sum(map(len, blocks)))
+    spawn(config.rng_seed, STREAM_RECEIVER).standard_normal(out=t[:n_sig])
+    t[:n_sig] *= config.jitter_sigma_ps
+    t[:n_sig] += t_arr
+    np.concatenate(blocks, out=t[n_sig:])
     res = int(config.tag_resolution_ps)
-    t_all = (np.rint(np.concatenate(t_all) / res) * res).astype(np.int64)
-    det_all = np.concatenate(det_all)
+    if res != 1:
+        t /= res
+    np.rint(t, out=t)
+    if res != 1:
+        t *= res
+    key = t.astype(np.int64)
+    del t
 
-    # The one time sort: stable on (time, detector), so at equal keys signal
-    # comes before background and keeps pulse order; each detector's dead
+    # The one time sort, on keys 4 (t - t_min) + APD: the background run
+    # sorted alone, then merged with the signal's (sorted but for jitter) by
+    # one stable sort. Equal keys are equal tags, so only the truth needs the
+    # stable argsort that puts signal first at an equal key. Each APD's dead
     # time acts on its own tags in that order.
-    t_min, t_max = (int(t_all.min()), int(t_all.max())) if len(t_all) else (0, 0)
+    t_min, t_max = (int(key.min()), int(key.max())) if len(key) else (0, 0)
     if 4 * (t_max - t_min) + 3 >= 2**63:
         raise ContractViolationError("tag times span too wide for one int64 key")
-    by_time = np.argsort((t_all - t_min) * 4 + det_all, kind="stable")
-    t_sorted, det_sorted = t_all[by_time], det_all[by_time]
+    key -= t_min
+    key <<= 2
+    key[:n_sig] += arrivals.detector
+    key[n_sig:] += np.repeat(np.arange(4, dtype=np.uint8), list(map(len, blocks)))
+    if with_truth:
+        by_time = np.argsort(key, kind="stable")
+        key = key.take(by_time)
+    else:
+        key[n_sig:].sort()
+        key.sort(kind="stable")
+    det = key.astype(np.uint8)  # the key's low byte
+    det &= 3
+    t = key
+    t >>= 2
+    t += t_min
     dead_ps = int(round(config.dead_time_ns * 1000.0))
-    keep = np.empty(len(t_all), dtype=bool)
+    keep = np.empty(len(t), dtype=bool)
     for d in range(4):
-        on_d = np.flatnonzero(det_sorted == d)
-        keep[on_d] = _dead_time_filter(t_sorted[on_d], dead_ps)
+        on_d = np.flatnonzero(det == d)
+        keep[on_d] = _dead_time_filter(t[on_d], dead_ps)
     truth = None
     if with_truth:
-        background = np.full(len(t_all) - len(t_arr), -1, dtype=np.int64)
+        background = np.full(len(t) - n_sig, -1, dtype=np.int64)
         truth = np.concatenate([arrivals.pulse_index, background])[by_time[keep]]
-    return TimeTags(detector=det_sorted[keep], time_ps=t_sorted[keep], truth_pulse_index=truth)
+    # The kept times go to the front of the key buffer, which the tags keep:
+    # a new array would take the space the float buffer freed, and the heap
+    # above it, trimmed on return, would fault back in during clock recovery.
+    det = det[keep]
+    t[:len(det)] = t[keep]
+    return TimeTags(detector=det, time_ps=t[:len(det)], truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,

@@ -41,7 +41,10 @@ is recovered from the quantum tags themselves:
    enters the block phases, so at low signal-to-background (a few hundred
    signal tags under a thousand background tags) the regression alone
    leaves the offset about one timing sigma off; the refit brings it to
-   a small fraction of one.
+   a small fraction of one. A fit needs only sums over the tags it
+   selects, so each window sums the tags certainly inside it once and
+   each pass re-tests only those in a band around the window's edges
+   (see ``_refit_peak``).
 
 Each per-tag phase is one fold (:func:`_cycles`): ``t - kP`` in cycles, a
 third of ``np.mod``'s cost. Steps 1 and 2 take its cos and sin in float32
@@ -271,6 +274,11 @@ REFIT_PASSES = 3
 # Tags the refit keeps (an even stride through the stream); at 2^15 signal
 # tags its statistical error is already below 1 ps.
 REFIT_MAX_TAGS = 1 << 15
+# Half-width of the band around each window's edges whose tags every pass
+# re-tests, as a share of the window's half-width. A window's first pass
+# moves the line by up to ~40 ps at the stream's ends, each later one by a
+# few ps, so the tags are rarely counted again.
+REFIT_BAND = 1 / 4
 
 
 def _refit_peak(t: np.ndarray, offset: float, rate: float,
@@ -282,33 +290,74 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     rate correction) to those residuals versus time. Background inside a
     symmetric window adds no bias at the fixed point, only noise, which
     the narrowing windows keep small.
+
+    A fit needs only the sums (n, x, y, x^2, xy) of the tags it selects,
+    with x a tag's time centred on the stream, and taking a line off the
+    residuals moves those sums in closed form. So each window counts once
+    the tags certainly inside it and keeps their sums; each pass re-tests
+    only the tags within REFIT_BAND of the window's edges. A tag's residual
+    moves by at most what the line fitted since its count moved at the
+    stream's two ends; once that reaches the band, the tags are counted
+    again from all the near ones. The selections are the re-selecting
+    refit's, and the clock differs from its by rounding.
     """
     P = period_ps
     ta = source_time_ps(t, offset, rate)
     res = _cycles(ta, P, nearest=True)
-    near = np.flatnonzero(np.abs(res) <= 0.25)
+    near = np.flatnonzero((res >= -0.25) & (res <= 0.25))
     near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
-    res = res.take(near) * P
-    ta = ta.take(near)
-    # Corrections are far below P/4, so residuals are updated in place
-    # rather than re-wrapped; the mapping moves by t_src -= A + B t_src.
+    if len(near) < 2:
+        return offset, rate
+    # x: each near tag's time, centred; y0: its residual under the starting
+    # mapping. The residuals are y0 less the line A + B x fitted so far.
+    x, y0 = ta.take(near), res.take(near)
+    del ta, res
+    c = 0.5 * (x[0] + x[-1])
+    x -= c
+    ends = float(x[0]), float(x[-1])  # the tags are non-decreasing
+    y0 *= P
+    # d: each tag's distance from the line (A0, B0) of the last count;
+    # inner: 1 for the tags certainly inside the window, then their x
+    d, inner = np.empty_like(x), np.empty_like(x)
     A = B = 0.0
+    A0 = B0 = None
     for half_width in REFIT_HALF_WIDTHS:
+        h = half_width * P
+        band = REFIT_BAND * h
+        edge = None
         for _ in range(REFIT_PASSES):
-            sel = np.flatnonzero(np.abs(res) <= half_width * P)
-            if len(sel) < 2:
+            if A0 is None or max(abs(A - A0 + (B - B0) * e) for e in ends) >= band:
+                A0, B0 = A, B
+                np.multiply(x, B, out=d)
+                d += A
+                np.subtract(y0, d, out=d)
+                np.abs(d, out=d)
+                edge = None
+            if edge is None:
+                np.less_equal(d, h - band, out=inner)
+                n_in, sx, sy = float(inner.sum()), float(inner @ x), float(inner @ y0)
+                inner *= x
+                sxx, sxy = float(inner @ x), float(inner @ y0)
+                edge = np.flatnonzero((d > h - band) & (d < h + band))
+                bx, by = x.take(edge), y0.take(edge)
+            keep = np.abs(by - (A + B * bx)) <= h
+            kx, ky = bx[keep], by[keep]
+            n = n_in + len(kx)
+            if n < 2:
                 break
-            x, y = ta.take(sel), res.take(sel)
-            xm = x.mean()
-            dx = x - xm
-            var = float(np.dot(dx, dx))
-            b = float(np.dot(dx, y) / var) if var > 0 else 0.0
-            a = float(y.mean())
-            res -= a + b * (ta - xm)
+            Sx = sx + float(kx.sum())
+            Sxx = sxx + float(kx @ kx)
+            # the sums of the residuals the line leaves
+            Sy = sy + float(ky.sum()) - n * A - B * Sx
+            Sxy = sxy + float(kx @ ky) - A * Sx - B * Sxx
+            xm = Sx / n
+            var = Sxx - xm * Sx
+            b = (Sxy - xm * Sy) / var if var > 0 else 0.0
+            a = Sy / n
             A += a - b * xm
             B += b
     rate = rate / (1.0 - B)
-    return offset + A * rate, rate
+    return offset + (A - B * c) * rate, rate
 
 
 def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_reference_ps: float,

@@ -3,7 +3,8 @@
 Each script runs only in a fresh process of the A/B harness, so a call
 that a refactor broke (a renamed function, a removed default) would fail
 nothing here until the harness itself is run. Each script runs once on
-tiny inputs, and its output must hold what ``main()`` reads. The module
+tiny inputs, and its output must hold what ``main()`` reads; each side
+runs the scripts of its own copy of the tool. The module
 is loaded from its file, and no process writes bytecode next to the
 sources. The ``src/`` line count it records is checked on a small tree,
 and the bytecode settings it records on this process; a perfbench run
@@ -46,9 +47,10 @@ def _run(bench_pairs, script, *args):
 def test_stages_script(bench_pairs):
     out = _run(bench_pairs, "_STAGES", "table2_beam_expanders", "0.05", "0")
     assert len(out["calls"]) == 2
+    stages = {"transmit_stream", "detect", "recover_clock", "assign_and_gate", "run_in_process"}
     for call in out["calls"]:
-        assert {"transmit_stream", "detect", "recover_clock", "assign_and_gate",
-                "run_in_process", "photons", "tags"} <= call.keys()
+        assert stages | {"photons", "tags", "minflt"} <= call.keys()
+        assert call["minflt"].keys() == stages
     assert {"n_pulses", "peak_rss_mb", "transmit_stream_traced_peak_mb"} <= out.keys()
 
 
@@ -65,6 +67,36 @@ def test_weak_script(bench_pairs):
 
 def test_fixed_rss_script(bench_pairs):
     assert _run(bench_pairs, "_FIXED_RSS", "retro_beacon_weak_v", "1", "1") > 0
+
+
+def test_interleaved_warm_workers(bench_pairs):
+    # both sides on this tree: one warm-up session each, then two rounds
+    rec = bench_pairs._interleaved({"parent": REPO, "change": REPO}, "retro_beacon_weak_v",
+                                   1, rounds=2, warm_up=1)
+    assert rec.keys() == {"parent", "change"}
+    for runs in rec.values():
+        assert len(runs) == 2
+        for r in runs:
+            assert r["session_s"] > 0 and r["minflt"] >= 0
+            assert r["stage_minflt"].keys() == {"transmit_stream", "detect", "recover_clock",
+                                                "assign_and_gate"}
+
+
+def test_each_side_runs_its_own_scripts(bench_pairs, tmp_path):
+    # a parent whose _WEAK differs runs its own text; the scripts its file
+    # lacks (or holds as anything but text) run from this tree's
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench_pairs.py").write_text(
+        '_WEAK = """\nimport json, sys\nprint(json.dumps({"side": "parent", '
+        '"args": sys.argv[1:]}))\n"""\n_TRANSMIT = 3\n')
+    scripts = bench_pairs._scripts(tmp_path)
+    assert scripts["_WEAK"] != bench_pairs._WEAK
+    assert bench_pairs._script(tmp_path, "_WEAK", 1, "x") == {"side": "parent",
+                                                              "args": ["1", "x"]}
+    for name in bench_pairs.SCRIPTS:
+        if name != "_WEAK":
+            assert scripts[name] == getattr(bench_pairs, name)
+    assert bench_pairs._scripts(REPO) == {n: getattr(bench_pairs, n) for n in bench_pairs.SCRIPTS}
 
 
 def test_src_lines_counts_python_under_src(bench_pairs, tmp_path):

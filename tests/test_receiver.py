@@ -348,6 +348,43 @@ def test_detect_draws_and_tie_order_match_rebuild(dead_ns, jitter_ps):
     assert np.array_equal(tags.truth_pulse_index, truth[keep])
 
 
+@pytest.mark.parametrize("res", [1, 1_000])
+def test_detect_key_path_equals_truth_path_at_equal_keys(res):
+    # Zero jitter, 4 x ~2,000 background counts against 1,500 photons, 500 of
+    # them on a background count's time and APD: signal and background share
+    # (time, APD) keys. Without truth the keys alone are sorted; with truth
+    # a stable argsort puts signal first at an equal key, in pulse order.
+    window, duration = (0, 10**9), 1e-3
+    cfg = _quiet(background_rate_cps_per_apd=2e6, tag_resolution_ps=res, rng_seed=31)
+    bg = spawn(31, STREAM_BACKGROUND)
+    bg_t, bg_det = [], []
+    for d in range(4):
+        n = bg.poisson(2e6 * duration)
+        bg_t.append(bg.integers(*window, size=n, dtype=np.int64))
+        bg_det.append(np.full(n, d))
+    bg_t, bg_det = np.concatenate(bg_t), np.concatenate(bg_det)
+    rng = np.random.default_rng(32)
+    on_bg = rng.choice(len(bg_t), 500, replace=False)
+    times = np.concatenate([bg_t[on_bg], rng.integers(*window, 1_000)])
+    dets = np.concatenate([bg_det[on_bg], rng.integers(0, 4, 1_000)])
+    order = np.argsort(times, kind="stable")
+    arr = _arrivals(dets[order], times[order], indices=3 * np.arange(len(times)))
+
+    plain = detect(arr, cfg, duration, window)
+    tags = detect(arr, cfg, duration, window, with_truth=True)
+    t, det, truth, keep = _detect_rebuilt(arr, cfg, duration, window)
+    assert keep.all()
+    for got in (plain, tags):
+        assert np.array_equal(got.time_ps, t) and np.array_equal(got.detector, det)
+    assert np.array_equal(tags.truth_pulse_index, truth)
+    key = 4 * t + det
+    tie, signal = key[1:] == key[:-1], truth >= 0
+    assert np.any(tie & (signal[:-1] != signal[1:]))
+    assert not np.any(tie & ~signal[:-1] & signal[1:])
+    both = tie & signal[:-1] & signal[1:]
+    assert np.all(truth[1:][both] > truth[:-1][both])
+
+
 def test_detect_rejects_times_too_wide_for_one_key():
     # the stable (time, detector) sort runs on one int64 key, 4 t + detector
     arr = _arrivals([DET_H, DET_H], [0, 2**62])

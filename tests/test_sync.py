@@ -13,8 +13,9 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import BUNDLED_NAMES, DRIFT_GUARD_PPM, TrueClock, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (PHASE_BLOCKS, REFIT_MAX_TAGS, ClockModel, _acquire_drift,
-                         _block_regression, assign_and_gate, fold_histogram, recover_clock)
+from fsbb84.sync import (PHASE_BLOCKS, REFIT_BAND, REFIT_HALF_WIDTHS, REFIT_MAX_TAGS, ClockModel,
+                         _acquire_drift, _block_regression, _refit_peak, assign_and_gate,
+                         fold_histogram, recover_clock)
 import reference_chain
 
 PERIOD = 10_000.0
@@ -370,6 +371,51 @@ def test_recover_clock_matches_reference_past_refit_stride():
     tags = _synthetic_stream(2_000_000, 0.1, 2_468.0, 60.0, 1e6, 171.0, seed=17)
     assert np.count_nonzero(tags.truth_pulse_index >= 0) > 2 * REFIT_MAX_TAGS
     _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
+
+
+def _assert_refit_matches_reference(t, offset, rate, gate_width_ps=500.0):
+    """_refit_peak against the reference's re-selecting refit from one start.
+
+    Within _assert_matches_reference's tolerances on the clock, and the same gating.
+    """
+    got, want = (ClockModel(offset_ps=float(o), drift_ppm=(r - 1.0) * 1e6,
+                            residual_rms_ps=0.0, period_ps=PERIOD)
+                 for o, r in (_refit_peak(t, offset, rate, PERIOD),
+                              reference_chain._refit_peak(t.astype(np.float64), offset, rate,
+                                                          PERIOD)))
+    assert abs(got.drift_ppm - want.drift_ppm) <= 1e-6
+    assert abs(got.offset_ps - want.offset_ps) <= 1e-3
+    tags = _tags(t)
+    a, b = (assign_and_gate(tags, c, gate_width_ps) for c in (got, want))
+    assert np.array_equal(a.pulse_index, b.pulse_index) and a.rejected_count == b.rejected_count
+    return want
+
+
+def test_band_refit_matches_reference_from_far_start():
+    # 0.2 s of stream started 300 ps and 1e-9 in rate off its clock: the
+    # first P/8 pass moves the line by ~400 ps at the stream's ends, past
+    # that window's band, so the tags are counted again under the new line
+    t = _long_stream(0.2, 5e-4, 0.0, 20_000.0, seed=70)
+    offset, rate = 2_468.0 + 300.0, 1.0 + 1e-9
+    assert 300.0 + 1e-9 * (t[-1] - t[0]) / 2 > REFIT_BAND * REFIT_HALF_WIDTHS[0] * PERIOD
+    clock = _assert_refit_matches_reference(t, offset, rate)
+    assert abs(clock.offset_ps - 2_468.0) < 10.0 and abs(clock.drift_ppm) < 1e-3
+
+
+def test_band_refit_matches_reference_when_narrowest_window_is_empty():
+    # 150 pulses, each with one tag 450-1,200 ps early and one as late: the
+    # fitted line stays near the grid, the P/8 and P/16 windows keep tags
+    # and the P/32 one fewer than 2, so its passes stop at the first
+    rng = np.random.default_rng(71)
+    k = np.sort(rng.choice(10**7, 150, replace=False))
+    r = rng.uniform(450.0, 1_200.0, k.size)
+    t = np.sort(np.rint(2_468.0 + np.concatenate([k * PERIOD - r, k * PERIOD + r]))
+                .astype(np.int64))
+    clock = _assert_refit_matches_reference(t, 2_468.0, 1.0)
+    res = (t - clock.offset_ps) / clock.rate
+    res -= np.rint(res / PERIOD) * PERIOD
+    assert np.count_nonzero(np.abs(res) <= REFIT_HALF_WIDTHS[-1] * PERIOD) < 2
+    assert np.count_nonzero(np.abs(res) <= REFIT_HALF_WIDTHS[1] * PERIOD) >= 2
 
 
 # --- assign_and_gate ---------------------------------------------------------------

@@ -4,9 +4,12 @@ Runs ``perfbench/run.py`` of the parent and of this repository in
 alternating pairs (the parent first in even pairs, this tree first in odd
 ones, workloads interleaved within a pair); the peak RSS of a fixed number
 of sessions per workload in fresh processes, in the same alternating pairs;
-one traced run per side and workload; ``channel.transmit_stream`` alone on
-sessions of each workload, timed and under ``tracemalloc``; the bundled runs
-of ``STAGE_RUNS`` stage by stage in fresh processes, with their peak RSS and
+one warm worker process per side and workload, which run the same sessions
+in turn (the parent first in even rounds), so both sides share the host's
+drift, with each session's minor page faults; one traced run per side and
+workload; ``channel.transmit_stream`` alone on sessions of each workload,
+timed and under ``tracemalloc``; the bundled runs of ``STAGE_RUNS`` stage by
+stage in fresh processes, with their minor page faults, peak RSS and
 ``transmit_stream``'s traced peak; and clock recovery on the synthetic weak
 streams of ``WEAK_STREAMS``, likewise::
 
@@ -17,15 +20,18 @@ no run was seen while writing the change. Each side is imported from its
 own ``src``, whose ``__pycache__`` directories are removed before each
 perfbench run, so neither side reads bytecode an earlier run left (a
 ``PYTHONPYCACHEPREFIX`` would hide numpy's and the standard library's too,
-and every set-up probe would compile them). The JSON records the machine,
-numpy, each side's count of ``src/`` Python lines and pulse counts with
-the medians and quartiles of every end-to-end metric and the count of
-pairs the change won.
+and every set-up probe would compile them). Each side runs the embedded
+scripts of its own ``tools/bench_pairs.py``, so a script keeps working on
+the parent after a change to a function it calls; a script the parent's
+file lacks runs from this file. The JSON records the machine, numpy, each
+side's count of ``src/`` Python lines and pulse counts with the medians and
+quartiles of every end-to-end metric and the count of pairs the change won.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -64,6 +70,10 @@ WEAK_CALLS = 5  # recover_clock calls per process
 # process's RSS creeps up with the sessions it has run, so a faster side reads
 # higher; these runs hold the session count fixed instead.
 FIXED_SESSIONS = 24
+# Sessions per workload that each warm worker runs before, and then in,
+# the interleaved comparison.
+WARM_UP = 5
+WARM_ROUNDS = 200
 WORKLOADS = ("daylight_780m", "retro_beacon_weak_v", "dense_short_link")
 END_TO_END = ("setup_s", "session_s", "peak_rss_mb")
 TRACED = ("source.busy_s", "channel.busy_s",
@@ -79,25 +89,27 @@ from fsbb84.scenario import bundled_scenario
 sc = bundled_scenario(sys.argv[1]).override(
     {"duration_s": float(sys.argv[2]), "sync.beacon_assisted": sys.argv[3] == "1"})
 src, rx = sc.source, sc.receiver
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def stage(s, name, call, *args, **kwargs):
+    f, t = minflt(), time.perf_counter()
+    result = call(*args, **kwargs)
+    s[name], s["minflt"][name] = time.perf_counter() - t, minflt() - f
+    return result
 out = []
 for _ in range(2):
-    s = {}
-    t = time.perf_counter()
-    arr = channel.transmit_stream(src, sc.channel, sc.n_pulses, rx.efficiency,
-                                  analysis.analyzer_table(rx.misalignment_deg),
-                                  true_clock=sc.sync.true_clock)
-    s["transmit_stream"], t = time.perf_counter() - t, time.perf_counter()
-    tags = receiver.detect(arr, rx, session_duration_s=sc.simulated_duration_s,
-                           window_ps=simulate.receiver_window_ps(sc))
-    s["detect"], t = time.perf_counter() - t, time.perf_counter()
+    s = {"minflt": {}}
+    arr = stage(s, "transmit_stream", channel.transmit_stream, src, sc.channel, sc.n_pulses,
+                rx.efficiency, analysis.analyzer_table(rx.misalignment_deg),
+                true_clock=sc.sync.true_clock)
+    tags = stage(s, "detect", receiver.detect, arr, rx,
+                 session_duration_s=sc.simulated_duration_s,
+                 window_ps=simulate.receiver_window_ps(sc))
     known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
-    clock = sync.recover_clock(tags.time_ps, src.period_ps, known_drift_ppm=known,
-                               coarse_reference_ps=simulate.expected_offset_ps(sc))
-    s["recover_clock"], t = time.perf_counter() - t, time.perf_counter()
-    sync.assign_and_gate(tags, clock, sc.sync.gate_width_ps)
-    s["assign_and_gate"], t = time.perf_counter() - t, time.perf_counter()
-    runner.run_in_process(sc)
-    s["run_in_process"] = time.perf_counter() - t
+    clock = stage(s, "recover_clock", sync.recover_clock, tags.time_ps, src.period_ps,
+                  known_drift_ppm=known, coarse_reference_ps=simulate.expected_offset_ps(sc))
+    stage(s, "assign_and_gate", sync.assign_and_gate, tags, clock, sc.sync.gate_width_ps)
+    stage(s, "run_in_process", runner.run_in_process, sc)
     s["photons"], s["tags"] = len(arr), len(tags)
     out.append(s)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -180,6 +192,58 @@ for i in range(n):
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
+# A warm worker: reads "workload seed index" lines and runs each session as
+# perfbench does (numeric pools pinned to one thread; built, collected, then
+# timed), printing its wall time and the minor page faults it took, in all
+# and in each of Bob's stages.
+_WARM = """
+import gc, json, os, resource, sys, time
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+import workloads
+from fsbb84 import channel, receiver, runner, sync
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+stages = {}
+def count_faults(module, name):
+    call = getattr(module, name)
+    def counted(*args, **kwargs):
+        f = minflt()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            stages[name] = stages.get(name, 0) + minflt() - f
+    setattr(module, name, counted)
+for module, name in ((channel, "transmit_stream"), (receiver, "detect"),
+                     (sync, "recover_clock"), (sync, "assign_and_gate")):
+    count_faults(module, name)
+for line in sys.stdin:
+    name, seed, i = line.split()
+    sc = workloads.build(name, int(seed), int(i))
+    gc.collect()
+    stages.clear()
+    f, t = minflt(), time.perf_counter()
+    runner.run_in_process(sc)
+    s = time.perf_counter() - t
+    print(json.dumps({"session_s": s, "minflt": minflt() - f, "stage_minflt": stages}),
+          flush=True)
+"""
+SCRIPTS = ("_STAGES", "_TRANSMIT", "_WEAK", "_FIXED_RSS", "_WARM")
+
+
+def _scripts(root: Path) -> dict:
+    """The embedded scripts of ``root``'s ``tools/bench_pairs.py``; this file's where it has none."""
+    own = {name: globals()[name] for name in SCRIPTS}
+    path = root / "tools" / "bench_pairs.py"
+    if not path.is_file():
+        return own
+    found = {target.id: node.value.value
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+             and isinstance(node.value.value, str)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id in own}
+    return {**own, **found}
+
 
 def _env(root: Path) -> dict:
     env = dict(os.environ)
@@ -196,15 +260,51 @@ def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _script(root: Path, script: str, *args):
-    """One embedded script in a fresh process on ``root``'s tree; its JSON output."""
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=_env(root),
-                          capture_output=True, text=True, timeout=900, check=True)
+def _script(root: Path, name: str, *args):
+    """``root``'s embedded script ``name`` in a fresh process on its tree; its JSON output."""
+    proc = subprocess.run([sys.executable, "-c", _scripts(root)[name], *map(str, args)],
+                          env=_env(root), capture_output=True, text=True, timeout=900,
+                          check=True)
     return json.loads(proc.stdout)
 
 
+def _interleaved(sides: dict, workload: str, seed: int, rounds: int, warm_up: int) -> dict:
+    """Sessions 0..rounds-1 of ``workload`` on one warm worker per side, in turn.
+
+    Each worker first runs ``warm_up`` sessions of another seed untimed;
+    then round i runs session i on every side, the parent first in even
+    rounds. Returns each side's list of ``{"session_s", "minflt"}``.
+    """
+    workers = {s: subprocess.Popen([sys.executable, "-c", _scripts(root)["_WARM"]],
+                                   env=_env(root), stdin=subprocess.PIPE,
+                                   stdout=subprocess.PIPE, text=True)
+               for s, root in sides.items()}
+    try:
+        def run(side, seed_, i):
+            w = workers[side]
+            w.stdin.write(f"{workload} {seed_} {i}\n")
+            w.stdin.flush()
+            line = w.stdout.readline()
+            if not line:
+                raise RuntimeError(f"{side} warm worker exited with code {w.wait()}")
+            return json.loads(line)
+
+        for i in range(warm_up):
+            for side in sides:
+                run(side, seed + 1, i)
+        rec = {s: [] for s in sides}
+        for i in range(rounds):
+            for side in (sides if i % 2 == 0 else reversed(list(sides))):
+                rec[side].append(run(side, seed, i))
+        return rec
+    finally:
+        for w in workers.values():
+            w.stdin.close()
+            w.wait(timeout=60)
+
+
 def _alternating(sides: dict, script: str, args) -> dict:
-    """``script`` in STAGE_PROCESSES processes per side, ``args(i)`` in round i.
+    """Embedded script ``script`` in STAGE_PROCESSES processes per side, ``args(i)`` in round i.
 
     Even rounds run the sides in order, odd rounds in reverse.
     """
@@ -273,7 +373,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in WORKLOADS:
             for side in order:
-                rss[w][side].append(_script(sides[side], _FIXED_RSS, w, args.seed + i,
+                rss[w][side].append(_script(sides[side], "_FIXED_RSS", w, args.seed + i,
                                             FIXED_SESSIONS))
                 print(f"pair {i} {w} {side}: {FIXED_SESSIONS}-session peak_rss_mb "
                       f"{rss[w][side][-1]:.2f}", flush=True)
@@ -288,6 +388,21 @@ def main(argv=None) -> int:
         rec[f"peak_rss_mb_{FIXED_SESSIONS}_sessions"] = _compare(*(rss[w][s] for s in sides))
         end_to_end[w] = rec
 
+    interleaved = {}
+    for w in WORKLOADS:
+        rec = _interleaved(sides, w, args.seed + PAIRS, WARM_ROUNDS, WARM_UP)
+        interleaved[w] = {
+            "session_s": _compare(*([r["session_s"] for r in rec[s]] for s in sides)),
+            "minflt": {s: _quartiles([r["minflt"] for r in rec[s]]) for s in sides},
+            "stage_minflt": {s: {k: _quartiles([r["stage_minflt"][k] for r in rec[s]])
+                                 for k in rec[s][0]["stage_minflt"]} for s in sides},
+        }
+        c = interleaved[w]["session_s"]
+        print(f"{w} interleaved session_s: parent {c['parent']['median']:.5f} change "
+              f"{c['change']['median']:.5f} ({c['change_better_pairs']}/{c['pairs']} rounds); "
+              "minflt " + ", ".join(f"{s} {interleaved[w]['minflt'][s]['median']:.0f}"
+                                    for s in sides), flush=True)
+
     traced = {s: {} for s in sides}
     for w in WORKLOADS:
         for s, root in sides.items():
@@ -296,7 +411,7 @@ def main(argv=None) -> int:
 
     transmit = {}
     for w in WORKLOADS:
-        rec = _alternating(sides, _TRANSMIT, lambda i: (w, args.seed + i, FIXED_SESSIONS))
+        rec = _alternating(sides, "_TRANSMIT", lambda i: (w, args.seed + i, FIXED_SESSIONS))
         transmit[w] = {s: {"transmit_stream_s": _quartiles([t for r in rec[s]
                                                              for t in r["transmit_stream_s"]]),
                            "traced_peak_mb": round(max(r["traced_peak_mb"] for r in rec[s]), 3)}
@@ -308,7 +423,7 @@ def main(argv=None) -> int:
     stage_runs = []
     for name, seconds, beacon in STAGE_RUNS:
         rec = {"scenario": name, "seconds": seconds, "beacon_assisted": beacon,
-               **_alternating(sides, _STAGES, lambda i: (name, seconds, int(beacon)))}
+               **_alternating(sides, "_STAGES", lambda i: (name, seconds, int(beacon)))}
         print(f"{name} {seconds} s beacon={beacon}: run_in_process / peak_rss_mb "
               + ", ".join(f"{s} {min(r['calls'][1]['run_in_process'] for r in rec[s]):.3f} s / "
                           f"{max(r['peak_rss_mb'] for r in rec[s]):.0f} MB" for s in sides),
@@ -319,7 +434,7 @@ def main(argv=None) -> int:
     for stream in WEAK_STREAMS:
         rec = {"stream": dict(zip(("seconds", "signal_cps", "background_cps", "drift_ppm",
                                    "seed"), stream)),
-               **_alternating(sides, _WEAK, lambda i: (*stream, WEAK_CALLS))}
+               **_alternating(sides, "_WEAK", lambda i: (*stream, WEAK_CALLS))}
         wall = {s: statistics.median(w for r in rec[s] for w in r["recover_clock_s"][1:])
                 for s in sides}
         print(f"weak stream {stream}: recover_clock median / peak_rss_mb "
@@ -341,6 +456,16 @@ def main(argv=None) -> int:
                               "same alternating pairs",
             "workloads": end_to_end,
         },
+        "interleaved": {
+            "measure": f"one warm worker process per side and workload runs sessions 0-"
+                       f"{WARM_ROUNDS - 1} of seed {args.seed}+{PAIRS}, each session on both "
+                       "sides in turn, the parent first in even rounds, after "
+                       f"{WARM_UP} untimed sessions of seed {args.seed}+{PAIRS + 1}; "
+                       "session_s is run_in_process's wall time, minflt the minor page "
+                       "faults of the worker's own usage across it and stage_minflt those "
+                       "within each of Bob's stages",
+            "workloads": interleaved,
+        },
         "per_layer": {
             "harness": f"python3 perfbench/run.py --workload W --seed {TRACE_SEED} "
                        f"--seconds {SECONDS:g} --trace 1 (one run per side)",
@@ -354,7 +479,8 @@ def main(argv=None) -> int:
             "workloads": transmit,
         },
         "stage_runs": {
-            "measure": "stage wall times of Bob's chain, then run_in_process; two calls per "
+            "measure": "stage wall times of Bob's chain, then run_in_process, with each stage's "
+                       "minor page faults (minflt); two calls per "
                        f"process, {STAGE_PROCESSES} processes per side, alternating; "
                        "peak_rss_mb is the process's ru_maxrss before a third, traced "
                        "transmit_stream call, whose tracemalloc peak is "
