@@ -14,10 +14,20 @@ flip).
 :func:`transmit_stream` draws exactly those photons, as the non-vacuum
 pulses of a source at that folded mean, and never touches a pulse that
 delivers nothing to an APD.
+
+Memory: the photons come back as 18 bytes each (int64 pulse index and
+arrival time, a state byte and a detector byte). A group of shards holds
+its candidates' 8-byte indices, which the kept pulses take over in place,
+a state byte and an 8-byte photon count per kept pulse, then the photon
+columns, expanded one at a time, while the hash, the keep test and the
+draws run in BLOCK-entry scratch (:data:`fsbb84.seeds.BLOCK`). The groups'
+columns are joined one column at a time. On the benchmark's
+dense_short_link the traced peak is about 1.45 times the photons returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,12 +36,13 @@ import numpy as np
 from . import source
 from .analysis import loss_breakdown
 from .scenario import ChannelConfig, SourceConfig, TrueClock
-from .seeds import STREAM_FADING, STREAM_STATE, counter_key, spawn
+from .seeds import BLOCK, STREAM_FADING, STREAM_STATE, counter_key, spawn
 from .source import SHARD_SIZE, emit_jitter_ps
 
 # Candidate pulses that close a group of consecutive shards in
-# transmit_stream. It bounds the group's transient arrays (a few MB at
-# 2^16), not the output; a 60 s collimator stream runs in three groups.
+# transmit_stream. It bounds the group's per-pulse arrays (17 bytes a pulse
+# beside the photons), not the output; a 60 s collimator stream runs in
+# three groups.
 GROUP_CANDIDATES = 1 << 16
 
 
@@ -83,49 +94,89 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
 
     ``group`` holds ``(shard, b0, p, p_max)`` per shard: its candidates
     from :func:`fsbb84.source.generate_shard`, its first fading block, the
-    survival ``p`` of its blocks and their largest value. One entry per
-    photon of each pulse. Each shard's generator draws, after the source's
-    draws: the fading binomial (where ``p`` varies), then emission jitter
-    and the retro flip per pulse, then one uniform ``u`` per photon. The
-    APD is the number of entries of the photon's state's cumulative
-    analyzer row that are <= ``u``, with ``analyzer_cdf[d, s]`` =
-    P(APD <= d | state s) for d = 0, 1, 2.
+    survival ``p`` of its blocks and their largest value. It is consumed:
+    emptied once the candidates are read, which frees their positions.
+    Each shard's generator draws, after the source's draws: the fading
+    binomial (where ``p`` varies), then emission jitter and the retro flip
+    per pulse, then one uniform ``u`` per photon. The APD is the number of
+    entries of the photon's state's cumulative analyzer row that are <= ``u``,
+    with ``analyzer_cdf[d, s]`` = P(APD <= d | state s) for d = 0, 1, 2.
+
+    Each pulse's index, state and photon count expand into one entry per
+    photon, a column at a time; the jitter, flip and APD passes run BLOCK
+    pulses or photons at a time, drawing from the shards they meet.
     """
     shards = [sh for sh, _, _, _ in group]
     pulses = source.non_vacuum(shards, state_key)
     index, states, n_phot, bounds = (pulses.index, pulses.states, pulses.photon_count,
                                      pulses.bounds)
-    period = source_config.period_ps
+    rngs, starts = [sh.rng for sh in shards], [sh.start for sh in shards]
     faded = [(k, b0, p, p_max) for k, (_, b0, p, p_max) in enumerate(group) if min(p) < p_max]
+    del pulses, shards
+    group.clear()
+    period = source_config.period_ps
     for k, b0, p, p_max in faded:
         a, b = bounds[k], bounds[k + 1]
         block = _fading_block(index[a:b], period, config) - b0
-        n_phot[a:b] = shards[k].rng.binomial(n_phot[a:b], np.array(p)[block] / p_max)
+        n_phot[a:b] = rngs[k].binomial(n_phot[a:b], np.array(p)[block] / p_max)
     if faded:
         alive = np.flatnonzero(n_phot)
         index, states, n_phot = index.take(alive), states.take(alive), n_phot.take(alive)
-        bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), index.size]
-    photon_bounds = np.append(0, np.cumsum(n_phot))[bounds].tolist()
-    flips = config.retro_mode and config.retro_flip_prob > 0.0
-    jitter, u = np.empty(index.size), np.empty(photon_bounds[-1])
-    flip = np.empty(index.size) if flips else None
-    for sh, a, b, pa, pb in zip(shards, bounds, bounds[1:], photon_bounds, photon_bounds[1:]):
-        jitter[a:b] = emit_jitter_ps(source_config, sh.rng, b - a)
-        if flips:
-            sh.rng.random(out=flip[a:b])
-        sh.rng.random(out=u[pa:pb])
-    if flips:
-        states[flip < config.retro_flip_prob] ^= 1
-    t = np.rint(true_clock.to_receiver(index * period + jitter + config.delay_ps()))
-    t = t.astype(np.int64)
-    del jitter, flip  # scratch is freed before each larger array it makes way for
-    states = np.repeat(states, n_phot)
-    k = states.astype(np.intp)
-    detector = np.zeros(u.size, dtype=np.uint8)
-    for column in analyzer_cdf:
-        detector += u >= column.take(k)
-    del u, k
-    return np.repeat(index, n_phot), states, detector, np.repeat(t, n_phot)
+        bounds = [*np.searchsorted(index, starts).tolist(), index.size]
+    per_shard = np.zeros(len(rngs), dtype=np.int64)
+    if n_phot.size:
+        held = np.diff(bounds) > 0
+        per_shard[held] = np.add.reduceat(n_phot, np.array(bounds[:-1])[held])
+    photon_bounds = [0, *itertools.accumulate(per_shard.tolist())]
+    pulse_index = np.repeat(index, n_phot)
+    del index
+    scratch = np.empty(min(BLOCK, max(n_phot.size, pulse_index.size)))
+
+    def draw(bounds, a, n, fill):
+        """Entries [a, a + n) from the shards they belong to, each piece by ``fill(rng, out)``."""
+        for k, lo, hi in source.shard_pieces(bounds, a, a + n):
+            fill(rngs[k], scratch[lo - a:hi - a])
+        return scratch[:n]
+
+    def uniforms(g, out):
+        g.random(out=out)
+
+    def jitter(g, out):
+        out[:] = emit_jitter_ps(source_config, g, len(out))
+
+    # Arrival times per photon from its pulse's emission jitter, BLOCK pulses at a time.
+    time = np.empty(pulse_index.size, dtype=np.int64)
+    delay, pa = config.delay_ps(), 0
+    for a in range(0, n_phot.size, BLOCK):
+        counts = n_phot[a:a + BLOCK]
+        pb = pa + int(counts.sum())
+        t = pulse_index[pa:pb] * period
+        t += np.repeat(draw(bounds, a, counts.size, jitter), counts)
+        t += delay
+        time[pa:pb] = np.rint(true_clock.to_receiver(t))
+        pa = pb
+    if config.retro_mode and config.retro_flip_prob > 0.0:
+        for a in range(0, states.size, BLOCK):
+            flip = draw(bounds, a, min(BLOCK, states.size - a), uniforms)
+            states[a:a + BLOCK][flip < config.retro_flip_prob] ^= 1
+    state = np.repeat(states, n_phot)
+    del states, n_phot
+    detector = np.zeros(state.size, dtype=np.uint8)
+    for a in range(0, state.size, BLOCK):
+        u = draw(photon_bounds, a, min(BLOCK, state.size - a), uniforms)
+        k = state[a:a + BLOCK].astype(np.intp)
+        d = detector[a:a + BLOCK]
+        for column in analyzer_cdf:
+            d += u >= column.take(k)
+    return pulse_index, state, detector, time
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The concatenation of ``parts``, which it empties: one column's parts are
+    freed before the next column is joined."""
+    column = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return column
 
 
 def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses: int,
@@ -148,7 +199,8 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
 
     Only the draws run per shard. Everything else runs once per group of
     consecutive shards, closed once it holds GROUP_CANDIDATES candidates,
-    so its transient arrays stay bounded however long the stream.
+    BLOCK entries at a time, so its transient arrays stay bounded however
+    long the stream.
     """
     transmittance = 10.0 ** (-loss_breakdown(config, source_config.wavelength_nm).total_db / 10.0)
     analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()
@@ -167,8 +219,11 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
         shard = source.generate_shard(folded[p_max], start // SHARD_SIZE, n)
         group.append((shard, b0, p, p_max))
         n_candidates += shard.position.size
+        del shard  # the group holds it, until _arrivals frees its candidates
         if n_candidates >= GROUP_CANDIDATES or start + n == n_pulses:
             parts.append(_arrivals(group, state_key, source_config, config, true_clock,
                                    analyzer_cdf))
             group, n_candidates = [], 0
-    return PhotonArrivals(*(np.concatenate(column) for column in zip(*parts)))
+    columns = [list(column) for column in zip(*parts)]
+    del parts
+    return PhotonArrivals(*map(_joined, columns))

@@ -25,6 +25,13 @@ u8 that must be 0 or 1)::
 
 Every payload but ABORT's has one exact size, given by its layout and,
 for the array messages, by the count n.
+
+Memory: :func:`encode_frame` copies an array message's payload once, from
+its arrays (a contiguous int64 array as it is, bits packed to an eighth of
+a byte each) into the frame. :func:`decode_frame` reads the u64 arrays of
+a ``bytes`` frame as views of it, so a decoded report holds its frame and,
+beside it, only its unpacked bits (a byte per bit); from a buffer that may
+change it copies the payload once.
 Decoding never panics on hostile input: anything malformed raises
 :class:`CorruptFrameError`, a short buffer raises :class:`NeedMoreBytes`.
 """
@@ -44,6 +51,7 @@ MAGIC = b"QKD1"
 VERSION = 2
 HEADER = struct.Struct("<4sBBI")
 TRAILER = struct.Struct("<I")
+_COUNT = struct.Struct("<Q")  # an array message's entry count
 MAX_PAYLOAD = 1 << 28  # 256 MiB guard against absurd length fields
 
 
@@ -61,7 +69,8 @@ class MsgType(IntEnum):
 # Array field kinds, named by their annotation: u64 indices below 2^63 held
 # as int64, and LSB-first packed bits held as uint8.
 U64Array = BitArray = np.ndarray
-_ARRAY_DTYPES = {"U64Array": np.int64, "BitArray": np.uint8}
+_U64, _BYTE = np.dtype("<i8"), np.dtype(np.uint8)  # a u64 below 2^63 has its int64's bytes
+_ARRAY_DTYPES = {"U64Array": np.dtype(np.int64), "BitArray": _BYTE}
 _MESSAGE_CLASSES: dict = {}
 
 
@@ -74,8 +83,17 @@ def _message(cls):
     cls._FIELDS = tuple(f.name for f in fields(cls))
     if arrays:
         cls._DTYPES = {f.name: _ARRAY_DTYPES[f.type] for f in fields(cls)}
+        cls._WIDE = tuple(dtype != _BYTE for dtype in cls._DTYPES.values())
+        cls._N_WIDE = sum(cls._WIDE)
     _MESSAGE_CLASSES[cls.TYPE] = cls
     return cls
+
+
+def _filled(cls, values: list):
+    """A ``cls`` message holding ``values``, decoded ones that need no conversion."""
+    message = object.__new__(cls)
+    vars(message).update(zip(cls._FIELDS, values))
+    return message
 
 
 class _Fixed:
@@ -96,7 +114,7 @@ class _Fixed:
             if values[i] not in (0, 1):
                 raise CorruptFrameError(f"bad {name} flag {values[i]}")
             values[i] = kind(values[i])
-        return cls(*values)
+        return _filled(cls, values)
 
 
 class _Arrays:
@@ -114,38 +132,47 @@ class _Arrays:
         return isinstance(other, type(self)) and all(
             map(np.array_equal, vars(self).values(), vars(other).values()))
 
-    def pack(self) -> bytes:
-        n = len(self)
-        parts = [n.to_bytes(8, "little")]
-        for a, dtype in zip(vars(self).values(), self._DTYPES.values()):
+    def parts(self) -> tuple[int, list]:
+        """(payload size, the payload as buffers in wire order: the count, then each field)."""
+        arrays = list(vars(self).values())
+        n = len(arrays[0])
+        size, parts = 8, [_COUNT.pack(n)]
+        for a, wide in zip(arrays, self._WIDE):
             if len(a) != n:
                 raise ValueError(f"{type(self).__name__} fields differ in length")
-            if dtype is np.int64:
-                parts.append(a.astype("<u8").tobytes())
+            if wide:
+                parts.append(np.ascontiguousarray(a, _U64))
+                size += 8 * n
             else:
-                parts.append(np.packbits(a, bitorder="little").tobytes())
-        return b"".join(parts)
+                parts.append(np.packbits(a, bitorder="little"))
+                size += (n + 7) // 8
+        return size, parts
+
+    def pack(self) -> bytes:
+        return b"".join(self.parts()[1])
 
     @classmethod
-    def unpack(cls, buf: bytes):
-        n = int.from_bytes(buf[:8], "little")  # a shorter payload fails the size check
-        sizes = [8 * n if dtype is np.int64 else (n + 7) // 8 for dtype in cls._DTYPES.values()]
-        if len(buf) != 8 + sum(sizes):
+    def unpack(cls, buf):
+        """The message whose payload is ``buf``; its u64 arrays are views of ``buf``."""
+        n = _COUNT.unpack_from(buf)[0] if len(buf) >= 8 else 0
+        bits = (n + 7) // 8
+        if len(buf) != 8 + 8 * n * cls._N_WIDE + bits * (len(cls._WIDE) - cls._N_WIDE):
             raise CorruptFrameError(f"bad {cls.TYPE.name} payload size {len(buf)} for {n} entries")
         values, offset = [], 8
-        for dtype, size in zip(cls._DTYPES.values(), sizes):
-            if dtype is np.int64:
-                a = np.frombuffer(buf, "<u8", n, offset).astype(np.int64)
-                if (a < 0).any():
+        for wide in cls._WIDE:
+            if wide:
+                a = np.frombuffer(buf, _U64, n, offset)
+                if n and a.min() < 0:
                     raise CorruptFrameError("u64 index >= 2^63")
+                values.append(a)
+                offset += 8 * n
             else:
-                raw = np.frombuffer(buf, np.uint8, size, offset)
-                if n % 8 and raw[-1] >> (n % 8):
+                if n % 8 and buf[offset + bits - 1] >> (n % 8):
                     raise CorruptFrameError("non-zero padding bits")
-                a = np.unpackbits(raw, count=n, bitorder="little")
-            values.append(a)
-            offset += size
-        return cls(*values)
+                values.append(np.unpackbits(np.frombuffer(buf, _BYTE, bits, offset), count=n,
+                                            bitorder="little"))
+                offset += bits
+        return _filled(cls, values)
 
 
 @_message
@@ -218,7 +245,7 @@ class Abort:
     @classmethod
     def unpack(cls, buf: bytes) -> "Abort":
         try:
-            return cls(reason=buf.decode("utf-8"))
+            return cls(reason=str(buf, "utf-8"))
         except UnicodeDecodeError as e:
             raise CorruptFrameError(f"bad ABORT payload: {e}") from None
 
@@ -231,20 +258,31 @@ class Done(_Fixed):
 
 
 def encode_frame(message) -> bytes:
-    """Serialize one message into a checksummed frame."""
-    payload = message.pack()
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload too large: {len(payload)}")
-    header = HEADER.pack(MAGIC, VERSION, int(message.TYPE), len(payload))
-    crc = zlib.crc32(header + payload) & 0xFFFFFFFF
-    return header + payload + TRAILER.pack(crc)
+    """Serialize one message into a checksummed frame.
+
+    An array message's payload is copied once, from its arrays into the frame."""
+    if isinstance(message, _Arrays):
+        length, parts = message.parts()
+    else:
+        parts = [message.pack()]
+        length = len(parts[0])
+    if length > MAX_PAYLOAD:
+        raise ValueError(f"payload too large: {length}")
+    header = HEADER.pack(MAGIC, VERSION, message.TYPE, length)
+    crc = zlib.crc32(header)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([header, *parts, TRAILER.pack(crc)])
 
 
-def decode_frame(buf: bytes, offset: int = 0):
+def decode_frame(buf, offset: int = 0):
     """Decode one frame from ``buf[offset:]``.
 
     Returns (message, next_offset). Raises NeedMoreBytes when the buffer
-    ends mid-frame and CorruptFrameError on any malformed content.
+    ends mid-frame and CorruptFrameError on any malformed content. A
+    message's u64 arrays are views of its payload: of ``buf`` itself when it
+    is ``bytes``, else of one copy, so a buffer that is later resized (a
+    transport's receive buffer) holds no message's data.
     """
     avail = len(buf) - offset
     if avail < HEADER.size:
@@ -254,7 +292,8 @@ def decode_frame(buf: bytes, offset: int = 0):
         raise CorruptFrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptFrameError(f"unsupported version {version}")
-    if mtype not in _MESSAGE_CLASSES:
+    cls = _MESSAGE_CLASSES.get(mtype)
+    if cls is None:
         raise CorruptFrameError(f"unknown message type 0x{mtype:02x}")
     if length > MAX_PAYLOAD:
         raise CorruptFrameError(f"declared payload too large: {length}")
@@ -263,8 +302,12 @@ def decode_frame(buf: bytes, offset: int = 0):
         raise NeedMoreBytes(total - avail)
     body_end = offset + HEADER.size + length
     (crc_stored,) = TRAILER.unpack_from(buf, body_end)
-    crc = zlib.crc32(buf[offset:body_end]) & 0xFFFFFFFF
+    crc = zlib.crc32(memoryview(buf)[offset:body_end])
     if crc != crc_stored:
         raise CorruptFrameError(f"checksum mismatch (got 0x{crc_stored:08x}, want 0x{crc:08x})")
-    message = _MESSAGE_CLASSES[mtype].unpack(bytes(buf[offset + HEADER.size:body_end]))
-    return message, offset + total
+    start = offset + HEADER.size
+    if type(buf) is bytes:
+        payload = memoryview(buf)[start:body_end]
+    else:  # one copy, and no view of a buffer that may change outlives this line
+        payload = bytes(memoryview(buf)[start:body_end])
+    return cls.unpack(payload), offset + total

@@ -51,6 +51,7 @@ from ..errors import (CorruptFrameError, InconclusiveSessionError, ProtocolViola
                       SessionFailedError, SyncFailureError)
 from ..simulate import QuantumPhase, simulate_quantum_phase
 from ..scenario import ROLE_ALICE, ROLE_BOB, Scenario, SessionParams, SourceConfig
+from ..seeds import BLOCK
 from ..source import pulse_states
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices)
@@ -60,10 +61,9 @@ _ROLE_CODE = {ROLE_ALICE: 0, ROLE_BOB: 1}
 
 @dataclass
 class SiftedKey:
-    """Bits surviving basis reconciliation, with their pulse indices (from a checked report)."""
+    """Bits surviving basis reconciliation, in the order of the checked report."""
 
     bits: np.ndarray  # uint8
-    pulse_indices: np.ndarray  # int64, strictly increasing
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -94,11 +94,14 @@ def alice_match(source_config: SourceConfig, report: DetectionReport,
     """
     idx = report.pulse_index
     _check_indices(idx, n_pulses, "report indices")
-    states = pulse_states(source_config, idx)
-    match = (states >> 1) == report.basis
-    keep = np.flatnonzero(match)
-    return (MatchMask(mask=match),
-            SiftedKey(bits=states.take(keep) & 1, pulse_indices=idx.take(keep)))
+    match, bits = np.empty(len(idx), dtype=bool), []
+    for a in range(0, len(idx), BLOCK):
+        states = pulse_states(source_config, idx[a:a + BLOCK])
+        np.equal(states >> 1, report.basis[a:a + BLOCK], out=match[a:a + BLOCK])
+        bits.append(states.take(np.flatnonzero(match[a:a + BLOCK])))
+    bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.uint8)
+    bits &= 1
+    return MatchMask(mask=match.view(np.uint8)), SiftedKey(bits=bits)
 
 
 def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) -> SiftedKey:
@@ -106,8 +109,11 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
     if len(mask) != len(report):
         raise ProtocolViolationError(
             f"mask length {len(mask)} != report length {len(report)}")
-    keep = np.flatnonzero(mask.mask != 0)  # numpy's nonzero is 7x faster on bools than uint8
-    return SiftedKey(bits=detectors.take(keep) & 1, pulse_indices=report.pulse_index.take(keep))
+    kept = mask.mask != 0  # numpy's nonzero is 7x faster on bools than uint8
+    bits = np.concatenate([detectors[a:a + BLOCK].take(np.flatnonzero(kept[a:a + BLOCK]))
+                           for a in range(0, max(len(kept), 1), BLOCK)])
+    bits &= 1
+    return SiftedKey(bits=bits)
 
 
 def sample_size(key_length: int, params: SessionParams) -> int:
@@ -307,6 +313,7 @@ def _run_bob(scenario: Scenario, scenario_hash: bytes, replay_tags, quantum, pha
     phase_box[0] = "sift"
     mask = _expect((yield), MatchMask)
     key = bob_sift(report, quantum.classified_detector, mask)
+    del report, mask
 
     phase_box[0] = "qber"
     if len(key) == 0:
@@ -314,11 +321,13 @@ def _run_bob(scenario: Scenario, scenario_hash: bytes, replay_tags, quantum, pha
         raise InconclusiveSessionError("no sifted bits to estimate QBER from")
     rng = np.random.default_rng(scenario.protocol.rng_seed)
     positions = select_sample(len(key), scenario.protocol, rng)
+    n_disclosed = len(positions)
     yield SampleIndices(positions=positions)
     yield SampleBits(bits=key.bits[positions])
+    del positions
 
     result = _expect((yield), QberResult)
-    qber = _check_qber_result(result, len(positions), scenario.protocol)
+    qber = _check_qber_result(result, n_disclosed, scenario.protocol)
 
     phase_box[0] = "done"
     yield Done(session_id=scenario.protocol.session_id)
@@ -327,7 +336,7 @@ def _run_bob(scenario: Scenario, scenario_hash: bytes, replay_tags, quantum, pha
         # Alice's DONE is her last message: nothing more goes on the wire.
         raise _Abort(f"protocol-violation: DONE for session {done.session_id}")
 
-    remaining = len(key) - len(positions)
+    remaining = len(key) - n_disclosed
     return _finish_report(scenario, scenario_hash, ROLE_BOB, qber, len(key), remaining,
                           quantum.counts())
 
@@ -336,6 +345,7 @@ def _run_alice(scenario: Scenario, scenario_hash: bytes, phase_box):
     phase_box[0] = "report"
     report = _expect((yield), DetectionReport)
     mask, key = alice_match(scenario.source, report, scenario.n_pulses)
+    del report  # its indices view its frame: neither is held through the sample
     yield mask
 
     phase_box[0] = "qber"

@@ -31,6 +31,13 @@ stream is non-decreasing.
 
 Detector indices follow the state encoding: H=0, V=1, D=2, A=3, so
 ``basis = detector >> 1`` and ``bit = detector & 1``.
+
+Memory: beside the caller's photons, :func:`detect` holds one int64 key
+per photon and background tag, quantized through BLOCK-entry float
+scratch and sorted in place (the stable merge takes up to 4 bytes per
+tag), a detector byte and a keep byte per tag, and one APD's indices and
+times at a time. The kept tags move to the front of the key buffer, which
+shrinks in place into their times: 9 bytes per tag returned.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ import numpy as np
 
 from .channel import PhotonArrivals
 from .errors import ConfigError, ContractViolationError
-from .scenario import DISCARD, ReceiverConfig
-from .seeds import STREAM_BACKGROUND, STREAM_RECEIVER, spawn
+from .scenario import DISCARD, MAX_TAG_PS, ReceiverConfig
+from .seeds import BLOCK, STREAM_BACKGROUND, STREAM_RECEIVER, spawn
 
 DET_H, DET_V, DET_D, DET_A = 0, 1, 2, 3
 DETECTOR_NAMES = "HVDA"
@@ -85,13 +92,41 @@ def _dead_time_filter(times: np.ndarray, dead_ps: int) -> np.ndarray:
         return np.ones(n, dtype=bool)
     keep = np.empty(n + 1, dtype=bool)  # keep[n]: a chain that runs off the end stops
     keep[0] = keep[n] = True
-    np.greater_equal(np.diff(times), dead_ps, out=keep[1:n])
+    for a in range(1, n, BLOCK):  # keep[i]: t[i] - t[i - 1] >= dead_ps
+        b = min(a + BLOCK, n)
+        np.greater_equal(times[a:b] - times[a - 1:b - 1], dead_ps, out=keep[a:b])
     front = np.flatnonzero(keep[:n - 1] & ~keep[1:n])  # heads of clusters of >= 2
     while front.size:
         front = np.searchsorted(times, times[front] + dead_ps)
         front = front[~keep[front]]  # a chain that reaches the next head stops
         keep[front] = True
     return keep[:n]
+
+
+def _quantize(key: np.ndarray, t_arr: np.ndarray, config: ReceiverConfig) -> None:
+    """Fill ``key`` with tag times quantized to the tagger resolution in float64.
+
+    ``key`` holds the background's times after the signal's place; the
+    signal's are its arrivals plus their jitter (its own stream; standard
+    normals times sigma are normal(0, sigma)'s draws bit for bit). BLOCK
+    entries at a time go through one float buffer.
+    """
+    jitter = spawn(config.rng_seed, STREAM_RECEIVER).standard_normal
+    res, n_sig = int(config.tag_resolution_ps), len(t_arr)
+    scratch = np.empty(min(BLOCK, len(key)))
+    for a in range(0, len(key), BLOCK):
+        t = scratch[:min(BLOCK, len(key) - a)]
+        m = min(max(n_sig - a, 0), len(t))  # the block's signal entries
+        jitter(out=t[:m])
+        t[:m] *= config.jitter_sigma_ps
+        t[:m] += t_arr[a:a + m]
+        t[m:] = key[a + m:a + len(t)]
+        if res != 1:
+            t /= res
+        np.rint(t, out=t)
+        if res != 1:
+            t *= res
+        key[a:a + len(t)] = t
 
 
 def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s: float,
@@ -111,22 +146,11 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     for _ in range(4):
         n_bg = bg.poisson(config.background_rate_cps_per_apd * session_duration_s)
         blocks.append(bg.integers(w0, max(w1, w0 + 1), size=n_bg, dtype=np.int64))
-    # One float buffer, quantized to the tagger resolution: the signal's
-    # arrivals plus their jitter (its own stream; standard normals times
-    # sigma are normal(0, sigma)'s draws bit for bit), then the background.
-    t = np.empty(n_sig + sum(map(len, blocks)))
-    spawn(config.rng_seed, STREAM_RECEIVER).standard_normal(out=t[:n_sig])
-    t[:n_sig] *= config.jitter_sigma_ps
-    t[:n_sig] += t_arr
-    np.concatenate(blocks, out=t[n_sig:])
-    res = int(config.tag_resolution_ps)
-    if res != 1:
-        t /= res
-    np.rint(t, out=t)
-    if res != 1:
-        t *= res
-    key = t.astype(np.int64)
-    del t
+    n_bg = list(map(len, blocks))
+    key = np.empty(n_sig + sum(n_bg), dtype=np.int64)
+    np.concatenate(blocks, out=key[n_sig:])
+    del blocks
+    _quantize(key, t_arr, config)
 
     # The one time sort, on keys 4 (t - t_min) + APD: the background run
     # sorted alone, then merged with the signal's (sorted but for jitter) by
@@ -134,12 +158,14 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     # stable argsort that puts signal first at an equal key. Each APD's dead
     # time acts on its own tags in that order.
     t_min, t_max = (int(key.min()), int(key.max())) if len(key) else (0, 0)
+    if max(t_max, -t_min) >= MAX_TAG_PS:
+        raise ContractViolationError("tag times past 2^53 ps are not whole picoseconds in float64")
     if 4 * (t_max - t_min) + 3 >= 2**63:
         raise ContractViolationError("tag times span too wide for one int64 key")
     key -= t_min
     key <<= 2
     key[:n_sig] += arrivals.detector
-    key[n_sig:] += np.repeat(np.arange(4, dtype=np.uint8), list(map(len, blocks)))
+    key[n_sig:] += np.repeat(np.arange(4, dtype=np.uint8), n_bg)
     if with_truth:
         by_time = np.argsort(key, kind="stable")
         key = key.take(by_time)
@@ -155,17 +181,23 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     keep = np.empty(len(t), dtype=bool)
     for d in range(4):
         on_d = np.flatnonzero(det == d)
-        keep[on_d] = _dead_time_filter(t[on_d], dead_ps)
+        keep[on_d] = _dead_time_filter(t.take(on_d), dead_ps)
+    del on_d
     truth = None
     if with_truth:
         background = np.full(len(t) - n_sig, -1, dtype=np.int64)
         truth = np.concatenate([arrivals.pulse_index, background])[by_time[keep]]
-    # The kept times go to the front of the key buffer, which the tags keep:
-    # a new array would take the space the float buffer freed, and the heap
-    # above it, trimmed on return, would fault back in during clock recovery.
-    det = det[keep]
-    t[:len(det)] = t[keep]
-    return TimeTags(detector=det, time_ps=t[:len(det)], truth_pulse_index=truth)
+    # The kept tags move to the front of their buffers, BLOCK at a time, and
+    # the buffers shrink in place to them: the tags keep the key buffer.
+    n = 0
+    for a in range(0, len(t), BLOCK):
+        kept = np.flatnonzero(keep[a:a + BLOCK])
+        t[n:n + len(kept)] = t[a:a + BLOCK].take(kept)
+        det[n:n + len(kept)] = det[a:a + BLOCK].take(kept)
+        n += len(kept)
+    for kept in (t, det):
+        kept.resize(n, refcheck=False)  # in place: no view of them is left
+    return TimeTags(detector=det, time_ps=t, truth_pulse_index=truth)
 
 
 def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
@@ -184,21 +216,27 @@ def classify_clicks(pulse_index: np.ndarray, detector: np.ndarray, policy: str,
     if len(pulse_index) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), 0, 0)
 
-    first = np.empty(len(pulse_index), dtype=bool)
-    first[0] = True
-    np.not_equal(pulse_index[1:], pulse_index[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    multi = np.diff(starts, append=len(pulse_index)) > 1
+    # first[i]: tag i opens its pulse's run; first[n] closes the last run.
+    # A pulse is a multi-click if the tag after its first opens no run.
+    n = len(pulse_index)
+    first = np.empty(n + 1, dtype=bool)
+    first[0] = first[n] = True
+    np.not_equal(pulse_index[1:], pulse_index[:-1], out=first[1:n])
+    head, nxt = first[:n], first[1:]
+    multi = ~nxt[head]
     n_multi = int(np.count_nonzero(multi))
 
     if policy == DISCARD:
-        return pulse_index[starts[~multi]], detector[starts[~multi]], n_multi, n_multi
+        single = head & nxt
+        return pulse_index[single], detector[single], n_multi, n_multi
     # The distinct clicking detectors of each multi-click pulse as a 4-bit
     # mask; one draw per such pulse, in pulse order, picks a set bit.
-    mask = np.bitwise_or.reduceat(np.left_shift(np.uint8(1), detector), starts)[multi]
-    out = detector[starts]
+    in_multi = ~(head & nxt)
+    clicks = np.left_shift(np.uint8(1), detector[in_multi])
+    mask = np.bitwise_or.reduceat(clicks, np.flatnonzero(head[in_multi]))
+    out = detector[head]
     out[multi] = _NTH_SET[mask, rng.integers(0, _N_SET[mask])]
-    return pulse_index[starts], out, n_multi, 0
+    return pulse_index[head], out, n_multi, 0
 
 
 # ---------------------------------------------------------------------------

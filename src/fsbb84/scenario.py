@@ -42,6 +42,9 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
 MAX_SPAN = 2**60  # pulses, ps or tags: keeps receiver.detect's int64 key and the wire's u64 count
+# receiver.detect quantizes tag times in float64, whose whole numbers are
+# exact only below 2^53: tag times must stay under 2^53 ps (2.5 h).
+MAX_TAG_PS = 2**53
 # Fading blocks a faded run may span: the channel seeds one generator per
 # block (20-30 us each), so at most 21-31 s of seeding; a 60 s run at
 # 0.1 ms blocks spans 6e5.
@@ -241,10 +244,11 @@ class Scenario:
         if not 1 <= ch.fading_block_ms * 1e9 < MAX_SPAN:  # the channel's integer divisor, in ps
             raise ConfigError("must be at least 1 ps and under 2^60 ps", "channel.fading_block_ms")
         train_ps = min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps)
+        train_field = "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"
+        delay_field = "channel.propagation_delay_ps" if delay_set else "channel.distance_m"
         for value, name in (  # a link past MAX_SPAN m would overflow delay_ps()
-                (train_ps, "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"),
-                (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN,
-                 "channel.propagation_delay_ps" if delay_set else "channel.distance_m"),
+                (train_ps, train_field),
+                (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN, delay_field),
                 (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps"),
                 (rx.dead_time_ns * 1e3, "receiver.dead_time_ns"),
                 (rx.background_rate_cps_per_apd * self.simulated_duration_s,
@@ -258,6 +262,16 @@ class Scenario:
         # span under 2^61 ps: the train plus 32 jitter sigmas each side (numpy's stay in 14)
         if train_ps + 64 * rx.jitter_sigma_ps >= 2 * MAX_SPAN:
             raise ConfigError("spreads the run's tag times past 2^61 ps", "receiver.jitter_fwhm_ps")
+        # a bound on |tag time|: the clock offset, then the train, the delay and
+        # 32 emission sigmas at the drift guard's rate, then 32 detector
+        # sigmas; the largest term is blamed
+        g = 1.0 + DRIFT_GUARD_PPM * 1e-6
+        reach = {"sync.true_clock.offset_ps": abs(self.sync.true_clock.offset_ps),
+                 train_field: g * train_ps, delay_field: g * abs(ch.delay_ps()),
+                 "source.pulse_fwhm_ps": g * 32 * self.source.emit_sigma_ps,
+                 "receiver.jitter_fwhm_ps": 32 * rx.jitter_sigma_ps}
+        if sum(reach.values()) >= MAX_TAG_PS:
+            raise ConfigError("puts the run's tag times past 2^53 ps", max(reach, key=reach.get))
 
     @property
     def n_pulses(self) -> int:

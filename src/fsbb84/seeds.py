@@ -50,6 +50,12 @@ STREAM_PROTOCOL = 5
 STREAM_EMIT_JITTER = 6
 STREAM_STATE = 7
 
+# Entries per block of the elementwise passes that run in block-sized
+# scratch (the source's state hash, and passes in the channel, the
+# receiver, clock recovery and the protocol), so a pass's transients do not
+# follow the stream's length. Not part of the contract: no output depends on it.
+BLOCK = 1 << 14
+
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)

@@ -30,8 +30,10 @@ derived from ``(rng_seed, shard_index)``, and the pulses come in stages:
   into a zero-truncated Poisson(mu_s) photon number.
 
 Only the draws run shard by shard. The state hash, the keep test and the
-inversion run once over a list of consecutive shards, and read a 4-entry
-table per shard instead of evaluating ``exp`` per pulse.
+inversion run over a list of consecutive shards, BLOCK entries at a time
+(:data:`fsbb84.seeds.BLOCK`), each block drawing from the shards it
+meets, and read a 4-entry table per shard instead of evaluating ``exp``
+per pulse.
 
 The cost follows ``mu * n``, not ``n``. Loss thins a Poisson pulse into a
 Poisson pulse, so the channel draws the pulses that reach Bob's APDs with
@@ -44,6 +46,7 @@ last shard do. This is version 3 of the contract in :mod:`fsbb84.seeds`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import SourceConfig
-from .seeds import STREAM_SOURCE, STREAM_STATE, counter_key, spawn, splitmix64
+from .seeds import BLOCK, STREAM_SOURCE, STREAM_STATE, counter_key, spawn, splitmix64
 
 # Pulses per generator of the photon-number draw. Part of the
 # reproducibility contract.
@@ -64,7 +67,15 @@ SHARD_SIZE = 1 << 22
 
 
 def _hashed_states(key: np.uint64, indices) -> np.ndarray:
-    return (splitmix64(key, indices) >> np.uint64(62)).astype(np.uint8)
+    """Top two bits of each index's hash (uint8), hashed BLOCK indices at a time."""
+    indices = np.asarray(indices)
+    flat = indices.reshape(-1)
+    states = np.empty(flat.size, dtype=np.uint8)
+    for a in range(0, flat.size, BLOCK):
+        z = splitmix64(key, flat[a:a + BLOCK])
+        z >>= np.uint64(62)
+        states[a:a + BLOCK] = z
+    return states.reshape(indices.shape)
 
 
 def pulse_states(config: SourceConfig, indices) -> np.ndarray:
@@ -99,7 +110,9 @@ def _success_positions(n: int, p: float, rng: np.random.Generator) -> np.ndarray
         return np.empty(0, dtype=np.int64)
     # n + 1 gaps always pass n; the usual batch covers it at 6 sigma.
     batch = min(int(n * p + 6.0 * math.sqrt(n * p)) + 16, n + 1)
-    pos = np.cumsum(rng.geometric(p, size=batch)) - 1
+    pos = rng.geometric(p, size=batch)
+    np.cumsum(pos, out=pos)
+    pos -= 1
     while pos[-1] < n:
         pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(p, size=batch))])
     return pos[: np.searchsorted(pos, n)]
@@ -143,35 +156,71 @@ def generate_shard(config: SourceConfig, shard_index: int, n: int) -> PulseShard
                       mu=config.mu_per_state, p_max=p_max, rng=g)
 
 
+def shard_pieces(bounds: list[int], a: int, b: int):
+    """(k, lo, hi) for each shard k with entries among [a, b), as ``bounds`` splits them.
+
+    Shard k holds entries ``[bounds[k], bounds[k + 1])``. A pass over
+    consecutive shards in blocks draws each block from the generators of
+    the shards it meets, in order, so each generator draws what it would
+    in one call.
+    """
+    k = bisect.bisect_right(bounds, a) - 1
+    while k + 1 < len(bounds) and bounds[k] < b:
+        lo, hi = max(a, bounds[k]), min(b, bounds[k + 1])
+        if lo < hi:
+            yield k, lo, hi
+        k += 1
+
+
 def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
     """The non-vacuum pulses of consecutive shards from :func:`generate_shard`.
 
     ``state_key`` is the state stream's key,
     ``counter_key(rng_seed, STREAM_STATE)``. Each shard's generator draws
     a keep uniform per candidate, then a photon-number uniform per kept
-    pulse, each into its slice of one array; the state hash, the keep test
-    and the inversion run once over all the shards, on per-state tables.
+    pulse; the state hash, the keep test and the inversion run over all the
+    shards, on per-state tables, BLOCK entries at a time. Beside the
+    candidates' index (8 bytes each), which the kept pulses take over in
+    place, they hold a state byte and an 8-byte photon count per kept pulse.
     """
-    sizes = [sh.position.size for sh in shards]
-    bounds = [0, *itertools.accumulate(sizes)]
+    bounds = [0, *itertools.accumulate(sh.position.size for sh in shards)]
     index = np.empty(bounds[-1], dtype=np.int64)
-    u = np.empty(bounds[-1])
     for sh, a, b in zip(shards, bounds, bounds[1:]):
         np.add(sh.position, sh.start, out=index[a:b])
-        sh.rng.random(out=u[a:b])
-    states = _hashed_states(state_key, index)
     # Entry 4 k + s of the flat per-state tables is state s of shard k.
     mu = np.array([sh.mu for sh in shards], dtype=np.float64).ravel()
-    row = np.repeat(np.arange(0, mu.size, 4), sizes) + states
-    u *= np.repeat([sh.p_max for sh in shards], sizes)
-    kept = np.flatnonzero(u < (-np.expm1(-mu))[row])
-    index, states, row = index.take(kept), states.take(kept), row.take(kept)
-    bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), index.size]
-    u = u[:index.size]  # the keep uniforms are spent
-    for sh, a, b in zip(shards, bounds, bounds[1:]):
-        sh.rng.random(out=u[a:b])
-    return Pulses(index=index, states=states, photon_count=_zero_truncated_poisson(mu, row, u),
-                  bounds=bounds)
+    p_keep, p_max = -np.expm1(-mu), np.array([sh.p_max for sh in shards])
+    states = np.empty(index.size, dtype=np.uint8)
+    u = np.empty(min(BLOCK, index.size))
+
+    def draw(bounds, a, n):
+        """A uniform per entry [a, a + n) from its shard's generator, and the entries' shards."""
+        pieces = list(shard_pieces(bounds, a, a + n))
+        for k, lo, hi in pieces:
+            shards[k].rng.random(out=u[lo - a:hi - a])
+        return u[:n], np.repeat([k for k, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
+
+    n_kept = 0
+    for a in range(0, index.size, BLOCK):
+        block = index[a:a + BLOCK]
+        keep_u, k = draw(bounds, a, block.size)
+        keep_u *= p_max[k]
+        s = _hashed_states(state_key, block)
+        k *= 4
+        k += s
+        kept = np.flatnonzero(keep_u < p_keep[k])
+        index[n_kept:n_kept + len(kept)] = block.take(kept)
+        states[n_kept:n_kept + len(kept)] = s.take(kept)
+        n_kept += len(kept)
+    index, states = index[:n_kept], states[:n_kept]
+    bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), n_kept]
+    count = np.empty(n_kept, dtype=np.int64)
+    for a in range(0, n_kept, BLOCK):
+        n_u, k = draw(bounds, a, min(BLOCK, n_kept - a))
+        k *= 4
+        k += states[a:a + BLOCK]
+        count[a:a + BLOCK] = _zero_truncated_poisson(mu, k, n_u)
+    return Pulses(index=index, states=states, photon_count=count, bounds=bounds)
 
 
 def emit_jitter_ps(config: SourceConfig, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -58,6 +58,15 @@ median), so background-only input raises :class:`SyncFailureError`.
 Recovered offsets are only defined modulo one period from tag data alone;
 the coarse reference (from the beacon / shared scenario timing) selects
 the absolute pulse numbering.
+
+Memory per tag, beside the tags: :func:`recover_clock` holds the times
+relative to the first in float64 (8 bytes) and, in the block regression,
+float32 phases and their cosines or sines (4 + 4 bytes, which numpy sums
+through a float64 copy, 8 bytes). The FFT's cells, the refit's search for
+near tags (a byte per tag, then at most REFIT_MAX_TAGS of them) and the
+guard run BLOCK tags at a time. :func:`assign_and_gate` gates BLOCK tags
+at a time and returns 9 bytes per accepted tag. No sum goes through BLAS,
+whose dot products would wake its thread pool.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ import numpy as np
 
 from .errors import SyncFailureError
 from .scenario import DRIFT_GUARD_PPM, TrueClock
+from .seeds import BLOCK
 
 MIN_TAGS = 1000
 @dataclass(frozen=True)
@@ -98,6 +108,15 @@ def _cycles(x: np.ndarray, period_ps: float, nearest: bool = False) -> np.ndarra
     r += x
     r /= period_ps
     return r
+
+
+def _phases(x: np.ndarray, period_ps: float) -> np.ndarray:
+    """2 pi (x mod P) / P per entry in float32, folded BLOCK entries at a time."""
+    ph = np.empty(len(x), dtype=np.float32)
+    for a in range(0, len(x), BLOCK):
+        ph[a:a + BLOCK] = _cycles(x[a:a + BLOCK], period_ps)
+    ph *= np.float32(2.0 * np.pi)
+    return ph
 
 
 def _bin_counts(cycles: np.ndarray, n_bins: int) -> np.ndarray:
@@ -167,11 +186,27 @@ def _fft_drift(tau: np.ndarray, period_ps: float,
     """Drift of the strongest grid tone within the guard, its peak and the band's magnitudes."""
     P = period_ps
     g = DRIFT_GUARD_PPM * 1e-6
-    cell = np.rint(tau / dt).astype(np.int64)
     m = _fft_length(tau[-1], dt)
-    ph = _cycles(tau, P).astype(np.float32) * np.float32(2.0 * np.pi)
-    mag = np.abs(np.fft.fft(np.bincount(cell, weights=np.cos(ph), minlength=m)
-                            + 1j * np.bincount(cell, weights=np.sin(ph), minlength=m)))
+    # The phasors summed per cell, BLOCK tags at a time. A block ends before
+    # its last cell, which the next one starts with, so each cell is summed
+    # in one block, in tag order: the sums are one whole-stream bincount's.
+    cells = np.zeros(m, dtype=complex)
+    a, size = 0, BLOCK
+    while a < len(tau):
+        cell = np.rint(tau[a:a + size] / dt).astype(np.int64)
+        if a + size < len(tau):
+            if cell[0] == cell[-1]:  # one cell fills the block
+                size *= 2
+                continue
+            cell = cell[:np.searchsorted(cell, cell[-1])]
+        ph = _phases(tau[a:a + len(cell)], P)
+        c0, c1 = int(cell[0]), int(cell[-1]) + 1
+        cell -= c0
+        cells.real[c0:c1] += np.bincount(cell, weights=np.cos(ph))
+        cells.imag[c0:c1] += np.bincount(cell, weights=np.sin(ph))
+        a, size = a + len(cell), BLOCK
+    mag = np.abs(np.fft.fft(cells))
+    del cells
     bin_fp = P / (m * dt)  # bin spacing of f, in units of 1/P
     k = np.arange(-(m // 4), m // 4 + 1)
     k = k[np.abs(k * bin_fp / (1.0 - k * bin_fp)) <= g]
@@ -234,8 +269,9 @@ def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
         sums[nb > 0] = np.add.reduceat(x, bounds[:-1][nb > 0], dtype=np.float64)
         return sums
 
-    ph = _cycles(u, P).astype(np.float32) * np.float32(2.0 * np.pi)
+    ph = _phases(u, P)
     z = block_sums(np.cos(ph)) + 1j * block_sums(np.sin(ph))
+    del ph
     mids = block_sums(u)
     used = nb >= 5
     z[used] /= nb[used]
@@ -251,7 +287,7 @@ def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
     # would turn a sequential unwrap into a whole-period step for every
     # block after it.
     z, nb = z[used], nb[used]
-    ref = np.angle(np.dot(z, nb))
+    ref = np.angle(np.add.reduce(z * nb))
     psi = (np.angle(z * np.exp(-1j * ref)) + ref) / (2.0 * np.pi) * P
     if len(psi) == 1:
         return 0.0, float(psi[0])
@@ -281,6 +317,11 @@ REFIT_MAX_TAGS = 1 << 15
 REFIT_BAND = 1 / 4
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) without BLAS, whose dot would wake its thread pool."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _refit_peak(t: np.ndarray, offset: float, rate: float,
                 period_ps: float) -> tuple[float, float]:
     """Refit offset and rate on the tags near the folded peak.
@@ -302,16 +343,25 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     refit's, and the clock differs from its by rounding.
     """
     P = period_ps
-    ta = source_time_ps(t, offset, rate)
-    res = _cycles(ta, P, nearest=True)
-    near = np.flatnonzero((res >= -0.25) & (res <= 0.25))
-    near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
+    # The tags within P/4 of the starting mapping, found BLOCK at a time;
+    # every stride-th of them, counted through the stream, is kept.
+    near = np.empty(len(t), dtype=bool)
+    for a in range(0, len(t), BLOCK):
+        res = _cycles(source_time_ps(t[a:a + BLOCK], offset, rate), P, nearest=True)
+        np.less_equal(np.abs(res, out=res), 0.25, out=near[a:a + BLOCK])
+    stride = max(1, math.ceil(np.count_nonzero(near) / REFIT_MAX_TAGS))
+    kept, seen = [], 0
+    for a in range(0, len(t), BLOCK):
+        idx = np.flatnonzero(near[a:a + BLOCK])
+        kept.append(idx[(-seen) % stride::stride] + a)
+        seen += len(idx)
+    near = np.concatenate(kept)
     if len(near) < 2:
         return offset, rate
     # x: each near tag's time, centred; y0: its residual under the starting
     # mapping. The residuals are y0 less the line A + B x fitted so far.
-    x, y0 = ta.take(near), res.take(near)
-    del ta, res
+    x = source_time_ps(t.take(near), offset, rate)
+    y0 = _cycles(x, P, nearest=True)
     c = 0.5 * (x[0] + x[-1])
     x -= c
     ends = float(x[0]), float(x[-1])  # the tags are non-decreasing
@@ -335,9 +385,9 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
                 edge = None
             if edge is None:
                 np.less_equal(d, h - band, out=inner)
-                n_in, sx, sy = float(inner.sum()), float(inner @ x), float(inner @ y0)
+                n_in, sx, sy = float(inner.sum()), _dot(inner, x), _dot(inner, y0)
                 inner *= x
-                sxx, sxy = float(inner @ x), float(inner @ y0)
+                sxx, sxy = _dot(inner, x), _dot(inner, y0)
                 edge = np.flatnonzero((d > h - band) & (d < h + band))
                 bx, by = x.take(edge), y0.take(edge)
             keep = np.abs(by - (A + B * bx)) <= h
@@ -346,10 +396,10 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
             if n < 2:
                 break
             Sx = sx + float(kx.sum())
-            Sxx = sxx + float(kx @ kx)
+            Sxx = sxx + _dot(kx, kx)
             # the sums of the residuals the line leaves
             Sy = sy + float(ky.sum()) - n * A - B * Sx
-            Sxy = sxy + float(kx @ ky) - A * Sx - B * Sxx
+            Sxy = sxy + _dot(kx, ky) - A * Sx - B * Sxx
             xm = Sx / n
             var = Sxx - xm * Sx
             b = (Sxy - xm * Sy) / var if var > 0 else 0.0
@@ -393,10 +443,13 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_referen
     # drift is a fraction of a grid step off is judged after refinement.
     # One fold: the wrapped residuals give the rms; shifted by P/2, the
     # folded histogram turned by half its bins, same peak and median.
-    res = _cycles(source_time_ps(t, offset, rate), P, nearest=True)
-    residual_rms = P * math.sqrt(np.dot(res, res) / n)
-    res += 0.5
-    hist = _bin_counts(res, 64)
+    squares, hist = 0.0, np.zeros(64, dtype=np.int64)
+    for a in range(0, n, BLOCK):
+        res = _cycles(source_time_ps(t[a:a + BLOCK], offset, rate), P, nearest=True)
+        squares += _dot(res, res)
+        res += 0.5
+        hist += _bin_counts(res, 64)
+    residual_rms = P * math.sqrt(squares / n)
     if hist.max() < 3.0 * np.median(hist):
         raise SyncFailureError("no significant pulse-grid peak in folded histogram")
 
@@ -429,19 +482,21 @@ def assign_and_gate(tags, clock: ClockModel, gate_width_ps: float) -> Assignment
     accepts every tag. Accepted tags keep the stream's order and each float
     step from time to slot is monotone, so ``pulse_index`` is non-decreasing.
     """
-    r = source_time_ps(tags.time_ps, clock.offset_ps, clock.rate)
+    t, truth = tags.time_ps, tags.truth_pulse_index
     P = clock.period_ps
-    k = r / P
-    np.floor(k, out=k)
-    r -= k * P
-    upper = r > P / 2.0  # strictly above half: next slot is closer
-    k += upper
-    r -= upper * P  # x - 0.0 is x, -0.0 included
-    keep = np.flatnonzero((np.abs(r, out=r) <= gate_width_ps / 2.0) & (k >= 0))
-    truth = tags.truth_pulse_index
-    return Assignments(
-        pulse_index=k.take(keep).astype(np.int64),
-        detector=tags.detector.take(keep),
-        rejected_count=len(k) - len(keep),
-        truth_pulse_index=truth.take(keep) if truth is not None else None,
-    )
+    parts = []  # each block's accepted (pulse index, detector, origin)
+    for a in range(0, max(len(t), 1), BLOCK):
+        r = source_time_ps(t[a:a + BLOCK], clock.offset_ps, clock.rate)
+        k = r / P
+        np.floor(k, out=k)
+        r -= k * P
+        upper = r > P / 2.0  # strictly above half: next slot is closer
+        k += upper
+        r -= upper * P  # x - 0.0 is x, -0.0 included
+        kept = np.flatnonzero((np.abs(r, out=r) <= gate_width_ps / 2.0) & (k >= 0))
+        parts.append((k.take(kept).astype(np.int64), tags.detector[a:a + BLOCK].take(kept),
+                      None if truth is None else truth[a:a + BLOCK].take(kept)))
+    index, detector, origin = (c[0] if len(c) == 1 or c[0] is None else np.concatenate(c)
+                               for c in zip(*parts))
+    return Assignments(pulse_index=index, detector=detector, rejected_count=len(t) - len(index),
+                       truth_pulse_index=origin)

@@ -65,6 +65,21 @@ def test_weak_script(bench_pairs):
     assert {"tags", "fft_lengths", "drift_error_ppm", "rss_before_mb", "peak_rss_mb"} <= out.keys()
 
 
+def test_memory_script(bench_pairs):
+    stages = {"transmit_stream", "detect", "recover_clock", "assign_and_gate"}
+    for args in (("workload", "retro_beacon_weak_v", "1", "2"),
+                 ("bundled", "table2_beam_expanders", "0.05", "1")):
+        out = _run(bench_pairs, "_MEMORY", *args)
+        assert len(out) == int(args[3])
+        for run in out:
+            assert run["stage_bytes"].keys() == run["stage_bytes_per_tag"].keys() == stages
+            # the session's high-water bounds every stage's peak
+            assert 0 < max(run["stage_bytes"].values()) <= run["session_bytes"]
+            assert run["session_bytes_per_tag"] == run["session_bytes"] / run["tags"]
+    summary = bench_pairs._memory_summary(out + [{**out[0], "session_bytes_per_tag": 1e9}])
+    assert summary["session_bytes_per_tag"] == 1e9
+
+
 def test_fixed_rss_script(bench_pairs):
     assert _run(bench_pairs, "_FIXED_RSS", "retro_beacon_weak_v", "1", "1") > 0
 

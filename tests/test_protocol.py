@@ -133,6 +133,22 @@ def test_multiple_frames_in_buffer():
     assert m1 == a and m2 == b and off == len(buf)
 
 
+def test_decoded_arrays_view_a_bytes_frame_but_never_a_bytearray():
+    msg = SampleIndices(positions=[3, 7, 11])
+    frame = encode_frame(msg)
+    view = decode_frame(frame)[0].positions
+    assert view.base is not None and not view.flags.writeable  # no copy of the frame
+    # a transport trims its receive buffer after each frame, so nothing
+    # decoded from it, nor a failed decode's traceback, may hold it
+    buf = bytearray(frame)
+    copy = decode_frame(buf)[0]
+    bad = bytearray(crc_valid_frame(MsgType.SAMPLE_INDICES, struct.pack("<QQ", 1, 2**63)))
+    with pytest.raises(CorruptFrameError) as err:
+        decode_frame(bad)
+    del buf[:4], bad[:4]
+    assert copy == msg and "2^63" in str(err.value)
+
+
 def _assert_rejected(cls, payload: bytes):
     with pytest.raises(CorruptFrameError):
         cls.unpack(payload)
@@ -309,7 +325,8 @@ def test_alice_match_agrees_with_stream_states_across_shard_boundary():
     assert 0.49 < keep.mean() < 0.51
     assert np.array_equal(mask.mask.astype(bool), keep)
     assert np.array_equal(key.bits, state[keep] & 1)
-    assert np.array_equal(key.pulse_indices, idx[keep])
+    # key bit i is the i-th basis-matched pulse of the report
+    assert np.array_equal(key.bits, pulse_states(src, idx[mask.mask != 0]) & 1)
 
 
 def test_bob_sift_bit_convention():
@@ -340,7 +357,8 @@ def test_noiseless_end_to_end_keys_identical():
     mask, alice_key = alice_match(cfg, rep, n)
     bob_key = bob_sift(rep, detectors, mask)
     assert np.array_equal(alice_key.bits, bob_key.bits)
-    assert np.array_equal(alice_key.pulse_indices, bob_key.pulse_indices)
+    # both keys hold the bits of the report's basis-matched pulses, in report order
+    assert np.array_equal(alice_key.bits, bit[rep.pulse_index[mask.mask != 0]])
 
 
 def test_single_flip_detected():
@@ -353,7 +371,7 @@ def test_single_flip_detected():
     bob_key = bob_sift(rep, detectors, mask)
     mism = np.nonzero(alice_key.bits != bob_key.bits)[0]
     assert len(mism) == 1
-    assert alice_key.pulse_indices[mism[0]] == 1234
+    assert rep.pulse_index[mask.mask != 0][mism[0]] == 1234
 
 
 # --- QBER estimation ----------------------------------------------------------------
@@ -369,15 +387,14 @@ def estimate_qber(alice_key, bob_key, params, rng):
     report = _count_errors(alice_key, positions, bob_key.bits[positions], params)
     keep = np.ones(len(alice_key), dtype=bool)
     keep[positions] = False
-    rem_a = SiftedKey(bits=alice_key.bits[keep], pulse_indices=alice_key.pulse_indices[keep])
-    rem_b = SiftedKey(bits=bob_key.bits[keep], pulse_indices=bob_key.pulse_indices[keep])
+    rem_a = SiftedKey(bits=alice_key.bits[keep])
+    rem_b = SiftedKey(bits=bob_key.bits[keep])
     return report, rem_a, rem_b
 
 
 def _keys(bits_a, bits_b):
-    idx = np.arange(len(bits_a), dtype=np.int64)
-    return (SiftedKey(bits=np.asarray(bits_a, dtype=np.uint8), pulse_indices=idx),
-            SiftedKey(bits=np.asarray(bits_b, dtype=np.uint8), pulse_indices=idx))
+    return (SiftedKey(bits=np.asarray(bits_a, dtype=np.uint8)),
+            SiftedKey(bits=np.asarray(bits_b, dtype=np.uint8)))
 
 
 def test_qber_identical_keys():

@@ -392,6 +392,17 @@ def test_detect_rejects_times_too_wide_for_one_key():
         detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))
 
 
+def test_detect_rejects_times_float64_cannot_hold():
+    # float64 quantization once turned these arrivals into tags at 2^53 and
+    # 2^54 + 4 ps without a word; a time past 2^53 ps is refused instead
+    arr = _arrivals([DET_H, DET_V], [2**53 + 1, 2**54 + 3])
+    with pytest.raises(ContractViolationError, match="2\\^53"):
+        detect(arr, _quiet(), 1e-6, (0, 10**6))
+    # the largest time float64 holds exactly is tagged as it arrived
+    tags = detect(_arrivals([DET_H, DET_V], [2**53 - 3, 2**53 - 1]), _quiet(), 1e-6, (0, 10**6))
+    assert tags.time_ps.tolist() == [2**53 - 3, 2**53 - 1]
+
+
 def test_merged_stream_sorted():
     n = 10_000
     arr = _arrivals(np.zeros(n, dtype=np.uint8), np.arange(n) * 10_000)

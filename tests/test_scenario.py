@@ -338,6 +338,25 @@ def test_any_json_value_in_any_field_loads_or_names_its_section(path, value):
             == _outcome(lambda: scenario_from_dict(_doc_with(path, value))))
 
 
+@pytest.mark.parametrize("overrides, field", [
+    # the arrivals receiver.detect once tagged at 2^53 and 2^54 + 4 ps
+    ({"sync.true_clock.offset_ps": 2**53 + 1}, "sync.true_clock.offset_ps"),
+    ({"channel.propagation_delay_ps": 2**54 + 3}, "channel.propagation_delay_ps"),
+    # 2.5 h of 100 MHz pulses, one train past 2^53 ps
+    ({"duration_s": 9_100.0}, "duration_s"),
+    ({"protocol.n_pulses": 910_000_000_000}, "protocol.n_pulses"),
+    ({"receiver.jitter_fwhm_ps": 1e15}, "receiver.jitter_fwhm_ps"),
+])
+def test_tag_times_stay_below_2_53_ps(overrides, field):
+    assert _outcome(lambda: BASE.override(overrides)) == field
+
+
+def test_tag_times_just_below_2_53_ps_load():
+    # an offset that leaves the 10 s train's last tag under 2^53 ps
+    offset = 2**53 - 10**13 - 10**10
+    assert BASE.override({"sync.true_clock.offset_ps": offset}).sync.true_clock.offset_ps == offset
+
+
 def test_gate_must_fit_in_period():
     with pytest.raises(ConfigError):
         scenario_from_dict(_doc_with(("sync", "gate_width_ps"), 10_000.0))

@@ -192,7 +192,7 @@ def _assert_alice_matches_train(cfg, train, idx):
     mask, key = alice_match(cfg, same, n)
     assert mask.mask.all()
     assert np.array_equal(key.bits, train.bit[idx])
-    assert np.array_equal(key.pulse_indices, idx)
+    assert np.array_equal(same.pulse_index[mask.mask != 0], idx)  # key bit i is pulse idx[i]'s
     other = DetectionReport(pulse_index=idx, basis=(1 - train.basis[idx]).astype(np.uint8))
     mask, key = alice_match(cfg, other, n)
     assert not mask.mask.any()

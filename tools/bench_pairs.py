@@ -10,10 +10,12 @@ drift, with each session's minor page faults; one traced run per side and
 workload; ``channel.transmit_stream`` alone on sessions of each workload,
 timed and under ``tracemalloc``; the bundled runs of ``STAGE_RUNS`` stage by
 stage in fresh processes, with their minor page faults, peak RSS and
-``transmit_stream``'s traced peak; and clock recovery on the synthetic weak
-streams of ``WEAK_STREAMS``, likewise::
+``transmit_stream``'s traced peak; clock recovery on the synthetic weak
+streams of ``WEAK_STREAMS``, likewise; and the ``tracemalloc`` high-water of
+sessions of each workload and of the bundled runs of ``MEMORY_RUNS``, whole
+and per stage of Bob's chain, in bytes and bytes per tag::
 
-    python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_8.json
+    python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_26.json
 
 Pair i runs with ``--seed`` + i; pick seeds no earlier BENCH file used, so
 no run was seen while writing the change. Each side is imported from its
@@ -227,7 +229,57 @@ for line in sys.stdin:
     print(json.dumps({"session_s": s, "minflt": minflt() - f, "stage_minflt": stages}),
           flush=True)
 """
-SCRIPTS = ("_STAGES", "_TRANSMIT", "_WEAK", "_FIXED_RSS", "_WARM")
+
+# The traced high-water of whole sessions, and the traced peak of each of
+# Bob's stages (what is held when it starts plus what it allocates), in
+# bytes and per tag: sessions 0..n-1 of a workload ("workload NAME SEED N"),
+# or n runs of a bundled scenario cut to some seconds ("bundled NAME
+# SECONDS N"); each run after one untraced session of the same scenario.
+_MEMORY = """
+import json, sys, tracemalloc
+from fsbb84 import channel, receiver, runner, sync
+from fsbb84.scenario import bundled_scenario
+kind, name, arg, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+if kind == "workload":
+    import workloads
+    scenarios = [workloads.build(name, int(arg), i) for i in range(n)]
+else:
+    scenarios = [bundled_scenario(name).override({"duration_s": float(arg)})] * n
+high, stages = [0], {}
+def traced(module, fname):
+    call = getattr(module, fname)
+    def stage(*args, **kwargs):
+        high[0] = max(high[0], tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            stages[fname] = tracemalloc.get_traced_memory()[1]
+            high[0] = max(high[0], stages[fname])
+    setattr(module, fname, stage)
+for module, fname in ((channel, "transmit_stream"), (receiver, "detect"),
+                      (sync, "recover_clock"), (sync, "assign_and_gate")):
+    traced(module, fname)
+out = []
+for sc in scenarios:
+    runner.run_in_process(sc)
+    high[0] = 0
+    stages.clear()
+    tracemalloc.start()
+    _, _, quantum = runner.run_in_process(sc)
+    session = max(high[0], tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    tags = len(quantum.tags)
+    out.append({"tags": tags, "session_bytes": session, "session_bytes_per_tag": session / tags,
+                "stage_bytes": dict(stages),
+                "stage_bytes_per_tag": {k: v / tags for k, v in stages.items()}})
+print(json.dumps(out))
+"""
+# Sessions per workload, and runs per bundled scenario, of each _MEMORY call;
+# (bundled scenario, seconds) of the bundled runs it measures.
+MEMORY_SESSIONS = 3
+MEMORY_RUNS = (("table2_beam_expanders", 10), ("table2_beam_expanders", 60))
+SCRIPTS = ("_STAGES", "_TRANSMIT", "_WEAK", "_FIXED_RSS", "_WARM", "_MEMORY")
 
 
 def _scripts(root: Path) -> dict:
@@ -324,6 +376,14 @@ def _compare(parent: list, change: list) -> dict:
     return {"parent": _quartiles(parent), "change": _quartiles(change),
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(parent)}
+
+
+def _memory_summary(sessions: list) -> dict:
+    """The session of ``_MEMORY``'s output with the highest bytes per tag."""
+    worst = max(sessions, key=lambda r: r["session_bytes_per_tag"])
+    return {**worst, "session_bytes_per_tag": round(worst["session_bytes_per_tag"], 2),
+            "stage_bytes_per_tag": {k: round(v, 2)
+                                    for k, v in worst["stage_bytes_per_tag"].items()}}
 
 
 def _machine() -> dict:
@@ -442,6 +502,17 @@ def main(argv=None) -> int:
                           for s in sides), flush=True)
         weak_streams.append(rec)
 
+    memory = {}
+    for label, script_args in [
+            *((w, ("workload", w, args.seed, MEMORY_SESSIONS)) for w in WORKLOADS),
+            *((f"{name}_{seconds}s", ("bundled", name, seconds, 1))
+              for name, seconds in MEMORY_RUNS)]:
+        memory[label] = {s: _memory_summary(_script(root, "_MEMORY", *script_args))
+                         for s, root in sides.items()}
+        print(f"{label} traced high-water: " + ", ".join(
+            f"{s} {memory[label][s]['session_bytes_per_tag']:.1f} B/tag" for s in sides),
+            flush=True)
+
     doc = {
         "machine": _machine(),
         "src_python_lines": {s: _src_lines(root) for s, root in sides.items()},
@@ -486,6 +557,14 @@ def main(argv=None) -> int:
                        "transmit_stream call, whose tracemalloc peak is "
                        "transmit_stream_traced_peak_mb",
             "runs": stage_runs,
+        },
+        "traced_memory": {
+            "measure": "tracemalloc around run_in_process, after one untraced session of the "
+                       f"same scenario: the session's high-water (workloads: the largest of "
+                       f"sessions 0-{MEMORY_SESSIONS - 1} of seed {args.seed}; bundled runs: one "
+                       "run) and the traced peak of each of Bob's stages, what is held when it "
+                       "starts included, in bytes and bytes per tag",
+            "runs": memory,
         },
         "weak_streams": {
             "measure": f"recover_clock on a synthetic stream, {WEAK_CALLS} calls per process, "
