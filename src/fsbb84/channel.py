@@ -37,7 +37,7 @@ from . import source
 from .analysis import loss_breakdown
 from .scenario import ChannelConfig, SourceConfig, TrueClock
 from .seeds import BLOCK, STREAM_FADING, STREAM_STATE, counter_key, spawn
-from .source import SHARD_SIZE, emit_jitter_ps
+from .source import SHARD_SIZE, emit_jitter_ps, shard_draw
 
 # Candidate pulses that close a group of consecutive shards in
 # transmit_stream. It bounds the group's per-pulse arrays (17 bytes a pulse
@@ -102,9 +102,9 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
     entries of the photon's state's cumulative analyzer row that are <= ``u``,
     with ``analyzer_cdf[d, s]`` = P(APD <= d | state s) for d = 0, 1, 2.
 
-    Each pulse's index, state and photon count expand into one entry per
-    photon, a column at a time; the jitter, flip and APD passes run BLOCK
-    pulses or photons at a time, drawing from the shards they meet.
+    Each pulse's index, state and photon count expand into one entry per photon,
+    a column at a time; the jitter, flip and APD passes run BLOCK pulses or photons
+    at a time, drawing from the shards they meet (:func:`fsbb84.source.shard_draw`).
     """
     shards = [sh for sh, _, _, _ in group]
     pulses = source.non_vacuum(shards, state_key)
@@ -132,15 +132,6 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
     del index
     scratch = np.empty(min(BLOCK, max(n_phot.size, pulse_index.size)))
 
-    def draw(bounds, a, n, fill):
-        """Entries [a, a + n) from the shards they belong to, each piece by ``fill(rng, out)``."""
-        for k, lo, hi in source.shard_pieces(bounds, a, a + n):
-            fill(rngs[k], scratch[lo - a:hi - a])
-        return scratch[:n]
-
-    def uniforms(g, out):
-        g.random(out=out)
-
     def jitter(g, out):
         out[:] = emit_jitter_ps(source_config, g, len(out))
 
@@ -149,21 +140,25 @@ def _arrivals(group: list, state_key: np.uint64, source_config: SourceConfig,
     delay, pa = config.delay_ps(), 0
     for a in range(0, n_phot.size, BLOCK):
         counts = n_phot[a:a + BLOCK]
+        emit = scratch[:counts.size]
+        shard_draw(rngs, bounds, a, emit, jitter)
         pb = pa + int(counts.sum())
         t = pulse_index[pa:pb] * period
-        t += np.repeat(draw(bounds, a, counts.size, jitter), counts)
+        t += np.repeat(emit, counts)
         t += delay
         time[pa:pb] = np.rint(true_clock.to_receiver(t))
         pa = pb
     if config.retro_mode and config.retro_flip_prob > 0.0:
         for a in range(0, states.size, BLOCK):
-            flip = draw(bounds, a, min(BLOCK, states.size - a), uniforms)
+            flip = scratch[:min(BLOCK, states.size - a)]
+            shard_draw(rngs, bounds, a, flip)
             states[a:a + BLOCK][flip < config.retro_flip_prob] ^= 1
     state = np.repeat(states, n_phot)
     del states, n_phot
     detector = np.zeros(state.size, dtype=np.uint8)
     for a in range(0, state.size, BLOCK):
-        u = draw(photon_bounds, a, min(BLOCK, state.size - a), uniforms)
+        u = scratch[:min(BLOCK, state.size - a)]
+        shard_draw(rngs, photon_bounds, a, u)
         k = state[a:a + BLOCK].astype(np.intp)
         d = detector[a:a + BLOCK]
         for column in analyzer_cdf:

@@ -160,8 +160,6 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     t_min, t_max = (int(key.min()), int(key.max())) if len(key) else (0, 0)
     if max(t_max, -t_min) >= MAX_TAG_PS:
         raise ContractViolationError("tag times past 2^53 ps are not whole picoseconds in float64")
-    if 4 * (t_max - t_min) + 3 >= 2**63:
-        raise ContractViolationError("tag times span too wide for one int64 key")
     key -= t_min
     key <<= 2
     key[:n_sig] += arrivals.detector

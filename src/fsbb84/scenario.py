@@ -41,9 +41,10 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Largest mean photon number per pulse: the source's photon-number
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
-MAX_SPAN = 2**60  # pulses, ps or tags: keeps receiver.detect's int64 key and the wire's u64 count
+MAX_SPAN = 2**60  # ps of a dead time or fading block, background tags; clamps train and delay
 # receiver.detect quantizes tag times in float64, whose whole numbers are
-# exact only below 2^53: tag times must stay under 2^53 ps (2.5 h).
+# exact only below 2^53: tag times must stay under 2^53 ps (2.5 h). The same
+# bound keeps detect's int64 keys 4 (t - t_min) + APD under 2^56.
 MAX_TAG_PS = 2**53
 # Fading blocks a faded run may span: the channel seeds one generator per
 # block (20-30 us each), so at most 21-31 s of seeding; a 60 s run at
@@ -140,6 +141,8 @@ class ReceiverConfig:
 
     def __post_init__(self):
         check_fields(self, "receiver")
+        if self.tag_resolution_ps >= MAX_TAG_PS:
+            raise ConfigError("must be under 2^53 ps", "receiver.tag_resolution_ps")
         if self.double_click_policy not in (RANDOM_BIT, DISCARD):
             raise ConfigError(f"unknown policy {self.double_click_policy!r}",
                               "receiver.double_click_policy")
@@ -246,32 +249,27 @@ class Scenario:
         train_ps = min(self.n_pulses, MAX_SPAN) * max(1.0, self.source.period_ps)
         train_field = "duration_s" if self.protocol.n_pulses is None else "protocol.n_pulses"
         delay_field = "channel.propagation_delay_ps" if delay_set else "channel.distance_m"
-        for value, name in (  # a link past MAX_SPAN m would overflow delay_ps()
-                (train_ps, train_field),
-                (ch.delay_ps() if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN, delay_field),
-                (self.sync.true_clock.offset_ps, "sync.true_clock.offset_ps"),
-                (rx.dead_time_ns * 1e3, "receiver.dead_time_ns"),
-                (rx.background_rate_cps_per_apd * self.simulated_duration_s,
-                 "receiver.background_rate_cps_per_apd")):
-            if abs(value) >= MAX_SPAN:
-                raise ConfigError("puts the run's times or counts past 2^60", name)
-        if ch.fading_sigma > 0 and train_ps > MAX_FADING_BLOCKS * ch.fading_block_ms * 1e9:
-            raise ConfigError(f"splits a faded run into over {MAX_FADING_BLOCKS} blocks",
-                              "channel.fading_block_ms")
-        # detect keys a tag by 4 * (its time - the first) + APD in an int64, so tags must
-        # span under 2^61 ps: the train plus 32 jitter sigmas each side (numpy's stay in 14)
-        if train_ps + 64 * rx.jitter_sigma_ps >= 2 * MAX_SPAN:
-            raise ConfigError("spreads the run's tag times past 2^61 ps", "receiver.jitter_fwhm_ps")
-        # a bound on |tag time|: the clock offset, then the train, the delay and
-        # 32 emission sigmas at the drift guard's rate, then 32 detector
-        # sigmas; the largest term is blamed
+        # The one tag-time rule, run before any rule that divides the pulse count:
+        # a bound on |tag time|, the clock offset, then the train, the delay and
+        # 32 emission sigmas at the drift guard's rate, then 32 detector sigmas.
+        # The largest term is blamed.
         g = 1.0 + DRIFT_GUARD_PPM * 1e-6
+        delay = (min(abs(ch.delay_ps()), MAX_SPAN)  # a link past MAX_SPAN m overflows delay_ps()
+                 if delay_set or ch.distance_m < MAX_SPAN else MAX_SPAN)
         reach = {"sync.true_clock.offset_ps": abs(self.sync.true_clock.offset_ps),
-                 train_field: g * train_ps, delay_field: g * abs(ch.delay_ps()),
+                 train_field: g * train_ps, delay_field: g * delay,
                  "source.pulse_fwhm_ps": g * 32 * self.source.emit_sigma_ps,
                  "receiver.jitter_fwhm_ps": 32 * rx.jitter_sigma_ps}
         if sum(reach.values()) >= MAX_TAG_PS:
             raise ConfigError("puts the run's tag times past 2^53 ps", max(reach, key=reach.get))
+        for value, name in ((rx.dead_time_ns * 1e3, "receiver.dead_time_ns"),
+                            (rx.background_rate_cps_per_apd * self.simulated_duration_s,
+                             "receiver.background_rate_cps_per_apd")):
+            if value >= MAX_SPAN:
+                raise ConfigError("puts the run's times or counts past 2^60", name)
+        if ch.fading_sigma > 0 and train_ps > MAX_FADING_BLOCKS * ch.fading_block_ms * 1e9:
+            raise ConfigError(f"splits a faded run into over {MAX_FADING_BLOCKS} blocks",
+                              "channel.fading_block_ms")
 
     @property
     def n_pulses(self) -> int:

@@ -67,15 +67,10 @@ SHARD_SIZE = 1 << 22
 
 
 def _hashed_states(key: np.uint64, indices) -> np.ndarray:
-    """Top two bits of each index's hash (uint8), hashed BLOCK indices at a time."""
-    indices = np.asarray(indices)
-    flat = indices.reshape(-1)
-    states = np.empty(flat.size, dtype=np.uint8)
-    for a in range(0, flat.size, BLOCK):
-        z = splitmix64(key, flat[a:a + BLOCK])
-        z >>= np.uint64(62)
-        states[a:a + BLOCK] = z
-    return states.reshape(indices.shape)
+    """Top two bits of each index's hash (uint8); the library passes at most BLOCK indices."""
+    z = splitmix64(key, indices)
+    z >>= np.uint64(62)
+    return z.astype(np.uint8)
 
 
 def pulse_states(config: SourceConfig, indices) -> np.ndarray:
@@ -156,20 +151,23 @@ def generate_shard(config: SourceConfig, shard_index: int, n: int) -> PulseShard
                       mu=config.mu_per_state, p_max=p_max, rng=g)
 
 
-def shard_pieces(bounds: list[int], a: int, b: int):
-    """(k, lo, hi) for each shard k with entries among [a, b), as ``bounds`` splits them.
+def shard_draw(rngs: list, bounds: list[int], a: int, out: np.ndarray,
+               fill=np.random.Generator.random) -> list[tuple[int, int]]:
+    """Fill ``out`` with entries [a, a + len(out)); (k, size) of each shard k's piece.
 
-    Shard k holds entries ``[bounds[k], bounds[k + 1])``. A pass over
-    consecutive shards in blocks draws each block from the generators of
-    the shards it meets, in order, so each generator draws what it would
-    in one call.
+    Shard k holds entries ``[bounds[k], bounds[k + 1])`` and fills its piece by
+    ``fill(rngs[k], out=piece)``. A pass over consecutive shards in blocks so has
+    each generator draw, in order, what it would in one call.
     """
+    pieces, b = [], a + len(out)
     k = bisect.bisect_right(bounds, a) - 1
     while k + 1 < len(bounds) and bounds[k] < b:
         lo, hi = max(a, bounds[k]), min(b, bounds[k + 1])
         if lo < hi:
-            yield k, lo, hi
+            fill(rngs[k], out=out[lo - a:hi - a])
+            pieces.append((k, hi - lo))
         k += 1
+    return pieces
 
 
 def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
@@ -191,19 +189,12 @@ def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
     mu = np.array([sh.mu for sh in shards], dtype=np.float64).ravel()
     p_keep, p_max = -np.expm1(-mu), np.array([sh.p_max for sh in shards])
     states = np.empty(index.size, dtype=np.uint8)
-    u = np.empty(min(BLOCK, index.size))
-
-    def draw(bounds, a, n):
-        """A uniform per entry [a, a + n) from its shard's generator, and the entries' shards."""
-        pieces = list(shard_pieces(bounds, a, a + n))
-        for k, lo, hi in pieces:
-            shards[k].rng.random(out=u[lo - a:hi - a])
-        return u[:n], np.repeat([k for k, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
-
+    u, rngs = np.empty(min(BLOCK, index.size)), [sh.rng for sh in shards]
     n_kept = 0
     for a in range(0, index.size, BLOCK):
         block = index[a:a + BLOCK]
-        keep_u, k = draw(bounds, a, block.size)
+        keep_u = u[:block.size]
+        k = np.repeat(*zip(*shard_draw(rngs, bounds, a, keep_u)))  # each entry's shard
         keep_u *= p_max[k]
         s = _hashed_states(state_key, block)
         k *= 4
@@ -216,7 +207,8 @@ def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
     bounds = [*np.searchsorted(index, [sh.start for sh in shards]).tolist(), n_kept]
     count = np.empty(n_kept, dtype=np.int64)
     for a in range(0, n_kept, BLOCK):
-        n_u, k = draw(bounds, a, min(BLOCK, n_kept - a))
+        n_u = u[:min(BLOCK, n_kept - a)]
+        k = np.repeat(*zip(*shard_draw(rngs, bounds, a, n_u)))
         k *= 4
         k += states[a:a + BLOCK]
         count[a:a + BLOCK] = _zero_truncated_poisson(mu, k, n_u)

@@ -386,7 +386,8 @@ def test_detect_key_path_equals_truth_path_at_equal_keys(res):
 
 
 def test_detect_rejects_times_too_wide_for_one_key():
-    # the stable (time, detector) sort runs on one int64 key, 4 t + detector
+    # the stable (time, detector) sort runs on one int64 key, 4 t + detector;
+    # the 2^53 ps check refuses these times, and below it every key fits
     arr = _arrivals([DET_H, DET_H], [0, 2**62])
     with pytest.raises(ContractViolationError):
         detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))

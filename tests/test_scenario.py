@@ -180,6 +180,11 @@ def test_sample_fraction_alone_samples_that_share():
     assert sample_size(1000, protocol) == 250
 
 
+def _row(keys, value, field, value_id):
+    """A table row whose id is its path and ``value_id``, not its place in the table."""
+    return pytest.param(keys, value, field, id=f"{'.'.join(keys)}={value_id}")
+
+
 SCHEMA = {tuple(path.split(".")): kind for path, kind in field_paths()}
 # Per range kind, the values just outside its range and the edges it keeps.
 OUTSIDE = {"Positive": [0], "NonNegative": [-1], "Probability": [-0.1, 1.5],
@@ -247,13 +252,24 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     (("receiver", "jitter_fwhm_ps"), 1e300, "receiver.jitter_fwhm_ps"),
     (("channel", "fading_block_ms"), 1e-300, "channel.fading_block_ms"),
     (("receiver", "background_rate_cps_per_apd"), 1e300, "receiver.background_rate_cps_per_apd"),
-    # jitter tails past detect's 2^61 ps key span: once loaded, then crashed inside the run
+    # jitter tails past 2^53 ps, once past detect's int64 keys: once loaded, then crashed in the run
     (("receiver", "jitter_fwhm_ps"), 1e18, "receiver.jitter_fwhm_ps"),
     # not a schema field: a file's metadata is free-form, yet no override path
     (("receiver", "bogus"), 1, "receiver.bogus"),
     (("metadata", "weather"), "rain", "metadata.weather"),
     # the "all" shorthand for a sample fraction of 1: once rewritten by the loader
     (("protocol", "sample_fraction"), "all", "protocol.sample_fraction"),
+    # Rows from here on are named by path and value, so adding or deleting a row
+    # renames no other. Past float range: the delay is clamped before the 2^53
+    # ps rule, which runs before the pulse count is divided (once an OverflowError)
+    _row(("channel", "distance_m"), sys.float_info.max, "channel.distance_m", "max"),
+    _row(("channel", "propagation_delay_ps"), 10**400, "channel.propagation_delay_ps", "10^400"),
+    _row(("channel", "propagation_delay_ps"), -10**400, "channel.propagation_delay_ps", "-10^400"),
+    _row(("protocol", "n_pulses"), 10**400, "protocol.n_pulses", "10^400"),
+    # a tag resolution float64 cannot divide by (once an OverflowError in the run)
+    # or that rounds every tag to 0 (once a SyncFailureError)
+    _row(("receiver", "tag_resolution_ps"), 10**400, "receiver.tag_resolution_ps", "10^400"),
+    _row(("receiver", "tag_resolution_ps"), 2**62, "receiver.tag_resolution_ps", "2^62"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     # a file and an override name the same field

@@ -5,11 +5,16 @@ below unchanged. Only integers are pinned (no libm-dependent floats), so
 a failure names the count that moved. The sessions cover multi-clicks
 resolved by ``random_bit`` and dropped by ``discard``, beacon-assisted
 sync, the retro link's weak V emitter under acquired drift, and a faded
-daylight link.
+daylight link. The block size of the chain's elementwise passes moves
+none of them.
 """
 
+import numpy as np
 import pytest
 
+from conftest import make_fast_scenario
+from fsbb84 import analysis, channel, receiver, seeds, source, sync
+from fsbb84.protocol import framing, session, transport
 from fsbb84.runner import run_in_process
 from fsbb84.scenario import DISCARD, RANDOM_BIT, bundled_scenario
 
@@ -74,3 +79,47 @@ def test_seeded_session_outcome_is_pinned(name):
         assert not party.abort
         assert (party.sifted_key_length, party.remaining_key_length) == (sifted, remaining)
         assert (party.qber.disclosed_count, party.qber.error_count) == (disclosed, errors)
+
+
+def _chain_outputs(sc, monkeypatch):
+    """The photons at the APDs, and the session run on them with every frame it sends."""
+    rx, frames = sc.receiver, []
+    monkeypatch.setattr(transport, "encode_frame",
+                        lambda message: frames.append(framing.encode_frame(message)) or frames[-1])
+    photons = channel.transmit_stream(sc.source, sc.channel, sc.n_pulses, rx.efficiency,
+                                      analysis.analyzer_table(rx.misalignment_deg),
+                                      true_clock=sc.sync.true_clock)
+    bob, alice, quantum = run_in_process(sc)
+    return photons, bob, alice, quantum, frames
+
+
+def test_outputs_do_not_depend_on_block(monkeypatch):
+    # Two shards of 2^22 pulses each, with jitter, dead time and background;
+    # the second run fades and flips retro states too.
+    plain = make_fast_scenario(duration_s=0.05, jitter_fwhm_ps=350.0, dead_time_ns=50.0,
+                               background_cps=20_000.0)
+    faded = make_fast_scenario(duration_s=0.05, jitter_fwhm_ps=350.0, dead_time_ns=50.0,
+                               background_cps=20_000.0, fading_sigma=0.5, retro=True
+                               ).override({"channel.retro_flip_prob": 0.05})
+    assert plain.n_pulses > source.SHARD_SIZE
+    for sc in (plain, faded):
+        runs = []
+        for block in (seeds.BLOCK, 1_000, 1 << 20):
+            for module in (source, channel, receiver, sync, session):
+                monkeypatch.setattr(module, "BLOCK", block)
+            runs.append(_chain_outputs(sc, monkeypatch))
+        photons, bob, alice, quantum, frames = runs[0]
+        assert not bob.abort and len(frames) > 5
+        for got_photons, got_bob, got_alice, got, got_frames in runs[1:]:
+            for column in ("pulse_index", "state", "detector", "arrival_time_ps"):
+                assert np.array_equal(getattr(got_photons, column), getattr(photons, column))
+            assert np.array_equal(got.tags.time_ps, quantum.tags.time_ps)
+            assert np.array_equal(got.tags.detector, quantum.tags.detector)
+            assert (got.clock.offset_ps, got.clock.drift_ppm) == (
+                quantum.clock.offset_ps, quantum.clock.drift_ppm)
+            # the guard sums squares per block, so only the rms's last bits may move
+            assert got.clock.residual_rms_ps == pytest.approx(quantum.clock.residual_rms_ps,
+                                                              rel=1e-9)
+            assert got_bob.canonical_json() == bob.canonical_json()
+            assert got_alice.canonical_json() == alice.canonical_json()
+            assert got_frames == frames
