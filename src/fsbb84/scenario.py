@@ -141,8 +141,6 @@ class ReceiverConfig:
 
     def __post_init__(self):
         check_fields(self, "receiver")
-        if self.tag_resolution_ps >= MAX_TAG_PS:
-            raise ConfigError("must be under 2^53 ps", "receiver.tag_resolution_ps")
         if self.double_click_policy not in (RANDOM_BIT, DISCARD):
             raise ConfigError(f"unknown policy {self.double_click_policy!r}",
                               "receiver.double_click_policy")
@@ -239,6 +237,8 @@ class Scenario:
         object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.sync.gate_width_ps >= self.source.period_ps:
             raise ConfigError("gate must be narrower than the pulse period", "sync.gate_width_ps")
+        if self.receiver.tag_resolution_ps >= self.sync.gate_width_ps:
+            raise ConfigError("must be narrower than the gate", "receiver.tag_resolution_ps")
         if math.isinf(self.duration_s * self.source.rep_rate_hz):
             raise ConfigError("covers more pulses than a float can count", "duration_s")
         if self.n_pulses <= 0:

@@ -3,19 +3,18 @@
 Each script runs only in a fresh process of the A/B harness, so a call
 that a refactor broke (a renamed function, a removed default) would fail
 nothing here until the harness itself is run. Each script runs once on
-tiny inputs, and its output must hold what ``main()`` reads; each side
-runs the scripts of its own copy of the tool. The module
-is loaded from its file, and no process writes bytecode next to the
-sources. The ``src/`` line count it records is checked on a small tree,
-and the bytecode settings it records on this process; a perfbench run
-must not read bytecode left in its tree.
+tiny inputs, and its output must hold what ``main()`` reads; the stages
+the probe wraps must be targets of perfbench's spans, so that one list
+pins the names both sides are measured through. Modules are loaded from
+their files, and no process writes bytecode next to the sources. The
+``src/`` line count it records is checked on a small tree, and the
+bytecode settings it records on this process; a perfbench run must not
+read bytecode left in its tree.
 """
 
 import importlib.util
-import json
 import os
 import py_compile
-import subprocess
 import sys
 from pathlib import Path
 
@@ -24,9 +23,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "tools" / "bench_pairs.py")
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -36,52 +34,54 @@ def bench_pairs():
     return module
 
 
-def _run(bench_pairs, script, *args):
-    proc = subprocess.run([sys.executable, "-c", getattr(bench_pairs, script), *args],
-                          env={**bench_pairs._env(REPO), "PYTHONDONTWRITEBYTECODE": "1"},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return _load(REPO / "tools" / "bench_pairs.py", "bench_pairs")
 
 
-def test_stages_script(bench_pairs):
-    out = _run(bench_pairs, "_STAGES", "table2_beam_expanders", "0.05", "0")
-    assert len(out["calls"]) == 2
-    stages = {"transmit_stream", "detect", "recover_clock", "assign_and_gate", "run_in_process"}
-    for call in out["calls"]:
-        assert stages | {"photons", "tags", "minflt"} <= call.keys()
-        assert call["minflt"].keys() == stages
-    assert {"n_pulses", "peak_rss_mb", "transmit_stream_traced_peak_mb"} <= out.keys()
+@pytest.fixture(autouse=True)
+def no_bytecode(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
 
 
-def test_transmit_script(bench_pairs):
-    out = _run(bench_pairs, "_TRANSMIT", "daylight_780m", "1", "1")
-    assert len(out["transmit_stream_s"]) == 1 and out["traced_peak_mb"] > 0
+def _stage_names(bench_pairs):
+    return {stage.split(".")[1] for stage in bench_pairs.STAGES}
+
+
+def test_probe_records(bench_pairs):
+    # a workload session and a bundled run, each untraced and then traced
+    sources = ("workload retro_beacon_weak_v 1 0", "bundled table2_beam_expanders 0.05 1")
+    out = bench_pairs._probe(REPO, [f"{src} {t}\n" for src in sources for t in (0, 1)])
+    assert len(out) == 4
+    for r, traced in zip(out, (False, True) * 2):
+        assert r["stages"].keys() == _stage_names(bench_pairs)
+        assert r["session_s"] > 0 and r["minflt"] >= 0 and r["peak_rss_mb"] > 0
+        assert 0 < r["photons"] and 0 < r["tags"] and 0 < r["n_pulses"]
+        for stage in r["stages"].values():
+            assert stage["s"] > 0 and stage["minflt"] >= 0
+            assert ("traced_peak" in stage) is traced
+        if traced:
+            # the session's high-water bounds every stage's peak
+            assert 0 < max(s["traced_peak"] for s in r["stages"].values()) <= r["traced_peak"]
+    assert out[2]["n_pulses"] == 5_000_000  # 0.05 s of the bundled 100 MHz source
+    worst = {**out[3], "traced_peak": 10**9 * out[3]["tags"]}
+    summary = bench_pairs._memory_summary([out[1], worst])
+    assert summary["session_bytes_per_tag"] == 1e9
+    assert summary["stage_bytes"].keys() == summary["stage_bytes_per_tag"].keys()
+    assert summary["stage_bytes"] == {k: v["traced_peak"] for k, v in out[3]["stages"].items()}
+
+
+def test_probe_stages_are_perfbench_span_targets(bench_pairs):
+    targets = _load(REPO / "perfbench" / "spans.py", "perfbench_spans").TARGETS
+    for stage in bench_pairs.STAGES:
+        module, attr = stage.split(".")
+        assert (stage, "fsbb84." + module, attr) in targets
 
 
 def test_weak_script(bench_pairs):
-    out = _run(bench_pairs, "_WEAK", "1", "300", "1000", "-5.0", "30", "1")
+    out, = bench_pairs._script(REPO, bench_pairs._WEAK, (1, 300, 1000, -5.0, 30, 1))
     assert len(out["recover_clock_s"]) == 1
     assert {"tags", "fft_lengths", "drift_error_ppm", "rss_before_mb", "peak_rss_mb"} <= out.keys()
-
-
-def test_memory_script(bench_pairs):
-    stages = {"transmit_stream", "detect", "recover_clock", "assign_and_gate"}
-    for args in (("workload", "retro_beacon_weak_v", "1", "2"),
-                 ("bundled", "table2_beam_expanders", "0.05", "1")):
-        out = _run(bench_pairs, "_MEMORY", *args)
-        assert len(out) == int(args[3])
-        for run in out:
-            assert run["stage_bytes"].keys() == run["stage_bytes_per_tag"].keys() == stages
-            # the session's high-water bounds every stage's peak
-            assert 0 < max(run["stage_bytes"].values()) <= run["session_bytes"]
-            assert run["session_bytes_per_tag"] == run["session_bytes"] / run["tags"]
-    summary = bench_pairs._memory_summary(out + [{**out[0], "session_bytes_per_tag": 1e9}])
-    assert summary["session_bytes_per_tag"] == 1e9
-
-
-def test_fixed_rss_script(bench_pairs):
-    assert _run(bench_pairs, "_FIXED_RSS", "retro_beacon_weak_v", "1", "1") > 0
 
 
 def test_interleaved_warm_workers(bench_pairs):
@@ -93,25 +93,7 @@ def test_interleaved_warm_workers(bench_pairs):
         assert len(runs) == 2
         for r in runs:
             assert r["session_s"] > 0 and r["minflt"] >= 0
-            assert r["stage_minflt"].keys() == {"transmit_stream", "detect", "recover_clock",
-                                                "assign_and_gate"}
-
-
-def test_each_side_runs_its_own_scripts(bench_pairs, tmp_path):
-    # a parent whose _WEAK differs runs its own text; the scripts its file
-    # lacks (or holds as anything but text) run from this tree's
-    (tmp_path / "tools").mkdir()
-    (tmp_path / "tools" / "bench_pairs.py").write_text(
-        '_WEAK = """\nimport json, sys\nprint(json.dumps({"side": "parent", '
-        '"args": sys.argv[1:]}))\n"""\n_TRANSMIT = 3\n')
-    scripts = bench_pairs._scripts(tmp_path)
-    assert scripts["_WEAK"] != bench_pairs._WEAK
-    assert bench_pairs._script(tmp_path, "_WEAK", 1, "x") == {"side": "parent",
-                                                              "args": ["1", "x"]}
-    for name in bench_pairs.SCRIPTS:
-        if name != "_WEAK":
-            assert scripts[name] == getattr(bench_pairs, name)
-    assert bench_pairs._scripts(REPO) == {n: getattr(bench_pairs, n) for n in bench_pairs.SCRIPTS}
+            assert r["stages"].keys() == _stage_names(bench_pairs)
 
 
 def test_src_lines_counts_python_under_src(bench_pairs, tmp_path):

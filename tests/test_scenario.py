@@ -266,10 +266,12 @@ EDGES = {"NonNegative": [0], "Probability": [0, 1], "Count": [1], "Optional[Coun
     _row(("channel", "propagation_delay_ps"), 10**400, "channel.propagation_delay_ps", "10^400"),
     _row(("channel", "propagation_delay_ps"), -10**400, "channel.propagation_delay_ps", "-10^400"),
     _row(("protocol", "n_pulses"), 10**400, "protocol.n_pulses", "10^400"),
-    # a tag resolution float64 cannot divide by (once an OverflowError in the run)
-    # or that rounds every tag to 0 (once a SyncFailureError)
+    # tag resolutions at or above the gate width: once an OverflowError in the
+    # run (10^400), a SyncFailureError (2^62) or a rate 16.5% under predict()'s
     _row(("receiver", "tag_resolution_ps"), 10**400, "receiver.tag_resolution_ps", "10^400"),
     _row(("receiver", "tag_resolution_ps"), 2**62, "receiver.tag_resolution_ps", "2^62"),
+    _row(("receiver", "tag_resolution_ps"), int(BASE.sync.gate_width_ps),
+         "receiver.tag_resolution_ps", "gate"),
 ])
 def test_malformed_value_names_field(keys, value, field):
     # a file and an override name the same field
@@ -300,8 +302,10 @@ def test_integer_fields_keep_their_edges():
     (("sync", "true_clock", "offset_ps"), 5),
     (("protocol", "sample_fraction"), 1),
     *((path, v) for path, kind in SCHEMA.items() for v in EDGES.get(kind, [])),
-    # the narrowest whole-picosecond gate: a Positive field has no edge at 0
-    (("sync", "gate_width_ps"), 1),
+    # the narrowest whole-picosecond gate over 1 ps tags: a Positive field has no edge at 0
+    (("sync", "gate_width_ps"), 2),
+    # the coarsest tag resolution: 1 ps under the gate
+    (("receiver", "tag_resolution_ps"), int(BASE.sync.gate_width_ps) - 1),
 ])
 def test_float_fields_keep_their_edges(keys, value):
     # an int is a number and 0 m is a link; the loader takes both as they are

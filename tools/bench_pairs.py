@@ -2,38 +2,39 @@
 
 Runs ``perfbench/run.py`` of the parent and of this repository in
 alternating pairs (the parent first in even pairs, this tree first in odd
-ones, workloads interleaved within a pair); the peak RSS of a fixed number
-of sessions per workload in fresh processes, in the same alternating pairs;
-one warm worker process per side and workload, which run the same sessions
-in turn (the parent first in even rounds), so both sides share the host's
-drift, with each session's minor page faults; one traced run per side and
-workload; ``channel.transmit_stream`` alone on sessions of each workload,
-timed and under ``tracemalloc``; the bundled runs of ``STAGE_RUNS`` stage by
-stage in fresh processes, with their minor page faults, peak RSS and
-``transmit_stream``'s traced peak; clock recovery on the synthetic weak
-streams of ``WEAK_STREAMS``, likewise; and the ``tracemalloc`` high-water of
-sessions of each workload and of the bundled runs of ``MEMORY_RUNS``, whole
-and per stage of Bob's chain, in bytes and bytes per tag::
+ones, workloads interleaved within a pair), and one traced run per side and
+workload. Every other measurement of a session comes from one stage probe,
+which runs whole sessions through ``runner.run_in_process`` with Bob's
+stages wrapped at the names ``simulate`` looks them up under: the peak RSS
+of a fixed number of sessions per workload in fresh processes, in the same
+alternating pairs, with ``channel.transmit_stream``'s time in them; one warm
+probe process per side and workload, which run the same sessions in turn
+(the parent first in even rounds), so both sides share the host's drift,
+with each session's minor page faults; the bundled runs of ``STAGE_RUNS``
+stage by stage, cold, warm and traced, in fresh processes; and the
+``tracemalloc`` high-water of sessions of each workload and of the bundled
+runs of ``MEMORY_RUNS``, whole and per stage, in bytes and bytes per tag.
+Clock recovery runs alone on the synthetic weak streams of ``WEAK_STREAMS``::
 
-    python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_26.json
+    python3 tools/bench_pairs.py --parent ../parent --seed 701 --out BENCH_29.json
 
 Pair i runs with ``--seed`` + i; pick seeds no earlier BENCH file used, so
 no run was seen while writing the change. Each side is imported from its
 own ``src``, whose ``__pycache__`` directories are removed before each
 perfbench run, so neither side reads bytecode an earlier run left (a
 ``PYTHONPYCACHEPREFIX`` would hide numpy's and the standard library's too,
-and every set-up probe would compile them). Each side runs the embedded
-scripts of its own ``tools/bench_pairs.py``, so a script keeps working on
-the parent after a change to a function it calls; a script the parent's
-file lacks runs from this file. The JSON records the machine, numpy, each
-side's count of ``src/`` Python lines and pulse counts with the medians and
-quartiles of every end-to-end metric and the count of pairs the change won.
+and every set-up probe would compile them). Both sides run this file's two
+embedded scripts, so both take the same measurement; besides
+``run_in_process`` and the workload and bundled-scenario loaders they call
+only names that ``perfbench/spans.py`` pins. The JSON records the machine,
+numpy, each side's count of ``src/`` Python lines and pulse counts with the
+medians and quartiles of every end-to-end metric and the count of pairs the
+change won.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import platform
@@ -82,70 +83,75 @@ TRACED = ("source.busy_s", "channel.busy_s",
           "sync.recover_s", "sync.gate_s", "sync.ns_per_tag", "simulate.quantum_s",
           "receiver.detect_s", "protocol.alice_match_s", "protocol.bob_s", "receiver.tags")
 
-# Bob's stages of one bundled session, each timed on its own, then the whole
-# two-party session; two calls per process, the second one warm.
-_STAGES = """
-import json, resource, sys, time, tracemalloc
-from fsbb84 import analysis, channel, receiver, runner, simulate, sync
+# Bob's stages the probe wraps, as perfbench/spans.py names them: each is
+# replaced at the name simulate looks it up under.
+STAGES = ("channel.transmit_stream", "receiver.detect", "sync.recover_clock",
+          "sync.assign_and_gate")
+
+# The stage probe: reads one session a line, "workload NAME SEED INDEX TRACED"
+# or "bundled NAME SECONDS BEACON TRACED", and runs it as perfbench does
+# (numeric pools pinned to one thread; built, predicted, collected, then
+# timed; only a small record kept) with the stages its arguments name
+# wrapped. It prints one JSON record a session: wall time and minor page
+# faults, in all and per stage; photons and tags; with TRACED 1, under
+# tracemalloc, the session's high-water and each stage's traced peak (what
+# is held when it starts included), in bytes; and the process's ru_maxrss so
+# far. A traced session is not collected first: a collection empties the
+# interpreter's free lists, and tracemalloc would then count the blocks they
+# serve (10-25 kB more a session).
+_PROBE = """
+import gc, importlib, json, os, resource, sys, time, tracemalloc
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+import workloads
+from fsbb84 import analysis, runner
 from fsbb84.scenario import bundled_scenario
-sc = bundled_scenario(sys.argv[1]).override(
-    {"duration_s": float(sys.argv[2]), "sync.beacon_assisted": sys.argv[3] == "1"})
-src, rx = sc.source, sc.receiver
 def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-def stage(s, name, call, *args, **kwargs):
+stages, high = {}, [0]
+def wrap(module, name):
+    call = getattr(module, name)
+    def stage(*args, **kwargs):
+        traced = tracemalloc.is_tracing()
+        if traced:
+            high[0] = max(high[0], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        f, t = minflt(), time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            rec = stages[name] = {"s": time.perf_counter() - t, "minflt": minflt() - f}
+            if traced:
+                rec["traced_peak"] = tracemalloc.get_traced_memory()[1]
+                high[0] = max(high[0], rec["traced_peak"])
+    setattr(module, name, stage)
+for target in sys.argv[1:]:
+    module, name = target.split(".")
+    wrap(importlib.import_module("fsbb84." + module), name)
+for line in sys.stdin:
+    kind, label, a, b, trace = line.split()
+    if kind == "workload":
+        sc = workloads.build(label, int(a), int(b))
+    else:
+        sc = bundled_scenario(label).override(
+            {"duration_s": float(a), "sync.beacon_assisted": b == "1"})
+    analysis.predict(sc)
+    stages.clear()
+    high[0] = 0
+    if trace == "1":
+        tracemalloc.start()
+    else:
+        gc.collect()
     f, t = minflt(), time.perf_counter()
-    result = call(*args, **kwargs)
-    s[name], s["minflt"][name] = time.perf_counter() - t, minflt() - f
-    return result
-out = []
-for _ in range(2):
-    s = {"minflt": {}}
-    arr = stage(s, "transmit_stream", channel.transmit_stream, src, sc.channel, sc.n_pulses,
-                rx.efficiency, analysis.analyzer_table(rx.misalignment_deg),
-                true_clock=sc.sync.true_clock)
-    tags = stage(s, "detect", receiver.detect, arr, rx,
-                 session_duration_s=sc.simulated_duration_s,
-                 window_ps=simulate.receiver_window_ps(sc))
-    known = sc.sync.true_clock.drift_ppm if sc.sync.beacon_assisted else None
-    clock = stage(s, "recover_clock", sync.recover_clock, tags.time_ps, src.period_ps,
-                  known_drift_ppm=known, coarse_reference_ps=simulate.expected_offset_ps(sc))
-    stage(s, "assign_and_gate", sync.assign_and_gate, tags, clock, sc.sync.gate_width_ps)
-    stage(s, "run_in_process", runner.run_in_process, sc)
-    s["photons"], s["tags"] = len(arr), len(tags)
-    out.append(s)
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-tracemalloc.start()
-channel.transmit_stream(src, sc.channel, sc.n_pulses, rx.efficiency,
-                        analysis.analyzer_table(rx.misalignment_deg),
-                        true_clock=sc.sync.true_clock)
-traced = tracemalloc.get_traced_memory()[1] / 2**20
-tracemalloc.stop()
-print(json.dumps({"calls": out, "n_pulses": sc.n_pulses, "peak_rss_mb": rss,
-                  "transmit_stream_traced_peak_mb": traced}))
-"""
-
-# transmit_stream on sessions 0..n-1 of one workload: the wall time of each
-# call, and the largest tracemalloc peak of a second, traced call.
-_TRANSMIT = """
-import json, sys, time, tracemalloc
-import workloads
-from fsbb84 import analysis, channel
-name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-wall, peak = [], 0.0
-for i in range(n):
-    sc = workloads.build(name, seed, i)
-    rx = sc.receiver
-    args = (sc.source, sc.channel, sc.n_pulses, rx.efficiency,
-            analysis.analyzer_table(rx.misalignment_deg))
-    t = time.perf_counter()
-    channel.transmit_stream(*args, true_clock=sc.sync.true_clock)
-    wall.append(time.perf_counter() - t)
-    tracemalloc.start()
-    channel.transmit_stream(*args, true_clock=sc.sync.true_clock)
-    peak = max(peak, tracemalloc.get_traced_memory()[1] / 2**20)
-    tracemalloc.stop()
-print(json.dumps({"transmit_stream_s": wall, "traced_peak_mb": peak}))
+    quantum = runner.run_in_process(sc)[2]
+    rec = {"session_s": time.perf_counter() - t, "minflt": minflt() - f,
+           "photons": quantum.n_arrivals, "tags": len(quantum.tags)}
+    del quantum
+    if trace == "1":
+        rec["traced_peak"] = max(high[0], tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    print(json.dumps({**rec, "n_pulses": sc.n_pulses, "stages": stages,
+                      "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
+          flush=True)
 """
 
 # recover_clock on one weak stream: the FFT lengths of the first call, then
@@ -180,121 +186,10 @@ print(json.dumps({"tags": len(t), "fft_lengths": lengths, "recover_clock_s": wal
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
-# FIXED_SESSIONS sessions of one workload as perfbench runs them, untimed.
-_FIXED_RSS = """
-import gc, resource, sys
-import workloads
-from fsbb84 import analysis, runner
-name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-for i in range(n):
-    gc.collect()
-    sc = workloads.build(name, seed, i)
-    analysis.predict(sc)
-    runner.run_in_process(sc)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-"""
-
-# A warm worker: reads "workload seed index" lines and runs each session as
-# perfbench does (numeric pools pinned to one thread; built, collected, then
-# timed), printing its wall time and the minor page faults it took, in all
-# and in each of Bob's stages.
-_WARM = """
-import gc, json, os, resource, sys, time
-os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-import workloads
-from fsbb84 import channel, receiver, runner, sync
-def minflt():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-stages = {}
-def count_faults(module, name):
-    call = getattr(module, name)
-    def counted(*args, **kwargs):
-        f = minflt()
-        try:
-            return call(*args, **kwargs)
-        finally:
-            stages[name] = stages.get(name, 0) + minflt() - f
-    setattr(module, name, counted)
-for module, name in ((channel, "transmit_stream"), (receiver, "detect"),
-                     (sync, "recover_clock"), (sync, "assign_and_gate")):
-    count_faults(module, name)
-for line in sys.stdin:
-    name, seed, i = line.split()
-    sc = workloads.build(name, int(seed), int(i))
-    gc.collect()
-    stages.clear()
-    f, t = minflt(), time.perf_counter()
-    runner.run_in_process(sc)
-    s = time.perf_counter() - t
-    print(json.dumps({"session_s": s, "minflt": minflt() - f, "stage_minflt": stages}),
-          flush=True)
-"""
-
-# The traced high-water of whole sessions, and the traced peak of each of
-# Bob's stages (what is held when it starts plus what it allocates), in
-# bytes and per tag: sessions 0..n-1 of a workload ("workload NAME SEED N"),
-# or n runs of a bundled scenario cut to some seconds ("bundled NAME
-# SECONDS N"); each run after one untraced session of the same scenario.
-_MEMORY = """
-import json, sys, tracemalloc
-from fsbb84 import channel, receiver, runner, sync
-from fsbb84.scenario import bundled_scenario
-kind, name, arg, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-if kind == "workload":
-    import workloads
-    scenarios = [workloads.build(name, int(arg), i) for i in range(n)]
-else:
-    scenarios = [bundled_scenario(name).override({"duration_s": float(arg)})] * n
-high, stages = [0], {}
-def traced(module, fname):
-    call = getattr(module, fname)
-    def stage(*args, **kwargs):
-        high[0] = max(high[0], tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        try:
-            return call(*args, **kwargs)
-        finally:
-            stages[fname] = tracemalloc.get_traced_memory()[1]
-            high[0] = max(high[0], stages[fname])
-    setattr(module, fname, stage)
-for module, fname in ((channel, "transmit_stream"), (receiver, "detect"),
-                      (sync, "recover_clock"), (sync, "assign_and_gate")):
-    traced(module, fname)
-out = []
-for sc in scenarios:
-    runner.run_in_process(sc)
-    high[0] = 0
-    stages.clear()
-    tracemalloc.start()
-    _, _, quantum = runner.run_in_process(sc)
-    session = max(high[0], tracemalloc.get_traced_memory()[1])
-    tracemalloc.stop()
-    tags = len(quantum.tags)
-    out.append({"tags": tags, "session_bytes": session, "session_bytes_per_tag": session / tags,
-                "stage_bytes": dict(stages),
-                "stage_bytes_per_tag": {k: v / tags for k, v in stages.items()}})
-print(json.dumps(out))
-"""
-# Sessions per workload, and runs per bundled scenario, of each _MEMORY call;
-# (bundled scenario, seconds) of the bundled runs it measures.
+# Sessions per workload, and runs per bundled scenario, of the traced-memory
+# runs; (bundled scenario, seconds) of the bundled runs they measure.
 MEMORY_SESSIONS = 3
 MEMORY_RUNS = (("table2_beam_expanders", 10), ("table2_beam_expanders", 60))
-SCRIPTS = ("_STAGES", "_TRANSMIT", "_WEAK", "_FIXED_RSS", "_WARM", "_MEMORY")
-
-
-def _scripts(root: Path) -> dict:
-    """The embedded scripts of ``root``'s ``tools/bench_pairs.py``; this file's where it has none."""
-    own = {name: globals()[name] for name in SCRIPTS}
-    path = root / "tools" / "bench_pairs.py"
-    if not path.is_file():
-        return own
-    found = {target.id: node.value.value
-             for node in ast.parse(path.read_text(encoding="utf-8")).body
-             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
-             and isinstance(node.value.value, str)
-             for target in node.targets
-             if isinstance(target, ast.Name) and target.id in own}
-    return {**own, **found}
 
 
 def _env(root: Path) -> dict:
@@ -312,29 +207,34 @@ def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _script(root: Path, name: str, *args):
-    """``root``'s embedded script ``name`` in a fresh process on its tree; its JSON output."""
-    proc = subprocess.run([sys.executable, "-c", _scripts(root)[name], *map(str, args)],
+def _script(root: Path, script: str, args=(), lines=()) -> list:
+    """``script`` on ``root``'s tree in a fresh process, fed ``lines``; its JSON lines."""
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], input="".join(lines),
                           env=_env(root), capture_output=True, text=True, timeout=900,
                           check=True)
-    return json.loads(proc.stdout)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _probe(root: Path, lines) -> list:
+    """The probe's records of the sessions ``lines`` names, in one process on ``root``'s tree."""
+    return _script(root, _PROBE, STAGES, lines)
 
 
 def _interleaved(sides: dict, workload: str, seed: int, rounds: int, warm_up: int) -> dict:
-    """Sessions 0..rounds-1 of ``workload`` on one warm worker per side, in turn.
+    """Sessions 0..rounds-1 of ``workload`` on one warm probe process per side, in turn.
 
     Each worker first runs ``warm_up`` sessions of another seed untimed;
     then round i runs session i on every side, the parent first in even
-    rounds. Returns each side's list of ``{"session_s", "minflt"}``.
+    rounds. Returns each side's list of probe records.
     """
-    workers = {s: subprocess.Popen([sys.executable, "-c", _scripts(root)["_WARM"]],
+    workers = {s: subprocess.Popen([sys.executable, "-c", _PROBE, *STAGES],
                                    env=_env(root), stdin=subprocess.PIPE,
                                    stdout=subprocess.PIPE, text=True)
                for s, root in sides.items()}
     try:
         def run(side, seed_, i):
             w = workers[side]
-            w.stdin.write(f"{workload} {seed_} {i}\n")
+            w.stdin.write(f"workload {workload} {seed_} {i} 0\n")
             w.stdin.flush()
             line = w.stdout.readline()
             if not line:
@@ -355,15 +255,12 @@ def _interleaved(sides: dict, workload: str, seed: int, rounds: int, warm_up: in
             w.wait(timeout=60)
 
 
-def _alternating(sides: dict, script: str, args) -> dict:
-    """Embedded script ``script`` in STAGE_PROCESSES processes per side, ``args(i)`` in round i.
-
-    Even rounds run the sides in order, odd rounds in reverse.
-    """
+def _alternating(sides: dict, run) -> dict:
+    """``run(root)`` in STAGE_PROCESSES rounds per side: even rounds in order, odd ones reversed."""
     rec = {s: [] for s in sides}
     for i in range(STAGE_PROCESSES):
         for s in (sides if i % 2 == 0 else reversed(list(sides))):
-            rec[s].append(_script(sides[s], script, *args(i)))
+            rec[s].append(run(sides[s]))
     return rec
 
 
@@ -378,12 +275,13 @@ def _compare(parent: list, change: list) -> dict:
             "pairs": len(parent)}
 
 
-def _memory_summary(sessions: list) -> dict:
-    """The session of ``_MEMORY``'s output with the highest bytes per tag."""
-    worst = max(sessions, key=lambda r: r["session_bytes_per_tag"])
-    return {**worst, "session_bytes_per_tag": round(worst["session_bytes_per_tag"], 2),
-            "stage_bytes_per_tag": {k: round(v, 2)
-                                    for k, v in worst["stage_bytes_per_tag"].items()}}
+def _memory_summary(records: list) -> dict:
+    """The traced probe record with the highest high-water per tag, in bytes and bytes per tag."""
+    worst = max(records, key=lambda r: r["traced_peak"] / r["tags"])
+    tags, stage = worst["tags"], {k: v["traced_peak"] for k, v in worst["stages"].items()}
+    return {"tags": tags, "session_bytes": worst["traced_peak"],
+            "session_bytes_per_tag": round(worst["traced_peak"] / tags, 2), "stage_bytes": stage,
+            "stage_bytes_per_tag": {k: round(v / tags, 2) for k, v in stage.items()}}
 
 
 def _machine() -> dict:
@@ -421,22 +319,18 @@ def main(argv=None) -> int:
     import workloads
 
     runs = {w: {s: [] for s in sides} for w in WORKLOADS}
-    rss = {w: {s: [] for s in sides} for w in WORKLOADS}
+    fixed = {w: {s: [] for s in sides} for w in WORKLOADS}
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in WORKLOADS:
             for side in order:
                 runs[w][side].append(_perfbench(sides[side], w, args.seed + i, 0))
+                fixed[w][side].append(_probe(sides[side], [
+                    f"workload {w} {args.seed + i} {j} 0\n" for j in range(FIXED_SESSIONS)]))
                 m = runs[w][side][-1]["metrics"]
-                print(f"pair {i} {w} {side}: session_s {m['session_s']['value']:.4f}", flush=True)
-    for i in range(PAIRS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for w in WORKLOADS:
-            for side in order:
-                rss[w][side].append(_script(sides[side], "_FIXED_RSS", w, args.seed + i,
-                                            FIXED_SESSIONS))
-                print(f"pair {i} {w} {side}: {FIXED_SESSIONS}-session peak_rss_mb "
-                      f"{rss[w][side][-1]:.2f}", flush=True)
+                print(f"pair {i} {w} {side}: session_s {m['session_s']['value']:.4f}, "
+                      f"{FIXED_SESSIONS}-session peak_rss_mb "
+                      f"{fixed[w][side][-1][-1]['peak_rss_mb']:.2f}", flush=True)
 
     end_to_end = {}
     for w in WORKLOADS:
@@ -445,7 +339,8 @@ def main(argv=None) -> int:
             rec[k] = _compare(*([r["metrics"][k]["value"] for r in runs[w][s]] for s in sides))
         rec["sessions"] = {f"{s}_{k}": sum(r[k] for r in runs[w][s])
                            for s in sides for k in ("attempted", "failed")}
-        rec[f"peak_rss_mb_{FIXED_SESSIONS}_sessions"] = _compare(*(rss[w][s] for s in sides))
+        rec[f"peak_rss_mb_{FIXED_SESSIONS}_sessions"] = _compare(
+            *([r[-1]["peak_rss_mb"] for r in fixed[w][s]] for s in sides))
         end_to_end[w] = rec
 
     interleaved = {}
@@ -454,8 +349,8 @@ def main(argv=None) -> int:
         interleaved[w] = {
             "session_s": _compare(*([r["session_s"] for r in rec[s]] for s in sides)),
             "minflt": {s: _quartiles([r["minflt"] for r in rec[s]]) for s in sides},
-            "stage_minflt": {s: {k: _quartiles([r["stage_minflt"][k] for r in rec[s]])
-                                 for k in rec[s][0]["stage_minflt"]} for s in sides},
+            "stage_minflt": {s: {k: _quartiles([r["stages"][k]["minflt"] for r in rec[s]])
+                                 for k in rec[s][0]["stages"]} for s in sides},
         }
         c = interleaved[w]["session_s"]
         print(f"{w} interleaved session_s: parent {c['parent']['median']:.5f} change "
@@ -469,24 +364,14 @@ def main(argv=None) -> int:
             m = _perfbench(root, w, TRACE_SEED, 1)["metrics"]
             traced[s][w] = {k: round(m[k]["value"], 6) for k in TRACED}
 
-    transmit = {}
-    for w in WORKLOADS:
-        rec = _alternating(sides, "_TRANSMIT", lambda i: (w, args.seed + i, FIXED_SESSIONS))
-        transmit[w] = {s: {"transmit_stream_s": _quartiles([t for r in rec[s]
-                                                             for t in r["transmit_stream_s"]]),
-                           "traced_peak_mb": round(max(r["traced_peak_mb"] for r in rec[s]), 3)}
-                       for s in sides}
-        print(f"{w} transmit_stream: " + ", ".join(
-            f"{s} {transmit[w][s]['transmit_stream_s']['median']:.5f} s / "
-            f"{transmit[w][s]['traced_peak_mb']:.2f} MB traced" for s in sides), flush=True)
-
     stage_runs = []
     for name, seconds, beacon in STAGE_RUNS:
+        lines = [f"bundled {name} {seconds} {int(beacon)} {t}\n" for t in (0, 0, 1)]
         rec = {"scenario": name, "seconds": seconds, "beacon_assisted": beacon,
-               **_alternating(sides, "_STAGES", lambda i: (name, seconds, int(beacon)))}
+               **_alternating(sides, lambda root: _probe(root, lines))}
         print(f"{name} {seconds} s beacon={beacon}: run_in_process / peak_rss_mb "
-              + ", ".join(f"{s} {min(r['calls'][1]['run_in_process'] for r in rec[s]):.3f} s / "
-                          f"{max(r['peak_rss_mb'] for r in rec[s]):.0f} MB" for s in sides),
+              + ", ".join(f"{s} {min(r[1]['session_s'] for r in rec[s]):.3f} s / "
+                          f"{max(r[1]['peak_rss_mb'] for r in rec[s]):.0f} MB" for s in sides),
               flush=True)
         stage_runs.append(rec)
 
@@ -494,7 +379,7 @@ def main(argv=None) -> int:
     for stream in WEAK_STREAMS:
         rec = {"stream": dict(zip(("seconds", "signal_cps", "background_cps", "drift_ppm",
                                    "seed"), stream)),
-               **_alternating(sides, "_WEAK", lambda i: (*stream, WEAK_CALLS))}
+               **_alternating(sides, lambda root: _script(root, _WEAK, (*stream, WEAK_CALLS))[0])}
         wall = {s: statistics.median(w for r in rec[s] for w in r["recover_clock_s"][1:])
                 for s in sides}
         print(f"weak stream {stream}: recover_clock median / peak_rss_mb "
@@ -502,16 +387,24 @@ def main(argv=None) -> int:
                           for s in sides), flush=True)
         weak_streams.append(rec)
 
-    memory = {}
-    for label, script_args in [
-            *((w, ("workload", w, args.seed, MEMORY_SESSIONS)) for w in WORKLOADS),
-            *((f"{name}_{seconds}s", ("bundled", name, seconds, 1))
+    memory, transmit = {}, {}
+    for label, lines in [
+            *((w, [f"workload {w} {args.seed} {i} {t}\n"
+                   for i in range(MEMORY_SESSIONS) for t in (0, 1)]) for w in WORKLOADS),
+            *((f"{name}_{seconds}s", [f"bundled {name} {seconds} 0 {t}\n" for t in (0, 1)])
               for name, seconds in MEMORY_RUNS)]:
-        memory[label] = {s: _memory_summary(_script(root, "_MEMORY", *script_args))
-                         for s, root in sides.items()}
+        rec = {s: [r for r in _probe(root, lines) if "traced_peak" in r]
+               for s, root in sides.items()}
+        memory[label] = {s: _memory_summary(rec[s]) for s in sides}
         print(f"{label} traced high-water: " + ", ".join(
             f"{s} {memory[label][s]['session_bytes_per_tag']:.1f} B/tag" for s in sides),
             flush=True)
+        if label in WORKLOADS:
+            transmit[label] = {s: {
+                "transmit_stream_s": _quartiles([r["stages"]["transmit_stream"]["s"]
+                                                 for run in fixed[label][s] for r in run]),
+                "traced_peak_mb": round(max(r["stages"]["transmit_stream"]["traced_peak"]
+                                            for r in rec[s]) / 2**20, 3)} for s in sides}
 
     doc = {
         "machine": _machine(),
@@ -522,13 +415,12 @@ def main(argv=None) -> int:
             "order": "even pairs ran the parent first, odd pairs the change first; "
                      "workloads interleaved within each pair",
             "fixed_sessions": f"peak_rss_mb_{FIXED_SESSIONS}_sessions: ru_maxrss of a fresh "
-                              f"process that builds, predicts and runs sessions 0-"
-                              f"{FIXED_SESSIONS - 1} of seed {args.seed}+i, untimed, in the "
-                              "same alternating pairs",
+                              f"probe process that runs sessions 0-{FIXED_SESSIONS - 1} of seed "
+                              f"{args.seed}+i as perfbench does, after that pair's perfbench run",
             "workloads": end_to_end,
         },
         "interleaved": {
-            "measure": f"one warm worker process per side and workload runs sessions 0-"
+            "measure": f"one warm probe process per side and workload runs sessions 0-"
                        f"{WARM_ROUNDS - 1} of seed {args.seed}+{PAIRS}, each session on both "
                        "sides in turn, the parent first in even rounds, after "
                        f"{WARM_UP} untimed sessions of seed {args.seed}+{PAIRS + 1}; "
@@ -543,24 +435,23 @@ def main(argv=None) -> int:
             **traced,
         },
         "transmit_stream": {
-            "measure": f"channel.transmit_stream alone on sessions 0-{FIXED_SESSIONS - 1} of seed "
-                       f"{args.seed}+i, {STAGE_PROCESSES} processes per side, alternating: "
-                       "quartiles of the calls' wall time, and the largest tracemalloc peak of "
-                       "a second, traced call",
+            "measure": "channel.transmit_stream within the probe's sessions: quartiles of its "
+                       f"wall time over the {FIXED_SESSIONS}-session runs' sessions, and its "
+                       "largest tracemalloc peak over the traced_memory runs' sessions",
             "workloads": transmit,
         },
         "stage_runs": {
-            "measure": "stage wall times of Bob's chain, then run_in_process, with each stage's "
-                       "minor page faults (minflt); two calls per "
-                       f"process, {STAGE_PROCESSES} processes per side, alternating; "
-                       "peak_rss_mb is the process's ru_maxrss before a third, traced "
-                       "transmit_stream call, whose tracemalloc peak is "
-                       "transmit_stream_traced_peak_mb",
+            "measure": f"{STAGE_PROCESSES} probe processes per side, alternating, each running "
+                       "the bundled run three times: untraced cold, untraced warm, then traced; "
+                       "the probe's records, per stage of Bob's chain its wall time s, minor "
+                       "page faults minflt and, traced, its traced_peak in bytes; session_s is "
+                       "run_in_process's wall time and peak_rss_mb the process's ru_maxrss "
+                       "after that session",
             "runs": stage_runs,
         },
         "traced_memory": {
-            "measure": "tracemalloc around run_in_process, after one untraced session of the "
-                       f"same scenario: the session's high-water (workloads: the largest of "
+            "measure": "tracemalloc around run_in_process in the probe, after one untraced session "
+                       f"of the same scenario: the session's high-water (workloads: the largest of "
                        f"sessions 0-{MEMORY_SESSIONS - 1} of seed {args.seed}; bundled runs: one "
                        "run) and the traced peak of each of Bob's stages, what is held when it "
                        "starts included, in bytes and bytes per tag",
