@@ -36,7 +36,7 @@ import numpy as np
 from . import source
 from .analysis import loss_breakdown
 from .scenario import ChannelConfig, SourceConfig, TrueClock
-from .seeds import BLOCK, STREAM_FADING, STREAM_STATE, counter_key, spawn
+from .seeds import BLOCK, STREAM_FADING, spawn
 from .source import SHARD_SIZE, emit_jitter_ps, shard_draw
 
 # Candidate pulses that close a group of consecutive shards in
@@ -200,7 +200,7 @@ def transmit_stream(source_config: SourceConfig, config: ChannelConfig, n_pulses
     transmittance = 10.0 ** (-loss_breakdown(config, source_config.wavelength_nm).total_db / 10.0)
     analyzer_cdf = np.cumsum(analyzer, axis=1)[:, :3].T.copy()
     period = source_config.period_ps
-    state_key = counter_key(source_config.rng_seed, STREAM_STATE)
+    state_key = source.state_key(source_config)
     folded = {}  # p_max -> the source at mu * p_max * eta
     parts, group, n_candidates = [], [], 0
     for start in range(0, n_pulses, SHARD_SIZE):

@@ -61,10 +61,6 @@ def check_fields(config, section: str) -> None:
             raise ConfigError(f"must be {kind}, got {v!r}", f"{section}.{f.name}" if section else f.name)
 
 
-class ContractViolationError(RuntimeError):
-    """An operation received input violating its documented precondition."""
-
-
 class SyncFailureError(RuntimeError):
     """Clock recovery could not find a significant pulse-grid signature."""
 

@@ -52,7 +52,7 @@ from ..errors import (CorruptFrameError, InconclusiveSessionError, ProtocolViola
 from ..simulate import QuantumPhase, simulate_quantum_phase
 from ..scenario import ROLE_ALICE, ROLE_BOB, Scenario, SessionParams, SourceConfig
 from ..seeds import BLOCK
-from ..source import pulse_states
+from ..source import pulse_states, state_key
 from .framing import (Abort, DetectionReport, Done, Hello, MatchMask,
                       QberResult, SampleBits, SampleIndices)
 
@@ -88,15 +88,16 @@ def alice_match(source_config: SourceConfig, report: DetectionReport,
                 n_pulses: int) -> tuple[MatchMask, SiftedKey]:
     """Alice's basis reconciliation: mask plus her sifted key.
 
-    Her basis and bit at each reported pulse are hashed from the source
-    seed (:func:`fsbb84.source.pulse_states`) once the indices are known to
-    lie in ``[0, n_pulses)``.
+    Her basis and bit at each reported pulse are hashed under the source's
+    state key (:func:`fsbb84.source.pulse_states`), derived once, after the
+    indices are known to lie in ``[0, n_pulses)``.
     """
     idx = report.pulse_index
     _check_indices(idx, n_pulses, "report indices")
+    key = state_key(source_config)
     match, bits = np.empty(len(idx), dtype=bool), []
     for a in range(0, len(idx), BLOCK):
-        states = pulse_states(source_config, idx[a:a + BLOCK])
+        states = pulse_states(key, idx[a:a + BLOCK])
         np.equal(states >> 1, report.basis[a:a + BLOCK], out=match[a:a + BLOCK])
         bits.append(states.take(np.flatnonzero(match[a:a + BLOCK])))
     bits = np.concatenate(bits) if bits else np.empty(0, dtype=np.uint8)

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import PhotonArrivals
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError
 from .scenario import DISCARD, MAX_TAG_PS, ReceiverConfig
 from .seeds import BLOCK, STREAM_BACKGROUND, STREAM_RECEIVER, spawn
 
@@ -136,6 +136,9 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     ``window_ps`` bounds the background injection: the session's
     receiver-clock window, so background covers the same span as the
     signal. ``with_truth`` adds each tag's originating pulse.
+
+    Precondition: every time, jitter included, lies within +-MAX_TAG_PS, where
+    float64 holds it exactly; the Scenario's reach rule ensures that.
     """
     t_arr = arrivals.arrival_time_ps
     n_sig = len(t_arr)
@@ -157,9 +160,7 @@ def detect(arrivals: PhotonArrivals, config: ReceiverConfig, session_duration_s:
     # one stable sort. Equal keys are equal tags, so only the truth needs the
     # stable argsort that puts signal first at an equal key. Each APD's dead
     # time acts on its own tags in that order.
-    t_min, t_max = (int(key.min()), int(key.max())) if len(key) else (0, 0)
-    if max(t_max, -t_min) >= MAX_TAG_PS:
-        raise ContractViolationError("tag times past 2^53 ps are not whole picoseconds in float64")
+    t_min = int(key.min()) if len(key) else 0
     key -= t_min
     key <<= 2
     key[:n_sig] += arrivals.detector
@@ -253,15 +254,18 @@ def dump_tags(tags: TimeTags, path) -> None:
 
 
 def load_tags(path) -> TimeTags:
-    """Read a tag dump; a ConfigError naming the file unless it is a valid TimeTags."""
+    """Read a tag dump; a ConfigError naming the file unless it is valid TimeTags within 2^53 ps."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) % _TAG_DTYPE.itemsize:
         raise ConfigError(f"{len(data)} bytes is not a whole number of 9-byte records", str(path))
     rec = np.frombuffer(data, dtype=_TAG_DTYPE)
     tags = TimeTags(detector=rec["detector"].copy(), time_ps=rec["time_ps"].copy())
+    t = tags.time_ps
     for bad, what in ((np.flatnonzero(tags.detector > 3), "has a detector outside 0-3"),
-                      (np.flatnonzero(tags.time_ps[1:] < tags.time_ps[:-1]) + 1,
+                      (np.flatnonzero((t >= MAX_TAG_PS) | (t <= -MAX_TAG_PS)),
+                       "has |time_ps| >= 2^53"),
+                      (np.flatnonzero(t[1:] < t[:-1]) + 1,
                        "has time_ps below the record before it")):
         if bad.size:
             raise ConfigError(f"record {bad[0]} {what}", str(path))

@@ -42,9 +42,9 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # inversion starts from exp(-mu), which underflows near mu = 745.
 MAX_MU = 100.0
 MAX_SPAN = 2**60  # ps of a dead time or fading block, background tags; clamps train and delay
-# receiver.detect quantizes tag times in float64, whose whole numbers are
-# exact only below 2^53: tag times must stay under 2^53 ps (2.5 h). The same
-# bound keeps detect's int64 keys 4 (t - t_min) + APD under 2^56.
+# receiver.detect quantizes tag times in float64, exact for whole numbers below
+# 2^53, and keys them as 4 (t - t_min) + APD in int64: tag times must stay under
+# 2^53 ps (2.5 h). The reach rule holds a simulated run to it, load_tags a dump.
 MAX_TAG_PS = 2**53
 # Fading blocks a faded run may span: the channel seeds one generator per
 # block (20-30 us each), so at most 21-31 s of seeding; a 60 s run at

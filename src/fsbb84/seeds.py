@@ -25,13 +25,9 @@ nothing (the state hash, the keep test, the photon-number inversion,
 arrival times, the APD pick itself) run over several shards at once, so
 how shards are grouped is not part of the contract. ``STREAM_RECEIVER``
 draws only detector jitter: one normal per photon at any jitter width,
-zero included. No library stage draws from ``STREAM_CHANNEL`` or
-``STREAM_EMIT_JITTER``: they are the streams of the tests'
-photon-by-photon reference chain (its link thinning, and the emission
-jitter of the pulse train it materializes) and keep their tags so that
-its draws stay fixed. Version 1 drew a 32-bit integer per pulse for
-state and photon number; version 2 drew photons at the receiver aperture
-and left the receiver efficiency, basis choice and Malus projection to
+zero included. Version 1 drew a 32-bit integer per pulse for state and
+photon number; version 2 drew photons at the receiver aperture and left
+the receiver efficiency, basis choice and Malus projection to
 ``STREAM_RECEIVER``. Every seeded output changed with each version.
 """
 
@@ -41,13 +37,13 @@ import numpy as np
 
 # Spawn-key stream tags, one per consumer. Values are part of the
 # reproducibility contract: changing them changes every simulation output.
+# Tags 1 and 6 are reserved: the tests' photon-by-photon reference chain
+# draws its link thinning and its emission jitter from them.
 STREAM_SOURCE = 0
-STREAM_CHANNEL = 1
 STREAM_FADING = 2
 STREAM_RECEIVER = 3
 STREAM_BACKGROUND = 4
 STREAM_PROTOCOL = 5
-STREAM_EMIT_JITTER = 6
 STREAM_STATE = 7
 
 # Entries per block of the elementwise passes that run in block-sized

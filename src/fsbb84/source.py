@@ -66,16 +66,17 @@ SHARD_SIZE = 1 << 22
 # ---------------------------------------------------------------------------
 
 
-def _hashed_states(key: np.uint64, indices) -> np.ndarray:
-    """Top two bits of each index's hash (uint8); the library passes at most BLOCK indices."""
+def state_key(config: SourceConfig) -> np.uint64:
+    """Key of the source's counter-based state stream."""
+    return counter_key(config.rng_seed, STREAM_STATE)
+
+
+def pulse_states(key: np.uint64, indices) -> np.ndarray:
+    """State (0..3, uint8) of each pulse index: top two bits of its hash under
+    :func:`state_key`'s ``key``. The library passes at most BLOCK indices."""
     z = splitmix64(key, indices)
     z >>= np.uint64(62)
     return z.astype(np.uint8)
-
-
-def pulse_states(config: SourceConfig, indices) -> np.ndarray:
-    """State (0..3, uint8) of each pulse index: top two bits of its hash."""
-    return _hashed_states(counter_key(config.rng_seed, STREAM_STATE), indices)
 
 
 @dataclass
@@ -170,16 +171,15 @@ def shard_draw(rngs: list, bounds: list[int], a: int, out: np.ndarray,
     return pieces
 
 
-def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
+def non_vacuum(shards: list[PulseShard], key: np.uint64) -> Pulses:
     """The non-vacuum pulses of consecutive shards from :func:`generate_shard`.
 
-    ``state_key`` is the state stream's key,
-    ``counter_key(rng_seed, STREAM_STATE)``. Each shard's generator draws
-    a keep uniform per candidate, then a photon-number uniform per kept
-    pulse; the state hash, the keep test and the inversion run over all the
-    shards, on per-state tables, BLOCK entries at a time. Beside the
-    candidates' index (8 bytes each), which the kept pulses take over in
-    place, they hold a state byte and an 8-byte photon count per kept pulse.
+    ``key`` is the state stream's (:func:`state_key`). Each shard's
+    generator draws a keep uniform per candidate, then a photon-number
+    uniform per kept pulse; the state hash, the keep test and the inversion
+    run over all the shards, on per-state tables, BLOCK entries at a time.
+    Beside the candidates' index (8 bytes each), which the kept pulses take
+    over in place, they hold a state byte and an 8-byte photon count each.
     """
     bounds = [0, *itertools.accumulate(sh.position.size for sh in shards)]
     index = np.empty(bounds[-1], dtype=np.int64)
@@ -196,7 +196,7 @@ def non_vacuum(shards: list[PulseShard], state_key: np.uint64) -> Pulses:
         keep_u = u[:block.size]
         k = np.repeat(*zip(*shard_draw(rngs, bounds, a, keep_u)))  # each entry's shard
         keep_u *= p_max[k]
-        s = _hashed_states(state_key, block)
+        s = pulse_states(key, block)
         k *= 4
         k += s
         kept = np.flatnonzero(keep_u < p_keep[k])

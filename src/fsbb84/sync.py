@@ -34,7 +34,8 @@ is recovered from the quantum tags themselves:
    (20) time blocks, as each hand-over's span of step 1 is. Each block
    contributes a circular-mean phase, and a weighted linear fit of phase
    versus block midtime refines drift and fixes the offset. Tags are
-   non-decreasing, so each block is a run of them, summed in one pass.
+   non-decreasing, so each block is a run of them, and consecutive blocks
+   are folded and summed together, at least BLOCK tags at a time.
 3. *Peak refit*: offset and rate are fitted again, by least squares, to
    the wrapped residuals of the tags within a window around the folded
    peak, the window shrinking from P/8 to P/32. Every background tag
@@ -60,13 +61,15 @@ the coarse reference (from the beacon / shared scenario timing) selects
 the absolute pulse numbering.
 
 Memory per tag, beside the tags: :func:`recover_clock` holds the times
-relative to the first in float64 (8 bytes) and, in the block regression,
-float32 phases and their cosines or sines (4 + 4 bytes, which numpy sums
-through a float64 copy, 8 bytes). The FFT's cells, the refit's search for
-near tags (a byte per tag, then at most REFIT_MAX_TAGS of them) and the
-guard run BLOCK tags at a time. :func:`assign_and_gate` gates BLOCK tags
-at a time and returns 9 bytes per accepted tag. No sum goes through BLAS,
-whose dot products would wake its thread pool.
+relative to the first in float64 (8 bytes). The block regression sums
+runs of whole phase blocks of at least BLOCK tags, so its float32 phases,
+their cosines or sines and numpy's float64 copy of those follow the
+largest run (under BLOCK tags plus one block), not the stream. The FFT's
+cells, the refit's search for near tags (a byte per tag, then at most
+REFIT_MAX_TAGS of them) and the guard run BLOCK tags at a time.
+:func:`assign_and_gate` gates BLOCK tags at a time and returns 9 bytes
+per accepted tag. No sum goes through BLAS, whose dot products would
+wake its thread pool.
 """
 
 from __future__ import annotations
@@ -263,16 +266,22 @@ def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
     bounds = np.searchsorted(u, np.linspace(u[0], u[-1] + 1e-9, PHASE_BLOCKS + 1))
     bounds[-1] = len(u)
     nb = np.diff(bounds)
-
-    def block_sums(x):
-        sums = np.zeros(PHASE_BLOCKS)
-        sums[nb > 0] = np.add.reduceat(x, bounds[:-1][nb > 0], dtype=np.float64)
-        return sums
-
-    ph = _phases(u, P)
-    z = block_sums(np.cos(ph)) + 1j * block_sums(np.sin(ph))
-    del ph
-    mids = block_sums(u)
+    # Each block's sums of cos, sin and u, over runs of whole blocks of at
+    # least BLOCK tags: reduceat sums each block on its own, so the sums are
+    # the whole stream's bit for bit, and the phases stay run-sized.
+    sums, run = np.zeros((3, PHASE_BLOCKS)), []
+    filled = np.flatnonzero(nb)
+    for b in filled:
+        run.append(b)
+        if bounds[b + 1] - bounds[run[0]] >= BLOCK or b == filled[-1]:
+            lo, hi = bounds[run[0]], bounds[b + 1]
+            at = bounds[run] - lo
+            ph = _phases(u[lo:hi], P)
+            sums[0, run] = np.add.reduceat(np.cos(ph), at, dtype=np.float64)
+            sums[1, run] = np.add.reduceat(np.sin(ph), at, dtype=np.float64)
+            sums[2, run] = np.add.reduceat(u[lo:hi], at)
+            run = []
+    z, mids = sums[0] + 1j * sums[1], sums[2]
     used = nb >= 5
     z[used] /= nb[used]
     mids[used] /= nb[used]

@@ -39,9 +39,17 @@ from fsbb84.analysis import STATE_ANGLES_DEG, loss_breakdown
 from fsbb84.channel import PhotonArrivals, fading_factor
 from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.scenario import DRIFT_GUARD_PPM, ChannelConfig, SourceConfig, TrueClock
-from fsbb84.seeds import STREAM_CHANNEL, STREAM_EMIT_JITTER, STREAM_SOURCE, spawn
-from fsbb84.source import SHARD_SIZE, emit_jitter_ps, pulse_states
+from fsbb84.seeds import STREAM_SOURCE, spawn
+from fsbb84.source import SHARD_SIZE, emit_jitter_ps, pulse_states, state_key
 from fsbb84.sync import MIN_TAGS, ClockModel
+
+# The photon-by-photon chain's own spawn-key streams, at the two tags
+# fsbb84.seeds reserves for it; no library stage draws from them, and their
+# values keep its draws fixed. STREAM_CHANNEL draws the link thinning (a
+# binomial per non-vacuum pulse), then the retro flips; STREAM_EMIT_JITTER
+# draws the emission jitter of each shard of the pulse train it materializes.
+STREAM_CHANNEL = 1
+STREAM_EMIT_JITTER = 6
 
 
 def _transmittance(config: ChannelConfig, wavelength_nm: float) -> float:
@@ -95,7 +103,7 @@ def reference_shard(config: SourceConfig, shard_index: int, n: int) -> Reference
     mu = np.asarray(config.mu_per_state, dtype=np.float64)
     p_max = -math.expm1(-mu.max())
     pos = _success_positions(n, p_max, g)
-    states = pulse_states(config, shard_index * SHARD_SIZE + pos)
+    states = pulse_states(state_key(config), shard_index * SHARD_SIZE + pos)
     keep = g.random(pos.size) * p_max < -np.expm1(-mu)[states]
     pos, states = pos[keep], states[keep]
     return ReferenceShard(pos, states, _zero_truncated_poisson(mu[states], g), g)
@@ -166,7 +174,7 @@ def build_pulse_train(config: SourceConfig, n_pulses: int) -> PulseTrain:
     if n_pulses <= 0:
         raise ConfigError("must be > 0 (empty train)", "n_pulses")
     index = np.arange(n_pulses, dtype=np.int64)
-    states = pulse_states(config, index)
+    states = pulse_states(state_key(config), index)
     counts = np.zeros(n_pulses, dtype=np.uint16)
     jitter = np.empty(n_pulses)
     for start in range(0, n_pulses, SHARD_SIZE):

@@ -12,7 +12,7 @@ from fsbb84.analysis import (analyzer_table, atmospheric_loss_db, geometric_loss
 from fsbb84.channel import GROUP_CANDIDATES, fading_factor, transmit_stream
 from fsbb84.errors import ConfigError
 from fsbb84.scenario import ChannelConfig, SourceConfig, TrueClock
-from fsbb84.source import SHARD_SIZE, pulse_states
+from fsbb84.source import SHARD_SIZE, pulse_states, state_key
 from reference_chain import (analyze, build_pulse_train, reference_shard,
                              reference_transmit_stream, transmit)
 
@@ -201,7 +201,7 @@ def test_transmit_lossless_everything_arrives():
     index = np.concatenate([k * SHARD_SIZE + sh.position for k, sh in enumerate(shards)])
     counts = np.concatenate([sh.photon_count for sh in shards])
     assert np.array_equal(arr.pulse_index, np.repeat(index, counts))
-    assert np.array_equal(arr.state, pulse_states(src, arr.pulse_index))
+    assert np.array_equal(arr.state, pulse_states(state_key(src), arr.pulse_index))
 
 
 def test_transmit_13db_survivor_fraction():
@@ -269,7 +269,7 @@ def test_apd_counts_chi_square_against_analyzer_table():
         p_value = stats.chi2.sf(chi2, dof)
         assert p_value > 1e-3, f"misalignment {m}: chi2={chi2:.1f}, dof={dof}"
     # the flips happened: about 30% of photons carry a state other than the one sent
-    sent = pulse_states(src, arr.pulse_index)
+    sent = pulse_states(state_key(src), arr.pulse_index)
     assert 0.25 < np.mean(arr.state != sent) < 0.35
 
 
@@ -339,7 +339,7 @@ def test_retro_flip_probability():
                     retro_flip_prob=0.25, rng_seed=14)
     arr = _stream(src, cfg, 400_000)
     pulses, first = np.unique(arr.pulse_index, return_index=True)
-    sent = pulse_states(src, arr.pulse_index)
+    sent = pulse_states(state_key(src), arr.pulse_index)
     flipped = arr.state != sent
     # flips toggle the orthogonal state within the basis, once per pulse
     assert np.all((arr.state[flipped] ^ 1) == sent[flipped])
@@ -456,7 +456,7 @@ def test_transmit_stream_equals_reference_retro_flips_and_sort(monkeypatch):
     cfg = _lossless(retro_mode=True, splitter_penalty_db=0.0, retro_flip_prob=0.3, rng_seed=64)
     arr, groups = _assert_equals_reference(monkeypatch, src, cfg, 2 * SHARD_SIZE + 777)
     assert groups == [3]
-    assert np.any(arr.state != pulse_states(src, arr.pulse_index))
+    assert np.any(arr.state != pulse_states(state_key(src), arr.pulse_index))
     assert np.all(np.diff(arr.pulse_index) >= 0)
     assert np.any(np.diff(arr.arrival_time_ps) < 0)
 

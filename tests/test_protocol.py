@@ -27,7 +27,9 @@ from fsbb84.simulate import simulate_quantum_phase
 from fsbb84.analysis import analyzer_table
 from fsbb84.channel import transmit_stream
 from fsbb84.scenario import ROLE_ALICE, ChannelConfig, SessionParams, SourceConfig
-from fsbb84.source import SHARD_SIZE, pulse_states
+from fsbb84 import source
+from fsbb84.seeds import BLOCK, STREAM_STATE
+from fsbb84.source import SHARD_SIZE, pulse_states, state_key
 
 from conftest import crc_valid_frame, make_fast_scenario
 
@@ -268,7 +270,7 @@ def test_detection_report_rejects_duplicates():
 
 def _basis_bit(cfg, n):
     """Alice's basis and bit for pulses 0..n-1."""
-    states = pulse_states(cfg, np.arange(n, dtype=np.int64))
+    states = pulse_states(state_key(cfg), np.arange(n, dtype=np.int64))
     return states >> 1, states & 1
 
 
@@ -318,7 +320,7 @@ def test_alice_match_agrees_with_stream_states_across_shard_boundary():
     assert np.any((idx >= SHARD_SIZE - 100) & (idx < SHARD_SIZE))
     assert np.any((idx >= SHARD_SIZE) & (idx < SHARD_SIZE + 100))
     if idx[-1] != n - 1:  # the last pulse is in range whether or not it fired
-        idx, state = np.append(idx, n - 1), np.append(state, pulse_states(src, [n - 1]))
+        idx, state = np.append(idx, n - 1), np.append(state, pulse_states(state_key(src), [n - 1]))
     basis = np.random.default_rng(33).integers(0, 2, idx.size, dtype=np.uint8)
     mask, key = alice_match(src, DetectionReport(pulse_index=idx, basis=basis), n)
     keep = basis == state >> 1
@@ -326,7 +328,19 @@ def test_alice_match_agrees_with_stream_states_across_shard_boundary():
     assert np.array_equal(mask.mask.astype(bool), keep)
     assert np.array_equal(key.bits, state[keep] & 1)
     # key bit i is the i-th basis-matched pulse of the report
-    assert np.array_equal(key.bits, pulse_states(src, idx[mask.mask != 0]) & 1)
+    assert np.array_equal(key.bits, pulse_states(state_key(src), idx[mask.mask != 0]) & 1)
+
+
+def test_alice_match_derives_the_state_key_once_per_report(monkeypatch):
+    # a report of three blocks and a bit more: the key was once derived per block
+    calls, derive = [], source.counter_key
+    monkeypatch.setattr(source, "counter_key", lambda *key: calls.append(key) or derive(*key))
+    src, n = SourceConfig(rng_seed=34), 3 * BLOCK + 5
+    basis = np.random.default_rng(35).integers(0, 2, n, dtype=np.uint8)
+    mask, key = alice_match(src, DetectionReport(pulse_index=np.arange(n) * 3, basis=basis), 3 * n)
+    assert len(calls) == 1
+    assert np.array_equal(mask.mask != 0, pulse_states(derive(34, STREAM_STATE),
+                                                       np.arange(n) * 3) >> 1 == basis)
 
 
 def test_bob_sift_bit_convention():
@@ -364,7 +378,7 @@ def test_noiseless_end_to_end_keys_identical():
 def test_single_flip_detected():
     n = 10_000
     cfg = SourceConfig(rng_seed=11)
-    detectors = pulse_states(cfg, np.arange(n))
+    detectors = pulse_states(state_key(cfg), np.arange(n))
     detectors[1234] ^= 1  # flip one outcome within its basis
     rep = bob_detection_report(np.arange(n), detectors)
     mask, alice_key = alice_match(cfg, rep, n)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsbb84.analysis import STATE_ANGLES_DEG, analyzer_table
 from fsbb84.channel import PhotonArrivals, transmit_stream
-from fsbb84.errors import ConfigError, ContractViolationError
+from fsbb84.errors import ConfigError
 from fsbb84.receiver import (DET_A, DET_D, DET_H, DET_V, TimeTags, _dead_time_filter,
                              classify_clicks, detect, dump_tags, load_tags)
 from fsbb84.scenario import DISCARD, RANDOM_BIT, ChannelConfig, ReceiverConfig, SourceConfig
@@ -385,21 +385,9 @@ def test_detect_key_path_equals_truth_path_at_equal_keys(res):
     assert np.all(truth[1:][both] > truth[:-1][both])
 
 
-def test_detect_rejects_times_too_wide_for_one_key():
-    # the stable (time, detector) sort runs on one int64 key, 4 t + detector;
-    # the 2^53 ps check refuses these times, and below it every key fits
-    arr = _arrivals([DET_H, DET_H], [0, 2**62])
-    with pytest.raises(ContractViolationError):
-        detect(arr, _quiet(dead_time_ns=50.0), 1e-6, (0, 10**6))
-
-
-def test_detect_rejects_times_float64_cannot_hold():
-    # float64 quantization once turned these arrivals into tags at 2^53 and
-    # 2^54 + 4 ps without a word; a time past 2^53 ps is refused instead
-    arr = _arrivals([DET_H, DET_V], [2**53 + 1, 2**54 + 3])
-    with pytest.raises(ContractViolationError, match="2\\^53"):
-        detect(arr, _quiet(), 1e-6, (0, 10**6))
-    # the largest time float64 holds exactly is tagged as it arrived
+def test_detect_tags_the_largest_exact_times_as_they_arrived():
+    # the largest times float64 holds exactly; times past them never reach
+    # detect (Scenario's reach rule and load_tags refuse them)
     tags = detect(_arrivals([DET_H, DET_V], [2**53 - 3, 2**53 - 1]), _quiet(), 1e-6, (0, 10**6))
     assert tags.time_ps.tolist() == [2**53 - 3, 2**53 - 1]
 
@@ -575,3 +563,24 @@ def test_load_tags_rejects_decreasing_times(tmp_path):
     with pytest.raises(ConfigError, match="record 3 has time_ps below") as e:
         load_tags(path)
     assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("times, record", [([10, 2**53], 1), ([-2**53, 10], 0),
+                                           ([-2**63, 10], 0)],
+                         ids=["2^53", "-2^53", "-2^63"])
+def test_load_tags_refuses_times_past_2_53_ps(tmp_path, times, record):
+    # a replayed dump once loaded them, and float64 rounded 2^53 + 1 ps to 2^53
+    path = tmp_path / "tags.bin"
+    dump_tags(TimeTags(detector=np.zeros(len(times), dtype=np.uint8),
+                       time_ps=np.array(times, dtype=np.int64)), path)
+    with pytest.raises(ConfigError, match=f"record {record} has \\|time_ps\\| >= 2\\^53") as e:
+        load_tags(path)
+    assert str(path) in str(e.value)
+
+
+def test_load_tags_keeps_times_just_inside_2_53_ps(tmp_path):
+    times = [-(2**53 - 1), 0, 2**53 - 1]
+    path = tmp_path / "tags.bin"
+    dump_tags(TimeTags(detector=np.zeros(3, dtype=np.uint8),
+                       time_ps=np.array(times, dtype=np.int64)), path)
+    assert load_tags(path).time_ps.tolist() == times

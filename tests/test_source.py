@@ -12,10 +12,9 @@ from fsbb84.channel import transmit_stream
 from fsbb84.errors import ConfigError, ProtocolViolationError
 from fsbb84.protocol.framing import DetectionReport
 from fsbb84.protocol.session import alice_match
-from fsbb84.seeds import STREAM_STATE, counter_key
 from fsbb84.scenario import ChannelConfig, SessionParams, SourceConfig
 from fsbb84.source import (SHARD_SIZE, emit_jitter_ps, generate_shard, non_vacuum,
-                           pulse_states)
+                           pulse_states, state_key)
 from reference_chain import build_pulse_train
 
 RECTILINEAR, DIAGONAL = 0, 1  # basis = state >> 1
@@ -35,7 +34,7 @@ def _pulses(cfg, n_pulses):
     """The non-vacuum pulses of all shards, and the shards with their generators."""
     shards = [generate_shard(cfg, start // SHARD_SIZE, min(SHARD_SIZE, n_pulses - start))
               for start in range(0, n_pulses, SHARD_SIZE)]
-    return non_vacuum(shards, counter_key(cfg.rng_seed, STREAM_STATE)), shards
+    return non_vacuum(shards, state_key(cfg)), shards
 
 
 def _non_vacuum(cfg, n_pulses):
@@ -132,20 +131,20 @@ def test_same_seed_bit_identical():
     n = a.index.size
     assert np.array_equal(emit_jitter_ps(cfg, sa.rng, n), emit_jitter_ps(cfg, sb.rng, n))
     idx = np.arange(50_000)
-    assert np.array_equal(pulse_states(cfg, idx), pulse_states(cfg, idx))
+    assert np.array_equal(pulse_states(state_key(cfg), idx), pulse_states(state_key(cfg), idx))
 
 
 def test_different_seed_differs():
     idx = np.arange(10_000)
     a, b = SourceConfig(rng_seed=1), SourceConfig(rng_seed=2)
-    assert not np.array_equal(pulse_states(a, idx), pulse_states(b, idx))
+    assert not np.array_equal(pulse_states(state_key(a), idx), pulse_states(state_key(b), idx))
     assert not np.array_equal(generate_shard(a, 0, 10_000).position,
                               generate_shard(b, 0, 10_000).position)
 
 
 def test_basis_bit_marginals():
     n = 1_000_000
-    states = pulse_states(SourceConfig(rng_seed=13), np.arange(n))
+    states = pulse_states(state_key(SourceConfig(rng_seed=13)), np.arange(n))
     bound = 4 * math.sqrt(0.25 / n)  # 4 sigma binomial
     assert abs((states >> 1).mean() - 0.5) < bound
     assert abs((states & 1).mean() - 0.5) < bound
@@ -154,7 +153,7 @@ def test_basis_bit_marginals():
 def test_photon_count_chi_square_per_state():
     n = 1_000_000
     cfg = SourceConfig(mu_per_state=(0.1, 0.05, 0.2, 0.1), rng_seed=17)
-    states = pulse_states(cfg, np.arange(n))
+    states = pulse_states(state_key(cfg), np.arange(n))
     kept_states, kept_counts = _non_vacuum(cfg, n)
     for s, mu in enumerate(cfg.mu_per_state):
         counts = kept_counts[kept_states == s]
