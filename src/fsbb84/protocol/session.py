@@ -110,9 +110,7 @@ def bob_sift(report: DetectionReport, detectors: np.ndarray, mask: MatchMask) ->
     if len(mask) != len(report):
         raise ProtocolViolationError(
             f"mask length {len(mask)} != report length {len(report)}")
-    kept = mask.mask != 0  # numpy's nonzero is 7x faster on bools than uint8
-    bits = np.concatenate([detectors[a:a + BLOCK].take(np.flatnonzero(kept[a:a + BLOCK]))
-                           for a in range(0, max(len(kept), 1), BLOCK)])
+    bits = detectors[mask.mask != 0]
     bits &= 1
     return SiftedKey(bits=bits)
 

@@ -42,10 +42,13 @@ is recovered from the quantum tags themselves:
    enters the block phases, so at low signal-to-background (a few hundred
    signal tags under a thousand background tags) the regression alone
    leaves the offset about one timing sigma off; the refit brings it to
-   a small fraction of one. A fit needs only sums over the tags it
-   selects, so each window sums the tags certainly inside it once and
-   each pass re-tests only those in a band around the window's edges
-   (see ``_refit_peak``).
+   a small fraction of one. Each window is refitted until a pass selects
+   tags that it selected before (its fixed point, or the start of a
+   cycle), and the tags fitted are the near ones at every stride-th
+   position of the stream, so the clock is a function of the tags alone.
+   A fit needs only sums over the tags it selects, so each window sums
+   the tags certainly inside it once and each pass re-tests only those in
+   a band around the window's edges (see ``_refit_peak``).
 
 Each per-tag phase is one fold (:func:`_cycles`): ``t - kP`` in cycles, a
 third of ``np.mod``'s cost. Steps 1 and 2 take its cos and sin in float32
@@ -61,12 +64,13 @@ the coarse reference (from the beacon / shared scenario timing) selects
 the absolute pulse numbering.
 
 Memory per tag, beside the tags: :func:`recover_clock` holds the times
-relative to the first in float64 (8 bytes). The block regression sums
-runs of whole phase blocks of at least BLOCK tags, so its float32 phases,
-their cosines or sines and numpy's float64 copy of those follow the
-largest run (under BLOCK tags plus one block), not the stream. The FFT's
-cells, the refit's search for near tags (a byte per tag, then at most
-REFIT_MAX_TAGS of them) and the guard run BLOCK tags at a time.
+relative to the first in float64 (8 bytes), which no step copies. The
+block regression sums runs of whole phase blocks of at least BLOCK tags,
+so the times it scales by the drift, its float32 phases, their cosines
+or sines and numpy's float64 copy of those follow the largest run (under
+BLOCK tags plus one block), not the stream. The FFT's cells, the refit's
+search for near tags (a byte per tag, then about REFIT_MAX_TAGS of them)
+and the guard run BLOCK tags at a time.
 :func:`assign_and_gate` gates BLOCK tags at a time and returns 9 bytes
 per accepted tag. No sum goes through BLAS, whose dot products would
 wake its thread pool.
@@ -248,27 +252,33 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
         span *= SPAN_GROWTH ** max(1, math.ceil(math.log((ACQ_PEAK_TO_MEDIAN / ratio) ** 2,
                                                          SPAN_GROWTH)))
     while n < len(tau):
-        slope, _ = _block_regression(tau[:n] / (1.0 + d), P)
+        slope, _ = _block_regression(tau[:n], 1.0 + d, P)
         d = (1.0 + d) * (1.0 + slope) - 1.0
         span *= SPAN_GROWTH
         n = int(np.searchsorted(tau, span - 0.5 * dt))
     return d
 
 
-def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
-    """Weighted line through the circular-mean phases of ``u``'s PHASE_BLOCKS blocks.
+def _block_regression(tau: np.ndarray, scale: float, period_ps: float) -> tuple[float, float]:
+    """Weighted line through the circular-mean phases of PHASE_BLOCKS blocks of ``tau / scale``.
 
     Returns (slope, intercept): the grid sits at ``intercept + slope * u``
-    (mod one period) in the coordinates of ``u``.
+    (mod one period) in the coordinates u = tau / scale, which are divided
+    out run by run, never for the whole stream.
     """
     P = period_ps
-    # Block b is the run of tags between the even edges b and b + 1; the last takes the rest.
-    bounds = np.searchsorted(u, np.linspace(u[0], u[-1] + 1e-9, PHASE_BLOCKS + 1))
-    bounds[-1] = len(u)
+    # Block b is the run of tags between the even edges b and b + 1 of u;
+    # the last takes the rest. An edge's place on tau is bracketed within
+    # a few ulps; a tag in the bracket is placed by u itself (the same division).
+    edges = np.linspace(tau[0] / scale, tau[-1] / scale + 1e-9, PHASE_BLOCKS + 1)
+    bounds, top = (np.searchsorted(tau, edges * (scale * f)) for f in (1.0 - 1e-15, 1.0 + 1e-15))
+    for b in np.flatnonzero(top > bounds):
+        bounds[b] += np.searchsorted(tau[bounds[b]:top[b]] / scale, edges[b])
+    bounds[-1] = len(tau)
     nb = np.diff(bounds)
     # Each block's sums of cos, sin and u, over runs of whole blocks of at
     # least BLOCK tags: reduceat sums each block on its own, so the sums are
-    # the whole stream's bit for bit, and the phases stay run-sized.
+    # the whole stream's bit for bit, and u and the phases stay run-sized.
     sums, run = np.zeros((3, PHASE_BLOCKS)), []
     filled = np.flatnonzero(nb)
     for b in filled:
@@ -276,10 +286,11 @@ def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
         if bounds[b + 1] - bounds[run[0]] >= BLOCK or b == filled[-1]:
             lo, hi = bounds[run[0]], bounds[b + 1]
             at = bounds[run] - lo
-            ph = _phases(u[lo:hi], P)
+            u = tau[lo:hi] / scale
+            ph = _phases(u, P)
             sums[0, run] = np.add.reduceat(np.cos(ph), at, dtype=np.float64)
             sums[1, run] = np.add.reduceat(np.sin(ph), at, dtype=np.float64)
-            sums[2, run] = np.add.reduceat(u[lo:hi], at)
+            sums[2, run] = np.add.reduceat(u, at)
             run = []
     z, mids = sums[0] + 1j * sums[1], sums[2]
     used = nb >= 5
@@ -310,13 +321,14 @@ def _block_regression(u: np.ndarray, period_ps: float) -> tuple[float, float]:
     return slope, float(pw - slope * mw)
 
 
-# Half-widths of the peak windows for the final refit, in periods, each
-# pass run REFIT_PASSES times. Wide first, so a coarse mapping a few
-# hundred ps off still has its peak inside the window; narrow last, so
-# little background enters the fit.
+# Half-widths of the peak windows for the final refit, in periods. Wide
+# first, so a coarse mapping a few hundred ps off still has its peak
+# inside the window; narrow last, so little background enters the fit.
+# Each window is refitted until a pass selects tags it selected before;
+# the selections are finite, so one does.
 REFIT_HALF_WIDTHS = (1 / 8, 1 / 16, 1 / 32)
-REFIT_PASSES = 3
-# Tags the refit keeps (an even stride through the stream); at 2^15 signal
+# Tags the refit keeps, about: the near tags at every stride-th position
+# of the stream, stride = ceil(near tags / REFIT_MAX_TAGS). At 2^15 signal
 # tags its statistical error is already below 1 ps.
 REFIT_MAX_TAGS = 1 << 15
 # Half-width of the band around each window's edges whose tags every pass
@@ -339,7 +351,9 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     mapping lies within a window around zero and fits a line (offset and
     rate correction) to those residuals versus time. Background inside a
     symmetric window adds no bias at the fixed point, only noise, which
-    the narrowing windows keep small.
+    the narrowing windows keep small. A window's passes stop at the first
+    to select tags it selected before (its fixed point, or a cycle); the
+    tags fitted are the near ones at every stride-th place in the stream.
 
     A fit needs only the sums (n, x, y, x^2, xy) of the tags it selects,
     with x a tag's time centred on the stream, and taking a line off the
@@ -352,19 +366,13 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     refit's, and the clock differs from its by rounding.
     """
     P = period_ps
-    # The tags within P/4 of the starting mapping, found BLOCK at a time;
-    # every stride-th of them, counted through the stream, is kept.
+    # The tags within P/4 of the starting mapping (found BLOCK at a time) at stride-th places.
     near = np.empty(len(t), dtype=bool)
     for a in range(0, len(t), BLOCK):
         res = _cycles(source_time_ps(t[a:a + BLOCK], offset, rate), P, nearest=True)
         np.less_equal(np.abs(res, out=res), 0.25, out=near[a:a + BLOCK])
     stride = max(1, math.ceil(np.count_nonzero(near) / REFIT_MAX_TAGS))
-    kept, seen = [], 0
-    for a in range(0, len(t), BLOCK):
-        idx = np.flatnonzero(near[a:a + BLOCK])
-        kept.append(idx[(-seen) % stride::stride] + a)
-        seen += len(idx)
-    near = np.concatenate(kept)
+    near = np.flatnonzero(near[::stride]) * stride
     if len(near) < 2:
         return offset, rate
     # x: each near tag's time, centred; y0: its residual under the starting
@@ -375,16 +383,15 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     x -= c
     ends = float(x[0]), float(x[-1])  # the tags are non-decreasing
     y0 *= P
-    # d: each tag's distance from the line (A0, B0) of the last count;
-    # inner: 1 for the tags certainly inside the window, then their x
-    d, inner = np.empty_like(x), np.empty_like(x)
+    # d: each tag's distance from the line (A0, B0) of the last count
+    d = np.empty_like(x)
     A = B = 0.0
     A0 = B0 = None
     for half_width in REFIT_HALF_WIDTHS:
         h = half_width * P
         band = REFIT_BAND * h
-        edge = None
-        for _ in range(REFIT_PASSES):
+        edge, seen = None, set()
+        while True:
             if A0 is None or max(abs(A - A0 + (B - B0) * e) for e in ends) >= band:
                 A0, B0 = A, B
                 np.multiply(x, B, out=d)
@@ -393,13 +400,17 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
                 np.abs(d, out=d)
                 edge = None
             if edge is None:
-                np.less_equal(d, h - band, out=inner)
-                n_in, sx, sy = float(inner.sum()), _dot(inner, x), _dot(inner, y0)
-                inner *= x
-                sxx, sxy = _dot(inner, x), _dot(inner, y0)
+                sel = d <= h - band  # the tags certainly inside, then each pass's selection
+                ix = x * sel
+                n_in, sx, sy = float(np.count_nonzero(sel)), float(ix.sum()), _dot(sel, y0)
+                sxx, sxy = _dot(ix, x), _dot(ix, y0)
                 edge = np.flatnonzero((d > h - band) & (d < h + band))
                 bx, by = x.take(edge), y0.take(edge)
             keep = np.abs(by - (A + B * bx)) <= h
+            sel[edge] = keep
+            if (key := np.packbits(sel).tobytes()) in seen:
+                break
+            seen.add(key)
             kx, ky = bx[keep], by[keep]
             n = n_in + len(kx)
             if n < 2:
@@ -443,8 +454,8 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_referen
     else:
         d0 = known_drift_ppm * 1e-6
 
-    slope, a = _block_regression(np.divide(tau, 1.0 + d0, out=tau), P)
-    del tau  # divided in place above; the refit and the guard need only t
+    slope, a = _block_regression(tau, 1.0 + d0, P)
+    del tau  # the refit and the guard need only t
     rate = (1.0 + d0) * (1.0 + slope)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)
 

@@ -330,14 +330,14 @@ def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tupl
     return slope, float(pw - slope * mw)
 
 
-# Half-widths of the peak windows for the final refit, in periods, each
-# pass run REFIT_PASSES times. Wide first, so a coarse mapping a few
-# hundred ps off still has its peak inside the window; narrow last, so
-# little background enters the fit.
+# Half-widths of the peak windows for the final refit, in periods. Wide
+# first, so a coarse mapping a few hundred ps off still has its peak
+# inside the window; narrow last, so little background enters the fit.
+# Each window is refitted until a pass selects tags it selected before.
 REFIT_HALF_WIDTHS = (1 / 8, 1 / 16, 1 / 32)
-REFIT_PASSES = 3
-# Tags the refit keeps (an even stride through the stream); at 2^15 signal
-# tags its statistical error is already below 1 ps.
+# Tags the refit keeps, about: the near tags at every stride-th position
+# of the stream; at 2^15 signal tags its statistical error is already
+# below 1 ps.
 REFIT_MAX_TAGS = 1 << 15
 
 
@@ -349,20 +349,26 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     mapping lies within a window around zero and fits a line (offset and
     rate correction) to those residuals versus time. Background inside a
     symmetric window adds no bias at the fixed point, only noise, which
-    the narrowing windows keep small.
+    the narrowing windows keep small. A window's passes stop at the first
+    to select tags the window selected before.
     """
     P = period_ps
     ta = (t - offset) / rate
     res = np.mod(ta + P / 2.0, P) - P / 2.0
-    near = np.nonzero(np.abs(res) <= P / 4.0)[0]
-    near = near[::max(1, math.ceil(len(near) / REFIT_MAX_TAGS))]
+    near = np.abs(res) <= P / 4.0
+    stride = max(1, math.ceil(np.count_nonzero(near) / REFIT_MAX_TAGS))
+    near = np.flatnonzero(near[::stride]) * stride
     ta, res = ta[near], res[near]
     # Corrections are far below P/4, so residuals are updated in place
     # rather than re-wrapped; the mapping moves by t_src -= A + B t_src.
     A = B = 0.0
     for half_width in REFIT_HALF_WIDTHS:
-        for _ in range(REFIT_PASSES):
+        seen = set()
+        while True:
             sel = np.abs(res) <= half_width * P
+            if (key := sel.tobytes()) in seen:
+                break
+            seen.add(key)
             if np.count_nonzero(sel) < 2:
                 break
             x, y = ta[sel], res[sel]

@@ -47,16 +47,16 @@ def _counts(arrivals, tags, per_detector, accepted, rejected, multi, discarded, 
 CASES = {
     "dense_random_bit": (
         lambda: _dense(),
-        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38327, 6426, 452, 0, 37874),
-        19052, 14289, (4763, 53)),
+        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38311, 6442, 452, 0, 37858),
+        19029, 14271, (4758, 65)),
     "dense_discard": (
         lambda: _dense(DISCARD),
-        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38327, 6426, 452, 452, 37422),
-        18865, 14148, (4717, 52)),
+        _counts(47553, 44753, (11103, 11309, 11157, 11184), 38311, 6442, 452, 452, 37406),
+        18842, 14131, (4711, 52)),
     "daylight_beacon": (
         lambda: _bundled("table2_beam_expanders", 6, beacon=True),
-        _counts(6519, 7710, (1910, 1860, 2042, 1898), 5639, 2071, 1, 0, 5638),
-        2785, 0, (2785, 54)),
+        _counts(6519, 7710, (1910, 1860, 2042, 1898), 5638, 2072, 1, 0, 5637),
+        2784, 0, (2784, 54)),
     "retro_weak_v": (
         lambda: _bundled("table1_run1_retro", 7),
         _counts(3810, 6999, (2058, 1455, 1682, 1804), 3405, 3594, 0, 0, 3405),
@@ -65,7 +65,7 @@ CASES = {
     # so every pulse is re-thinned to its own block's survival
     "daylight_faded": (
         lambda: _bundled("table2_beam_expanders", 8, fading_sigma=0.3, fading_block_ms=1.0),
-        _counts(6395, 7537, (1873, 1871, 1866, 1927), 5556, 1981, 0, 0, 5556),
+        _counts(6395, 7537, (1873, 1871, 1866, 1927), 5558, 1979, 0, 0, 5558),
         2773, 0, (2773, 64)),
 }
 

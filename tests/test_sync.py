@@ -332,7 +332,7 @@ def _assert_matches_reference(tags, period, gate_width_ps, **kwargs):
     else:
         d0 = kwargs["known_drift_ppm"] * 1e-6
     u = tau / (1.0 + d0)
-    slope, a = _block_regression(u.copy(), period)
+    slope, a = _block_regression(tau, 1.0 + d0, period)
     ref_slope, ref_a = reference_chain._block_regression(u, period, PHASE_BLOCKS)
     assert abs(slope - ref_slope) <= 1e-14 and abs(a - ref_a) <= 1e-3
 
@@ -346,6 +346,23 @@ def _assert_matches_reference(tags, period, gate_width_ps, **kwargs):
     assert np.array_equal(got.pulse_index, want.pulse_index)
     assert np.array_equal(got.detector, want.detector)
     assert got.rejected_count == want.rejected_count
+
+
+@pytest.mark.parametrize("end", [19_326_174_793, 19_089_178_413])
+def test_block_regression_scales_run_by_run_bit_for_bit(end):
+    # At these stream ends, a time next to some edge * scale divides to the
+    # edge's other side (the float just below it to the edge or past, or
+    # edge * scale itself to below it), so a search on tau alone would put
+    # that tag in the wrong block. Placed by the division, the blocks and
+    # their sums are the divided stream's bit for bit.
+    scale = 1.0 + 37.3e-6
+    edges = np.linspace(0.0, end / scale + 1e-9, PHASE_BLOCKS + 1)[1:-1]
+    at = edges * scale
+    below = np.nextafter(at, 0.0)
+    assert np.any(below / scale >= edges) or np.any(at / scale < edges)
+    k = np.sort(np.random.default_rng(24).choice(end // 10_010, 40_000, replace=False))
+    tau = np.sort(np.concatenate([np.rint(k * PERIOD * scale), below, at, [0.0, end]]))
+    assert _block_regression(tau, scale, PERIOD) == _block_regression(tau / scale, 1.0, PERIOD)
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -416,6 +433,23 @@ def test_band_refit_matches_reference_when_narrowest_window_is_empty():
     res -= np.rint(res / PERIOD) * PERIOD
     assert np.count_nonzero(np.abs(res) <= REFIT_HALF_WIDTHS[-1] * PERIOD) < 2
     assert np.count_nonzero(np.abs(res) <= REFIT_HALF_WIDTHS[1] * PERIOD) >= 2
+
+
+@pytest.mark.parametrize("name, duration_s", [
+    ("table2_collimators", 2.0), ("table1_run2_retro", 2.0),
+    ("table2_beam_expanders", 0.5), ("table1_run1_retro", 0.5),
+    ("table2_beam_expanders", 2.0), ("table1_run1_retro", 2.0)])
+def test_refit_ends_at_a_fixed_point(monkeypatch, name, duration_s):
+    # One more P/32 refit from the recovered clock leaves it where it was:
+    # each window ran until its selection repeated, and the tags it fits
+    # are fixed by their place in the stream, not by the starting mapping.
+    # The last two streams keep every second near tag or fewer.
+    sc = bundled_scenario(name).override({"duration_s": duration_s})
+    quantum = simulate_quantum_phase(sc)
+    clock, t = quantum.clock, quantum.tags.time_ps
+    monkeypatch.setattr("fsbb84.sync.REFIT_HALF_WIDTHS", (1 / 32,))
+    offset, _ = _refit_peak(t, clock.offset_ps, clock.rate, sc.source.period_ps)
+    assert abs(offset - clock.offset_ps) < 1e-3
 
 
 # --- assign_and_gate ---------------------------------------------------------------
