@@ -49,8 +49,7 @@ STREAM_STATE = 7
 # Entries per block of the elementwise passes that run in block-sized
 # scratch (the source's state hash, and passes in the channel, the
 # receiver, clock recovery and the protocol), so a pass's transients do not
-# follow the stream's length. Not part of the contract: only the last bits of
-# the clock's residual_rms_ps, whose squares are summed per block, depend on it.
+# follow the stream's length. Not part of the contract: no output depends on it.
 BLOCK = 1 << 14
 
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)

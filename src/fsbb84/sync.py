@@ -34,8 +34,9 @@ is recovered from the quantum tags themselves:
    (20) time blocks, as each hand-over's span of step 1 is. Each block
    contributes a circular-mean phase, and a weighted linear fit of phase
    versus block midtime refines drift and fixes the offset. Tags are
-   non-decreasing, so each block is a run of them, and consecutive blocks
-   are folded and summed together, at least BLOCK tags at a time.
+   non-decreasing, so each block is a run of them. Like the refit and the
+   guard, each regression reads at most ``FIT_MAX_TAGS`` (2^15) tags,
+   evenly spaced through what it is given.
 3. *Peak refit*: offset and rate are fitted again, by least squares, to
    the wrapped residuals of the tags within a window around the folded
    peak, the window shrinking from P/8 to P/32. Every background tag
@@ -44,8 +45,7 @@ is recovered from the quantum tags themselves:
    leaves the offset about one timing sigma off; the refit brings it to
    a small fraction of one. Each window is refitted until a pass selects
    tags that it selected before (its fixed point, or the start of a
-   cycle), and the tags fitted are the near ones at every stride-th
-   position of the stream, so the clock is a function of the tags alone.
+   cycle), so the clock is a function of the tags alone.
    A fit needs only sums over the tags it selects, so each window sums
    the tags certainly inside it once and each pass re-tests only those in
    a band around the window's edges (see ``_refit_peak``).
@@ -57,7 +57,8 @@ that only moves where step 3, float64 and free of trigonometry, starts.
 
 A significance guard rejects streams without a real grid signature (peak
 of the histogram folded under the final mapping must exceed 3x its
-median), so background-only input raises :class:`SyncFailureError`.
+median), so background-only input raises :class:`SyncFailureError`. The
+refit, the guard and the residual rms read the same spaced tags.
 
 Recovered offsets are only defined modulo one period from tag data alone;
 the coarse reference (from the beacon / shared scenario timing) selects
@@ -65,12 +66,10 @@ the absolute pulse numbering.
 
 Memory per tag, beside the tags: :func:`recover_clock` holds the times
 relative to the first in float64 (8 bytes), which no step copies. The
-block regression sums runs of whole phase blocks of at least BLOCK tags,
-so the times it scales by the drift, its float32 phases, their cosines
-or sines and numpy's float64 copy of those follow the largest run (under
-BLOCK tags plus one block), not the stream. The FFT's cells, the refit's
-search for near tags (a byte per tag, then about REFIT_MAX_TAGS of them)
-and the guard run BLOCK tags at a time.
+FFT's cells are summed BLOCK tags at a time. Every fit reads at most
+FIT_MAX_TAGS tags (:func:`_spaced`), so a block regression's scaled
+times and phases, the refit's near tags and the guard's fold take under
+1 MB, whatever the stream's length.
 :func:`assign_and_gate` gates BLOCK tags at a time and returns 9 bytes
 per accepted tag. No sum goes through BLAS, whose dot products would
 wake its thread pool.
@@ -181,6 +180,17 @@ ACQ_TRY_SHARE = 1 / 2
 # Blocks of every block regression, each hand-over's and the whole
 # stream's: at the threshold a sub-span holds >= ~400 tags, >= 20 per block.
 PHASE_BLOCKS = 20
+# Tags that any one fit reads, at most: each block regression, the refit
+# and the guard read the tags at every ceil(n / FIT_MAX_TAGS)-th place of
+# the n they are given (_spaced), so their memory and time do not follow
+# the stream. At 2^15 signal tags the refit's statistical error is already
+# below 1 ps. Acquisition's FFT reads every tag.
+FIT_MAX_TAGS = 1 << 15
+
+
+def _spaced(x: np.ndarray) -> np.ndarray:
+    """Every ceil(len(x) / FIT_MAX_TAGS)-th entry of ``x`` from the first: at most FIT_MAX_TAGS."""
+    return x[::math.ceil(len(x) / FIT_MAX_TAGS)]
 
 
 def _fft_length(tau_last: float, dt: float) -> int:
@@ -260,38 +270,26 @@ def _acquire_drift(tau: np.ndarray, period_ps: float) -> float:
 
 
 def _block_regression(tau: np.ndarray, scale: float, period_ps: float) -> tuple[float, float]:
-    """Weighted line through the circular-mean phases of PHASE_BLOCKS blocks of ``tau / scale``.
+    """Weighted line through the circular-mean phases of PHASE_BLOCKS blocks of ``_spaced(tau)``.
 
     Returns (slope, intercept): the grid sits at ``intercept + slope * u``
-    (mod one period) in the coordinates u = tau / scale, which are divided
-    out run by run, never for the whole stream.
+    (mod one period) in the coordinates u = tau / scale.
     """
     P = period_ps
+    u = _spaced(tau) / scale
     # Block b is the run of tags between the even edges b and b + 1 of u;
-    # the last takes the rest. An edge's place on tau is bracketed within
-    # a few ulps; a tag in the bracket is placed by u itself (the same division).
-    edges = np.linspace(tau[0] / scale, tau[-1] / scale + 1e-9, PHASE_BLOCKS + 1)
-    bounds, top = (np.searchsorted(tau, edges * (scale * f)) for f in (1.0 - 1e-15, 1.0 + 1e-15))
-    for b in np.flatnonzero(top > bounds):
-        bounds[b] += np.searchsorted(tau[bounds[b]:top[b]] / scale, edges[b])
-    bounds[-1] = len(tau)
+    # the last takes the rest. reduceat sums each filled block on its own.
+    edges = np.linspace(u[0], u[-1] + 1e-9, PHASE_BLOCKS + 1)
+    bounds = np.searchsorted(u, edges)
+    bounds[-1] = len(u)
     nb = np.diff(bounds)
-    # Each block's sums of cos, sin and u, over runs of whole blocks of at
-    # least BLOCK tags: reduceat sums each block on its own, so the sums are
-    # the whole stream's bit for bit, and u and the phases stay run-sized.
-    sums, run = np.zeros((3, PHASE_BLOCKS)), []
     filled = np.flatnonzero(nb)
-    for b in filled:
-        run.append(b)
-        if bounds[b + 1] - bounds[run[0]] >= BLOCK or b == filled[-1]:
-            lo, hi = bounds[run[0]], bounds[b + 1]
-            at = bounds[run] - lo
-            u = tau[lo:hi] / scale
-            ph = _phases(u, P)
-            sums[0, run] = np.add.reduceat(np.cos(ph), at, dtype=np.float64)
-            sums[1, run] = np.add.reduceat(np.sin(ph), at, dtype=np.float64)
-            sums[2, run] = np.add.reduceat(u, at)
-            run = []
+    at = bounds[filled]
+    ph = _phases(u, P)
+    sums = np.zeros((3, PHASE_BLOCKS))
+    sums[0, filled] = np.add.reduceat(np.cos(ph), at, dtype=np.float64)
+    sums[1, filled] = np.add.reduceat(np.sin(ph), at, dtype=np.float64)
+    sums[2, filled] = np.add.reduceat(u, at)
     z, mids = sums[0] + 1j * sums[1], sums[2]
     used = nb >= 5
     z[used] /= nb[used]
@@ -327,10 +325,6 @@ def _block_regression(tau: np.ndarray, scale: float, period_ps: float) -> tuple[
 # Each window is refitted until a pass selects tags it selected before;
 # the selections are finite, so one does.
 REFIT_HALF_WIDTHS = (1 / 8, 1 / 16, 1 / 32)
-# Tags the refit keeps, about: the near tags at every stride-th position
-# of the stream, stride = ceil(near tags / REFIT_MAX_TAGS). At 2^15 signal
-# tags its statistical error is already below 1 ps.
-REFIT_MAX_TAGS = 1 << 15
 # Half-width of the band around each window's edges whose tags every pass
 # re-tests, as a share of the window's half-width. A window's first pass
 # moves the line by up to ~40 ps at the stream's ends, each later one by a
@@ -352,8 +346,7 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     rate correction) to those residuals versus time. Background inside a
     symmetric window adds no bias at the fixed point, only noise, which
     the narrowing windows keep small. A window's passes stop at the first
-    to select tags it selected before (its fixed point, or a cycle); the
-    tags fitted are the near ones at every stride-th place in the stream.
+    to select tags it selected before (its fixed point, or a cycle).
 
     A fit needs only the sums (n, x, y, x^2, xy) of the tags it selects,
     with x a tag's time centred on the stream, and taking a line off the
@@ -366,19 +359,15 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     refit's, and the clock differs from its by rounding.
     """
     P = period_ps
-    # The tags within P/4 of the starting mapping (found BLOCK at a time) at stride-th places.
-    near = np.empty(len(t), dtype=bool)
-    for a in range(0, len(t), BLOCK):
-        res = _cycles(source_time_ps(t[a:a + BLOCK], offset, rate), P, nearest=True)
-        np.less_equal(np.abs(res, out=res), 0.25, out=near[a:a + BLOCK])
-    stride = max(1, math.ceil(np.count_nonzero(near) / REFIT_MAX_TAGS))
-    near = np.flatnonzero(near[::stride]) * stride
+    # x: each tag's time, centred; y0: its residual under the starting
+    # mapping, kept for the tags within P/4. The residuals are y0 less the
+    # line A + B x fitted so far.
+    x = source_time_ps(t, offset, rate)
+    y0 = _cycles(x, P, nearest=True)
+    near = np.flatnonzero(np.abs(y0) <= 0.25)
     if len(near) < 2:
         return offset, rate
-    # x: each near tag's time, centred; y0: its residual under the starting
-    # mapping. The residuals are y0 less the line A + B x fitted so far.
-    x = source_time_ps(t.take(near), offset, rate)
-    y0 = _cycles(x, P, nearest=True)
+    x, y0 = x.take(near), y0.take(near)
     c = 0.5 * (x[0] + x[-1])
     x -= c
     ends = float(x[0]), float(x[-1])  # the tags are non-decreasing
@@ -455,21 +444,19 @@ def recover_clock(times_ps: np.ndarray, nominal_period_ps: float, coarse_referen
         d0 = known_drift_ppm * 1e-6
 
     slope, a = _block_regression(tau, 1.0 + d0, P)
-    del tau  # the refit and the guard need only t
+    del tau  # the refit and the guard read only the spaced tags
     rate = (1.0 + d0) * (1.0 + slope)
+    t = _spaced(t)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)
 
     # Significance guard on the final mapping, so a stream whose coarse
     # drift is a fraction of a grid step off is judged after refinement.
     # One fold: the wrapped residuals give the rms; shifted by P/2, the
     # folded histogram turned by half its bins, same peak and median.
-    squares, hist = 0.0, np.zeros(64, dtype=np.int64)
-    for a in range(0, n, BLOCK):
-        res = _cycles(source_time_ps(t[a:a + BLOCK], offset, rate), P, nearest=True)
-        squares += _dot(res, res)
-        res += 0.5
-        hist += _bin_counts(res, 64)
-    residual_rms = P * math.sqrt(squares / n)
+    res = _cycles(source_time_ps(t, offset, rate), P, nearest=True)
+    residual_rms = P * math.sqrt(_dot(res, res) / len(t))
+    res += 0.5
+    hist = _bin_counts(res, 64)
     if hist.max() < 3.0 * np.median(hist):
         raise SyncFailureError("no significant pulse-grid peak in folded histogram")
 

@@ -26,7 +26,8 @@ everything else once per group of shards; both must give the same arrays.
 The third is :func:`reference_recover_clock`, the clock recovery that
 :func:`fsbb84.sync.recover_clock` computes in fewer passes: here every
 fold is ``np.mod``, the phasors are float64, and each tag searches for
-its phase block.
+its phase block. The final regression, the refit and the guard read the
+same evenly spaced tags as the library's (at most ``FIT_MAX_TAGS``).
 """
 
 import math
@@ -41,7 +42,7 @@ from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.scenario import DRIFT_GUARD_PPM, ChannelConfig, SourceConfig, TrueClock
 from fsbb84.seeds import STREAM_SOURCE, spawn
 from fsbb84.source import SHARD_SIZE, emit_jitter_ps, pulse_states, state_key
-from fsbb84.sync import MIN_TAGS, ClockModel
+from fsbb84.sync import FIT_MAX_TAGS, MIN_TAGS, ClockModel
 
 # The photon-by-photon chain's own spawn-key streams, at the two tags
 # fsbb84.seeds reserves for it; no library stage draws from them, and their
@@ -335,10 +336,12 @@ def _block_regression(u: np.ndarray, period_ps: float, block_count: int) -> tupl
 # inside the window; narrow last, so little background enters the fit.
 # Each window is refitted until a pass selects tags it selected before.
 REFIT_HALF_WIDTHS = (1 / 8, 1 / 16, 1 / 32)
-# Tags the refit keeps, about: the near tags at every stride-th position
-# of the stream; at 2^15 signal tags its statistical error is already
-# below 1 ps.
-REFIT_MAX_TAGS = 1 << 15
+
+
+def spaced(x: np.ndarray) -> np.ndarray:
+    """At most FIT_MAX_TAGS entries of ``x``, evenly spaced from the first."""
+    step = -(-len(x) // FIT_MAX_TAGS)
+    return x[::step]
 
 
 def _refit_peak(t: np.ndarray, offset: float, rate: float,
@@ -356,8 +359,6 @@ def _refit_peak(t: np.ndarray, offset: float, rate: float,
     ta = (t - offset) / rate
     res = np.mod(ta + P / 2.0, P) - P / 2.0
     near = np.abs(res) <= P / 4.0
-    stride = max(1, math.ceil(np.count_nonzero(near) / REFIT_MAX_TAGS))
-    near = np.flatnonzero(near[::stride]) * stride
     ta, res = ta[near], res[near]
     # Corrections are far below P/4, so residuals are updated in place
     # rather than re-wrapped; the mapping moves by t_src -= A + B t_src.
@@ -409,9 +410,10 @@ def reference_recover_clock(times_ps: np.ndarray, nominal_period_ps: float, bloc
     else:
         d0 = known_drift_ppm * 1e-6
 
-    u = tau / (1.0 + d0)
+    u = spaced(tau) / (1.0 + d0)
     slope, a = _block_regression(u, P, block_count)
     rate = (1.0 + d0) * (1.0 + slope)
+    t = spaced(t)
     offset, rate = _refit_peak(t, t0 + a * rate, rate, P)
 
     # Significance guard on the final mapping, so a stream whose coarse

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fsbb84 import sync
 from fsbb84.analysis import gate_acceptance
 from fsbb84.errors import ConfigError, SyncFailureError
 from fsbb84.receiver import TimeTags
 from fsbb84.scenario import BUNDLED_NAMES, DRIFT_GUARD_PPM, TrueClock, bundled_scenario
 from fsbb84.simulate import expected_offset_ps, simulate_quantum_phase
-from fsbb84.sync import (PHASE_BLOCKS, REFIT_BAND, REFIT_HALF_WIDTHS, REFIT_MAX_TAGS, ClockModel,
-                         _acquire_drift, _block_regression, _refit_peak, assign_and_gate,
+from fsbb84.sync import (FIT_MAX_TAGS, PHASE_BLOCKS, REFIT_BAND, REFIT_HALF_WIDTHS, ClockModel,
+                         _acquire_drift, _block_regression, _refit_peak, _spaced, assign_and_gate,
                          fold_histogram, recover_clock)
 import reference_chain
 
@@ -331,7 +332,7 @@ def _assert_matches_reference(tags, period, gate_width_ps, **kwargs):
         assert abs(d - d0) <= (1e-12 if whole else period / (4.0 * tau[-1]))
     else:
         d0 = kwargs["known_drift_ppm"] * 1e-6
-    u = tau / (1.0 + d0)
+    u = reference_chain.spaced(tau) / (1.0 + d0)
     slope, a = _block_regression(tau, 1.0 + d0, period)
     ref_slope, ref_a = reference_chain._block_regression(u, period, PHASE_BLOCKS)
     assert abs(slope - ref_slope) <= 1e-14 and abs(a - ref_a) <= 1e-3
@@ -346,23 +347,6 @@ def _assert_matches_reference(tags, period, gate_width_ps, **kwargs):
     assert np.array_equal(got.pulse_index, want.pulse_index)
     assert np.array_equal(got.detector, want.detector)
     assert got.rejected_count == want.rejected_count
-
-
-@pytest.mark.parametrize("end", [19_326_174_793, 19_089_178_413])
-def test_block_regression_scales_run_by_run_bit_for_bit(end):
-    # At these stream ends, a time next to some edge * scale divides to the
-    # edge's other side (the float just below it to the edge or past, or
-    # edge * scale itself to below it), so a search on tau alone would put
-    # that tag in the wrong block. Placed by the division, the blocks and
-    # their sums are the divided stream's bit for bit.
-    scale = 1.0 + 37.3e-6
-    edges = np.linspace(0.0, end / scale + 1e-9, PHASE_BLOCKS + 1)[1:-1]
-    at = edges * scale
-    below = np.nextafter(at, 0.0)
-    assert np.any(below / scale >= edges) or np.any(at / scale < edges)
-    k = np.sort(np.random.default_rng(24).choice(end // 10_010, 40_000, replace=False))
-    tau = np.sort(np.concatenate([np.rint(k * PERIOD * scale), below, at, [0.0, end]]))
-    assert _block_regression(tau, scale, PERIOD) == _block_regression(tau / scale, 1.0, PERIOD)
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -382,12 +366,80 @@ def test_recover_clock_matches_reference_on_synthetic_streams(n_pulses, p_click,
     _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
 
 
+def _dense_stream():
+    """A dense_short_link-sized stream (~2.2e5 tags), its fits spaced to every seventh tag."""
+    return _synthetic_stream(2_000_000, 0.1, 2_468.0, 60.0, 1e6, 171.0, seed=17)
+
+
 def test_recover_clock_matches_reference_past_refit_stride():
-    # A dense_short_link-sized stream (~2e5 tags): over 2 * REFIT_MAX_TAGS
-    # signal tags lie near the peak, so the refit keeps every third or so.
-    tags = _synthetic_stream(2_000_000, 0.1, 2_468.0, 60.0, 1e6, 171.0, seed=17)
-    assert np.count_nonzero(tags.truth_pulse_index >= 0) > 2 * REFIT_MAX_TAGS
+    # over 2 * FIT_MAX_TAGS signal tags: the final regression, the refit
+    # and the guard read every seventh tag, and so does the reference
+    tags = _dense_stream()
+    assert np.count_nonzero(tags.truth_pulse_index >= 0) > 2 * FIT_MAX_TAGS
     _assert_matches_reference(tags, PERIOD, 500.0, coarse_reference_ps=2_468.0)
+
+
+def _record_fit_reads(mp):
+    """Patch ``sync`` through ``mp`` to record the tags each clock fit reads; returns the dict.
+
+    A block regression reads the phases it folds (its input is recorded
+    too), the refit the tags it is handed, and the refit and the guard the
+    tags they map to the source clock.
+    """
+    reads = {"regression_input": [], "regression": [], "refit": [], "mapped": []}
+    phases, block_regression = sync._phases, sync._block_regression
+    refit_peak, source_time_ps = sync._refit_peak, sync.source_time_ps
+
+    def recording_phases(x, period_ps):
+        reads["regression"].append(len(x))
+        return phases(x, period_ps)
+
+    def recording_block_regression(tau, scale, period_ps):
+        reads["regression_input"].append(len(tau))
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(sync, "_phases", recording_phases)
+            return block_regression(tau, scale, period_ps)
+
+    def recording_refit_peak(t, *args):
+        reads["refit"].append(len(t))
+        return refit_peak(t, *args)
+
+    def recording_source_time_ps(t, *args):
+        reads["mapped"].append(len(t))
+        return source_time_ps(t, *args)
+
+    mp.setattr(sync, "_block_regression", recording_block_regression)
+    mp.setattr(sync, "_refit_peak", recording_refit_peak)
+    mp.setattr(sync, "source_time_ps", recording_source_time_ps)
+    return reads
+
+
+@pytest.mark.parametrize("stream", ["dense", "long"])
+def test_every_clock_fit_reads_at_most_the_tag_budget(monkeypatch, stream):
+    # The ~2.2e5-tag dense stream, and 60 s of 3000 signal under 1000
+    # background tags/s, whose acquisition hands its drift over prefixes
+    # of more than FIT_MAX_TAGS tags: every fit reads at most the budget.
+    t = (_dense_stream().time_ps if stream == "dense"
+         else _long_stream(60.0, 3e-5, -37.3, 1_000.0, seed=50))
+    reads = _record_fit_reads(monkeypatch)
+    clock = recover_clock(t, PERIOD, coarse_reference_ps=2_468.0)
+    assert abs(clock.offset_ps - 2_468.0) < 50.0
+    assert max(reads["regression_input"]) == len(t)
+    if stream == "long":
+        assert sum(n > FIT_MAX_TAGS for n in reads["regression_input"]) > 1
+    assert reads["refit"] and reads["mapped"] and reads["regression"]
+    for name in ("regression", "refit", "mapped"):
+        assert max(reads[name]) <= FIT_MAX_TAGS, (name, reads[name])
+
+
+def test_block_regression_reads_the_spaced_tags():
+    # the dense stream's every seventh tag, given or taken by the fit itself
+    t = _dense_stream().time_ps
+    tau = t - t[0].astype(np.float64)
+    k = math.ceil(len(tau) / FIT_MAX_TAGS)
+    assert k == 7
+    scale = 1.0 + 60e-6
+    assert _block_regression(tau, scale, PERIOD) == _block_regression(tau[::k], scale, PERIOD)
 
 
 def _assert_refit_matches_reference(t, offset, rate, gate_width_ps=500.0):
@@ -440,13 +492,14 @@ def test_band_refit_matches_reference_when_narrowest_window_is_empty():
     ("table2_beam_expanders", 0.5), ("table1_run1_retro", 0.5),
     ("table2_beam_expanders", 2.0), ("table1_run1_retro", 2.0)])
 def test_refit_ends_at_a_fixed_point(monkeypatch, name, duration_s):
-    # One more P/32 refit from the recovered clock leaves it where it was:
-    # each window ran until its selection repeated, and the tags it fits
-    # are fixed by their place in the stream, not by the starting mapping.
-    # The last two streams keep every second near tag or fewer.
+    # One more P/32 refit from the recovered clock, on the tags the refit
+    # read, leaves it where it was: each window ran until its selection
+    # repeated, and the tags it fits are fixed by their place in the
+    # stream, not by the starting mapping. The fits of the last two streams
+    # read every third tag.
     sc = bundled_scenario(name).override({"duration_s": duration_s})
     quantum = simulate_quantum_phase(sc)
-    clock, t = quantum.clock, quantum.tags.time_ps
+    clock, t = quantum.clock, _spaced(quantum.tags.time_ps)
     monkeypatch.setattr("fsbb84.sync.REFIT_HALF_WIDTHS", (1 / 32,))
     offset, _ = _refit_peak(t, clock.offset_ps, clock.rate, sc.source.period_ps)
     assert abs(offset - clock.offset_ps) < 1e-3
